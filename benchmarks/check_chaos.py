@@ -2,16 +2,18 @@
 """CI chaos gate: every recovery path must be invisible in the data.
 
 Runs one undisturbed serial reference campaign, then drives the
-supervision layer (:mod:`repro.injection.supervisor`) through its
-recovery paths and asserts each one ends with Table 1/3/5 and
-Figure 4 inputs byte-identical to the reference, and with an
+parallel engine's supervision (the warm worker fleet of
+:mod:`repro.injection.fleet`, which ``run_campaign(workers=2)`` uses)
+through its recovery paths and asserts each one ends with Table 1/3/5
+and Figure 4 inputs byte-identical to the reference, and with an
 identical deterministic metrics core:
 
 ``kill``
     a seeded :class:`~repro.injection.chaos.ChaosPolicy` kills one
-    worker mid-shard (possibly with exit code 0 -- the historical
+    worker mid-unit (possibly with exit code 0 -- the historical
     silent-hang bug) and fails one journal write with ENOSPC; the
-    same invocation must self-heal via respawn and still complete;
+    same invocation must self-heal (salvage, requeue, respawn) and
+    still complete;
 ``salvage``
     a journal line is corrupted on disk; a ``journal_salvage`` resume
     must quarantine the line, re-run its point and complete;
@@ -34,12 +36,15 @@ from pathlib import Path
 from repro.apps.ftpd import client1
 from repro.apps.registry import get_daemon_spec
 from repro.injection import (CampaignInterrupted, ChaosPolicy,
-                             corrupt_journal_tail, run_campaign,
-                             SupervisorConfig)
+                             corrupt_journal_tail, FleetConfig,
+                             run_campaign)
 
-#: CI-speed supervisor: short backoff/polls, identical semantics.
-FAST_SUPERVISOR = SupervisorConfig(backoff_base=0.1, backoff_cap=0.5,
-                                   poll_interval=0.05, dead_grace=0.2)
+#: CI-speed fleet: short backoff/polls, identical semantics.  One
+#: instruction per work unit, so both workers take work from the start
+#: and a fault scheduled for either one fires.
+FAST_SUPERVISOR = FleetConfig(backoff_base=0.1, backoff_cap=0.5,
+                              poll_interval=0.05, dead_grace=0.2,
+                              unit_instructions=1)
 
 
 def deterministic_core(campaign):

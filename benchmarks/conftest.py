@@ -6,11 +6,11 @@ session-scoped cache runs each campaign exactly once per pytest
 session; the bench that first needs a campaign pays for (and times)
 it.
 
-``--workers N`` shards every cached campaign across N processes
-(:mod:`repro.injection.parallel`); tallies are identical to a serial
-run, so every table/assertion below is unaffected -- only the wall
-clock changes.  Each campaign's timing record (wall clock,
-experiments/sec, per-shard breakdown) is kept on the cache and dumped
+``--workers N`` runs every cached campaign on a warm fleet of N
+worker processes (:mod:`repro.injection.fleet`); tallies are identical
+to a serial run, so every table/assertion below is unaffected -- only
+the wall clock changes.  Each campaign's timing record (wall clock,
+experiments/sec, per-unit breakdown) is kept on the cache and dumped
 into the benchmarks' results JSON so the perf trajectory is
 measurable run-over-run.
 
@@ -37,8 +37,9 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def pytest_addoption(parser):
     parser.addoption(
         "--workers", type=int, default=1,
-        help="shard each campaign across N processes (N>1 uses "
-             "repro.injection.parallel; results are identical)")
+        help="run each campaign on a warm fleet of N worker "
+             "processes (N>1 uses repro.injection.fleet; results "
+             "are identical)")
 
 
 class CampaignCache:

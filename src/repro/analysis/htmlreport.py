@@ -40,29 +40,14 @@ pre { background: #f4f4f8; padding: .8em; overflow-x: auto; }
 def _load_journal_records(journal):
     """All result records, quarantine count, meta and unit markers
     from a base journal path and its shard files."""
-    from ..injection.parallel import discover_shard_journals
-    from ..injection.runner import CampaignJournal, JournalError
-    paths = [journal] if os.path.exists(journal) else []
-    paths += discover_shard_journals(journal)
-    if not paths:
+    from ..injection.runner import JournalFamily
+    family = JournalFamily.load(journal, strict=False)
+    if not family.members:
         raise FileNotFoundError("no journal at %s (or %s.shard*)"
                                 % (journal, journal))
-    meta = None
-    records = {}
-    quarantined = {}
-    units = []
-    for path in paths:
-        try:
-            shard_meta, results, shard_quarantined, report = \
-                CampaignJournal.load_with_report(path, strict=False)
-        except JournalError:
-            continue
-        if shard_meta is not None and meta is None:
-            meta = shard_meta
-        records.update(results)
-        quarantined.update(shard_quarantined)
-        units.extend(report.units)
-    return meta, list(records.values()), len(quarantined), units
+    metas = family.metas
+    return (metas[0] if metas else None, list(family.results.values()),
+            len(family.quarantined), family.units)
 
 
 def _outcome_section(records, quarantined):

@@ -171,9 +171,8 @@ def load_campaign(path):
 
 
 def campaign_from_shard_journals(journal):
-    """Reconstruct a :class:`CampaignResult` from the per-shard JSONL
-    journals of a parallel campaign (see
-    :mod:`repro.injection.parallel`).
+    """Reconstruct a :class:`CampaignResult` from the per-worker JSONL
+    journals of a parallel campaign (see :mod:`repro.injection.fleet`).
 
     *journal* is either the campaign's base journal path (shard files
     are discovered as ``<journal>.shardK``) or an explicit iterable of
@@ -181,17 +180,13 @@ def campaign_from_shard_journals(journal):
     bit), which matches enumeration order for a contiguous auth
     section; tallies are order-independent either way.
     """
-    from ..injection.parallel import (discover_shard_journals,
-                                      load_shard_journals)
-    if isinstance(journal, (str, bytes)) or hasattr(journal,
-                                                    "__fspath__"):
-        paths = discover_shard_journals(str(journal))
-    else:
-        paths = list(journal)
-    if not paths:
+    from ..injection.runner import JournalFamily
+    family = JournalFamily.load(journal, base=False)
+    if not family.members:
         raise FileNotFoundError("no shard journals found for %r"
                                 % journal)
-    metas, results, quarantined = load_shard_journals(paths)
+    metas, results, quarantined = (family.metas, family.results,
+                                   family.quarantined)
     for meta in metas[1:]:
         for field in ("daemon", "client", "encoding", "model"):
             if meta.get(field) != metas[0].get(field):

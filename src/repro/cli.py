@@ -50,7 +50,8 @@ from .apps.registry import available_daemons, get_daemon_spec
 from .encoding import format_table4, minimum_branch_distance
 from .injection import (available_fault_models, CampaignInterrupted,
                         DEFAULT_FAULT_MODEL, describe_targets,
-                        run_campaign, run_random_campaign)
+                        JournalFamily, run_campaign,
+                        run_random_campaign)
 
 #: exit status of a checkpointed (interrupted but resumable) campaign
 #: -- EX_TEMPFAIL: re-running with ``--resume`` will finish the job.
@@ -144,49 +145,26 @@ def cmd_campaign(args, out):
         raise SystemExit("unknown client %r (have: %s)"
                          % (args.client, ", ".join(sorted(clients))))
     bus, telemetry = _telemetry_kwargs(args)
-    if args.workers and args.workers > 1:
-        # thin client of the scheduler/fleet layers: a private warm
-        # fleet runs this one campaign in-process
-        from .injection import run_fleet_campaign
-        campaign = run_fleet_campaign(
-            daemon, args.client, clients[args.client],
-            workers=args.workers, deadline=args.deadline,
-            graceful_signals=True,
-            encoding=args.encoding, fault_model=args.fault_model,
-            max_points=args.max_points,
-            journal=args.journal, resume=args.resume,
-            retries=args.retries,
-            trace=args.trace, metrics=args.metrics,
-            forensics=args.forensics, progress=_progress(args),
-            journal_fsync=args.journal_fsync,
-            journal_salvage=args.journal_salvage,
-            full_restore=args.full_restore,
-            prune=args.prune, audit_fraction=args.audit_fraction,
-            audit_seed=args.audit_seed, **telemetry)
-    else:
-        campaign = run_campaign(
-            daemon, args.client, clients[args.client],
-            encoding=args.encoding,
-            fault_model=args.fault_model,
-            max_points=args.max_points,
-            journal=args.journal, resume=args.resume,
-            retries=args.retries, workers=args.workers,
-            trace=args.trace, metrics=args.metrics,
-            forensics=args.forensics, progress=_progress(args),
-            deadline=args.deadline, journal_fsync=args.journal_fsync,
-            journal_salvage=args.journal_salvage,
-            full_restore=args.full_restore,
-            prune=args.prune, audit_fraction=args.audit_fraction,
-            audit_seed=args.audit_seed,
-            # SIGTERM/SIGINT checkpoint the campaign instead of
-            # killing it; resume with --resume.
-            graceful_signals=True, **telemetry)
+    campaign = run_campaign(
+        daemon, args.client, clients[args.client],
+        workers=args.workers, encoding=args.encoding,
+        fault_model=args.fault_model, max_points=args.max_points,
+        journal=args.journal, resume=args.resume,
+        retries=args.retries, trace=args.trace, metrics=args.metrics,
+        forensics=args.forensics, progress=_progress(args),
+        deadline=args.deadline, journal_fsync=args.journal_fsync,
+        journal_salvage=args.journal_salvage,
+        full_restore=args.full_restore, prune=args.prune,
+        audit_fraction=args.audit_fraction, audit_seed=args.audit_seed,
+        # SIGTERM/SIGINT checkpoint the campaign instead of killing
+        # it; resume with --resume.
+        graceful_signals=True, **telemetry)
     if args.journal:
-        if args.workers and args.workers > 1:
-            out.write("journal: %s.shard0..%d\n"
-                      % (args.journal, args.workers - 1))
-        else:
-            out.write("journal: %s\n" % args.journal)
+        # the files this run actually wrote: the base path alone for
+        # a serial run; parent unit markers plus one file per worker
+        # that ran work (and the parent's inline file) for a fleet run
+        out.write("journal: %s\n"
+                  % ", ".join(JournalFamily.paths(args.journal)))
     if args.trace:
         out.write("trace: %s\n" % args.trace)
     if args.metrics:
@@ -248,19 +226,10 @@ def cmd_figure4(args, out):
     daemon, clients = _make_daemon(args.daemon)
     attacker = get_daemon_spec(args.daemon).attacker_client
     bus, telemetry = _telemetry_kwargs(args)
-    if args.workers and args.workers > 1:
-        from .injection import run_fleet_campaign
-        campaign = run_fleet_campaign(
-            daemon, attacker, clients[attacker],
-            workers=args.workers, graceful_signals=True,
-            trace=args.trace, metrics=args.metrics,
-            progress=_progress(args), **telemetry)
-    else:
-        campaign = run_campaign(
-            daemon, attacker, clients[attacker],
-            workers=args.workers, trace=args.trace,
-            metrics=args.metrics, progress=_progress(args),
-            **telemetry)
+    campaign = run_campaign(
+        daemon, attacker, clients[attacker], workers=args.workers,
+        trace=args.trace, metrics=args.metrics,
+        progress=_progress(args), graceful_signals=True, **telemetry)
     histogram = build_histogram(campaign.crash_latencies())
     out.write(format_histogram(histogram) + "\n")
     _write_telemetry_artifacts(out, args, bus, daemon=daemon)
@@ -372,29 +341,19 @@ def cmd_serve(args, out):
 
 
 def cmd_status(args, out):
-    import os
-    from .injection.parallel import discover_shard_journals
-    from .injection.runner import CampaignJournal, JournalError
     from .obs.top import format_eta, unit_progress
-    paths = ([args.journal] if os.path.exists(args.journal) else [])
-    paths += discover_shard_journals(args.journal)
-    if not paths:
+    family = JournalFamily.load(args.journal, strict=False)
+    if not family.members:
         raise SystemExit("no journal at %s (or %s.shard*)"
                          % (args.journal, args.journal))
-    results = {}
-    quarantined = {}
-    units = []
     damage = 0
-    for path in paths:
-        try:
-            meta, shard_results, shard_quarantined, report = \
-                CampaignJournal.load_with_report(path, strict=False)
-        except JournalError as error:
-            out.write("%s: unreadable (%s)\n" % (path, error))
+    for member in family.members:
+        path, report = member.path, member.report
+        if member.error is not None:
+            out.write("%s: unreadable (%s)\n" % (path, member.error))
             damage += 1
             continue
-        results.update(shard_results)
-        quarantined.update(shard_quarantined)
+        meta = member.meta
         out.write("%s:\n" % path)
         if meta is not None:
             out.write("  campaign: %s %s (%s encoding, %s faults, "
@@ -406,9 +365,8 @@ def cmd_status(args, out):
         else:
             out.write("  campaign: no meta header\n")
         out.write("  results: %d   quarantined: %d\n"
-                  % (len(shard_results), len(shard_quarantined)))
+                  % (len(member.results), len(member.quarantined)))
         if report.units:
-            units.extend(report.units)
             in_flight, done, __, __, __ = unit_progress(report.units)
             line = "  work units: %d completed" % done
             if in_flight:
@@ -431,11 +389,12 @@ def cmd_status(args, out):
                       "--journal-salvage)\n" % ", ".join(notes))
     out.write("total: %d completed point(s), %d quarantined, across "
               "%d journal file(s)\n"
-              % (len(results), len(quarantined), len(paths)))
+              % (len(family.results), len(family.quarantined),
+                 len(family.members)))
     in_flight, __, total_points, first_ts, last_ts = \
-        unit_progress(units)
+        unit_progress(family.units)
     if total_points:
-        completed = len(results)
+        completed = len(family.results)
         remaining = max(0, total_points - completed)
         line = ("progress: %d/%d point(s) (%.0f%%)"
                 % (completed, total_points,
@@ -535,28 +494,16 @@ def _top_socket(args, out):
 
 
 def cmd_report(args, out):
-    import os
     from .analysis.htmlreport import write_html_report
-    from .injection.parallel import discover_shard_journals
-    from .injection.runner import CampaignJournal, JournalError
-    paths = ([args.journal] if os.path.exists(args.journal) else [])
-    paths += discover_shard_journals(args.journal)
-    if not paths:
+    family = JournalFamily.load(args.journal, strict=False)
+    if not family.members:
         raise SystemExit("no journal at %s (or %s.shard*)"
                          % (args.journal, args.journal))
     # Symbolizing hotspots needs the compiled program's module; the
     # journal meta records which daemon that is.
     module = None
-    if args.profile:
-        for path in paths:
-            try:
-                meta, __, __, __ = CampaignJournal.load_with_report(
-                    path, strict=False)
-            except JournalError:
-                continue
-            if meta is not None:
-                module = _spec_from_journal_meta(meta).build().module
-                break
+    if args.profile and family.metas:
+        module = _spec_from_journal_meta(family.metas[0]).build().module
     output = args.out if args.out else args.journal + ".html"
     write_html_report(output, args.journal, events_path=args.events,
                       profile_path=args.profile, module=module)
@@ -611,10 +558,10 @@ def build_parser():
                                "outcome will not stabilise")
     campaign.add_argument("--workers", type=int, default=None,
                           metavar="N",
-                          help="shard the experiment list across N "
-                               "processes; tallies are identical to "
-                               "a serial run (journals become "
-                               "per-shard <journal>.shardK files)")
+                          help="run the campaign on a warm fleet of N "
+                               "worker processes; tallies are "
+                               "identical to a serial run (each "
+                               "worker journals to <journal>.shardK)")
     campaign.add_argument("--deadline", type=float, default=None,
                           metavar="SECONDS",
                           help="checkpoint and exit (status %d) after "
@@ -678,7 +625,8 @@ def build_parser():
     figure4.add_argument("--progress", action="store_true")
     figure4.add_argument("--workers", type=int, default=None,
                          metavar="N",
-                         help="shard the campaign across N processes")
+                         help="run the campaign on a warm fleet of N "
+                              "worker processes")
     _add_obs_args(figure4)
     figure4.set_defaults(handler=cmd_figure4)
 
@@ -776,7 +724,8 @@ def _add_obs_args(parser):
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write a Chrome-trace span file "
                              "(chrome://tracing / Perfetto); parallel "
-                             "runs merge per-shard sinks into FILE")
+                             "runs merge every worker's spans into "
+                             "FILE")
     parser.add_argument("--metrics", default=None, metavar="FILE",
                         help="write the unified metrics registry "
                              "(outcome tallies, crash-latency "

@@ -3,7 +3,7 @@
 from .campaign import (ALL_ENCODINGS, CampaignResult, CampaignSpec,
                        ENCODING_NEW, ENCODING_OLD, enumerate_specs,
                        QuarantinedPoint, run_both_encodings,
-                       run_campaign, run_spec)
+                       run_campaign, run_spec, RunOptions)
 from .faultmodels import (available_fault_models, BranchBitFlip,
                           BurstInjectionPoint, DEFAULT_FAULT_MODEL,
                           FAULT_MODELS, FaultModel, get_fault_model,
@@ -16,24 +16,21 @@ from .injector import (BreakpointSession, plain_run,
                        single_injection)
 from .snapshot import MachineSnapshot
 from .runner import (campaign_timing, CampaignInterrupted,
-                     CampaignJournal, CampaignRunner, JournalError,
-                     JournalLoadReport, run_resilient_campaign,
-                     Watchdog, WatchdogConfig)
+                     CampaignJournal, CampaignRunner,
+                     discover_shard_journals, JournalError,
+                     JournalFamily, JournalLoadReport,
+                     shard_journal_path, Watchdog, WatchdogConfig)
 from .chaos import (ChaosAction, ChaosPolicy, corrupt_journal_tail)
 from .pruning import (class_is_audited, default_classify,
                       fan_out_result, GuardedWatchdog, PointClass,
                       PRUNE_BYTES, PRUNE_DEAD, PRUNE_FAULT,
                       PRUNE_SOLO, PRUNE_SUCC, PruningAuditError,
                       PruningPlan, result_signature, SitePlan)
-from .supervisor import (ShardSupervisor, SupervisionReport,
-                         SupervisorConfig)
 from .scheduler import (build_units, CampaignScheduler,
                         instruction_groups, UNIT_INSTRUCTIONS,
                         WorkUnit)
-from .fleet import (FleetConfig, run_fleet_campaign, WorkerFleet)
-from .parallel import (discover_shard_journals, load_shard_journals,
-                       ParallelCampaignRunner, run_parallel_campaign,
-                       shard_journal_path, shard_points)
+from .fleet import (default_daemon_factory, FleetConfig,
+                    run_fleet_campaign, WorkerFleet)
 from .locations import (ALL_LOCATIONS, classify_location,
                         LOCATION_2BC, LOCATION_2BO, LOCATION_6BC1,
                         LOCATION_6BC2, LOCATION_6BO,
@@ -53,6 +50,7 @@ from .targets import (branch_instructions, DEFAULT_TARGET_KINDS,
 
 __all__ = [
     "ALL_ENCODINGS", "CampaignSpec", "enumerate_specs", "run_spec",
+    "RunOptions",
     "FaultModel", "FAULT_MODELS", "DEFAULT_FAULT_MODEL",
     "available_fault_models", "get_fault_model", "register_fault_model",
     "BranchBitFlip", "MultiBitBurst", "RegisterBitFlip", "MemoryBitFlip",
@@ -63,20 +61,18 @@ __all__ = [
     "record_golden", "BreakpointSession", "MachineSnapshot",
     "SessionCache", "plain_run",
     "single_injection", "run_clean_connection", "CampaignRunner",
-    "CampaignJournal", "JournalError", "run_resilient_campaign",
+    "CampaignJournal", "JournalError", "JournalFamily",
     "campaign_timing", "CampaignInterrupted", "JournalLoadReport",
     "ChaosAction", "ChaosPolicy", "corrupt_journal_tail",
     "PruningAuditError", "PruningPlan", "SitePlan", "PointClass",
     "GuardedWatchdog", "default_classify", "fan_out_result",
     "class_is_audited", "result_signature", "PRUNE_DEAD",
     "PRUNE_BYTES", "PRUNE_FAULT", "PRUNE_SUCC", "PRUNE_SOLO",
-    "ShardSupervisor", "SupervisionReport", "SupervisorConfig",
     "CampaignScheduler", "WorkUnit", "build_units",
     "instruction_groups", "UNIT_INSTRUCTIONS",
     "FleetConfig", "WorkerFleet", "run_fleet_campaign",
-    "ParallelCampaignRunner",
-    "run_parallel_campaign", "shard_points", "shard_journal_path",
-    "discover_shard_journals", "load_shard_journals",
+    "default_daemon_factory", "shard_journal_path",
+    "discover_shard_journals",
     "Watchdog", "WatchdogConfig", "HANG", "HARNESS_FAULT",
     "REFINED_OUTCOMES", "FOLD_TO_PAPER",
     "ALL_LOCATIONS", "classify_location", "LOCATION_2BC", "LOCATION_2BO",

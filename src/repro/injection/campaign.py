@@ -14,12 +14,15 @@ Execution is delegated to the fault-tolerant engine in
 exception becomes one ``HARNESS_FAULT`` record instead of killing the
 campaign), hangs are caught by a watchdog, and an optional JSONL
 journal makes campaigns resumable (``journal=path, resume=True``).
+:class:`RunOptions` carries every execution option; ``workers=N``
+runs the campaign on the warm worker fleet of
+:mod:`repro.injection.fleet`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from .outcomes import (ALL_OUTCOMES, FAIL_SILENCE_VIOLATION,
@@ -94,6 +97,133 @@ def enumerate_specs(daemons=None, clients=None, encodings=(ENCODING_OLD,),
                         daemon=daemon, client=client,
                         encoding=encoding, fault_model=fault_model))
     return specs
+
+
+#: :class:`RunOptions` field roles (``dataclasses.field`` metadata).
+#: ``wire`` fields are plain data a service client may set on a
+#: submission; ``parent`` fields belong to the process that owns the
+#: campaign (callables, sinks, signal and deadline handling) and are
+#: reset to their defaults before options reach a fleet worker.
+_WIRE = {"wire": True}
+_PARENT = {"parent": True}
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """Every execution option of one campaign, in one place.
+
+    :func:`run_campaign`, :class:`~repro.injection.runner.CampaignRunner`,
+    :meth:`WorkerFleet.submit <repro.injection.fleet.WorkerFleet.submit>`
+    and the service all take a ``RunOptions`` (or keywords naming its
+    fields), so adding an option touches this class only: the fleet's
+    worker context is :meth:`for_worker` and the service's wire
+    whitelist is :meth:`wire_fields`.  Options are resolved once per
+    campaign (or per fleet work unit), never per experiment.
+
+    What to inject: ``encoding``, ``fault_model`` (registry name or
+    instance, default the paper's ``branch-bit``), target ``kinds``,
+    the per-connection instruction ``budget``, ``max_points``
+    (truncates the experiment list; used by fast tests) and
+    ``ranges`` (overrides the daemon's authentication functions, e.g.
+    for the path-validation extension experiments).
+
+    Journal: ``journal`` appends every result to a JSONL file as it
+    completes; ``resume=True`` skips already-journaled points, so a
+    killed campaign restarts where it stopped with identical tallies.
+    ``journal_fsync=N`` fsyncs every N records and
+    ``journal_salvage=True`` quarantines corrupt journal lines on
+    resume instead of raising.
+
+    Execution: ``retries`` re-executes each activated experiment that
+    many times and quarantines points whose outcome will not
+    stabilise; ``watchdog`` is a
+    :class:`~repro.injection.runner.Watchdog` or its config;
+    ``full_restore=True`` rewrites every memory region between
+    experiments instead of only dirtied pages.  ``prune=True`` runs
+    one representative per equivalence class
+    (:mod:`repro.injection.pruning`) and fans its outcome out;
+    ``audit_fraction`` exhaustively re-runs a seeded (``audit_seed``)
+    sample of classes and raises
+    :class:`~repro.injection.pruning.PruningAuditError` on divergence.
+
+    Observability: ``trace`` writes a Chrome-trace span file,
+    ``metrics`` the serialized metrics registry, ``forensics=True``
+    captures the last-instructions ring and a register snapshot on
+    every SD/HANG/HF record; ``telemetry`` is an
+    :class:`~repro.obs.events.EventBus` for live events labelled
+    ``telemetry_campaign``; ``sampler`` attaches the sampling profiler
+    (instance, period or ``True``) and ``profile`` saves its JSON;
+    ``progress(done, total)`` is called as points complete.  All of
+    these are observational: tallies and the deterministic metrics
+    core are byte-identical with any combination enabled.
+
+    Resilience: ``deadline`` bounds the wall clock and
+    ``graceful_signals=True`` converts SIGTERM/SIGINT into a clean
+    checkpoint -- both raise
+    :class:`~repro.injection.runner.CampaignInterrupted` with a
+    resumable journal.  ``chaos`` injects harness faults from a
+    :class:`~repro.injection.chaos.ChaosPolicy`.
+
+    Process plumbing: ``daemon_factory`` is how a fleet worker
+    rebuilds the daemon (default: the daemon's own class and data);
+    ``session_cache`` shares breakpoint sessions across sequential
+    serial campaigns (fleet workers keep their own).
+    """
+
+    encoding: str = ENCODING_OLD
+    fault_model: object = None
+    kinds: tuple = DEFAULT_TARGET_KINDS
+    budget: int = field(default=CONNECTION_INSTRUCTION_BUDGET,
+                        metadata=_WIRE)
+    max_points: int | None = field(default=None, metadata=_WIRE)
+    ranges: object = None
+    journal: object = field(default=None, metadata=_WIRE)
+    resume: bool = field(default=False, metadata=_WIRE)
+    journal_fsync: int | None = field(default=None, metadata=_WIRE)
+    journal_salvage: bool = field(default=False, metadata=_WIRE)
+    retries: int = field(default=0, metadata=_WIRE)
+    watchdog: object = None
+    full_restore: bool = field(default=False, metadata=_WIRE)
+    prune: bool = field(default=False, metadata=_WIRE)
+    audit_fraction: float = field(default=0.0, metadata=_WIRE)
+    audit_seed: int = field(default=0, metadata=_WIRE)
+    forensics: bool = field(default=False, metadata=_WIRE)
+    trace: object = field(default=None, metadata=_WIRE)
+    metrics: object = field(default=None,
+                            metadata={**_WIRE, **_PARENT})
+    profile: object = field(default=None,
+                            metadata={**_WIRE, **_PARENT})
+    sampler: object = None
+    telemetry: object = field(default=None, metadata=_PARENT)
+    telemetry_campaign: object = field(default=None, metadata=_PARENT)
+    progress: object = field(default=None, metadata=_PARENT)
+    deadline: float | None = field(default=None, metadata=_PARENT)
+    graceful_signals: bool = field(default=False, metadata=_PARENT)
+    chaos: object = field(default=None, metadata=_PARENT)
+    daemon_factory: object = None
+    session_cache: object = field(default=None, metadata=_PARENT)
+
+    @classmethod
+    def resolve(cls, options=None, **overrides):
+        """*options* (default: all defaults) with keyword
+        *overrides* applied; an unknown keyword raises
+        :class:`TypeError`."""
+        if options is None:
+            return cls(**overrides)
+        return replace(options, **overrides) if overrides else options
+
+    @classmethod
+    def wire_fields(cls):
+        """Names a service submission may set."""
+        return frozenset(spec.name for spec in fields(cls)
+                         if spec.metadata.get("wire"))
+
+    def for_worker(self, **overrides):
+        """These options with every parent-only field reset, plus
+        *overrides* -- what crosses the pipe to a fleet worker."""
+        reset = {spec.name: spec.default for spec in fields(self)
+                 if spec.metadata.get("parent")}
+        return replace(self, **{**reset, **overrides})
 
 
 @dataclass
@@ -185,137 +315,39 @@ class CampaignResult:
                 if result.outcome == outcome]
 
 
-def run_campaign(daemon, client_name, client_factory,
-                 encoding=ENCODING_OLD, kinds=DEFAULT_TARGET_KINDS,
-                 budget=CONNECTION_INSTRUCTION_BUDGET, progress=None,
-                 max_points=None, ranges=None, journal=None,
-                 resume=False, retries=0, watchdog=None, workers=None,
-                 daemon_factory=None, fault_model=None, trace=None,
-                 metrics=None, forensics=False, deadline=None,
-                 graceful_signals=False, journal_fsync=None,
-                 journal_salvage=False, chaos=None, supervisor=None,
-                 full_restore=False, session_cache=None, prune=False,
-                 audit_fraction=0.0, audit_seed=0, telemetry=None,
-                 telemetry_campaign=None, sampler=None, profile=None):
+def run_campaign(daemon, client_name, client_factory, options=None, *,
+                 workers=None, supervisor=None, **kwargs):
     """Run one full selective-exhaustive campaign.
 
-    ``fault_model`` selects the injected fault family by registry name
-    or instance (:mod:`repro.injection.faultmodels`); the default is
-    the paper's ``branch-bit`` model, under which campaigns are
-    byte-identical to the pre-plugin pipeline.
+    Execution options come as a :class:`RunOptions` (``options``),
+    as keywords naming its fields, or both (keywords override); see
+    :class:`RunOptions` for what each one does.  An unknown keyword
+    raises :class:`TypeError`.
 
-    ``max_points`` truncates the experiment list (used by fast tests);
-    benchmarks always run the complete set.  ``ranges`` overrides the
-    injected code regions (default: the daemon's authentication
-    functions) -- used by extension experiments that target other
-    security-relevant sections, e.g. the path-validation code.
-
-    ``journal`` appends every result to a JSONL file as it completes;
-    with ``resume=True`` already-journaled points are skipped, so a
-    killed campaign restarts where it stopped with identical tallies.
-    ``retries`` re-executes each activated experiment that many times
-    and quarantines points whose outcome will not stabilise.
-
-    ``workers=N`` (N > 1) shards the experiment list across N
-    processes (:mod:`repro.injection.parallel`); tallies and tables
-    are identical to a serial run, the journal becomes one
-    ``<journal>.shardK`` file per worker, and ``daemon_factory``
-    optionally overrides how each worker rebuilds its daemon.
-
-    Observability (:mod:`repro.obs`): ``trace`` writes a Chrome-trace
-    span file (parallel runs merge per-shard ``<trace>.shardK``
-    sinks), ``metrics`` writes the serialized metrics registry (also
-    attached as ``CampaignResult.metrics``), and ``forensics=True``
-    captures the last-instructions ring plus a register/flags snapshot
-    on every SD/HANG/HF record.  All three are observational: tables
-    and tallies are byte-identical with any combination enabled.
-
-    Resilience (:mod:`repro.injection.supervisor`): ``deadline``
-    bounds the campaign's wall clock and ``graceful_signals=True``
-    converts SIGTERM/SIGINT into a clean checkpoint -- both raise
-    :class:`~repro.injection.runner.CampaignInterrupted` with a
-    resumable journal.  ``journal_fsync=N`` fsyncs the journal every N
-    records (durability against power loss), ``journal_salvage=True``
-    quarantines corrupt journal lines on resume instead of raising,
-    ``chaos`` injects harness faults from a
-    :class:`~repro.injection.chaos.ChaosPolicy`, and ``supervisor``
-    overrides the parallel runner's
-    :class:`~repro.injection.supervisor.SupervisorConfig` (restart
-    budget, backoff, heartbeat deadline).
-
-    Pruning (:mod:`repro.injection.pruning`): ``prune=True`` partitions
-    the points into equivalence classes, runs one representative per
-    class and fans the outcome out to every member -- ``counts()``,
-    tables and figures are byte-identical to the exhaustive sweep,
-    journal records carry ``class_id``/``representative`` provenance.
-    ``audit_fraction`` exhaustively re-runs a seeded
-    (``audit_seed``) sample of classes and raises
-    :class:`~repro.injection.pruning.PruningAuditError` on any member
-    whose outcome diverges from its representative.
-
-    ``full_restore=True`` disables the dirty-page snapshot restore and
-    rewrites every memory region between experiments (the escape
-    hatch; outcomes are byte-identical either way).  ``session_cache``
-    shares breakpoint sessions across sequential serial campaigns --
-    e.g. a fault-model sweep over the same daemon reuses one site
-    snapshot per instruction (ignored by parallel runs, whose workers
-    each keep a private cache).
-
-    Telemetry (:mod:`repro.obs.events` / :mod:`repro.obs.sampler`):
-    ``telemetry`` is an :class:`~repro.obs.events.EventBus` receiving
-    typed campaign events (``telemetry_campaign`` labels them when one
-    bus serves several campaigns); ``sampler`` attaches a
-    deterministic instruction-count sampling profiler (an instance, a
-    period, or ``True`` for the default period) and ``profile`` saves
-    its merged profile JSON at that path.  Both are volatile-only:
-    the deterministic metrics core, tables and figures are
-    byte-identical with telemetry and sampling enabled.
+    ``workers=N`` (N > 1) runs the campaign on a private warm worker
+    fleet (:func:`repro.injection.fleet.run_fleet_campaign`); tallies,
+    tables and the deterministic metrics core are identical to a
+    serial run, and the journal becomes the base path's unit markers
+    plus one ``<journal>.shardK`` file per worker that ran work.
+    ``supervisor`` is the :class:`~repro.injection.fleet.FleetConfig`
+    for that fleet (restart budget, backoff, heartbeat deadline, unit
+    size); ``workers`` fills its ``workers`` field.  Serial runs
+    ignore it.
     """
+    options = RunOptions.resolve(options, **kwargs)
     if workers is not None and workers > 1:
-        from .parallel import ParallelCampaignRunner
-        runner = ParallelCampaignRunner(
-            daemon, client_name, client_factory, workers=workers,
-            encoding=encoding, kinds=kinds, budget=budget,
-            progress=progress, max_points=max_points, ranges=ranges,
-            journal=journal, resume=resume, retries=retries,
-            watchdog=watchdog, daemon_factory=daemon_factory,
-            fault_model=fault_model, trace=trace, metrics=metrics,
-            forensics=forensics, deadline=deadline,
-            graceful_signals=graceful_signals,
-            journal_fsync=journal_fsync,
-            journal_salvage=journal_salvage, chaos=chaos,
-            supervisor=supervisor, full_restore=full_restore,
-            prune=prune, audit_fraction=audit_fraction,
-            audit_seed=audit_seed, telemetry=telemetry,
-            telemetry_campaign=telemetry_campaign, sampler=sampler,
-            profile=profile)
-        return runner.run()
+        from .fleet import FleetConfig, run_fleet_campaign
+        config = replace(supervisor if supervisor is not None
+                         else FleetConfig(), workers=workers)
+        return run_fleet_campaign(daemon, client_name, client_factory,
+                                  options, config=config)
     from .runner import CampaignRunner
     # a serial run is "shard 0, attempt 0" to a chaos policy (an
     # already-built agent passes through).
-    chaos_agent = (chaos.agent(0, 0) if hasattr(chaos, "agent")
-                   else chaos)
-    runner = CampaignRunner(daemon, client_name, client_factory,
-                            encoding=encoding, kinds=kinds,
-                            budget=budget, progress=progress,
-                            max_points=max_points, ranges=ranges,
-                            journal=journal, resume=resume,
-                            retries=retries, watchdog=watchdog,
-                            fault_model=fault_model, trace=trace,
-                            metrics=metrics, forensics=forensics,
-                            deadline=deadline,
-                            graceful_signals=graceful_signals,
-                            journal_fsync=journal_fsync,
-                            journal_salvage=journal_salvage,
-                            chaos=chaos_agent,
-                            full_restore=full_restore,
-                            telemetry=telemetry,
-                            telemetry_campaign=telemetry_campaign,
-                            sampler=sampler, profile=profile,
-                            session_cache=session_cache, prune=prune,
-                            audit_fraction=audit_fraction,
-                            audit_seed=audit_seed)
-    return runner.run()
+    if hasattr(options.chaos, "agent"):
+        options = replace(options, chaos=options.chaos.agent(0, 0))
+    return CampaignRunner(daemon, client_name, client_factory,
+                          options).run()
 
 
 def run_spec(spec, daemon=None, **kwargs):

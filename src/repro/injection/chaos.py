@@ -2,8 +2,8 @@
 
 In the spirit of the source paper -- which injects faults into
 daemons to see how they fail -- this module injects faults into our
-*own* campaign harness to prove the supervision layer
-(:mod:`repro.injection.supervisor`) degrades gracefully instead of
+*own* campaign harness to prove the fleet's supervision
+(:mod:`repro.injection.fleet`) degrades gracefully instead of
 assuming it does.  A :class:`ChaosPolicy` is a picklable, seeded,
 fully deterministic schedule of harness faults:
 
@@ -15,11 +15,12 @@ fully deterministic schedule of harness faults:
 * **fail-write** -- a journal append raises ``ENOSPC``, the classic
   full-disk failure of long-running fleets.
 
-Every action is gated on ``(shard, attempt)``: by default a fault
-fires only in a worker's first incarnation (``attempt == 0``), so the
-supervisor's respawn is not re-faulted and tests can also script
-multi-attempt failures explicitly (kill attempts 0..K to exhaust the
-restart budget and force degraded-mode completion).
+Every action is gated on ``(shard, attempt)`` -- a fleet worker's
+index and incarnation (a serial run is shard 0, attempt 0).  By
+default a fault fires only in a worker's first incarnation
+(``attempt == 0``), so the supervisor's respawn is not re-faulted and
+tests can also script multi-attempt failures explicitly (kill
+attempts 0..K to exhaust the restart budget and retire the worker).
 
 Journal *file* corruption -- the on-disk half of the chaos model --
 is covered by :func:`corrupt_journal_tail`, used by tests and the CI

@@ -1,11 +1,10 @@
-"""Warm worker fleet: the campaign engine's execution layer.
+"""Warm worker fleet: the campaign engine's parallel execution layer.
 
-The one-shot sharded runner in :mod:`repro.injection.parallel` forks a
-fresh fleet per campaign, pays one daemon build plus one golden run
-per worker every time, and fixes the work assignment up front (shard K
-owns every K-th instruction group).  This module replaces both costs
-with an explicit execution layer under the scheduling layer of
-:mod:`repro.injection.scheduler`:
+Selective-exhaustive campaigns are embarrassingly parallel over
+injection points, and everything here is deterministic, so
+``run_campaign(..., workers=N)``, the CLI's ``--workers`` and the
+``repro serve`` service all run on this one engine, under the
+scheduling layer of :mod:`repro.injection.scheduler`:
 
 * a :class:`WorkerFleet` holds ``N`` long-lived worker processes that
   *outlive campaigns*: each worker keeps its rebuilt daemons, golden
@@ -20,15 +19,17 @@ with an explicit execution layer under the scheduling layer of
 * every unit runs through the ordinary fault-tolerant
   :class:`~repro.injection.runner.CampaignRunner` (isolation,
   watchdog, retries, quarantine, pruning all apply per unit) and
-  journals to the worker's ``<journal>.shardK`` file, so resume, the
-  salvage loader and ``repro status`` see the familiar format;
-* the supervision machinery of
-  :mod:`repro.injection.supervisor` -- heartbeats via progress ticks,
-  exponential-backoff respawn with a per-worker-incarnation restart
-  budget, journal salvage of whatever a dead worker completed,
-  inline completion in the parent as the last resort, and graceful
-  checkpoint drain -- is applied to the fleet instead of to one-shot
-  shards.
+  journals to the worker's ``<journal>.shardK`` file; resume loads
+  every shard file of the journal family
+  (:class:`~repro.injection.runner.JournalFamily`), so the worker
+  count may change between runs;
+* the parent supervises: progress ticks are heartbeats, dead or
+  wedged workers are respawned with exponential backoff against a
+  per-incarnation restart budget, whatever a dead worker journaled is
+  salvaged and the remainder of its unit requeued, a worker that
+  exhausts its budget is retired (its units migrate to siblings), the
+  parent finishes units inline as the last resort, and SIGTERM or a
+  deadline drains every in-flight unit to a resumable checkpoint.
 
 Determinism: completions are keyed by point and merged by enumeration
 index (:meth:`CampaignScheduler.merged_results`), so Tables 1/3/5,
@@ -46,27 +47,23 @@ import traceback
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 
-from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from ..emu.perf import PerfCounters
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, record_supervision_metrics
 from ..obs.sampler import as_sampler, Sampler
 from ..obs.trace import merge_trace_files, Tracer
+from .campaign import CampaignResult, RunOptions
 from .faultmodels import get_fault_model
 from .golden import record_golden
 from .injector import SessionCache
-from .parallel import (_record_key, default_daemon_factory,
-                       discover_shard_journals, load_shard_journals,
-                       shard_journal_path)
-from .runner import (_point_key, CampaignInterrupted, CampaignJournal,
-                     campaign_timing, CampaignRunner,
-                     declare_campaign_metrics, JournalError,
-                     record_result_metrics, record_runtime_metrics,
+from .runner import (_point_key, backoff_delay, CampaignInterrupted,
+                     CampaignJournal, campaign_timing, CampaignRunner,
+                     declare_campaign_metrics, EVENT_NAMES,
+                     install_stop_handlers, join_process, JournalError,
+                     JournalFamily, record_result_metrics,
+                     record_runtime_metrics, shard_journal_path,
                      validate_journal_meta, Watchdog, WatchdogConfig)
 from .scheduler import CampaignScheduler, UNIT_INSTRUCTIONS
-from .supervisor import (backoff_delay, EVENT_NAMES,
-                         install_stop_handlers, join_process)
-from .targets import DEFAULT_TARGET_KINDS
 
 _LOGGER = get_logger("fleet")
 
@@ -79,14 +76,20 @@ RETIRED = "retired"
 
 @dataclass
 class FleetConfig:
-    """Tunables for :class:`WorkerFleet`.
+    """Tunables for :class:`WorkerFleet` (``run_campaign``'s
+    ``supervisor=``).
 
-    Supervision knobs mirror
-    :class:`~repro.injection.supervisor.SupervisorConfig`;
     ``max_restarts`` is the per-worker-*incarnation* budget (a worker
     that keeps dying is retired, its queued unit migrates to a
-    sibling).  ``unit_attempts`` bounds how often one unit may bounce
-    between dying workers before the parent runs it inline.
+    sibling); respawns wait ``backoff_base * 2**(n-1)`` seconds, capped
+    at ``backoff_cap``.  ``heartbeat_timeout`` defaults to twice the
+    watchdog's wall-clock limit plus slack, so a worker inside its
+    slowest legal experiment is never declared wedged; ``dead_grace``
+    delays the verdict on a dead process long enough for its final
+    message to drain, and ``drain_timeout`` bounds a checkpoint drain
+    before stragglers are SIGKILLed.  ``unit_attempts`` bounds how
+    often one unit may bounce between failing workers before the
+    parent runs it inline.  ``unit_instructions`` sizes work units and
     ``session_capacity`` bounds each worker's warm
     :class:`~repro.injection.injector.SessionCache` (LRU).
     """
@@ -106,6 +109,44 @@ class FleetConfig:
 
 # ----------------------------------------------------------------------
 # Worker side
+
+class RebuildDaemon:
+    """Picklable recipe that rebuilds the parent's daemon in a worker.
+
+    Daemons are deterministic compilations of fixed source, so a
+    rebuild from the same class and constructor data is bit-identical
+    to the parent's instance.
+    """
+
+    def __init__(self, daemon_class, kwargs):
+        self.daemon_class = daemon_class
+        self.kwargs = kwargs
+
+    def __call__(self):
+        return self.daemon_class(**self.kwargs)
+
+
+def default_daemon_factory(daemon):
+    """Zero-config factory for the stock daemons: reuse the class,
+    carrying over the password database and FTP file tree when the
+    daemon has them (the app-layer :class:`~repro.apps.common.Daemon`
+    protocol)."""
+    kwargs = {}
+    for name in ("database", "files"):
+        if hasattr(daemon, name):
+            kwargs[name] = getattr(daemon, name)
+    return RebuildDaemon(type(daemon), kwargs)
+
+
+def _record_key(record):
+    """Point key of a serialized result record (journal records carry
+    an explicit ``key``; unit payloads inline the point fields)."""
+    key = record.get("key")
+    if key is not None:
+        return key
+    from ..analysis.serialize import point_from_dict
+    return point_from_dict(record).key
+
 
 class _IncarnationChaos:
     """Adapt a per-incarnation :class:`ChaosAgent` to per-unit runners.
@@ -206,18 +247,14 @@ def _fleet_worker_main(worker, incarnation, conn, config,
 def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
               worker, chaos):
     """One work unit through the ordinary fault-tolerant runner."""
-    from ..analysis.serialize import (quarantined_to_dict,
-                                      result_to_dict)
     cid = ctx["cid"]
     cell = ctx["cell"]
+    options = ctx["options"]
     daemon = daemons.get(cell)
     if daemon is None:
-        daemon = ctx["daemon_factory"]()
+        daemon = options.daemon_factory()
         daemons[cell] = daemon
-    journal = (shard_journal_path(ctx["journal"], worker)
-               if ctx["journal"] is not None else None)
-    tracer = (Tracer(sink=None, tid=worker + 1)
-              if ctx["trace"] else None)
+    tracer = Tracer(sink=None, tid=worker + 1) if options.trace else None
 
     def progress(done, total):
         # progress ticks double as the liveness heartbeat
@@ -225,27 +262,31 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
 
     # per-unit sampler: guest samples are deterministic per unit and
     # ship home in the payload for the parent to fold together.
-    sampler = (Sampler(ctx["sample_period"])
-               if ctx.get("sample_period") else None)
+    sampler = as_sampler(options.sampler)
     runner = CampaignRunner(
-        daemon, ctx["client_name"], ctx["client_factory"],
-        encoding=ctx["encoding"], kinds=ctx["kinds"],
-        budget=ctx["budget"], progress=progress,
-        points=list(unit.points), ranges=ctx["ranges"],
-        journal=journal, resume=True, retries=ctx["retries"],
-        watchdog=Watchdog(ctx["watchdog_config"]),
-        fault_model=ctx["fault_model"], trace=tracer,
-        forensics=ctx["forensics"], trace_root="shard",
+        daemon, ctx["client_name"], ctx["client_factory"], options,
+        points=list(unit.points), trace_root="shard",
         trace_attrs={"shard": worker, "unit": unit.unit_id},
-        stop_check=lambda: stop["reason"],
-        journal_fsync=ctx["journal_fsync"],
-        journal_salvage=ctx["journal_salvage"], chaos=chaos,
-        full_restore=ctx["full_restore"], session_cache=sessions,
-        prune=ctx["prune"], audit_fraction=ctx["audit_fraction"],
-        audit_seed=ctx["audit_seed"], golden=goldens.get(cell),
-        sampler=sampler)
+        stop_check=lambda: stop["reason"], golden=goldens.get(cell),
+        progress=progress, resume=True, trace=tracer, chaos=chaos,
+        session_cache=sessions, sampler=sampler,
+        journal=(shard_journal_path(options.journal, worker)
+                 if options.journal is not None else None))
     campaign = runner.run()
     goldens[cell] = runner._golden
+    payload = _unit_payload(campaign, unit, worker, tracer, sampler)
+    if runner.options.journal is not None:
+        CampaignJournal.mark_unit(
+            runner.options.journal, unit.unit_id,
+            len(payload["results"]) + len(payload["quarantined"]),
+            campaign=cid)
+    emit("unit-done", cid, unit.unit_id, payload)
+
+
+def _unit_payload(campaign, unit, worker, tracer, sampler, **timing):
+    """A finished unit's results as plain dicts for the parent."""
+    from ..analysis.serialize import (quarantined_to_dict,
+                                      result_to_dict)
     # The worker journal accumulates every unit of this campaign, and
     # a resume loads *all* its quarantine records -- restrict the
     # payload (and its metrics counter) to this unit's own points so
@@ -255,15 +296,11 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
                    if _point_key(entry.point) in unit_keys]
     metrics = campaign.metrics
     metrics["counters"]["quarantined"] = len(quarantined)
-    timing = dict(campaign.timing or {})
+    timing = {**(campaign.timing or {}), **timing}
     timing.update(shard=worker, unit=unit.unit_id,
                   points=len(unit.points),
                   experiments=len(campaign.results) + len(quarantined))
-    if journal is not None:
-        CampaignJournal.mark_unit(
-            journal, unit.unit_id,
-            len(campaign.results) + len(quarantined), campaign=cid)
-    emit("unit-done", cid, unit.unit_id, {
+    return {
         "results": [result_to_dict(result)
                     for result in campaign.results],
         "quarantined": [quarantined_to_dict(entry)
@@ -272,7 +309,7 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
         "metrics": metrics,
         "trace": tracer.events() if tracer is not None else None,
         "profile": sampler.as_dict() if sampler is not None else None,
-    })
+    }
 
 
 # ----------------------------------------------------------------------
@@ -299,71 +336,54 @@ class WorkerSlot:
     failures: list = field(default_factory=list)
 
 
+@dataclass
 class FleetCampaignState:
     """Parent-side record of one submitted campaign."""
 
-    def __init__(self, cid, daemon, client_name, client_factory,
-                 encoding, model, kinds, budget, points, scheduler,
-                 golden, golden_reused, journal, resume, retries,
-                 watchdog_config, daemon_factory, ranges, tracer,
-                 trace_path, root_cm, root_span, metrics_path,
-                 forensics, journal_fsync, journal_salvage,
-                 full_restore, prune, audit_fraction, audit_seed,
-                 progress, on_unit, resumed_quarantined,
-                 telemetry_campaign=None, sampler=None, profile=None):
-        self.cid = cid
-        self.daemon = daemon
-        self.client_name = client_name
-        self.client_factory = client_factory
-        self.encoding = encoding
-        self.model = model
-        self.kinds = kinds
-        self.budget = budget
-        self.points = points
-        self.scheduler = scheduler
-        self.golden = golden
-        self.golden_reused = golden_reused
-        self.journal = journal
-        self.resume = resume
-        self.retries = retries
-        self.watchdog_config = watchdog_config
-        self.daemon_factory = daemon_factory
-        self.ranges = ranges
-        self.tracer = tracer
-        self.trace_path = trace_path
-        self.root_cm = root_cm
-        self.root_span = root_span
-        self.metrics_path = metrics_path
-        self.forensics = forensics
-        self.journal_fsync = journal_fsync
-        self.journal_salvage = journal_salvage
-        self.full_restore = full_restore
-        self.prune = prune
-        self.audit_fraction = audit_fraction
-        self.audit_seed = audit_seed
-        self.progress = progress
-        self.on_unit = on_unit
-        self.resumed_quarantined = resumed_quarantined
-        #: telemetry label (defaults to the fleet-local cid), the
-        #: parent-side profile sampler worker profiles fold into, and
-        #: where the merged profile is saved at finalize.
-        self.telemetry_campaign = (telemetry_campaign
-                                   if telemetry_campaign is not None
-                                   else cid)
-        self.sampler = sampler
-        self.profile_path = profile
-        self.started = time.monotonic()
-        #: unit payloads keyed by unit index (exact metric absorption
-        #: happens in unit order at finalize).
-        self.payloads = {}
-        self.executed = 0
-        self.partials = {}        # worker -> in-flight progress count
-        self.interrupted = None
+    cid: str
+    daemon: object
+    client_name: str
+    client_factory: object
+    #: the campaign's :class:`~repro.injection.campaign.RunOptions` as
+    #: submitted, and the resolved copy workers receive
+    #: (:meth:`RunOptions.for_worker`: fault model, watchdog config,
+    #: daemon factory and sampler period filled in, parent-only
+    #: fields cleared).
+    options: RunOptions
+    worker_options: RunOptions
+    scheduler: CampaignScheduler
+    golden: object
+    golden_reused: bool
+    #: parent-side tracer and its open root ``campaign`` span.
+    tracer: Tracer
+    root_cm: object
+    root_span: object
+    #: parent-side profile sampler that worker profiles fold into.
+    sampler: object = None
+    on_unit: object = None
+    resumed_quarantined: dict = field(default_factory=dict)
+    started: float = field(default_factory=time.monotonic)
+    #: unit payloads keyed by unit index (exact metric absorption
+    #: happens in unit order at finalize).
+    payloads: dict = field(default_factory=dict)
+    executed: int = 0
+    partials: dict = field(default_factory=dict)  # worker -> progress
+    interrupted: str | None = None
+
+    def __post_init__(self):
+        #: telemetry label (defaults to the fleet-local cid).
+        self.telemetry_campaign = (
+            self.options.telemetry_campaign
+            if self.options.telemetry_campaign is not None
+            else self.cid)
 
     @property
     def cell(self):
-        return "%s:%s:%s" % (type(self.daemon).__name__,
-                             self.client_name, self.budget)
+        return _cell(self.daemon, self.client_name, self.options.budget)
+
+    @property
+    def model(self):
+        return self.worker_options.fault_model
 
     @property
     def finished(self):
@@ -373,36 +393,22 @@ class FleetCampaignState:
         return self.scheduler.completed + sum(self.partials.values())
 
     def report_progress(self):
-        if self.progress is not None:
-            self.progress(self.completed(), self.scheduler.total)
+        if self.options.progress is not None:
+            self.options.progress(self.completed(),
+                                  self.scheduler.total)
 
     def context(self):
         """The picklable campaign context a worker needs."""
-        return {
-            "cid": self.cid,
-            "cell": self.cell,
-            "client_name": self.client_name,
-            "client_factory": self.client_factory,
-            "daemon_factory": self.daemon_factory,
-            "encoding": self.encoding,
-            "kinds": self.kinds,
-            "budget": self.budget,
-            "fault_model": self.model,
-            "ranges": self.ranges,
-            "journal": self.journal,
-            "retries": self.retries,
-            "watchdog_config": self.watchdog_config,
-            "forensics": self.forensics,
-            "trace": self.trace_path is not None,
-            "journal_fsync": self.journal_fsync,
-            "journal_salvage": self.journal_salvage,
-            "full_restore": self.full_restore,
-            "prune": self.prune,
-            "audit_fraction": self.audit_fraction,
-            "audit_seed": self.audit_seed,
-            "sample_period": (self.sampler.period
-                              if self.sampler is not None else None),
-        }
+        return {"cid": self.cid, "cell": self.cell,
+                "client_name": self.client_name,
+                "client_factory": self.client_factory,
+                "options": self.worker_options}
+
+
+def _cell(daemon, client_name, budget):
+    """Warm-cache key: golden runs and daemons are per (daemon class,
+    client, budget)."""
+    return "%s:%s:%s" % (type(daemon).__name__, client_name, budget)
 
 
 class WorkerFleet:
@@ -421,15 +427,23 @@ class WorkerFleet:
 
     The fleet outlives campaigns (that is its point); `submit` may be
     called while other campaigns are still running, and idle workers
-    interleave units from every live campaign.  Supervision follows
-    :class:`~repro.injection.supervisor.ShardSupervisor`: progress
-    ticks are heartbeats, dead or wedged workers are respawned with
-    exponential backoff against a per-incarnation restart budget,
-    whatever a dead worker journaled is salvaged and the remainder of
-    its unit requeued (at the front, so salvaged work finishes first),
-    and when every slot is retired the parent finishes remaining units
-    inline with its own daemons.  :meth:`drain` checkpoints every
-    in-flight unit for the service's graceful shutdown.
+    interleave units from every live campaign.  Each worker slot is a
+    small state machine::
+
+        IDLE --unit--> BUSY --unit-done--> IDLE
+        IDLE/BUSY --dead/wedged--> BACKOFF --delay--> IDLE (respawn)
+        BACKOFF --restart budget exhausted--> RETIRED
+
+    Progress ticks are heartbeats; a slot is *dead* when its process
+    is not alive, whatever its exit code, and *wedged* when busy but
+    silent past the heartbeat deadline (SIGKILLed).  Whatever a dead
+    worker journaled is salvaged and the remainder of its unit
+    requeued (at the front, so salvaged work finishes first); when
+    every slot is retired the parent finishes remaining units inline
+    with its own daemons.  :meth:`drain` checkpoints every in-flight
+    unit (SIGTERM, graceful shutdown, deadline).  Every transition is
+    counted in :attr:`events` (exported as volatile ``supervisor.*``
+    metrics).
     """
 
     def __init__(self, config=None, chaos=None, telemetry=None):
@@ -539,51 +553,43 @@ class WorkerFleet:
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, daemon, client_name, client_factory,
-               encoding=None, kinds=DEFAULT_TARGET_KINDS,
-               budget=CONNECTION_INSTRUCTION_BUDGET, progress=None,
-               max_points=None, ranges=None, journal=None,
-               resume=False, retries=0, watchdog=None,
-               daemon_factory=None, fault_model=None, trace=None,
-               metrics=None, forensics=False, journal_fsync=None,
-               journal_salvage=False, full_restore=False, prune=False,
-               audit_fraction=0.0, audit_seed=0, on_unit=None,
-               telemetry_campaign=None, sampler=None, profile=None):
+    def submit(self, daemon, client_name, client_factory, options=None,
+               on_unit=None, **kwargs):
         """Submit one campaign; returns its campaign id.
 
-        Mirrors :func:`repro.injection.campaign.run_campaign`'s
-        options.  ``on_unit(state, unit, payload)`` is called as each
-        unit completes (the service streams from it).
-        ``telemetry_campaign`` labels this campaign's events on the
-        fleet's bus (default: the fleet-local cid); ``sampler`` /
-        ``profile`` attach the sampling profiler (workers sample their
-        own units, the parent folds the profiles and saves the merge
-        at ``profile``).
+        Takes the campaign's
+        :class:`~repro.injection.campaign.RunOptions` (keywords naming
+        its fields override ``options``).  ``on_unit(state, unit,
+        payload)`` is called as each unit completes (the service
+        streams from it).  ``telemetry_campaign`` labels this
+        campaign's events on the fleet's bus (default: the fleet-local
+        cid); ``sampler``/``profile`` attach the sampling profiler
+        (workers sample their own units, the parent folds the profiles
+        and saves the merge at ``profile``).  Fleet-level options --
+        ``chaos``, ``telemetry``, ``deadline``, ``graceful_signals`` --
+        belong to the fleet and :func:`run_fleet_campaign`, not to one
+        submission.
         """
+        options = RunOptions.resolve(options, **kwargs)
         if not self._started:
             self.start()
-        from .campaign import ENCODING_OLD
         cid = "c%04d" % self._next_cid
         self._next_cid += 1
-        encoding = encoding if encoding is not None else ENCODING_OLD
-        model = get_fault_model(fault_model)
+        model = get_fault_model(options.fault_model)
+        watchdog = options.watchdog
         if isinstance(watchdog, Watchdog):
-            watchdog_config = watchdog.config
-        else:
-            watchdog_config = (watchdog if watchdog is not None
-                               else WatchdogConfig())
-        if daemon_factory is None:
-            daemon_factory = default_daemon_factory(daemon)
-        trace_path = None if trace is None else str(trace)
+            watchdog = watchdog.config
+        elif watchdog is None:
+            watchdog = WatchdogConfig()
         tracer = Tracer(sink=None)
         root_cm = tracer.span("campaign", workers=self.config.workers,
                               campaign=cid)
         root_span = root_cm.__enter__()
-        if sampler is None and profile is not None:
+        sampler = options.sampler
+        if sampler is None and options.profile is not None:
             sampler = Sampler()
         sampler = as_sampler(sampler)
-        cell = "%s:%s:%s" % (type(daemon).__name__, client_name,
-                             budget)
+        cell = _cell(daemon, client_name, options.budget)
         golden = self.goldens.get(cell)
         golden_reused = golden is not None
         if golden is None:
@@ -591,55 +597,58 @@ class WorkerFleet:
                 if sampler is not None:
                     with sampler.host_phase("golden-run"):
                         golden = record_golden(daemon, client_factory,
-                                               budget)
+                                               options.budget)
                 else:
                     golden = record_golden(daemon, client_factory,
-                                           budget)
+                                           options.budget)
                 span.set("coverage_eips", len(golden.coverage))
             self.goldens[cell] = golden
-        if ranges is None:
-            ranges = daemon.auth_ranges()
-        points = model.enumerate_points(daemon.module, ranges, kinds)
-        if max_points is not None:
-            points = points[:max_points]
+        ranges = (options.ranges if options.ranges is not None
+                  else daemon.auth_ranges())
+        points = model.enumerate_points(daemon.module, ranges,
+                                        options.kinds)
+        if options.max_points is not None:
+            points = points[:options.max_points]
         scheduler = CampaignScheduler(
             points, unit_instructions=self.config.unit_instructions)
         resumed_quarantined = {}
-        if resume and journal is not None:
+        if options.resume and options.journal is not None:
             expected = {"daemon": type(daemon).__name__,
-                        "client": client_name, "encoding": encoding,
+                        "client": client_name,
+                        "encoding": options.encoding,
                         "model": model.name}
-            metas, results, quarantined = load_shard_journals(
-                discover_shard_journals(journal),
-                strict=not journal_salvage)
-            for meta in metas:
-                validate_journal_meta(meta, expected, journal)
-            scheduler.preload(results, quarantined)
+            family = JournalFamily.load(
+                options.journal, strict=not options.journal_salvage,
+                base=False)
+            for meta in family.metas:
+                validate_journal_meta(meta, expected, options.journal)
+            scheduler.preload(family.results, family.quarantined)
             resumed_quarantined = {
-                key: record for key, record in quarantined.items()
+                key: record
+                for key, record in family.quarantined.items()
                 if key in scheduler.order}
+        worker_options = options.for_worker(
+            fault_model=model, watchdog=watchdog, max_points=None,
+            daemon_factory=(options.daemon_factory
+                            if options.daemon_factory is not None
+                            else default_daemon_factory(daemon)),
+            sampler=sampler.period if sampler is not None else None,
+            trace=None if options.trace is None else str(options.trace))
         state = FleetCampaignState(
-            cid, daemon, client_name, client_factory, encoding, model,
-            kinds, budget, points, scheduler, golden, golden_reused,
-            journal, resume, retries, watchdog_config, daemon_factory,
-            ranges, tracer, trace_path, root_cm, root_span, metrics,
-            forensics, journal_fsync, journal_salvage, full_restore,
-            prune, audit_fraction, audit_seed, progress, on_unit,
-            resumed_quarantined,
-            telemetry_campaign=telemetry_campaign, sampler=sampler,
-            profile=profile)
+            cid, daemon, client_name, client_factory, options,
+            worker_options, scheduler, golden, golden_reused, tracer,
+            root_cm, root_span, sampler=sampler, on_unit=on_unit,
+            resumed_quarantined=resumed_quarantined)
         self.campaigns[cid] = state
         self._emit(state, "golden", reused=golden_reused,
                    coverage_eips=len(golden.coverage))
         self._emit(state, "campaign-started", points=len(points),
                    workers=self.config.workers,
                    resumed=len(scheduler.results))
-        heartbeat = self.config.heartbeat_timeout
-        if heartbeat is None:
-            wall = watchdog_config.wall_clock_limit or 60.0
-            heartbeat = 2.0 * wall + 30.0
+        if self.config.heartbeat_timeout is None:
+            wall = watchdog.wall_clock_limit or 60.0
             self._heartbeat_timeout = max(
-                self._heartbeat_timeout or 0.0, heartbeat)
+                self._heartbeat_timeout or 0.0, 2.0 * wall + 30.0)
         _LOGGER.info("campaign %s submitted: %s %s (%d points, "
                      "%s golden)", cid, type(daemon).__name__,
                      client_name, len(points),
@@ -736,30 +745,33 @@ class WorkerFleet:
             self.events["stale_messages"] += 1
             return
         unit = slot.current[1]
-        scheduler = state.scheduler
-        for record in payload["results"]:
-            scheduler.record(_record_key(record), record)
-        for record in payload["quarantined"]:
-            from ..analysis.serialize import point_from_dict
-            key = _point_key(point_from_dict(record["point"]))
-            scheduler.record_quarantine(key, record)
-        scheduler.complete(unit)
-        state.payloads[unit.index] = payload
-        state.executed += payload["timing"].get("executed", 0)
         state.partials.pop(slot.worker, None)
         slot.current = None
         slot.status = IDLE
         if state.sampler is not None:
             state.sampler.absorb_dict(payload.get("profile"))
-        self._mark_unit(state, unit, status="done",
-                        records=len(payload["results"])
-                        + len(payload["quarantined"]))
+        self._complete_unit(state, unit, payload, slot.worker)
+
+    def _complete_unit(self, state, unit, payload, worker, **extra):
+        """Record a finished unit's payload (from a worker, or from the
+        parent's inline fallback) and tell every observer."""
+        from ..analysis.serialize import point_from_dict
+        scheduler = state.scheduler
+        for record in payload["results"]:
+            scheduler.record(_record_key(record), record)
+        for record in payload["quarantined"]:
+            key = _point_key(point_from_dict(record["point"]))
+            scheduler.record_quarantine(key, record)
+        scheduler.complete(unit)
+        state.payloads[unit.index] = payload
+        state.executed += payload["timing"].get("executed", 0)
+        records = len(payload["results"]) + len(payload["quarantined"])
+        self._mark_unit(state, unit, status="done", records=records)
         self._emit(state, "unit-finished", unit=unit.unit_id,
-                   worker=slot.worker,
-                   results=len(payload["results"]),
+                   worker=worker, results=len(payload["results"]),
                    quarantined=len(payload["quarantined"]),
                    completed=scheduler.completed,
-                   total=scheduler.total)
+                   total=scheduler.total, **extra)
         if self.telemetry is not None:
             self.telemetry.emit_outcomes(state.telemetry_campaign,
                                          payload["results"])
@@ -767,17 +779,17 @@ class WorkerFleet:
         if state.on_unit is not None:
             state.on_unit(state, unit, payload)
 
-    def _mark_unit(self, state, unit, status, records=0, worker=None):
+    def _mark_unit(self, state, unit, status, records=0):
         """Parent-side unit marker in the *base* journal (workers own
         only their ``.shardK`` files, so the base path has a single
         appender and carries pure progress metadata: ``repro status``
         and ``repro top`` read in-flight units and the live ETA from
         it)."""
-        if state.journal is None:
+        if state.options.journal is None:
             return
         try:
             CampaignJournal.mark_unit(
-                state.journal, unit.unit_id, records,
+                state.options.journal, unit.unit_id, records,
                 campaign=state.cid, status=status,
                 total=state.scheduler.total)
         except OSError:
@@ -802,9 +814,9 @@ class WorkerFleet:
         """Recover what a worker already journaled for *unit* (only
         its own points: the worker journal also holds earlier units,
         whose payloads were already counted)."""
-        if state.journal is None:
+        if state.options.journal is None:
             return
-        path = shard_journal_path(state.journal, worker)
+        path = shard_journal_path(state.options.journal, worker)
         try:
             __, results, quarantined = CampaignJournal.load(
                 path, strict=False)
@@ -937,7 +949,7 @@ class WorkerFleet:
                         > self.config.unit_attempts:
                     # bounced between dying workers too often: the
                     # parent finishes it with its own daemon.
-                    self._run_unit_inline(state, unit)
+                    self._complete_inline(state, unit)
                     continue
                 if self._dispatch(slot, state, unit):
                     self._assign_rotor = (self._assign_rotor + offset
@@ -949,13 +961,19 @@ class WorkerFleet:
                 return
 
     def _dispatch(self, slot, state, unit):
+        # A dead worker caught at send time (channel already torn, or
+        # the send fails) is left to liveness.  A context that cannot
+        # be pickled -- say, a locally defined daemon_factory -- is a
+        # caller error and propagates: retrying it elsewhere would only
+        # end in a silent inline run.
+        if slot.conn is None:
+            return False
         try:
             if state.cid not in slot.known:
                 slot.conn.send(("campaign", state.context()))
                 slot.known.add(state.cid)
             slot.conn.send(("unit", state.cid, unit))
-        except (BrokenPipeError, OSError, AttributeError):
-            # dead worker caught at send time; liveness will handle it
+        except (BrokenPipeError, OSError):
             return False
         slot.current = (state.cid, unit)
         slot.status = BUSY
@@ -984,35 +1002,39 @@ class WorkerFleet:
                 unit = state.scheduler.take()
                 if unit is None:
                     break
-                self._run_unit_inline(state, unit)
+                self._complete_inline(state, unit)
+
+    def _complete_inline(self, state, unit):
+        """Last resort: run *unit* in the parent.  Only when that fails
+        too does the campaign raise, naming every worker failure."""
+        try:
+            self._run_unit_inline(state, unit)
+        except Exception as error:
+            details = "\n".join("worker %d: %s" % failure
+                                for failure in self.failures)
+            raise RuntimeError(
+                "campaign could not self-heal: inline completion "
+                "failed after worker failure(s):\n%s" % details) \
+                from error
 
     def _run_unit_inline(self, state, unit):
-        from ..analysis.serialize import (quarantined_to_dict,
-                                          result_to_dict)
         self.events["inline_points"] += len(unit.points)
         _LOGGER.warning("running unit %s of %s inline in the parent "
                         "(%d points)", unit.unit_id, state.cid,
                         len(unit.points))
-        journal = (shard_journal_path(state.journal, self._inline_tid)
-                   if state.journal is not None else None)
+        journal = state.options.journal
         tracer = (Tracer(sink=None, tid=self._inline_tid + 1)
-                  if state.trace_path is not None else None)
+                  if state.options.trace is not None else None)
         runner = CampaignRunner(
             state.daemon, state.client_name, state.client_factory,
-            encoding=state.encoding, kinds=state.kinds,
-            budget=state.budget, points=list(unit.points),
-            ranges=state.ranges, journal=journal, resume=True,
-            retries=state.retries,
-            watchdog=Watchdog(state.watchdog_config),
-            fault_model=state.model, trace=tracer,
-            forensics=state.forensics, trace_root="shard",
+            state.worker_options, points=list(unit.points),
+            trace_root="shard", golden=state.golden,
             trace_attrs={"shard": self._inline_tid,
                          "unit": unit.unit_id, "inline": True},
-            journal_fsync=state.journal_fsync, journal_salvage=True,
-            full_restore=state.full_restore,
+            journal=(shard_journal_path(journal, self._inline_tid)
+                     if journal is not None else None),
+            resume=True, journal_salvage=True, trace=tracer,
             session_cache=self._inline_sessions,
-            prune=state.prune, audit_fraction=state.audit_fraction,
-            audit_seed=state.audit_seed, golden=state.golden,
             # inline units run in the parent, feeding the campaign's
             # own sampler directly (no profile payload to fold).
             sampler=state.sampler)
@@ -1021,48 +1043,10 @@ class WorkerFleet:
                    worker=self._inline_tid, points=len(unit.points),
                    inline=True)
         campaign = runner.run()
-        unit_keys = set(unit.keys)
-        quarantined = [entry for entry in campaign.quarantined
-                       if _point_key(entry.point) in unit_keys]
-        metrics = campaign.metrics
-        metrics["counters"]["quarantined"] = len(quarantined)
-        timing = dict(campaign.timing or {})
-        timing.update(shard=self._inline_tid, unit=unit.unit_id,
-                      points=len(unit.points), inline=True)
-        payload = {
-            "results": [result_to_dict(result)
-                        for result in campaign.results],
-            "quarantined": [quarantined_to_dict(entry)
-                            for entry in quarantined],
-            "timing": timing,
-            "metrics": metrics,
-            "trace": tracer.events() if tracer is not None else None,
-        }
-        scheduler = state.scheduler
-        for record in payload["results"]:
-            scheduler.record(_record_key(record), record)
-        for record in payload["quarantined"]:
-            from ..analysis.serialize import point_from_dict
-            key = _point_key(point_from_dict(record["point"]))
-            scheduler.record_quarantine(key, record)
-        scheduler.complete(unit)
-        state.payloads[unit.index] = payload
-        state.executed += payload["timing"].get("executed", 0)
-        self._mark_unit(state, unit, status="done",
-                        records=len(payload["results"])
-                        + len(payload["quarantined"]))
-        self._emit(state, "unit-finished", unit=unit.unit_id,
-                   worker=self._inline_tid,
-                   results=len(payload["results"]),
-                   quarantined=len(payload["quarantined"]),
-                   completed=scheduler.completed,
-                   total=scheduler.total, inline=True)
-        if self.telemetry is not None:
-            self.telemetry.emit_outcomes(state.telemetry_campaign,
-                                         payload["results"])
-        state.report_progress()
-        if state.on_unit is not None:
-            state.on_unit(state, unit, payload)
+        payload = _unit_payload(campaign, unit, self._inline_tid,
+                                tracer, None, inline=True)
+        self._complete_unit(state, unit, payload, self._inline_tid,
+                            inline=True)
 
     # -- checkpoint drain ----------------------------------------------
 
@@ -1135,7 +1119,7 @@ class WorkerFleet:
             self._flush_observability(state, registry)
             raise CampaignInterrupted(
                 state.interrupted or "incomplete",
-                journal=state.journal,
+                journal=state.options.journal,
                 completed=state.scheduler.completed)
         if state.sampler is not None:
             with state.sampler.host_phase("merge"):
@@ -1149,27 +1133,27 @@ class WorkerFleet:
         return campaign
 
     def _flush_observability(self, state, registry):
-        if state.profile_path is not None \
-                and state.sampler is not None:
-            state.sampler.save(state.profile_path)
-        if state.trace_path is not None:
+        options = state.options
+        if options.profile is not None and state.sampler is not None:
+            state.sampler.save(options.profile)
+        if options.trace is not None:
             events = list(state.tracer.events())
             for index in sorted(state.payloads):
                 unit_events = state.payloads[index].get("trace")
                 if unit_events:
                     events.extend(unit_events)
-            merge_trace_files(state.trace_path, events, [])
-        if state.metrics_path is not None and registry is not None:
-            registry.save(state.metrics_path)
+            merge_trace_files(str(options.trace), events, [])
+        if options.metrics is not None and registry is not None:
+            registry.save(options.metrics)
 
     def _merge(self, state):
         from ..analysis.serialize import (quarantined_from_dict,
                                           result_from_dict)
-        from .campaign import CampaignResult
         scheduler = state.scheduler
         campaign = CampaignResult(
             daemon_name=type(state.daemon).__name__,
-            client_name=state.client_name, encoding=state.encoding,
+            client_name=state.client_name,
+            encoding=state.options.encoding,
             fault_model=state.model.name, golden=state.golden)
         campaign.results = [result_from_dict(record)
                             for record in scheduler.merged_results()]
@@ -1191,12 +1175,11 @@ class WorkerFleet:
             shards=[state.payloads[index]["timing"]
                     for index in sorted(state.payloads)],
             perf=perf.as_dict())
-        # Exact metric aggregation, mirroring the parallel merge: unit
-        # registries absorbed in unit order, then what only the parent
-        # saw -- records preloaded from journals at submit, its own
-        # golden run (or cell-cache reuse) and the fleet's supervision
-        # counters.  The deterministic section comes out identical to
-        # a serial run's.
+        # Exact metric aggregation: unit registries absorbed in unit
+        # order, then what only the parent saw -- records preloaded
+        # from journals at submit, its own golden run (or cell-cache
+        # reuse) and the fleet's supervision counters.  The
+        # deterministic section comes out identical to a serial run's.
         registry = declare_campaign_metrics(MetricsRegistry())
         for index in sorted(state.payloads):
             registry.absorb_dict(state.payloads[index].get("metrics"))
@@ -1229,37 +1212,38 @@ class WorkerFleet:
 
 
 # ----------------------------------------------------------------------
-# One-shot facade (what the CLI's --workers path uses)
+# One-campaign facade (what ``run_campaign(workers=N)`` uses)
 
-def run_fleet_campaign(daemon, client_name, client_factory, workers=2,
-                       fleet=None, config=None, chaos=None,
-                       deadline=None, graceful_signals=False,
-                       telemetry=None, **options):
+def run_fleet_campaign(daemon, client_name, client_factory, options=None,
+                       *, workers=2, fleet=None, config=None, **kwargs):
     """Run one campaign on a (possibly shared) warm fleet.
 
-    With ``fleet=None`` a private fleet is started and stopped around
-    the campaign -- the CLI's in-process thin-client path.  Passing an
-    existing started :class:`WorkerFleet` reuses its warm workers (and
-    leaves it running); the service front-end does exactly that.
-    ``deadline``/``graceful_signals`` checkpoint the campaign through
+    With ``fleet=None`` a private fleet is started (``config``, or a
+    default :class:`FleetConfig` of ``workers`` workers, carrying the
+    options' ``chaos`` policy and ``telemetry`` bus) and stopped around
+    the campaign.  Passing an existing started :class:`WorkerFleet`
+    reuses its warm workers (and leaves it running); the service
+    front-end does exactly that.  The options' ``deadline`` and
+    ``graceful_signals`` checkpoint the campaign through
     :meth:`WorkerFleet.drain`, raising
     :class:`~repro.injection.runner.CampaignInterrupted`.
     """
+    options = RunOptions.resolve(options, **kwargs)
     owns = fleet is None
     if fleet is None:
         if config is None:
             config = FleetConfig(workers=workers)
-        fleet = WorkerFleet(config, chaos=chaos, telemetry=telemetry)
+        fleet = WorkerFleet(config, chaos=options.chaos,
+                            telemetry=options.telemetry)
         fleet.start()
     stop = {"reason": None}
     restore = (install_stop_handlers(
         lambda name: stop.__setitem__("reason", name))
-        if graceful_signals else (lambda: None))
-    deadline_at = (time.monotonic() + deadline
-                   if deadline is not None else None)
+        if options.graceful_signals else (lambda: None))
+    deadline_at = (time.monotonic() + options.deadline
+                   if options.deadline is not None else None)
     try:
-        cid = fleet.submit(daemon, client_name, client_factory,
-                           **options)
+        cid = fleet.submit(daemon, client_name, client_factory, options)
         while not fleet.finished(cid):
             fleet.pump()
             reason = stop["reason"]

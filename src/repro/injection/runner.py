@@ -25,14 +25,19 @@ deep:
   and excluded from percentages with an explicit count.
 
 :func:`repro.injection.campaign.run_campaign` is a thin wrapper over
-:class:`CampaignRunner`, so every benchmark, example and CLI command
-picks this up with no call-site churn.
+:class:`CampaignRunner`, and every work unit of the parallel fleet
+(:mod:`repro.injection.fleet`) runs through one, so every benchmark,
+example and CLI command picks this up with no call-site churn.  The
+journal-family loader (:class:`JournalFamily`) and the stop-signal
+and backoff helpers the fleet's supervisor uses live here too.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+import re
 import signal
 import threading
 import time
@@ -40,7 +45,6 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from ..emu.machine_exceptions import CpuFault
 from ..emu.perf import PerfCounters
 from ..kernel import ServerHang
@@ -49,13 +53,13 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..obs.sampler import as_sampler, Sampler
 from ..obs.trace import as_tracer, NULL_TRACER
+from .campaign import CampaignResult, QuarantinedPoint, RunOptions
 from .faultmodels import get_fault_model
 from .golden import record_golden
 from .injector import BreakpointSession, SessionCache
 from .outcomes import (classify_completed_run, FAIL_SILENCE_VIOLATION,
                        HANG, HARNESS_FAULT, InjectionResult,
                        NOT_ACTIVATED, SECURITY_BREAKIN)
-from .targets import DEFAULT_TARGET_KINDS
 
 #: unstable points are re-queued at most this many times before being
 #: quarantined (the "capped backoff" of the experiment list).
@@ -116,6 +120,58 @@ class CampaignInterrupted(RuntimeError):
                     "--journal PATH to make checkpoints resumable")
         return ("re-run the same campaign with --resume to continue "
                 "from %s" % self.journal)
+
+
+# ----------------------------------------------------------------------
+# Stop signals and supervision helpers (the serial runner and the
+# fleet's supervisor share them, so both degrade identically)
+
+#: every supervision event the fleet counts (and the metrics registry
+#: exports as ``supervisor.<name>`` volatile counters).
+#: ``pipe_errors`` counts message channels torn while their worker was
+#: still busy (killed mid-send) -- the EOF after a clean ``bye`` is
+#: normal teardown and not counted.
+EVENT_NAMES = ("respawns", "wedged", "worker_errors", "failed_shards",
+               "degraded", "degraded_points", "salvaged_points",
+               "inline_points", "checkpoints", "checkpoint_exits",
+               "stale_messages", "pipe_errors")
+
+
+def backoff_delay(config, restarts):
+    """Exponential respawn delay for the *restarts*-th restart
+    (1-based), capped."""
+    return min(config.backoff_cap,
+               config.backoff_base * (2 ** (restarts - 1)))
+
+
+def install_stop_handlers(on_stop):
+    """Convert SIGTERM/SIGINT into ``on_stop(signal_name)`` (flag, not
+    raise -- the caller checkpoints at the next clean boundary).
+    Returns the restore callback; a no-op off the main thread, where
+    signal handlers cannot be installed."""
+    if threading.current_thread() is not threading.main_thread():
+        return lambda: None
+
+    def request_stop(signum, frame):
+        on_stop(signal.Signals(signum).name)
+
+    previous = {}
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        previous[signum] = signal.signal(signum, request_stop)
+
+    def restore():
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+    return restore
+
+
+def join_process(process, timeout=5.0):
+    """Join with a SIGKILL escalation for processes that ignore it."""
+    process.join(timeout)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout)
 
 
 @dataclass
@@ -552,6 +608,101 @@ class CampaignJournal:
         return meta, results, quarantined, report
 
 
+_SHARD_SUFFIX = re.compile(r"\.shard\d+$")
+
+
+def shard_journal_path(journal, shard):
+    """Journal file of fleet worker (or legacy shard) *shard*."""
+    return "%s.shard%d" % (journal, shard)
+
+
+def discover_shard_journals(journal):
+    """Existing ``<journal>.shardK`` files, sorted, for any worker
+    count."""
+    return sorted(path for path in glob.glob("%s.shard*" % journal)
+                  if _SHARD_SUFFIX.search(path))
+
+
+@dataclass
+class JournalMember:
+    """One loaded file of a :class:`JournalFamily`."""
+
+    path: str
+    meta: dict | None = None
+    results: dict = field(default_factory=dict)
+    quarantined: dict = field(default_factory=dict)
+    report: JournalLoadReport | None = None
+    #: why the file could not be read (salvage loads only; strict
+    #: loads raise instead).
+    error: JournalError | None = None
+
+
+@dataclass
+class JournalFamily:
+    """A campaign journal and its ``<journal>.shardK`` files, loaded.
+
+    A serial run writes the base file only; a fleet run writes one
+    shard file per worker (plus the parent's inline file) and unit
+    markers in the base file; the retired shard runner wrote the same
+    shard files.  ``results``/``quarantined`` merge every member by
+    point key: duplicates (a point that moved between workers across
+    resumes) are harmless, because the emulator is deterministic and
+    every copy carries the same record.
+    """
+
+    members: list = field(default_factory=list)
+    results: dict = field(default_factory=dict)
+    quarantined: dict = field(default_factory=dict)
+
+    @classmethod
+    def load(cls, journal, strict=True, base=True):
+        """Load *journal* -- a base path whose existing base file
+        (when ``base``) and shard files are the members, or an
+        explicit iterable of member paths.  ``strict`` is as for
+        :meth:`CampaignJournal.load`; a salvage load records a member
+        it cannot read on :attr:`JournalMember.error` and carries on.
+        An empty family means no member exists."""
+        if isinstance(journal, (str, os.PathLike)):
+            paths = cls.paths(journal, base=base)
+        else:
+            paths = [str(path) for path in journal]
+        family = cls()
+        for path in paths:
+            try:
+                meta, results, quarantined, report = \
+                    CampaignJournal.load_with_report(path,
+                                                     strict=strict)
+            except JournalError as error:
+                if strict:
+                    raise
+                family.members.append(JournalMember(path, error=error))
+                continue
+            family.members.append(JournalMember(
+                path, meta, results, quarantined, report))
+            family.results.update(results)
+            family.quarantined.update(quarantined)
+        return family
+
+    @staticmethod
+    def paths(journal, base=True):
+        """The family's existing files: the base journal (when
+        ``base``) then its shard files in shard order."""
+        journal = str(journal)
+        paths = [journal] if base and os.path.exists(journal) else []
+        return paths + discover_shard_journals(journal)
+
+    @property
+    def metas(self):
+        return [member.meta for member in self.members
+                if member.meta is not None]
+
+    @property
+    def units(self):
+        return [marker for member in self.members
+                if member.report is not None
+                for marker in member.report.units]
+
+
 # ----------------------------------------------------------------------
 # The runner
 
@@ -566,91 +717,54 @@ class _PendingPoint:
 class CampaignRunner:
     """Executes one selective-exhaustive campaign fault-tolerantly.
 
-    Construction mirrors :func:`repro.injection.campaign.run_campaign`
-    (which is now a thin wrapper); :meth:`run` returns the populated
-    :class:`~repro.injection.campaign.CampaignResult`.
+    Takes the campaign's
+    :class:`~repro.injection.campaign.RunOptions` (serial
+    :func:`~repro.injection.campaign.run_campaign` is a thin wrapper;
+    every fleet work unit runs through one too); :meth:`run` returns
+    the populated :class:`~repro.injection.campaign.CampaignResult`.
     """
 
-    def __init__(self, daemon, client_name, client_factory,
-                 encoding=None, kinds=DEFAULT_TARGET_KINDS,
-                 budget=CONNECTION_INSTRUCTION_BUDGET, progress=None,
-                 max_points=None, ranges=None, journal=None,
-                 resume=False, retries=0, watchdog=None, points=None,
-                 fault_model=None, trace=None, metrics=None,
-                 forensics=False, trace_root="campaign",
-                 trace_attrs=None, deadline=None, stop_check=None,
-                 graceful_signals=False, journal_fsync=None,
-                 journal_salvage=False, chaos=None, full_restore=False,
-                 session_cache=None, prune=False, audit_fraction=0.0,
-                 audit_seed=0, golden=None, telemetry=None,
-                 telemetry_campaign=None, sampler=None, profile=None):
-        from .campaign import ENCODING_OLD
+    def __init__(self, daemon, client_name, client_factory, options=None,
+                 points=None, trace_root="campaign", trace_attrs=None,
+                 stop_check=None, golden=None, **kwargs):
+        #: the campaign's :class:`~repro.injection.campaign.RunOptions`
+        #: (keywords naming its fields override ``options``).
+        self.options = options = RunOptions.resolve(options, **kwargs)
         self.daemon = daemon
         self.client_name = client_name
         self.client_factory = client_factory
-        self.encoding = encoding if encoding is not None else ENCODING_OLD
-        self.model = get_fault_model(fault_model)
-        self.kinds = kinds
-        self.budget = budget
-        self.progress = progress
-        self.max_points = max_points
-        self.ranges = ranges
-        self.journal_path = journal
-        self.resume = resume
-        self.retries = retries
-        self.watchdog = (watchdog if isinstance(watchdog, Watchdog)
-                         else Watchdog(watchdog))
-        #: explicit experiment list (one shard of a parallel campaign);
-        #: ``None`` enumerates the daemon's auth sections as usual.
+        self.model = get_fault_model(options.fault_model)
+        self.watchdog = (options.watchdog
+                         if isinstance(options.watchdog, Watchdog)
+                         else Watchdog(options.watchdog))
+        #: explicit experiment list (one fleet work unit); ``None``
+        #: enumerates the daemon's auth sections as usual.
         self.points = points
-        #: observability: span tracer (``trace`` is a sink path or a
-        #: :class:`~repro.obs.trace.Tracer`; the root span is named
-        #: ``campaign`` serially, ``shard`` in a worker), metrics sink
-        #: path, and the forensics switch (ring + snapshot capture on
-        #: SD/HANG/HF; off by default so the fast path is untouched).
-        self.tracer = as_tracer(trace)
-        self.metrics_path = metrics
-        self.forensics = forensics
+        #: span tracer (``trace`` is a sink path or a
+        #: :class:`~repro.obs.trace.Tracer`); the root span is named
+        #: ``campaign`` serially, ``shard`` in a fleet worker.
+        self.tracer = as_tracer(options.trace)
         self.trace_root = trace_root
         self.trace_attrs = dict(trace_attrs or {})
-        #: graceful-shutdown machinery: ``deadline`` bounds the whole
-        #: campaign's wall clock, ``stop_check`` is an external "please
-        #: checkpoint" poll (returns a falsy value or a reason string),
-        #: and ``graceful_signals`` converts SIGTERM/SIGINT into a
-        #: clean checkpoint between experiments.  All three raise
-        #: :class:`CampaignInterrupted` after closing the journal.
-        self.deadline = deadline
+        #: external "please checkpoint" poll (returns a falsy value or
+        #: a reason string); like ``deadline`` and ``graceful_signals``
+        #: it raises :class:`CampaignInterrupted` after closing the
+        #: journal.
         self.stop_check = stop_check
-        self.graceful_signals = graceful_signals
         self._stop_signal = None
         self._deadline_at = None
-        #: durability / chaos hooks (see :class:`CampaignJournal` and
-        #: :mod:`repro.injection.chaos`).
-        self.journal_fsync = journal_fsync
-        self.journal_salvage = journal_salvage
-        self.chaos = chaos
         self.registry = declare_campaign_metrics(MetricsRegistry())
         self.watchdog.tracer = self.tracer
-        #: snapshot-restore escape hatch: rewrite every region instead
-        #: of only dirtied pages (cross-checked in tests).
-        self.full_restore = full_restore
         # Session cache: points arrive in address order, so a private
         # cache keeps one live session (plus the unreachable set, so a
         # disagreeing address is probed once, not once per bit).  A
         # caller-supplied cache is shared across campaigns -- e.g. a
         # fault-model sweep reusing one site snapshot per model.
-        self.session_cache = (session_cache if session_cache is not None
+        self.session_cache = (options.session_cache
+                              if options.session_cache is not None
                               else SessionCache(capacity=1))
         self._session = None
         self._session_address = None
-        #: equivalence-class pruning (:mod:`repro.injection.pruning`):
-        #: run one representative per class and fan the outcome out to
-        #: every member.  ``audit_fraction`` exhaustively re-runs a
-        #: seeded sample of multi-member classes and hard-fails on any
-        #: divergent member.
-        self.prune = prune
-        self.audit_fraction = audit_fraction
-        self.audit_seed = audit_seed
         #: pre-recorded golden run for this (daemon, client, budget)
         #: cell.  A warm fleet worker serving its second campaign for
         #: a cell passes the cached one in, skipping the reference
@@ -659,38 +773,29 @@ class CampaignRunner:
         #: byte-identical either way.
         self.golden = golden
         self._active_guard = None
-        #: live telemetry plane (:mod:`repro.obs.events`): campaign
-        #: milestones and outcome deltas are emitted into ``telemetry``
-        #: (an :class:`~repro.obs.events.EventBus`) tagged with
-        #: ``telemetry_campaign``.  ``None`` -- the default -- emits
-        #: nothing; every emit site is a single ``is not None`` test,
-        #: and no event carries data the deterministic metrics core
-        #: depends on.
-        self.telemetry = telemetry
-        self.telemetry_campaign = telemetry_campaign
         self._telemetry_reported = 0
-        #: deterministic sampling profiler (:mod:`repro.obs.sampler`):
-        #: ``sampler`` is a :class:`~repro.obs.sampler.Sampler` (or a
-        #: period int), ``profile`` the JSON sink :meth:`run` saves.
-        #: A sink with no sampler gets a default-period sampler.
-        self.profile_path = profile
-        if sampler is None and profile is not None:
+        #: deterministic sampling profiler (:mod:`repro.obs.sampler`);
+        #: a ``profile`` sink with no sampler gets a default-period one.
+        sampler = options.sampler
+        if sampler is None and options.profile is not None:
             sampler = Sampler()
         self.sampler = as_sampler(sampler)
 
     # -- public entry point --------------------------------------------
 
     def run(self):
-        restore = self._install_signal_handlers()
+        options = self.options
+        restore = (install_stop_handlers(self._request_stop)
+                   if options.graceful_signals else (lambda: None))
         try:
             with self.tracer.span(self.trace_root,
                                   **self.trace_attrs) as span:
                 campaign = self._run_traced(span)
             return campaign
         except CampaignInterrupted as interrupted:
-            if self.telemetry is not None:
-                self.telemetry.emit(
-                    "checkpoint", campaign=self.telemetry_campaign,
+            if options.telemetry is not None:
+                options.telemetry.emit(
+                    "checkpoint", campaign=options.telemetry_campaign,
                     reason=interrupted.reason,
                     completed=interrupted.completed)
             raise
@@ -700,35 +805,16 @@ class CampaignRunner:
             # and (partial) metrics dump behind.
             restore()
             self.tracer.close()
-            if self.metrics_path is not None:
-                self.registry.save(self.metrics_path)
-            if (self.profile_path is not None
-                    and self.sampler is not None):
-                self.sampler.save(self.profile_path)
+            if options.metrics is not None:
+                self.registry.save(options.metrics)
+            if options.profile is not None and self.sampler is not None:
+                self.sampler.save(options.profile)
 
-    def _install_signal_handlers(self):
-        """Install graceful SIGTERM/SIGINT handlers (flag, not raise:
-        the current experiment finishes and the journal closes before
-        :class:`CampaignInterrupted` surfaces).  Returns the restore
-        callback; a no-op off the main thread or when
-        ``graceful_signals`` is off."""
-        if (not self.graceful_signals
-                or threading.current_thread()
-                is not threading.main_thread()):
-            return lambda: None
-
-        def request_stop(signum, frame):
-            self._stop_signal = signal.Signals(signum).name
-
-        previous = {}
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            previous[signum] = signal.signal(signum, request_stop)
-
-        def restore():
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-
-        return restore
+    def _request_stop(self, name):
+        # graceful SIGTERM/SIGINT: flag, not raise -- the current
+        # experiment finishes and the journal closes before
+        # CampaignInterrupted surfaces.
+        self._stop_signal = name
 
     def _interrupt_reason(self):
         """Why the campaign should checkpoint now, or ``None``."""
@@ -745,10 +831,9 @@ class CampaignRunner:
         return None
 
     def _run_traced(self, root_span):
-        from .campaign import CampaignResult, QuarantinedPoint
         started = time.monotonic()
-        if self.deadline is not None:
-            self._deadline_at = started + self.deadline
+        if self.options.deadline is not None:
+            self._deadline_at = started + self.options.deadline
         self._perf = PerfCounters()
         if self.golden is not None:
             # Warm path: the cell's golden run (and its perf share)
@@ -765,40 +850,43 @@ class CampaignRunner:
             self.registry.counter("runtime.golden_runs",
                                   volatile=True).inc()
         self._golden = golden
-        if self.telemetry is not None:
-            self.telemetry.emit("golden",
-                                campaign=self.telemetry_campaign,
-                                reused=self.golden is not None)
+        telemetry = self.options.telemetry
+        if telemetry is not None:
+            telemetry.emit("golden",
+                           campaign=self.options.telemetry_campaign,
+                           reused=self.golden is not None)
         if self.points is not None:
             points = list(self.points)
         else:
-            if self.ranges is not None:
-                ranges = self.ranges
+            if self.options.ranges is not None:
+                ranges = self.options.ranges
             else:
                 ranges = self.daemon.auth_ranges()
-            points = self.model.enumerate_points(self.daemon.module,
-                                                 ranges, self.kinds)
-        if self.max_points is not None:
-            points = points[:self.max_points]
+            points = self.model.enumerate_points(
+                self.daemon.module, ranges, self.options.kinds)
+        if self.options.max_points is not None:
+            points = points[:self.options.max_points]
         _LOGGER.debug("%s %s (%s, %s): %d experiment(s)",
                       type(self.daemon).__name__, self.client_name,
-                      self.encoding, self.model.name, len(points))
-        if self.telemetry is not None:
-            self.telemetry.emit("campaign-started",
-                                campaign=self.telemetry_campaign,
-                                points=len(points))
+                      self.options.encoding, self.model.name,
+                      len(points))
+        if telemetry is not None:
+            telemetry.emit("campaign-started",
+                           campaign=self.options.telemetry_campaign,
+                           points=len(points))
         campaign = CampaignResult(daemon_name=type(self.daemon).__name__,
                                   client_name=self.client_name,
-                                  encoding=self.encoding,
+                                  encoding=self.options.encoding,
                                   fault_model=self.model.name,
                                   golden=golden)
         journaled, quarantined_records = self._load_journal(campaign)
         journal = None
-        if self.journal_path is not None:
+        if self.options.journal is not None:
             journal = CampaignJournal(
-                self.journal_path, fsync_every=self.journal_fsync,
-                write_hook=(self.chaos.on_journal_write
-                            if self.chaos is not None else None))
+                self.options.journal,
+                fsync_every=self.options.journal_fsync,
+                write_hook=(self.options.chaos.on_journal_write
+                            if self.options.chaos is not None else None))
             journal.open(self._meta(), append=bool(journaled
                                                    or quarantined_records))
         self._resumed = 0
@@ -844,11 +932,11 @@ class CampaignRunner:
         record_runtime_metrics(self.registry, wall_clock, executed,
                                perf=self._perf.as_dict())
         campaign.metrics = self.registry.as_dict()
-        if self.telemetry is not None:
-            self.telemetry.emit("campaign-finished",
-                                campaign=self.telemetry_campaign,
-                                counts=campaign.counts(),
-                                quarantined=len(campaign.quarantined))
+        if telemetry is not None:
+            telemetry.emit("campaign-finished",
+                           campaign=self.options.telemetry_campaign,
+                           counts=campaign.counts(),
+                           quarantined=len(campaign.quarantined))
         root_span.set("experiments", len(campaign.results))
         _LOGGER.debug("%s %s done: %d experiment(s) in %.1fs",
                       type(self.daemon).__name__, self.client_name,
@@ -861,30 +949,32 @@ class CampaignRunner:
         attached."""
         if self.sampler is None:
             return record_golden(self.daemon, self.client_factory,
-                                 self.budget)
+                                 self.options.budget)
         with self.sampler.host_phase("golden-run"):
             return record_golden(self.daemon, self.client_factory,
-                                 self.budget)
+                                 self.options.budget)
 
     # -- journal plumbing ----------------------------------------------
 
     def _meta(self):
         return {"daemon": type(self.daemon).__name__,
-                "client": self.client_name, "encoding": self.encoding,
-                "model": self.model.name, "budget": self.budget}
+                "client": self.client_name,
+                "encoding": self.options.encoding,
+                "model": self.model.name, "budget": self.options.budget}
 
     def _load_journal(self, campaign):
         """Returns ``(results_by_key, quarantine_by_key)`` from an
         existing journal when resuming (else empty dicts)."""
-        if not (self.resume and self.journal_path is not None):
+        options = self.options
+        if not (options.resume and options.journal is not None):
             return {}, {}
         try:
             meta, results, quarantined = CampaignJournal.load(
-                self.journal_path, strict=not self.journal_salvage)
+                options.journal, strict=not options.journal_salvage)
         except FileNotFoundError:
             return {}, {}
         if meta is not None:
-            validate_journal_meta(meta, self._meta(), self.journal_path)
+            validate_journal_meta(meta, self._meta(), options.journal)
         return results, quarantined
 
     @staticmethod
@@ -896,7 +986,7 @@ class CampaignRunner:
 
     def _run_points(self, campaign, points, journaled,
                     quarantined_records, journal):
-        if self.prune:
+        if self.options.prune:
             return self._run_points_pruned(campaign, points, journaled,
                                            quarantined_records, journal)
         from ..analysis.serialize import result_from_dict
@@ -937,7 +1027,7 @@ class CampaignRunner:
                 # experiment (the finally in _run_traced closes it),
                 # so a resume finishes the campaign identically.
                 raise CampaignInterrupted(
-                    reason, journal=self.journal_path,
+                    reason, journal=self.options.journal,
                     completed=len(campaign.results)
                     + len(quarantined_records))
             pending = queue.popleft()
@@ -959,10 +1049,10 @@ class CampaignRunner:
                     journal.append_result(result)
             self._report(campaign, quarantined_records, total)
             self._chaos_tick += 1
-            if self.chaos is not None:
+            if self.options.chaos is not None:
                 # After journaling: a chaos kill here leaves the
                 # journal at a deterministic resume boundary.
-                self.chaos.on_point(self._chaos_tick)
+                self.options.chaos.on_point(self._chaos_tick)
 
     def _restore_order(self, campaign, points):
         order = {_point_key(point): index
@@ -984,10 +1074,10 @@ class CampaignRunner:
         campaign's.
         """
         total = len(points)
-        ranges = (self.ranges if self.ranges is not None
+        ranges = (self.options.ranges if self.options.ranges is not None
                   else self.daemon.auth_ranges())
         plan = self.model.classify_points(
-            self.daemon.module, points, self.encoding,
+            self.daemon.module, points, self.options.encoding,
             self._golden.coverage, ranges)
         self.registry.counter("pruning.sites",
                               volatile=True).inc(len(plan.sites))
@@ -1014,7 +1104,7 @@ class CampaignRunner:
                 reason = self._interrupt_reason()
                 if reason is not None:
                     raise CampaignInterrupted(
-                        reason, journal=self.journal_path,
+                        reason, journal=self.options.journal,
                         completed=len(campaign.results)
                         + len(quarantined_records))
                 self._run_class(campaign, site, cls, journaled,
@@ -1116,7 +1206,7 @@ class CampaignRunner:
         from .pruning import split_by_image
         missing_keys = {_point_key(point) for point in missing}
         for subgroup in split_by_image(self.model, self.daemon.module,
-                                       cls, self.encoding):
+                                       cls, self.options.encoding):
             sub_missing = [point for point in subgroup.points
                            if _point_key(point) in missing_keys]
             if not sub_missing:
@@ -1178,11 +1268,11 @@ class CampaignRunner:
                 journal.append_result(result)
         self._report(campaign, quarantined_records, total)
         self._chaos_tick += 1
-        if self.chaos is not None:
-            self.chaos.on_point(self._chaos_tick)
+        if self.options.chaos is not None:
+            self.options.chaos.on_point(self._chaos_tick)
         if not (stamp and class_is_audited(cls.class_id,
-                                           self.audit_fraction,
-                                           self.audit_seed)):
+                                           self.options.audit_fraction,
+                                           self.options.audit_seed)):
             return
         self.registry.counter("pruning.audited_classes",
                               volatile=True).inc()
@@ -1203,14 +1293,15 @@ class CampaignRunner:
                        expected, got))
 
     def _report(self, campaign, quarantined_records, total):
-        if self.progress is not None:
+        if self.options.progress is not None:
             done = len(campaign.results) + len(quarantined_records)
-            self.progress(done, total)
-        if self.telemetry is not None:
+            self.options.progress(done, total)
+        telemetry = self.options.telemetry
+        if telemetry is not None:
             fresh = campaign.results[self._telemetry_reported:]
             if fresh:
-                self.telemetry.emit_outcomes(self.telemetry_campaign,
-                                             fresh)
+                telemetry.emit_outcomes(self.options.telemetry_campaign,
+                                        fresh)
                 self._telemetry_reported = len(campaign.results)
 
     def _quarantine(self, campaign, pending, quarantined_records,
@@ -1236,9 +1327,9 @@ class CampaignRunner:
             result = self._execute(pending.point, pending.location)
         except Exception:
             return self._harness_fault(pending)
-        if self.retries <= 0 or not result.activated:
+        if self.options.retries <= 0 or not result.activated:
             return result
-        confirmations = min(self.retries * (2 ** pending.round),
+        confirmations = min(self.options.retries * (2 ** pending.round),
                             MAX_CONFIRMATIONS_PER_ROUND)
         signature = (result.outcome, result.exit_kind,
                      result.crash_latency)
@@ -1272,14 +1363,14 @@ class CampaignRunner:
         session goes."""
         forensics = None
         if self._session is not None:
-            if self.forensics:
+            if self.options.forensics:
                 try:
                     forensics = capture_forensics(
                         self._session.process.cpu)
                 except Exception:
                     forensics = None          # never mask the fault
             self.session_cache.discard(SessionCache.key(
-                self.daemon, self.client_name, self.budget,
+                self.daemon, self.client_name, self.options.budget,
                 self._session_address))
         self._retire_session()
         detail = traceback.format_exc(limit=8).strip()
@@ -1333,7 +1424,8 @@ class CampaignRunner:
                           else self.watchdog)
         with self.tracer.span("injection", cat="experiment") as span:
             status, kernel, client = self.model.apply(
-                session, point, self.encoding, self.daemon.module)
+                session, point, self.options.encoding,
+                self.daemon.module)
             span.set("instret", status.instret)
         outcome, detail = classify_completed_run(
             golden, client, kernel.channel.normalized_transcript(),
@@ -1344,8 +1436,8 @@ class CampaignRunner:
         if status.kind == "crash":
             latency = status.instret - session.activation_instret
         forensics = None
-        if self.forensics and (status.kind == "crash"
-                               or outcome == HANG):
+        if self.options.forensics and (status.kind == "crash"
+                                       or outcome == HANG):
             forensics = capture_forensics(session.process.cpu)
         return InjectionResult(
             point=point, location=location, outcome=outcome,
@@ -1368,7 +1460,7 @@ class CampaignRunner:
         if self._session_address == address:
             return self._session
         key = SessionCache.key(self.daemon, self.client_name,
-                               self.budget, address)
+                               self.options.budget, address)
         if self.session_cache.unreachable_arrival(key) is not None:
             return None
         self._retire_session()
@@ -1381,7 +1473,7 @@ class CampaignRunner:
                                   address="0x%x" % address) as span:
                 session = BreakpointSession(self.daemon,
                                             self.client_factory,
-                                            address, self.budget,
+                                            address, self.options.budget,
                                             run_fn=self.watchdog)
                 span.set("reached", session.reached)
             self.registry.counter("runtime.sessions",
@@ -1396,18 +1488,11 @@ class CampaignRunner:
         # (Re)bind per-runner policy: a cached session may have been
         # created by a campaign with different settings.
         session.run_fn = self.watchdog
-        session.full_restore = self.full_restore
-        session.process.cpu.forensic_ring = (make_forensic_ring()
-                                             if self.forensics else None)
+        session.full_restore = self.options.full_restore
+        session.process.cpu.forensic_ring = (
+            make_forensic_ring() if self.options.forensics else None)
         session.process.cpu.sampler = self.sampler
         session.sampler = self.sampler
         self._session = session
         self._session_address = address
         return session
-
-def run_resilient_campaign(daemon, client_name, client_factory,
-                           **kwargs):
-    """Functional facade over :class:`CampaignRunner`."""
-    runner = CampaignRunner(daemon, client_name, client_factory,
-                            **kwargs)
-    return runner.run()

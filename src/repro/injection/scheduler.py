@@ -1,11 +1,10 @@
 """Work-unit scheduling for campaign execution.
 
-The static whole-instruction sharding in
-:mod:`repro.injection.parallel` fixes the work assignment up front:
-shard K owns every K-th instruction group for the whole campaign, so
-one slow shard (an instruction whose sessions are expensive, a worker
-sharing a busy core) sets the campaign's wall clock.  This module
-extracts the assignment decision into an explicit scheduling layer:
+A static assignment (worker K owns every K-th instruction group for
+the whole campaign) lets one slow worker -- an instruction whose
+sessions are expensive, a worker sharing a busy core -- set the
+campaign's wall clock.  This module makes the assignment decision an
+explicit scheduling layer instead:
 
 * the enumerated experiment list is cut into :class:`WorkUnit`\\ s of a
   few *whole instructions* each (all bits of one instruction stay
@@ -22,10 +21,10 @@ extracts the assignment decision into an explicit scheduling layer:
   dead worker's journal and requeued.
 
 The scheduler is deliberately process-free pure logic: the fleet
-(:mod:`repro.injection.fleet`) and the one-shot parallel runner are
-transport layers around it, and the determinism property ("any
-interleaving of unit completions merges to the same journal bytes as
-serial") is tested directly against this class without an emulator.
+(:mod:`repro.injection.fleet`) is the transport layer around it, and
+the determinism property ("any interleaving of unit completions
+merges to the same journal bytes as serial") is tested directly
+against this class without an emulator.
 """
 
 from __future__ import annotations

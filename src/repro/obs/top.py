@@ -174,34 +174,31 @@ def view_from_journals(journal):
     nor any shard exists.
     """
     import os
-    from ..injection.parallel import discover_shard_journals
-    from ..injection.runner import CampaignJournal, JournalError
-    paths = [journal] if os.path.exists(journal) else []
-    paths += discover_shard_journals(journal)
-    if not paths:
+    from ..injection.runner import JournalFamily
+    family = JournalFamily.load(journal, strict=False)
+    if not family.members:
         raise FileNotFoundError("no journal at %s (or %s.shard*)"
                                 % (journal, journal))
+    base = str(journal)
     view = CampaignView(None)
     base_units = []
     shard_units = []
-    for path in paths:
-        try:
-            meta, results, quarantined, report = \
-                CampaignJournal.load_with_report(path, strict=False)
-        except JournalError:
+    for member in family.members:
+        if member.error is not None:
             continue
+        path, meta, results = member.path, member.meta, member.results
         for record in results.values():
             outcome = record.get("outcome")
             view.outcomes[outcome] = view.outcomes.get(outcome, 0) + 1
-        view.quarantined += len(quarantined)
+        view.quarantined += len(member.quarantined)
         # Fleet runs mark every unit twice: the parent appends
         # started/done markers to the base journal and the worker
         # marks its own shard file.  The base markers carry the
         # campaign-level status/total, so they win when present.
-        (base_units if path == journal else shard_units).extend(
-            report.units)
+        (base_units if path == base else shard_units).extend(
+            member.report.units)
         label = os.path.basename(path)
-        if results or path != journal:
+        if results or path != base:
             view.shards[label] = len(results)
         if meta is not None and view.campaign is None:
             view.campaign = "%s %s" % (meta.get("daemon"),

@@ -67,22 +67,19 @@ import socket as _socket
 import threading
 import traceback
 
-from .injection.campaign import CampaignSpec
-from .injection.fleet import FleetConfig, WorkerFleet
+from .injection.campaign import CampaignSpec, RunOptions
+from .injection.fleet import _record_key, FleetConfig, WorkerFleet
 from .injection.runner import CampaignInterrupted
 from .obs.events import EventBus
 from .obs.log import get_logger
 
 _LOGGER = get_logger("service")
 
-#: campaign options a submission may set (everything else is rejected:
-#: callables and runner internals do not cross the wire).
-SUBMIT_OPTIONS = frozenset((
-    "max_points", "journal", "resume", "retries", "prune",
-    "audit_fraction", "audit_seed", "forensics", "trace", "metrics",
-    "journal_fsync", "journal_salvage", "full_restore", "budget",
-    "profile",
-))
+#: campaign options a submission may set: the plain-data ``wire``
+#: fields of :class:`~repro.injection.campaign.RunOptions` (everything
+#: else is rejected: callables and runner internals do not cross the
+#: wire).
+SUBMIT_OPTIONS = RunOptions.wire_fields()
 
 
 def default_socket_path():
@@ -368,13 +365,14 @@ class CampaignService:
             self._active[client.cid] = client
 
     def _submit(self, spec, options, events, connection):
+        options = RunOptions(encoding=spec.encoding,
+                             fault_model=spec.fault_model, **options)
         daemon = self._daemons.get(spec.daemon)
         if daemon is None:
             daemon = spec.build_daemon()
             self._daemons[spec.daemon] = daemon
         warm = ("%s:%s:%s" % (type(daemon).__name__, spec.client,
-                              options.get("budget",
-                                          _default_budget()))
+                              options.budget)
                 in self.fleet.goldens)
         client = _ClientCampaign(None, events, connection)
 
@@ -383,7 +381,7 @@ class CampaignService:
             results = []
             for record in payload["results"]:
                 record = dict(record)
-                record["order"] = order[_record_key_of(record)]
+                record["order"] = order[_record_key(record)]
                 results.append(record)
             self._push(events, {
                 "event": "unit", "campaign": client.cid,
@@ -394,10 +392,9 @@ class CampaignService:
                 "quarantined": list(payload["quarantined"]),
             })
 
-        cid = self.fleet.submit(
-            daemon, spec.client, spec.client_factory(),
-            encoding=spec.encoding, fault_model=spec.fault_model,
-            on_unit=on_unit, **options)
+        cid = self.fleet.submit(daemon, spec.client,
+                                spec.client_factory(), options,
+                                on_unit=on_unit)
         client.cid = cid
         state = self.fleet.campaigns[cid]
         self._push(events, {
@@ -450,16 +447,6 @@ class CampaignService:
         for events in list(self._subscribers):
             self._push(events, None)      # telemetry-end sentinel
         self._subscribers.clear()
-
-
-def _default_budget():
-    from .apps.common import CONNECTION_INSTRUCTION_BUDGET
-    return CONNECTION_INSTRUCTION_BUDGET
-
-
-def _record_key_of(record):
-    from .injection.parallel import _record_key
-    return _record_key(record)
 
 
 # ----------------------------------------------------------------------

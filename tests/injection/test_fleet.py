@@ -70,8 +70,8 @@ class TestFleetEquivalence:
 
     def test_journal_carries_unit_markers(self, ftp_daemon, tmp_path,
                                           serial_campaign):
-        from repro.injection import CampaignJournal
-        from repro.injection.parallel import discover_shard_journals
+        from repro.injection import (CampaignJournal,
+                                     discover_shard_journals)
         base = tmp_path / "run.jsonl"
         run_fleet_campaign(ftp_daemon, "Client1", client1,
                            config=fast_config(), max_points=SLICE,

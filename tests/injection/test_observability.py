@@ -110,9 +110,14 @@ class TestTrace:
                                   for result in campaign.results)
 
     def test_parallel_trace_merges_shards(self, ftp_daemon, tmp_path):
+        from repro.injection import FleetConfig
         path = tmp_path / "trace.json"
+        # one instruction per work unit: the slice is three units, one
+        # per worker, each traced on its worker's track
         campaign = run_campaign(ftp_daemon, "Client1", client1,
                                 max_points=SLICE, workers=3,
+                                supervisor=FleetConfig(
+                                    unit_instructions=1),
                                 trace=str(path))
         events = load_trace_file(path)
         shards = [event for event in events

@@ -1,67 +1,27 @@
-"""Parallel sharded campaigns: serial/parallel equivalence, shard
-journals, resume across worker counts, and worker fault surfacing."""
+"""Parallel campaigns (``run_campaign(workers=N)``, which runs on the
+warm worker fleet): serial/parallel equivalence, per-worker journals,
+resume across worker counts, and worker fault surfacing."""
 
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 from repro.analysis import (build_table1, campaign_from_shard_journals)
 from repro.apps.ftpd import client1
-from repro.injection import (JournalError, run_campaign, shard_points,
-                             SupervisorConfig)
-from repro.injection.parallel import (default_daemon_factory,
-                                      discover_shard_journals,
-                                      shard_journal_path)
-from repro.injection.targets import InjectionPoint
+from repro.injection import (discover_shard_journals, FleetConfig,
+                             JournalError, run_campaign,
+                             shard_journal_path, WorkerFleet)
+from repro.injection import fleet as fleet_module
+from repro.injection.fleet import default_daemon_factory
 
 SLICE = 96
 
-
-def make_point(address, byte_offset=0, bit=0):
-    return InjectionPoint(instruction_address=address,
-                          byte_offset=byte_offset, bit=bit,
-                          instruction_length=2, mnemonic="je",
-                          opcode=0x74, kind="cond_branch")
-
-
-# ----------------------------------------------------------------------
-# Sharding (pure function)
-
-class TestShardPoints:
-    def points(self, instructions=7, bits=4):
-        return [make_point(0x1000 + 0x10 * i, byte_offset=b // 8,
-                           bit=b % 8)
-                for i in range(instructions) for b in range(bits)]
-
-    def test_partition_is_exact(self):
-        points = self.points()
-        shards = shard_points(points, 3)
-        flattened = [p for shard in shards for p in shard]
-        assert sorted(flattened, key=lambda p: (p.instruction_address,
-                                                p.byte_offset, p.bit)) \
-            == points
-
-    def test_instruction_bits_stay_together(self):
-        # all bits of one instruction must land in the same shard so
-        # the worker keeps its BreakpointSession amortisation
-        shards = shard_points(self.points(), 3)
-        owner = {}
-        for index, shard in enumerate(shards):
-            for point in shard:
-                owner.setdefault(point.instruction_address,
-                                 set()).add(index)
-        assert all(len(owners) == 1 for owners in owner.values())
-
-    def test_more_workers_than_instructions(self):
-        points = self.points(instructions=2)
-        shards = shard_points(points, 8)
-        assert len(shards) == 2
-        assert sum(len(shard) for shard in shards) == len(points)
-
-    def test_empty(self):
-        assert shard_points([], 4) == []
+#: one instruction per work unit, so a SLICE-point campaign has four
+#: units and every one of three workers takes one at the start.
+SPREAD = FleetConfig(unit_instructions=1)
 
 
 # ----------------------------------------------------------------------
@@ -100,19 +60,26 @@ class TestEquivalence:
 
     def test_timing_is_recorded(self, ftp_daemon):
         campaign = run_campaign(ftp_daemon, "Client1", client1,
-                                max_points=SLICE, workers=2)
+                                max_points=SLICE, workers=2,
+                                supervisor=SPREAD)
         timing = campaign.timing
         assert timing["workers"] == 2
         assert timing["experiments"] == SLICE
         assert timing["executed"] == SLICE
         assert timing["wall_clock"] > 0
         assert timing["experiments_per_sec"] > 0
-        assert len(timing["shards"]) == 2
+        # one timing record per work unit, covering the slice exactly
+        assert len(timing["shards"]) == 4
         assert sum(shard["experiments"]
                    for shard in timing["shards"]) == SLICE
 
     def test_workers_one_uses_serial_runner(self, ftp_daemon,
-                                            serial_campaign):
+                                            serial_campaign,
+                                            monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("workers=1 must not start a fleet")
+
+        monkeypatch.setattr(WorkerFleet, "start", forbidden)
         campaign = run_campaign(ftp_daemon, "Client1", client1,
                                 max_points=SLICE, workers=1)
         assert campaign.timing["workers"] == 1
@@ -122,12 +89,13 @@ class TestEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Shard journals: write, offline merge, resume
+# Worker journals: write, offline merge, resume
 
 class TestShardJournals:
     def run_parallel(self, ftp_daemon, tmp_path, workers=3, **kwargs):
         return run_campaign(ftp_daemon, "Client1", client1,
                             max_points=SLICE, workers=workers,
+                            supervisor=SPREAD,
                             journal=tmp_path / "run.jsonl", **kwargs)
 
     def test_one_journal_per_shard(self, ftp_daemon, tmp_path):
@@ -158,7 +126,7 @@ class TestShardJournals:
 
     def test_resume_across_worker_counts(self, ftp_daemon, tmp_path):
         full = self.run_parallel(ftp_daemon, tmp_path, workers=3)
-        # kill one shard's tail: drop half its result lines
+        # kill one worker's tail: drop half its journal lines
         victim = shard_journal_path(tmp_path / "run.jsonl", 1)
         with open(victim) as handle:
             lines = handle.readlines()
@@ -171,20 +139,20 @@ class TestShardJournals:
             == [r.point for r in full.results]
         assert [r.outcome for r in resumed.results] \
             == [r.outcome for r in full.results]
+        assert 0 < resumed.timing["executed"] < SLICE
 
     def test_complete_journals_rerun_nothing(self, ftp_daemon,
                                              tmp_path, monkeypatch):
         full = self.run_parallel(ftp_daemon, tmp_path)
-        import repro.injection.parallel as parallel_module
 
-        def forbidden(spec, queue):
-            raise AssertionError("all points journaled; no worker "
+        def forbidden(*args, **kwargs):
+            raise AssertionError("all points journaled; no unit "
                                  "should run")
 
-        # a fully-journaled resume spawns no workers at all, so the
-        # worker entry point must never be invoked
-        monkeypatch.setattr(parallel_module, "_shard_worker_main",
-                            forbidden)
+        # a fully-journaled resume hands no unit to any worker, nor
+        # runs one in the parent
+        monkeypatch.setattr(WorkerFleet, "_dispatch", forbidden)
+        monkeypatch.setattr(WorkerFleet, "_run_unit_inline", forbidden)
         resumed = self.run_parallel(ftp_daemon, tmp_path, resume=True)
         assert resumed.counts(refined=True) == full.counts(refined=True)
         assert resumed.timing["executed"] == 0
@@ -201,43 +169,45 @@ class TestShardJournals:
 # ----------------------------------------------------------------------
 # Fault surfacing and daemon reconstruction
 
-FAST_SUPERVISOR = SupervisorConfig(max_restarts=0, backoff_base=0.05,
-                                   poll_interval=0.05, dead_grace=0.2)
+FAST_SUPERVISOR = FleetConfig(max_restarts=0, backoff_base=0.05,
+                              poll_interval=0.05, dead_grace=0.2)
+
+
+def exploding_worker_main(*args, **kwargs):
+    raise RuntimeError("synthetic worker set-up fault")
+
+
+def exploding_factory():
+    # module level: the daemon factory crosses the worker pipe pickled
+    raise RuntimeError("synthetic worker construction fault")
 
 
 class TestWorkerFaults:
     def test_worker_error_heals_inline(self, ftp_daemon,
-                                       serial_campaign):
-        # every worker explodes during setup; the supervisor must not
-        # fail the campaign (satellite: one shard's error is no longer
-        # fatal to its siblings) -- with zero survivors it falls back
-        # to running the leftover points inline in the parent.
-        def exploding_factory():
-            raise RuntimeError("synthetic worker construction fault")
-
+                                       serial_campaign, monkeypatch):
+        # every worker dies during set-up; the fleet must not fail the
+        # campaign -- with every worker retired it runs the units
+        # inline in the parent.
+        monkeypatch.setattr(fleet_module, "_fleet_worker_main",
+                            exploding_worker_main)
         campaign = run_campaign(ftp_daemon, "Client1", client1,
                                 max_points=SLICE, workers=2,
-                                daemon_factory=exploding_factory,
                                 supervisor=FAST_SUPERVISOR)
         assert campaign.counts(refined=True) \
             == serial_campaign.counts(refined=True)
         counters = campaign.metrics["volatile"]["counters"]
-        assert counters["supervisor.worker_errors"] == 2
         assert counters["supervisor.failed_shards"] == 2
+        assert counters["supervisor.degraded"] >= 1
         assert counters["supervisor.inline_points"] == SLICE
 
     def test_unhealable_error_raises_in_parent(self, ftp_daemon,
                                                monkeypatch):
         # when even the parent's inline fallback fails, the original
         # worker fault must surface in the raised error
-        def exploding_factory():
-            raise RuntimeError("synthetic worker construction fault")
-
-        def broken_inline(self, shard, points, stop_check=None):
+        def broken_inline(self, state, unit):
             raise RuntimeError("inline fallback broken too")
 
-        from repro.injection.parallel import ParallelCampaignRunner
-        monkeypatch.setattr(ParallelCampaignRunner, "_run_inline",
+        monkeypatch.setattr(WorkerFleet, "_run_unit_inline",
                             broken_inline)
         with pytest.raises(RuntimeError) as excinfo:
             run_campaign(ftp_daemon, "Client1", client1,
@@ -250,6 +220,19 @@ class TestWorkerFaults:
 
 
 class TestDaemonFactory:
+    def test_unpicklable_factory_is_reported(self, ftp_daemon):
+        # worker contexts cross a pipe: a local factory must fail
+        # loudly, not degrade the campaign to an inline run
+        def local_factory():
+            return ftp_daemon
+
+        with pytest.raises((AttributeError, TypeError,
+                            pickle.PicklingError)):
+            run_campaign(ftp_daemon, "Client1", client1,
+                         max_points=SLICE, workers=2,
+                         daemon_factory=local_factory,
+                         supervisor=FAST_SUPERVISOR)
+
     def test_default_factory_rebuilds_equivalent_daemon(self,
                                                         ftp_daemon):
         rebuilt = default_daemon_factory(ftp_daemon)()

@@ -243,6 +243,19 @@ class TestServiceAdmission:
                 client.submit(SPEC, progress=True)
         assert "progress" in str(excinfo.value)
 
+    def test_run_options_reject_unknown_and_non_wire_fields(
+            self, harness, ftp_daemon):
+        # an unknown option fails locally before any work starts ...
+        with pytest.raises(TypeError):
+            run_campaign(ftp_daemon, "Client1", client1,
+                         max_points=SLICE, bogus_option=1)
+        # ... and a real RunOptions field that is not plain wire data
+        # (a parent-side deadline) is refused by the service
+        with ServiceClient(harness.socket_path) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(SPEC, deadline=5.0)
+        assert "deadline" in str(excinfo.value)
+
     def test_unknown_daemon_rejected(self, harness):
         with ServiceClient(harness.socket_path) as client:
             with pytest.raises(ServiceError):

@@ -1,10 +1,11 @@
 """Self-healing campaign supervision: chaos-driven worker kills,
-wedge detection, restart-budget exhaustion with degraded completion,
+wedge detection, restart-budget exhaustion with worker retirement,
 journal durability/salvage, and graceful checkpoint shutdown.
 
-The acceptance property throughout is the repo's north star: every
-recovery path must end in tallies byte-identical to an undisturbed
-serial run of the same campaign.
+Parallel cases run ``run_campaign(workers=2)``, i.e. the warm worker
+fleet.  The acceptance property throughout is the repo's north star:
+every recovery path must end in tallies byte-identical to an
+undisturbed serial run of the same campaign.
 """
 
 from __future__ import annotations
@@ -19,18 +20,32 @@ import pytest
 from repro.apps.ftpd import client1
 from repro.injection import (CampaignInterrupted, CampaignJournal,
                              ChaosAction, ChaosPolicy,
-                             corrupt_journal_tail, JournalError,
-                             run_campaign, SupervisorConfig)
+                             corrupt_journal_tail, FleetConfig,
+                             JournalError, run_campaign)
 
 SLICE = 40
 
-#: test-speed supervisor: short backoff and polls, but real semantics.
+#: test-speed fleet: short backoff and polls, but real semantics.
 FAST = dict(backoff_base=0.05, backoff_cap=0.2, poll_interval=0.05,
             dead_grace=0.2)
 
 
 def fast_config(**overrides):
-    return SupervisorConfig(**{**FAST, **overrides})
+    return FleetConfig(**{**FAST, **overrides})
+
+
+#: one instruction per work unit: the SLICE splits into three units,
+#: so both workers take one at the start (faults can target worker 1).
+SPREAD = dict(unit_instructions=1)
+
+
+def hold(shard, seconds=1.5):
+    """Stall a healthy worker after its first point (well inside the
+    heartbeat deadline), so a faulted sibling's respawn lands before
+    the campaign runs out of work -- respawn counts then do not depend
+    on how fast the survivor is."""
+    return ChaosAction(kind="stall", shard=shard, after=1,
+                       seconds=seconds)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +85,8 @@ class TestKillRespawn:
                                               tmp_path,
                                               serial_campaign):
         chaos = ChaosPolicy(actions=(
-            ChaosAction(kind="kill", shard=0, after=2, exit_code=42),))
+            ChaosAction(kind="kill", shard=0, after=2, exit_code=42),
+            hold(1)))
         campaign = run_campaign(ftp_daemon, "Client1", client1,
                                 max_points=SLICE, workers=2,
                                 journal=tmp_path / "run.jsonl",
@@ -90,18 +106,20 @@ class TestKillRespawn:
         # regression: a worker that exits 0 without its done payload
         # used to hang the parent forever on queue.get
         chaos = ChaosPolicy(actions=(
-            ChaosAction(kind="kill", shard=1, after=2, exit_code=0),))
+            ChaosAction(kind="kill", shard=1, after=2, exit_code=0),
+            hold(0)))
         campaign = run_campaign(ftp_daemon, "Client1", client1,
                                 max_points=SLICE, workers=2,
                                 journal=tmp_path / "run.jsonl",
-                                chaos=chaos, supervisor=fast_config())
+                                chaos=chaos,
+                                supervisor=fast_config(**SPREAD))
         assert_identical(campaign, serial_campaign)
         assert supervisor_counters(campaign)["supervisor.respawns"] == 1
 
     def test_kill_without_journal_reruns_the_shard(self, ftp_daemon,
                                                    serial_campaign):
-        # no journal -> the respawned attempt re-runs its slice from
-        # scratch; tallies must still match
+        # no journal -> nothing to salvage, the dead worker's whole
+        # unit is re-run; tallies must still match
         chaos = ChaosPolicy(actions=(
             ChaosAction(kind="kill", shard=0, after=2),))
         campaign = run_campaign(ftp_daemon, "Client1", client1,
@@ -116,7 +134,8 @@ class TestKillRespawn:
         campaign = run_campaign(ftp_daemon, "Client1", client1,
                                 max_points=SLICE, workers=2,
                                 journal=tmp_path / "run.jsonl",
-                                chaos=chaos, supervisor=fast_config())
+                                chaos=chaos,
+                                supervisor=fast_config(**SPREAD))
         assert_identical(campaign, serial_campaign)
 
 
@@ -128,7 +147,8 @@ class TestWedgeDetection:
                                                     tmp_path,
                                                     serial_campaign):
         chaos = ChaosPolicy(actions=(
-            ChaosAction(kind="stall", shard=0, after=2, seconds=60.0),))
+            ChaosAction(kind="stall", shard=0, after=2, seconds=60.0),
+            hold(1, seconds=1.0)))
         campaign = run_campaign(
             ftp_daemon, "Client1", client1, max_points=SLICE,
             workers=2, journal=tmp_path / "run.jsonl", chaos=chaos,
@@ -151,36 +171,40 @@ class TestJournalWriteFault:
         campaign = run_campaign(ftp_daemon, "Client1", client1,
                                 max_points=SLICE, workers=2,
                                 journal=tmp_path / "run.jsonl",
-                                chaos=chaos, supervisor=fast_config())
+                                chaos=chaos,
+                                supervisor=fast_config(**SPREAD))
         assert_identical(campaign, serial_campaign)
         counters = supervisor_counters(campaign)
+        # the failed unit errors out of a still-healthy worker: its
+        # journaled prefix is salvaged and the remainder requeued,
+        # without spending the worker's restart budget
         assert counters["supervisor.worker_errors"] == 1
-        assert counters["supervisor.respawns"] == 1
+        assert counters["supervisor.salvaged_points"] >= 1
 
 
 # ----------------------------------------------------------------------
-# Restart budget exhaustion -> degraded completion
+# Restart budget exhaustion -> worker retired, its units migrate
 
 class TestDegradedCompletion:
     def test_unrevivable_shard_is_resharded_to_survivors(
             self, ftp_daemon, tmp_path, serial_campaign):
-        # kill shard 0 on every incarnation the budget allows
+        # kill worker 0 on every incarnation the budget allows, while
+        # worker 1 is held long enough for all three incarnations
         chaos = ChaosPolicy(actions=tuple(
             ChaosAction(kind="kill", shard=0, after=2, attempt=attempt)
-            for attempt in range(3)))
+            for attempt in range(3)) + (hold(1, seconds=4.0),))
         campaign = run_campaign(
             ftp_daemon, "Client1", client1, max_points=SLICE,
             workers=2, journal=tmp_path / "run.jsonl", chaos=chaos,
-            supervisor=fast_config(max_restarts=2))
+            supervisor=fast_config(max_restarts=2, **SPREAD))
         assert_identical(campaign, serial_campaign)
         counters = supervisor_counters(campaign)
+        assert counters["supervisor.respawns"] == 2
         assert counters["supervisor.failed_shards"] == 1
-        assert counters["supervisor.degraded"] == 1
-        # the dead shard's journaled prefix is salvaged, the rest is
-        # re-run; together they cover the whole slice
-        assert counters["supervisor.salvaged_points"] >= 2
-        assert counters["supervisor.salvaged_points"] \
-            + counters["supervisor.degraded_points"] >= SLICE // 2
+        # every dead incarnation's journaled prefix is salvaged; the
+        # survivor (or, for the unit that bounced past its attempt
+        # budget, the parent) runs the rest
+        assert counters["supervisor.salvaged_points"] >= 3 * 2
         assert deterministic_core(campaign) \
             == deterministic_core(serial_campaign)
 
@@ -359,34 +383,11 @@ class TestCheckpointShutdown:
 
 
 # ----------------------------------------------------------------------
-# Fleet mode: the same supervision semantics, applied to long-lived
-# warm workers instead of one-shot shards (tests/injection/test_fleet
-# covers the fleet in depth; this class pins the supervision contract
-# the two transports share).
+# Supervision helpers
 
 class TestFleetModeSupervision:
-    def test_fleet_respawn_matches_shard_respawn_contract(
-            self, ftp_daemon, tmp_path, serial_campaign):
-        from repro.injection import FleetConfig, run_fleet_campaign
-        chaos = ChaosPolicy(actions=(
-            ChaosAction(kind="kill", shard=0, after=2,
-                        exit_code=0),))
-        campaign = run_fleet_campaign(
-            ftp_daemon, "Client1", client1,
-            config=FleetConfig(workers=2, **FAST), chaos=chaos,
-            max_points=SLICE, journal=tmp_path / "run.jsonl")
-        assert_identical(campaign, serial_campaign)
-        counters = supervisor_counters(campaign)
-        # identical recovery accounting to the one-shot supervisor:
-        # exit-code-0 deaths are detected, the incarnation respawns,
-        # nothing is permanently lost
-        assert counters["supervisor.respawns"] == 1
-        assert counters["supervisor.failed_shards"] == 0
-        assert deterministic_core(campaign) \
-            == deterministic_core(serial_campaign)
-
     def test_shared_backoff_helper(self):
-        from repro.injection.supervisor import backoff_delay
+        from repro.injection.runner import backoff_delay
         config = fast_config()
         delays = [backoff_delay(config, n) for n in range(1, 6)]
         assert delays[0] == config.backoff_base

@@ -297,6 +297,30 @@ class TestWorkersFlag:
         assert tables(fleet_text) == tables(serial_text)
         assert "2 workers" in fleet_text
 
+    def test_journal_line_lists_inline_fallback_file(self, tmp_path,
+                                                     monkeypatch):
+        # every worker dies during set-up, so the parent finishes the
+        # campaign inline into <journal>.shard{workers+1}; the journal
+        # line must name the files that actually exist, that one too
+        from repro.injection import fleet, JournalFamily
+
+        def exploding_worker_main(*args, **kwargs):
+            raise RuntimeError("synthetic worker set-up fault")
+
+        monkeypatch.setattr(fleet, "_fleet_worker_main",
+                            exploding_worker_main)
+        journal = str(tmp_path / "run.jsonl")
+        code, text = run_cli("campaign", "--app", "ftpd",
+                             "--max-points", "40", "--journal", journal,
+                             "--workers", "2")
+        assert code == 0
+        (line,) = [line for line in text.splitlines()
+                   if line.startswith("journal: ")]
+        listed = line[len("journal: "):].split(", ")
+        assert listed == JournalFamily.paths(journal)
+        assert journal + ".shard3" in listed
+        assert journal + ".shard0" not in listed
+
 
 class TestStatusCommand:
     def test_reports_fleet_shard_journals(self, tmp_path):
