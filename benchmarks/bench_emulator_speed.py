@@ -84,8 +84,8 @@ def test_forensic_ring_overhead(record_result, record_json):
     """The forensics acceptance gate: the block-granularity ring costs
     under 5% on the fast path when attached, and exactly nothing when
     not (``run()`` branches to a separate loop, so the plain path is
-    untouched -- asserted structurally by the campaign equivalence
-    tests; measured here for the attached case)."""
+    untouched -- asserted structurally in :func:`test_sampler_overhead`;
+    measured here for the attached case)."""
     import time
 
     from repro.obs.forensics import make_forensic_ring
@@ -124,10 +124,10 @@ def test_forensic_ring_overhead(record_result, record_json):
 def test_sampler_overhead(record_result, record_json):
     """The telemetry acceptance gate: the sampling profiler costs
     under 5% on the fast path when attached, and exactly nothing when
-    not.  Like the forensic ring, ``run()`` branches to a separate
-    ``_run_sampled`` loop, so the plain superstep loop never consults
-    the sampler -- asserted structurally below, then measured for the
-    attached case."""
+    not.  Like the forensic ring, ``run()`` branches to the separate
+    ``_run_observed`` loop, so the plain superstep loop never consults
+    either observer -- asserted structurally below, then measured for
+    the attached case."""
     import inspect
     import time
 
@@ -135,13 +135,14 @@ def test_sampler_overhead(record_result, record_json):
     from repro.obs.sampler import Sampler
 
     # detached cost is zero by construction: past the dispatch at the
-    # top of run(), the plain loop body never touches the sampler
+    # top of run(), the plain loop body never touches an observer
     plain_loop = inspect.getsource(CPU.run).split(
         "while not self.halted", 1)[1]
-    assert "sampler" not in plain_loop, (
-        "plain CPU.run loop references the sampler -- detached cost "
-        "is no longer zero")
-    assert CPU._run_sampled is not CPU.run
+    for observer in ("sampler", "forensic_ring"):
+        assert observer not in plain_loop, (
+            "plain CPU.run loop references the %s -- detached cost "
+            "is no longer zero" % observer)
+    assert CPU._run_observed is not CPU.run
 
     program = compile_program(HASH_LOOP)
 

@@ -14,13 +14,19 @@ exhaustive injection campaigns (see ``DESIGN.md`` section 10):
   instead of computing SF/ZF/PF/AF/OF/CF; the flags materialise only
   when something actually reads ``cpu.eflags`` (a Jcc, ``pushf``, a
   snapshot, a test) -- flags clobbered unread are never computed;
-* **basic-block supersteps**: ``run``/``run_until`` execute
-  straight-line runs of prepared ops without per-instruction
-  breakpoint/budget bookkeeping between branch boundaries.
+* **basic-block supersteps**: :meth:`CPU.run` executes straight-line
+  runs of prepared ops without per-instruction stop-set/budget
+  bookkeeping between branch boundaries.
 
-The reference path (:meth:`CPU.slow_step`) keeps the original
-decode-and-dispatch semantics and is differentially tested against
-the fast path.  Perf counters live on :attr:`CPU.perf`.
+There are three run loops, each taking a ``stop`` set of addresses
+(a debugger breakpoint is a one-address set, plain execution the
+empty set): the plain superstep loop :meth:`CPU.run`, which never
+touches an observer; :meth:`CPU._run_observed`, the same loop feeding
+whichever of the forensic ring and the sampler is attached; and
+:meth:`CPU._run_reference` over :meth:`CPU.slow_step`, which keeps
+the original decode-and-dispatch semantics, honours ``coverage`` and
+``trace_hook``, and is differentially tested against the other two.
+Perf counters live on :attr:`CPU.perf`.
 
 Anything a corrupted byte stream can decode into is executable here:
 BCD adjusts, rotate-through-carry, string ops, segment pops, x87
@@ -113,21 +119,18 @@ class CPU:
         self.coverage = None      # optional set of executed EIPs
         self.trace_hook = None    # optional fn(cpu, instruction) per step
         #: optional forensic EIP ring (:mod:`repro.obs.forensics`).
-        #: ``None`` keeps the plain fast loops byte-for-byte untouched
-        #: (zero overhead); a ring switches :meth:`run` to the
-        #: forensic loop, which appends at basic-block granularity --
-        #: whole ``block[3]`` address tuples, no per-instruction
-        #: bookkeeping -- and single EIPs on the step path.  The ring
-        #: ends with the *faulting* instruction after a crash (it did
-        #: not retire; ``instret`` stays exact).
+        #: ``None`` keeps the plain loop untouched (zero overhead); a
+        #: ring switches :meth:`run` to :meth:`_run_observed`, which
+        #: appends at basic-block granularity -- whole ``block[3]``
+        #: address tuples -- and single EIPs on the step path.  The
+        #: ring ends with the *faulting* instruction after a crash (it
+        #: did not retire; ``instret`` stays exact).
         self.forensic_ring = None
-        #: optional sampling profiler (:mod:`repro.obs.sampler`).
-        #: Same zero-overhead contract as the forensic ring: ``None``
-        #: leaves the plain loops untouched; a sampler switches
-        #: :meth:`run` to the sampling loop, which counts down whole
-        #: supersteps and indexes ``block[3]`` for sampled EIPs.
-        #: When both a ring and a sampler are attached the forensic
-        #: loop wins (crash evidence outranks profiling).
+        #: optional sampling profiler (:mod:`repro.obs.sampler`), on
+        #: the same terms: a sampler switches :meth:`run` to
+        #: :meth:`_run_observed`, which counts down whole supersteps
+        #: and indexes ``block[3]`` for sampled EIPs.  A ring and a
+        #: sampler attached together are both fed.
         self.sampler = None
         self._next_eip = 0
         self._dispatch = self._build_dispatch()
@@ -424,12 +427,13 @@ class CPU:
         A block is ``(fns, inner_addresses, end_address, addresses)``:
         a tuple of prepared callables for a straight-line run, the set
         of member instruction addresses after the first (the ones a
-        breakpoint check must consult), the end of the block's byte
+        stop-set check must consult), the end of the block's byte
         range (for eviction), and the per-op address tuple (used to
         recover the retired count when a mid-block op faults, since
         every op raises with ``eip`` still at its own address).
         Returns ``None`` outside the cacheable range, or when the
-        first instruction may not join a block.
+        first instruction may not join a block or does not decode (the
+        caller's :meth:`step` then raises its fault).
 
         The block ends at the first control transfer, block-terminating
         mnemonic (traps / ``loop`` family), undecodable tail
@@ -447,10 +451,16 @@ class CPU:
         pc = address
         end = address
         limit = cacheable[1]
-        entry = self.prepared.get(pc)
-        if entry is None:
-            entry = self._prepare(pc)      # first decode fault escapes
         while True:
+            entry = self.prepared.get(pc)
+            if entry is None:
+                try:
+                    entry = self._prepare(pc)
+                except CpuFault:
+                    # Undecodable: end the block before it and let
+                    # step() raise the fault, with eip/instret (and
+                    # any observer) reflecting the instructions before.
+                    break
             fn, instruction, next_eip = entry
             if (instruction.mnemonic in _BLOCK_EXCLUDED
                     or instruction.rep is not None):
@@ -464,15 +474,6 @@ class CPU:
                     or len(fns) >= self.MAX_BLOCK_INSTRUCTIONS):
                 break
             pc = next_eip
-            entry = self.prepared.get(pc)
-            if entry is None:
-                try:
-                    entry = self._prepare(pc)
-                except CpuFault:
-                    # A later instruction is undecodable: end the block
-                    # before it and let step() raise it naturally, with
-                    # eip/instret reflecting the instructions before.
-                    break
         if not fns:
             return None
         block = (tuple(fns), frozenset(addrs[1:]), end, tuple(addrs))
@@ -518,30 +519,40 @@ class CPU:
         if self.trace_hook is not None:
             self.trace_hook(self, instruction)
 
-    def run(self, max_instructions):
-        """Run until exit, fault, or the instruction budget is spent.
+    def run(self, max_instructions, stop=frozenset()):
+        """Run until exit, fault, the instruction budget is spent, or
+        EIP lands on an address in *stop* (before executing it, like a
+        debugger breakpoint).
 
-        Returns ``("exit", code)``, ``("crash", fault)`` or
-        ``("limit", None)``.
+        Returns ``("exit", code)``, ``("crash", fault)``,
+        ``("limit", None)`` or ``("stop", None)``.
+
+        This is the plain superstep loop; it never touches an
+        observer.  ``coverage``/``trace_hook`` switch to the reference
+        loop (:meth:`_run_reference`), a forensic ring or a sampler to
+        :meth:`_run_observed`.  A superstep only skips the stop check
+        between its members when the block is disjoint from *stop*.
         """
         if self.coverage is not None or self.trace_hook is not None:
-            return self._run_stepwise(max_instructions)
-        if self.forensic_ring is not None:
-            return self._run_forensic(max_instructions)
-        if self.sampler is not None:
-            return self._run_sampled(max_instructions)
+            return self._run_reference(max_instructions, stop)
+        if self.forensic_ring is not None or self.sampler is not None:
+            return self._run_observed(max_instructions, stop)
         perf = self.perf
         blocks = self.blocks
         try:
             while not self.halted:
+                if stop and self.eip in stop:
+                    return ("stop", None)
                 remaining = max_instructions - self.instret
                 if remaining <= 0:
                     return ("limit", None)
                 block = blocks.get(self.eip)
                 if block is None:
                     block = self._block_at(self.eip)
-                if block is not None and len(block[0]) <= remaining:
+                if (block is not None and len(block[0]) <= remaining
+                        and (not stop or stop.isdisjoint(block[1]))):
                     fns = block[0]
+                    count = len(fns)
                     try:
                         for fn in fns:
                             fn()
@@ -549,266 +560,103 @@ class CPU:
                         # Every op raises with eip still at its own
                         # address, so eip identifies the faulting op;
                         # retire exactly the ones before it.
-                        executed = block[3].index(self.eip)
-                        self.instret += executed
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += executed
-                        perf.prepared_hits += executed
+                        count = block[3].index(self.eip)
                         raise
-                    count = len(fns)
-                    self.instret += count
-                    perf.superstep_entries += 1
-                    perf.superstep_instructions += count
-                    perf.prepared_hits += count
+                    finally:
+                        self.instret += count
+                        perf.superstep_entries += 1
+                        perf.superstep_instructions += count
+                        perf.prepared_hits += count
                     continue
                 self.step()
         except CpuFault as fault:
             return ("crash", fault)
         return ("exit", getattr(self, "exit_code", 0))
 
-    def _run_forensic(self, max_instructions):
-        """:meth:`run` with the forensic ring attached.
+    def _run_observed(self, max_instructions, stop):
+        """:meth:`run` with a forensic ring, a sampler, or both.
 
-        A separate loop (rather than an in-loop ``if ring``) so the
-        plain fast path pays nothing when forensics is off.  Ring
-        appends reuse the block's prebuilt ``block[3]`` address tuple
-        -- one append per superstep, no tuple construction -- and a
-        mid-block fault truncates the final entry to the ops up to and
-        including the faulting one, so the ring always ends at the
-        instruction the crash report points at.
+        A separate loop so the plain one pays nothing for observers.
+        Both feed off the block's prebuilt ``block[3]`` address tuple:
+
+        * the ring gets one append per superstep (one EIP per step);
+          a mid-block fault truncates the last entry to the ops up to
+          and including the faulting one, so the ring always ends at
+          the instruction the crash report points at;
+        * the sampler's ``skip`` counts retired instructions down to
+          the next sample, usually one comparison and one subtraction
+          per superstep.  A faulting instruction did not retire and
+          is never sampled, so the profile stays exact.
         """
         perf = self.perf
         blocks = self.blocks
         ring = self.forensic_ring
-        ring_append = ring.append
-        try:
-            while not self.halted:
-                remaining = max_instructions - self.instret
-                if remaining <= 0:
-                    return ("limit", None)
-                block = blocks.get(self.eip)
-                if block is None:
-                    block = self._block_at(self.eip)
-                if block is not None and len(block[0]) <= remaining:
-                    fns = block[0]
-                    ring_append(block[3])
-                    try:
-                        for fn in fns:
-                            fn()
-                    except BaseException:
-                        executed = block[3].index(self.eip)
-                        ring[-1] = block[3][:executed + 1]
-                        self.instret += executed
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += executed
-                        perf.prepared_hits += executed
-                        raise
-                    count = len(fns)
-                    self.instret += count
-                    perf.superstep_entries += 1
-                    perf.superstep_instructions += count
-                    perf.prepared_hits += count
-                    continue
-                ring_append(self.eip)
-                self.step()
-        except CpuFault as fault:
-            return ("crash", fault)
-        return ("exit", getattr(self, "exit_code", 0))
-
-    def _run_sampled(self, max_instructions):
-        """:meth:`run` with a sampling profiler attached.
-
-        A separate loop (same discipline as :meth:`_run_forensic`) so
-        the plain fast path pays nothing when profiling is off.
-        ``skip`` counts instructions until the next sample; a whole
-        superstep is usually skipped with one comparison and one
-        subtraction, and sampled EIPs come from the prebuilt
-        ``block[3]`` address tuple.  Sampling is in *retired
-        instructions*, so a mid-block fault samples only the ops that
-        retired before the faulting one -- the profile stays exact
-        and deterministic.
-        """
-        perf = self.perf
-        blocks = self.blocks
+        ring_append = ring.append if ring is not None else None
         sampler = self.sampler
-        samples = sampler.samples
-        period = sampler.period
-        skip = sampler.skip
+        if sampler is not None:
+            samples, period, skip = (sampler.samples, sampler.period,
+                                     sampler.skip)
         try:
             while not self.halted:
+                if stop and self.eip in stop:
+                    return ("stop", None)
                 remaining = max_instructions - self.instret
                 if remaining <= 0:
                     return ("limit", None)
                 block = blocks.get(self.eip)
                 if block is None:
                     block = self._block_at(self.eip)
-                if block is not None and len(block[0]) <= remaining:
-                    fns = block[0]
+                if (block is not None and len(block[0]) <= remaining
+                        and (not stop or stop.isdisjoint(block[1]))):
+                    addrs = block[3]
+                    count = len(addrs)
+                    if ring_append is not None:
+                        ring_append(addrs)
                     try:
-                        for fn in fns:
+                        for fn in block[0]:
                             fn()
                     except BaseException:
-                        addrs = block[3]
-                        executed = addrs.index(self.eip)
-                        while skip < executed:
-                            eip = addrs[skip]
-                            samples[eip] = samples.get(eip, 0) + 1
-                            skip += period
-                        skip -= executed
-                        self.instret += executed
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += executed
-                        perf.prepared_hits += executed
+                        count = addrs.index(self.eip)
+                        if ring_append is not None:
+                            ring[-1] = addrs[:count + 1]
                         raise
-                    count = len(fns)
-                    if skip < count:
-                        addrs = block[3]
-                        while skip < count:
-                            eip = addrs[skip]
-                            samples[eip] = samples.get(eip, 0) + 1
-                            skip += period
-                    skip -= count
-                    self.instret += count
-                    perf.superstep_entries += 1
-                    perf.superstep_instructions += count
-                    perf.prepared_hits += count
+                    finally:
+                        if sampler is not None:
+                            while skip < count:
+                                eip = addrs[skip]
+                                samples[eip] = samples.get(eip, 0) + 1
+                                skip += period
+                            skip -= count
+                        self.instret += count
+                        perf.superstep_entries += 1
+                        perf.superstep_instructions += count
+                        perf.prepared_hits += count
                     continue
-                if skip == 0:
-                    eip = self.eip
-                    samples[eip] = samples.get(eip, 0) + 1
-                    skip = period
+                eip = self.eip
+                if ring_append is not None:
+                    ring_append(eip)
                 self.step()
-                skip -= 1
+                if sampler is not None:
+                    if skip == 0:
+                        samples[eip] = samples.get(eip, 0) + 1
+                        skip = period
+                    skip -= 1
         except CpuFault as fault:
             return ("crash", fault)
         finally:
-            sampler.skip = skip
+            if sampler is not None:
+                sampler.skip = skip
         return ("exit", getattr(self, "exit_code", 0))
 
-    def _run_stepwise(self, max_instructions):
-        """Reference run loop (used whenever instrumentation needs a
-        hook between every instruction)."""
+    def _run_reference(self, max_instructions, stop):
+        """:meth:`run` through :meth:`slow_step` only: the loop for
+        instrumentation that needs a hook between every instruction,
+        and the spec the other two are differentially tested
+        against."""
         try:
             while not self.halted:
-                if self.instret >= max_instructions:
-                    return ("limit", None)
-                self.slow_step()
-        except CpuFault as fault:
-            return ("crash", fault)
-        return ("exit", getattr(self, "exit_code", 0))
-
-    def run_until(self, breakpoint_address, max_instructions):
-        """Run until EIP equals *breakpoint_address* (before executing
-        it), mirroring a debugger breakpoint.  Returns one of
-        ``("breakpoint", None)``, ``("exit", code)``,
-        ``("crash", fault)``, ``("limit", None)``.
-        """
-        if self.coverage is not None or self.trace_hook is not None:
-            return self._run_until_stepwise(breakpoint_address,
-                                            max_instructions)
-        perf = self.perf
-        blocks = self.blocks
-        try:
-            while not self.halted:
-                eip = self.eip
-                if eip == breakpoint_address:
-                    return ("breakpoint", None)
-                if self.instret >= max_instructions:
-                    return ("limit", None)
-                block = blocks.get(eip)
-                if block is None:
-                    block = self._block_at(eip)
-                if (block is not None
-                        and len(block[0]) <= max_instructions
-                        - self.instret
-                        and breakpoint_address not in block[1]):
-                    fns = block[0]
-                    try:
-                        for fn in fns:
-                            fn()
-                    except BaseException:
-                        executed = block[3].index(self.eip)
-                        self.instret += executed
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += executed
-                        perf.prepared_hits += executed
-                        raise
-                    count = len(fns)
-                    self.instret += count
-                    perf.superstep_entries += 1
-                    perf.superstep_instructions += count
-                    perf.prepared_hits += count
-                    continue
-                self.step()
-        except CpuFault as fault:
-            return ("crash", fault)
-        return ("exit", getattr(self, "exit_code", 0))
-
-    def _run_until_stepwise(self, breakpoint_address, max_instructions):
-        try:
-            while not self.halted:
-                if self.eip == breakpoint_address:
-                    return ("breakpoint", None)
-                if self.instret >= max_instructions:
-                    return ("limit", None)
-                self.slow_step()
-        except CpuFault as fault:
-            return ("crash", fault)
-        return ("exit", getattr(self, "exit_code", 0))
-
-    def run_watched(self, watch, max_instructions):
-        """Run until EIP lands on any address in the *watch* set (before
-        executing it).  A set-valued :meth:`run_until`: supersteps skip
-        the check only for blocks provably disjoint from the watch set,
-        so the fast path keeps its throughput.  Returns one of
-        ``("watched", None)``, ``("exit", code)``, ``("crash", fault)``,
-        ``("limit", None)``.
-        """
-        if self.coverage is not None or self.trace_hook is not None:
-            return self._run_watched_stepwise(watch, max_instructions)
-        perf = self.perf
-        blocks = self.blocks
-        try:
-            while not self.halted:
-                eip = self.eip
-                if eip in watch:
-                    return ("watched", None)
-                if self.instret >= max_instructions:
-                    return ("limit", None)
-                block = blocks.get(eip)
-                if block is None:
-                    block = self._block_at(eip)
-                if (block is not None
-                        and len(block[0]) <= max_instructions
-                        - self.instret
-                        and watch.isdisjoint(block[1])):
-                    fns = block[0]
-                    try:
-                        for fn in fns:
-                            fn()
-                    except BaseException:
-                        executed = block[3].index(self.eip)
-                        self.instret += executed
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += executed
-                        perf.prepared_hits += executed
-                        raise
-                    count = len(fns)
-                    self.instret += count
-                    perf.superstep_entries += 1
-                    perf.superstep_instructions += count
-                    perf.prepared_hits += count
-                    continue
-                self.step()
-        except CpuFault as fault:
-            return ("crash", fault)
-        return ("exit", getattr(self, "exit_code", 0))
-
-    def _run_watched_stepwise(self, watch, max_instructions):
-        try:
-            while not self.halted:
-                if self.eip in watch:
-                    return ("watched", None)
+                if stop and self.eip in stop:
+                    return ("stop", None)
                 if self.instret >= max_instructions:
                     return ("limit", None)
                 self.slow_step()

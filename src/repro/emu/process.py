@@ -38,7 +38,8 @@ class ExitStatus:
     ``kind`` is ``"exit"`` (voluntary), ``"crash"`` (fault/signal) or
     ``"limit"`` (instruction budget exhausted -- the emulator's stand-in
     for a hung process that a client-side timeout would eventually
-    notice).
+    notice); :meth:`Process.run_until` and :meth:`Process.run_watched`
+    also stop on ``"breakpoint"`` and ``"watched"``.
     """
 
     kind: str
@@ -138,22 +139,24 @@ class Process:
     # ------------------------------------------------------------------
 
     def run(self, max_instructions=DEFAULT_MAX_INSTRUCTIONS):
-        outcome, payload = self.cpu.run(max_instructions)
-        return self._status(outcome, payload)
+        return self._status(*self.cpu.run(max_instructions))
 
     def run_until(self, address, max_instructions=DEFAULT_MAX_INSTRUCTIONS):
-        outcome, payload = self.cpu.run_until(address, max_instructions)
-        if outcome == "breakpoint":
-            return ExitStatus(kind="breakpoint", instret=self.cpu.instret)
-        return self._status(outcome, payload)
+        """Run until EIP reaches *address*, before executing it (a
+        debugger breakpoint): a ``breakpoint`` status."""
+        return self._status(*self.cpu.run(max_instructions,
+                                          frozenset((address,))),
+                            stop_kind="breakpoint")
 
     def run_watched(self, watch, max_instructions=DEFAULT_MAX_INSTRUCTIONS):
-        outcome, payload = self.cpu.run_watched(watch, max_instructions)
-        if outcome == "watched":
-            return ExitStatus(kind="watched", instret=self.cpu.instret)
-        return self._status(outcome, payload)
+        """Run until EIP lands on any address of the *watch* set,
+        before executing it: a ``watched`` status."""
+        return self._status(*self.cpu.run(max_instructions, watch),
+                            stop_kind="watched")
 
-    def _status(self, outcome, payload):
+    def _status(self, outcome, payload, stop_kind="stop"):
+        if outcome == "stop":
+            return ExitStatus(kind=stop_kind, instret=self.cpu.instret)
         if outcome == "exit":
             return ExitStatus(kind="exit", exit_code=payload,
                               instret=self.cpu.instret)

@@ -51,7 +51,7 @@ from ..emu.perf import PerfCounters
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, record_supervision_metrics
 from ..obs.sampler import as_sampler, Sampler
-from ..obs.trace import merge_trace_files, Tracer
+from ..obs.trace import Tracer, write_trace_file
 from .campaign import CampaignResult, RunOptions
 from .faultmodels import get_fault_model
 from .golden import record_golden
@@ -1142,7 +1142,7 @@ class WorkerFleet:
                 unit_events = state.payloads[index].get("trace")
                 if unit_events:
                     events.extend(unit_events)
-            merge_trace_files(str(options.trace), events, [])
+            write_trace_file(str(options.trace), events)
         if options.metrics is not None and registry is not None:
             registry.save(options.metrics)
 

@@ -70,7 +70,6 @@ import time
 import zlib
 from dataclasses import dataclass, field, replace
 
-from ..emu.machine_exceptions import CpuFault
 from ..kernel import ServerHang
 from ..x86 import (DecodeOutOfBytesError, InvalidOpcodeError,
                    KIND_COND_BRANCH, KIND_JUMP, decode,
@@ -163,9 +162,9 @@ class GuardedWatchdog(Watchdog):
     the site's watch window.
 
     The corrupted site itself is inside the window, so the first
-    instruction is stepped manually; after that the run proceeds in
-    ordinary watchdog slices until it either finishes or lands on a
-    watched address.
+    instruction runs as a one-instruction slice; after that the run
+    proceeds in ordinary watchdog slices until it either finishes or
+    lands on a watched address.
 
     Landing back on the site itself (``eip == site``) -- a loop
     re-executing the corrupted instruction, by far the most common
@@ -221,14 +220,22 @@ class GuardedWatchdog(Watchdog):
         config = self.config
         started = time.monotonic()
         cpu = process.cpu
+        # The corrupted instruction first, then each lock-step re-step,
+        # runs as a one-instruction slice of the CPU's run loop, so an
+        # attached forensic ring or sampler sees it like any other.
+        stepping = cpu.instret < budget
         try:
-            if not cpu.halted and cpu.instret < budget:
-                cpu.step()                # the corrupted instruction
             while True:
                 if cpu.halted:
                     status = process._status(
                         "exit", getattr(cpu, "exit_code", 0))
                     break
+                if stepping:
+                    stepping = False
+                    status = process._status(*cpu.run(cpu.instret + 1))
+                    if status.kind == "crash":
+                        break
+                    continue
                 ceiling = min(cpu.instret + config.slice_instructions,
                               budget)
                 if self.tripped:
@@ -241,7 +248,7 @@ class GuardedWatchdog(Watchdog):
                                 and self.dispositions
                                 and self._members_agree(cpu)):
                             self.rechecks += 1
-                            cpu.step()    # still in lock-step
+                            stepping = True
                         else:
                             self.tripped = True
                         continue
@@ -255,12 +262,6 @@ class GuardedWatchdog(Watchdog):
                             eip_low=cpu.eip, eip_high=cpu.eip,
                             elapsed=elapsed)
                         return status
-        except CpuFault as fault:
-            # only the manual steps (first instruction, recheck
-            # re-steps) can raise here; the run loops convert their
-            # own faults to a crash status.  A recheck-step fault is
-            # member-independent: the members were in lock-step.
-            return process._status("crash", fault)
         except ServerHang as hang:
             status = process._status("limit", None)
             status.kind = "hang"

@@ -45,7 +45,6 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..emu.machine_exceptions import CpuFault
 from ..emu.perf import PerfCounters
 from ..kernel import ServerHang
 from ..obs.forensics import capture_forensics, make_forensic_ring
@@ -251,12 +250,13 @@ class Watchdog:
         return status
 
     def _probe(self, process):
-        """Single-step past the budget and measure EIP diversity."""
+        """Single-step past the budget and measure EIP diversity.
+
+        Each step is a one-instruction slice of the CPU's run loop, so
+        an attached forensic ring or sampler sees it (a HANG snapshot
+        then shows the loop body)."""
         config = self.config
         cpu = process.cpu
-        # The probe bypasses the run loops, so feed the forensic ring
-        # here; a HANG snapshot then shows the loop body.
-        ring = getattr(cpu, "forensic_ring", None)
         self.probes += 1
         seen = self.probe_seen = set()
         with self.tracer.span("watchdog-probe", cat="watchdog") as span:
@@ -265,11 +265,10 @@ class Watchdog:
                     if cpu.halted:
                         return HangProbe()    # exited: was progressing
                     seen.add(cpu.eip)
-                    if ring is not None:
-                        ring.append(cpu.eip)
-                    cpu.step()
-            except (CpuFault, ServerHang):
-                return HangProbe()            # faulted: was progressing
+                    if cpu.run(cpu.instret + 1)[0] == "crash":
+                        return HangProbe()    # faulted: was progressing
+            except ServerHang:
+                return HangProbe()            # hung up: was progressing
             except Exception:
                 return HangProbe()            # inconclusive
             finally:

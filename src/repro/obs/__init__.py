@@ -43,7 +43,7 @@ from .ring import RingBuffer, TraceRecorder
 from .sampler import (hotspot_table, load_profile, Sampler,
                       write_collapsed)
 from .top import fold_events, render_top, view_from_journals
-from .trace import merge_trace_files, NULL_TRACER, Tracer
+from .trace import NULL_TRACER, Tracer
 
 __all__ = [
     "capture_forensics",
@@ -58,7 +58,6 @@ __all__ = [
     "load_event_stream",
     "load_profile",
     "merge_event_streams",
-    "merge_trace_files",
     "MetricsRegistry",
     "NULL_TRACER",
     "ProgressReporter",

@@ -8,12 +8,17 @@ module attributes *retired guest instructions* to guest code.  A
 profile of a given campaign is deterministic and byte-identical
 across reruns, worker counts and host load.
 
-Zero-overhead-when-off discipline (same as the forensic ring): the
-plain ``CPU.run`` fast loop never tests the sampler; attaching one
-switches dispatch to a separate ``_run_sampled`` loop whose only
-per-superstep cost is one integer comparison against the prebuilt
-``block[3]`` address tuple.  Detached cost is exactly zero by
-construction and the attached overhead is regression-gated at <= 5%
+Zero-overhead-when-off discipline (shared with the forensic ring):
+the plain ``CPU.run`` loop never references the sampler; attaching
+one switches dispatch to ``CPU._run_observed``, the loop that feeds
+the sampler and the forensic ring alike (both at once when both are
+attached).  Its per-superstep sampler cost is a ``None`` test, one
+integer comparison and one subtraction, with sampled EIPs indexed out
+of the prebuilt ``block[3]`` address tuple.  While a sampler is attached, every way
+of running the CPU -- to a breakpoint, over a watch window, or one
+instruction at a time as the pruning guard does -- goes through that
+loop.  Detached cost is exactly zero by construction and the attached
+overhead is regression-gated at <= 5%
 (``benchmarks/bench_emulator_speed.py::test_sampler_overhead``).
 
 Two attributions are recorded:

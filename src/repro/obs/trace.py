@@ -24,10 +24,10 @@ library users can inspect programmatically, so always-on tracing
 cannot grow without bound.
 
 Timestamps come from ``time.monotonic_ns()``, which on Linux is
-shared across forked worker processes, so shard spans land on the
-same timeline as the parent's and merging is pure concatenation
-(:func:`merge_trace_files`, shard files in enumeration order, like
-journals).
+shared across forked worker processes, so worker spans land on the
+same timeline as the parent's.  The fleet ships each work unit's
+events back to the parent, which appends them to its own in unit
+order and writes one file (:func:`write_trace_file`).
 """
 
 from __future__ import annotations
@@ -214,12 +214,6 @@ def as_tracer(trace, tid=0):
     return Tracer(sink=trace, tid=tid)
 
 
-def shard_trace_path(trace, shard):
-    """Per-worker sink path, mirroring the journal's ``.shardK``
-    naming."""
-    return "%s.shard%d" % (trace, shard)
-
-
 def write_trace_file(path, events):
     """Write *events* as a Chrome trace JSON object."""
     with open(path, "w") as handle:
@@ -236,26 +230,3 @@ def load_trace_file(path):
     if isinstance(payload, list):
         return payload
     return payload["traceEvents"]
-
-
-def merge_trace_files(out_path, parent_events, shard_paths):
-    """Combine the parent's events with each shard file's events, in
-    shard-enumeration order, into one loadable trace file.
-
-    Monotonic timestamps are shared across forked workers, so a plain
-    concatenation preserves temporal containment: every shard span
-    falls inside the parent's campaign span.
-    """
-    events = list(parent_events)
-    for path in shard_paths:
-        try:
-            events.extend(load_trace_file(path))
-        except FileNotFoundError:
-            continue
-        except ValueError:
-            # A worker killed mid-save (chaos, SIGKILL of a wedged
-            # shard) can leave a torn sink; the merged trace must
-            # still load.  json.JSONDecodeError subclasses ValueError.
-            continue
-    write_trace_file(out_path, events)
-    return events

@@ -211,6 +211,19 @@ class TestSampledCampaign:
         # sharding must not move a single sample
         assert samples(parallel_path) == samples(serial_path)
 
+    def test_forensics_leaves_the_profile_unchanged(self, ftp_daemon,
+                                                     tmp_path):
+        def samples(name, **options):
+            path = tmp_path / name
+            run_campaign(ftp_daemon, "Client1", client1,
+                         max_points=SLICE, profile=str(path), **options)
+            return json.loads(path.read_text())["samples"]
+
+        plain = samples("plain.json")
+        assert plain
+        # the ring and the sampler are fed by the same loop
+        assert samples("forensic.json", forensics=True) == plain
+
     def test_sampling_does_not_change_tallies(self, ftp_daemon,
                                               plain_campaign,
                                               tmp_path):

@@ -6,10 +6,16 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.ftpd import client1
+from repro.emu import Process
 from repro.injection import (enumerate_points, get_fault_model,
                              record_golden, run_campaign)
 from repro.injection.pruning import (_classify_replacement,
-                                     PRUNE_DEAD, PRUNE_SOLO)
+                                     GuardedWatchdog, PRUNE_DEAD,
+                                     PRUNE_SOLO)
+from repro.injection.runner import Watchdog, WatchdogConfig
+from repro.kernel import Kernel
+from repro.obs.forensics import flatten_ring, make_forensic_ring
+from repro.x86 import assemble
 
 SLICE = 160   # experiments per campaign in these fast tests
 
@@ -153,3 +159,50 @@ class TestJournalResume:
             == [(r.point.key, r.outcome, r.class_id)
                 for r in first.results]
         assert resumed.counts() == pruned.counts()
+
+
+# the site loads a data address; flipping the immediate's top bit
+# points it into unmapped memory, so the run crashes two instructions
+# later, never revisiting the site
+GUARDED_CRASH = """
+.text
+.global _start
+_start:
+    movl $1, %eax
+    movl $2, %edx
+site:
+    movl $word, %ebx
+    addl $1, %eax
+    movl (%ebx), %ecx
+    movl $1, %eax
+    movl $0, %ebx
+    int $0x80
+.data
+word:
+    .long 7
+"""
+
+
+class TestGuardedWatchdog:
+    def _crash_ring(self, make_watchdog):
+        module = assemble(GUARDED_CRASH)
+        site = module.address_of("site")
+        process = Process(module, Kernel())
+        assert process.run_until(site).kind == "breakpoint"
+        process.flip_bit(site + 4, 7)          # top byte of the imm32
+        process.cpu.forensic_ring = make_forensic_ring()
+        watchdog = make_watchdog(site)
+        status = watchdog.run(process, 10_000)
+        assert status.kind == "crash"
+        ring = flatten_ring(process.cpu.forensic_ring)
+        assert ring[0] == site and ring[-1] == status.fault_eip
+        return ring, watchdog
+
+    def test_ring_matches_plain_watchdog_ring(self):
+        plain, __ = self._crash_ring(lambda site: Watchdog())
+        guarded, guard = self._crash_ring(
+            lambda site: GuardedWatchdog(
+                WatchdogConfig(), range(site, site + 5), site=site))
+        assert not guard.tripped
+        # the stepped corrupted instruction is in the ring too
+        assert guarded == plain

@@ -1,5 +1,4 @@
-"""Span tracing: event shape, attribute bags, sinks, and shard-file
-merging."""
+"""Span tracing: event shape, attribute bags and sinks."""
 
 from __future__ import annotations
 
@@ -7,9 +6,8 @@ import json
 
 import pytest
 
-from repro.obs import merge_trace_files, NULL_TRACER, Tracer
-from repro.obs.trace import (as_tracer, load_trace_file, NullTracer,
-                             shard_trace_path, write_trace_file)
+from repro.obs import NULL_TRACER, Tracer
+from repro.obs.trace import as_tracer, load_trace_file, NullTracer
 
 
 def make_clock(start=1000, tick=10):
@@ -101,27 +99,3 @@ class TestNullTracer:
         sink_bound = as_tracer(str(tmp_path / "t.json"), tid=2)
         assert sink_bound.sink == str(tmp_path / "t.json")
         assert sink_bound.tid == 2
-
-
-class TestMerge:
-    def test_merge_preserves_shard_order(self, tmp_path):
-        paths = []
-        for shard in range(3):
-            path = shard_trace_path(str(tmp_path / "trace.json"), shard)
-            write_trace_file(path, [{"name": "shard", "ph": "X",
-                                     "ts": shard, "dur": 1, "pid": 1,
-                                     "tid": shard + 1, "args": {}}])
-            paths.append(path)
-        out = str(tmp_path / "trace.json")
-        parent = [{"name": "campaign", "ph": "X", "ts": 0, "dur": 10,
-                   "pid": 1, "tid": 0, "args": {}}]
-        events = merge_trace_files(out, parent, paths)
-        assert [event["tid"] for event in events] == [0, 1, 2, 3]
-        assert load_trace_file(out) == events
-
-    def test_merge_skips_missing_shard_files(self, tmp_path):
-        out = str(tmp_path / "trace.json")
-        events = merge_trace_files(
-            out, [], [str(tmp_path / "trace.json.shard0")])
-        assert events == []
-        assert load_trace_file(out) == []

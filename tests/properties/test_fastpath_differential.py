@@ -8,16 +8,34 @@ experiment can observe: registers, EIP, the full EFLAGS word,
 ``instret``, memory contents, exit/fault kind and fault detail.  Any
 divergence here would silently corrupt campaign tallies, so this test
 is the executable contract for the whole optimisation.
+
+Stop sets and observers are inputs too: every combination of a
+forensic ring and a sampler must leave the run unchanged, the ring
+must hold exactly the retired instructions (plus the faulting one),
+and the sampler exactly every ``SAMPLE_PERIOD``-th retired one.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cc import compile_program
 from repro.emu import CPU, Memory, Process
 from repro.kernel import Kernel, ScriptedClient
+from repro.obs import RingBuffer, Sampler
+from repro.obs.forensics import flatten_ring
 from repro.x86.flags import FLAGS_USER_MASK
+
+SAMPLE_PERIOD = 3
+
+OBSERVERS = st.sampled_from([(), ("ring",), ("sampler",),
+                             ("ring", "sampler")])
+
+#: stop addresses over the blob's span (most are not instruction
+#: starts; the ones that are end the run early)
+STOPS = st.frozensets(st.integers(0x1000, 0x1030), max_size=3)
 
 
 class NullClient(ScriptedClient):
@@ -59,32 +77,75 @@ def _fingerprint(cpu, memory, outcome):
     }
 
 
-def _run_engine(blob, fast, budget=300):
+def _attach(cpu, observers):
+    """Attach the named observers to the fast engine."""
+    if "ring" in observers:
+        cpu.forensic_ring = RingBuffer()
+    if "sampler" in observers:
+        cpu.sampler = Sampler(SAMPLE_PERIOD)
+
+
+def _observed(cpu, limit):
+    """What the attached observers saw."""
+    seen = {}
+    if cpu.forensic_ring is not None:
+        seen["ring"] = flatten_ring(cpu.forensic_ring, last_n=limit)
+    if cpu.sampler is not None:
+        seen["sampler"] = Counter(cpu.sampler.samples)
+    return seen
+
+
+def _expected(retired, outcome, eip, observers):
+    """What the observers must see, given the reference loop's retired
+    EIPs: a ring ends at the instruction that raised."""
+    seen = {}
+    if "ring" in observers:
+        raised = outcome[0] in ("crash", "raised")
+        seen["ring"] = retired + [eip] if raised else retired
+    if "sampler" in observers:
+        seen["sampler"] = Counter(
+            retired[SAMPLE_PERIOD - 1::SAMPLE_PERIOD])
+    return seen
+
+
+def _run_engine(blob, fast, budget=300, stop=frozenset(),
+                observers=()):
+    """Fingerprint of one run, plus the fast engine's observers or
+    the reference loop's retired EIPs."""
     cpu, memory = _machine(blob)
+    retired = []
     if fast:
         cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
+        _attach(cpu, observers)
     else:
         # any instrumentation forces the reference stepwise loop
         cpu.coverage = set()
+        cpu.trace_hook = lambda cpu, instruction: retired.append(
+            instruction.address)
     try:
-        outcome = cpu.run(budget)
+        outcome = cpu.run(budget, stop)
     except Exception as exc:      # non-architectural escape (hangs...)
         outcome = ("raised", type(exc).__name__)
-    return _fingerprint(cpu, memory, outcome)
+    seen = _observed(cpu, budget + 1) if fast else retired
+    return _fingerprint(cpu, memory, outcome), seen
 
 
-def _assert_equivalent(blob, budget=300):
-    fast = _run_engine(blob, fast=True, budget=budget)
-    slow = _run_engine(blob, fast=False, budget=budget)
+def _assert_equivalent(blob, budget=300, stop=frozenset(),
+                       observers=()):
+    fast, seen = _run_engine(blob, True, budget, stop, observers)
+    slow, retired = _run_engine(blob, False, budget, stop)
     assert fast == slow
+    assert seen == _expected(retired, slow["outcome"], slow["eip"],
+                             observers)
 
 
 @settings(max_examples=150, deadline=None)
-@given(blob=st.binary(min_size=1, max_size=32))
-def test_random_byte_soup_equivalent(blob):
+@given(blob=st.binary(min_size=1, max_size=32), stop=STOPS,
+       observers=OBSERVERS)
+def test_random_byte_soup_equivalent(blob, stop, observers):
     """Arbitrary (mostly-faulting) byte streams retire the same state
     down both paths."""
-    _assert_equivalent(blob)
+    _assert_equivalent(blob, stop=stop, observers=observers)
 
 
 @settings(max_examples=80, deadline=None)
@@ -108,23 +169,23 @@ def test_random_byte_soup_equivalent(blob):
     b"\x90",                  # nop
     b"\xcd\x80",              # int 0x80
     b"\x0f\x31",              # rdtsc (reads instret)
-]), min_size=1, max_size=24))
-def test_compiler_like_streams_equivalent(ops):
+]), min_size=1, max_size=24), stop=STOPS, observers=OBSERVERS)
+def test_compiler_like_streams_equivalent(ops, stop, observers):
     """Streams built from the specialised mnemonics (the ones with
     hand-written fast-path closures) stay equivalent, including
     ``int``/``rdtsc`` which observe ``instret`` mid-block."""
-    _assert_equivalent(b"".join(ops))
+    _assert_equivalent(b"".join(ops), stop=stop, observers=observers)
 
 
 @settings(max_examples=40, deadline=None)
 @given(blob=st.binary(min_size=4, max_size=16),
-       flip=st.integers(0, 127))
-def test_flipped_streams_equivalent(blob, flip):
+       flip=st.integers(0, 127), stop=STOPS, observers=OBSERVERS)
+def test_flipped_streams_equivalent(blob, flip, stop, observers):
     """Single-bit corruptions of a stream (the study's fault model)
     keep both engines in lockstep."""
     corrupted = bytearray(blob)
     corrupted[(flip // 8) % len(blob)] ^= 1 << (flip % 8)
-    _assert_equivalent(bytes(corrupted))
+    _assert_equivalent(bytes(corrupted), stop=stop, observers=observers)
 
 
 _C_PROGRAMS = [
@@ -162,24 +223,33 @@ _C_PROGRAMS = [
 
 def test_compiled_programs_equivalent():
     """Full compiled programs exit with identical state down both
-    engines (the benchmark's own workload shape)."""
+    engines (the benchmark's own workload shape), with every observer
+    combination on the fast one."""
     for source in _C_PROGRAMS:
         program = compile_program(source)
 
-        fast = Process(program.module, Kernel())
-        fast_status = fast.run(2_000_000)
-
         slow = Process(program.module, Kernel())
+        retired = []
         slow.cpu.coverage = set()      # force the reference loop
+        slow.cpu.trace_hook = lambda cpu, instruction: retired.append(
+            instruction.address)
         slow_status = slow.run(2_000_000)
 
-        assert fast_status.kind == slow_status.kind == "exit"
-        assert fast_status.exit_code == slow_status.exit_code
-        assert fast_status.instret == slow_status.instret
-        assert fast.cpu.regs == slow.cpu.regs
-        assert fast.cpu.eip == slow.cpu.eip
-        assert (fast.cpu.eflags & FLAGS_USER_MASK
-                == slow.cpu.eflags & FLAGS_USER_MASK)
-        for fast_region, slow_region in zip(fast.cpu.memory.regions,
-                                            slow.cpu.memory.regions):
-            assert bytes(fast_region.data) == bytes(slow_region.data)
+        for observers in ((), ("ring",), ("sampler",),
+                          ("ring", "sampler")):
+            fast = Process(program.module, Kernel())
+            _attach(fast.cpu, observers)
+            fast_status = fast.run(2_000_000)
+
+            assert fast_status.kind == slow_status.kind == "exit"
+            assert fast_status.exit_code == slow_status.exit_code
+            assert fast_status.instret == slow_status.instret
+            assert fast.cpu.regs == slow.cpu.regs
+            assert fast.cpu.eip == slow.cpu.eip
+            assert (fast.cpu.eflags & FLAGS_USER_MASK
+                    == slow.cpu.eflags & FLAGS_USER_MASK)
+            for fast_region, slow_region in zip(
+                    fast.cpu.memory.regions, slow.cpu.memory.regions):
+                assert bytes(fast_region.data) == bytes(slow_region.data)
+            assert _observed(fast.cpu, len(retired)) == _expected(
+                retired, ("exit", 0), fast.cpu.eip, observers)
