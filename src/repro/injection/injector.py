@@ -11,14 +11,22 @@ post-activation suffix for each of the instruction's bits.  Outcomes
 are exactly those of a naive per-bit rerun; campaigns just finish
 about an order of magnitude sooner.
 
-The snapshot is a :class:`~repro.injection.snapshot.MachineSnapshot`:
-restore writes back only pages the previous suffix dirtied and clones
-the kernel through the explicit ``clone()`` protocol instead of
+The emulator itself is a :class:`Machine`: one warm
+:class:`~repro.emu.Process` per daemon image, whose decode,
+prepared-op and block caches survive from site to site.  A
+:class:`BreakpointSession` owns no process; it is an immutable
+:class:`~repro.injection.snapshot.MachineSnapshot` (memory, CPU and
+the pristine breakpoint-time kernel) bound to a machine.  Building a
+session resets the machine to its boot image and runs the prefix to
+the site; :meth:`BreakpointSession.acquire` puts the machine back at
+the session's state when another session has used it since.  Restore
+between bits writes back only pages the previous suffix dirtied and
+clones the kernel through the explicit ``clone()`` protocol instead of
 ``copy.deepcopy``.  The prefix run depends only on the daemon image
 and the scripted client -- not on the fault model or instruction
 encoding -- so one session (and its snapshot) is reusable across every
 model and bit aimed at that instruction; :class:`SessionCache` keys
-sessions accordingly.
+sessions accordingly and holds one machine per daemon.
 """
 
 from __future__ import annotations
@@ -41,8 +49,88 @@ def plain_run(process, budget):
     return status
 
 
+class Machine:
+    """One warm :class:`~repro.emu.Process` for one daemon image.
+
+    Sessions at different sites of the daemon take turns on it, so its
+    CPU caches are filled once instead of once per site.  Cache
+    coherence therefore lives here, not in a session: the text
+    addresses poked since the last restore (:attr:`dirty_text`), the
+    CPU's ``decode_log`` that :meth:`restore` drains through
+    ``evict_suspect_decodes``, and the perf-counter baseline of
+    :meth:`take_perf_delta`.  Every snapshot it is restored from holds
+    pristine text, so after a restore the caches are exact.
+    """
+
+    def __init__(self, daemon):
+        #: kept so ``id(daemon)`` (the :class:`SessionCache` key)
+        #: cannot be recycled while the machine lives.
+        self.daemon = daemon
+        self.process = Process(daemon.module)
+        #: the state right after construction; every prefix run
+        #: starts from a full restore of it (:meth:`reboot`).
+        self.boot_image = MachineSnapshot.capture(self.process, None)
+        #: the session whose snapshot the memory, CPU and installed
+        #: kernel derive from; ``None`` at boot and during a prefix.
+        self.owner = None
+        #: text addresses poked since the last restore; the only ones
+        #: whose cached decodes can be stale once text is restored.
+        self.dirty_text = set()
+        #: perf-counter values already credited to a runner; lets the
+        #: machine serve several runners without double counting.
+        self._perf_taken = {}
+        # Log cache inserts so each restore can evict exactly the
+        # decodes built from modified text.
+        self.process.cpu.decode_log = []
+
+    def install_kernel(self, kernel):
+        self.process.cpu.kernel = kernel
+        self.process.kernel = kernel
+        return kernel
+
+    def reboot(self, kernel):
+        """Reset to the boot image with *kernel* installed and no
+        observer attached: the start state of a prefix run, identical
+        to a freshly constructed process's."""
+        self.restore(self.boot_image, full=True)
+        self.owner = None
+        cpu = self.process.cpu
+        cpu.forensic_ring = None
+        cpu.sampler = None
+        return self.install_kernel(kernel)
+
+    def restore(self, snapshot, full=False):
+        """Revert memory (pages dirtied since the last capture or
+        restore, or every page when *full*) and CPU to *snapshot*;
+        returns the number of pages written back.
+
+        Text is back to the pristine image from which every cached
+        decode outside the log was built, so only decodes built while
+        poked bytes were in place are evicted; the rest stay warm.
+        """
+        pages = snapshot.restore_memory(self.process.memory, full=full)
+        cpu = self.process.cpu
+        snapshot.restore_cpu(cpu)
+        cpu.evict_suspect_decodes(self.dirty_text)
+        self.dirty_text.clear()
+        return pages
+
+    def take_perf_delta(self):
+        """Perf counters accumulated since the last call -- the share
+        of this machine's work not yet credited to any runner."""
+        counters = self.process.cpu.perf.as_dict()
+        taken = self._perf_taken
+        self._perf_taken = counters
+        return {name: value - taken.get(name, 0)
+                for name, value in counters.items()}
+
+
 class BreakpointSession:
     """Server state captured at the first arrival at one instruction.
+
+    ``machine`` is the :class:`Machine` the session runs on; the
+    default is a private one (direct callers), a campaign passes its
+    :class:`SessionCache`'s shared machine.
 
     ``run_fn(process, budget)`` executes the post-activation suffix;
     the default simply runs to completion, the fault-tolerant runner
@@ -55,21 +143,30 @@ class BreakpointSession:
 
     def __init__(self, daemon, client_factory, breakpoint_address,
                  budget=CONNECTION_INSTRUCTION_BUDGET, run_fn=None,
-                 full_restore=False):
+                 full_restore=False, machine=None):
+        self._bind(daemon, breakpoint_address, budget, run_fn,
+                   full_restore, machine)
+        machine = self.machine
+        kernel = machine.reboot(daemon.make_kernel(client_factory()))
+        process = machine.process
+        self.arrival = process.run_until(breakpoint_address, budget)
+        self.reached = self.arrival.kind == "breakpoint"
+        if self.reached:
+            self.activation_instret = process.cpu.instret
+            self.snapshot = MachineSnapshot.capture(process, kernel)
+            # The prefix poked no text, so every insert it logged is
+            # clean: start the suffix log empty.
+            del process.cpu.decode_log[:]
+            self._own()
+
+    def _bind(self, daemon, breakpoint_address, budget, run_fn,
+              full_restore, machine):
         self.daemon = daemon
         self.budget = budget
         self.run_fn = run_fn if run_fn is not None else plain_run
         self.breakpoint_address = breakpoint_address
         self.full_restore = full_restore
-        client = client_factory()
-        kernel = daemon.make_kernel(client)
-        self.process = Process(daemon.module, kernel)
-        #: text addresses poked since the snapshot; the only ones whose
-        #: cached decodes can be stale once the snapshot is restored.
-        self._dirty = set()
-        #: perf-counter values already credited to a runner; lets a
-        #: session be reused across runners without double counting.
-        self._perf_taken = {}
+        self.machine = machine if machine is not None else Machine(daemon)
         #: restore-path accounting, exposed for tests and benchmarks.
         self.restore_stats = {"restores": 0, "pristine_skips": 0,
                               "pages_written": 0, "kernel_reuses": 0,
@@ -78,24 +175,36 @@ class BreakpointSession:
         #: restore path's host wall clock (rebound per runner, like
         #: ``run_fn``); ``None`` keeps restores instrumentation-free.
         self.sampler = None
-        self.arrival = self.process.run_until(breakpoint_address, budget)
-        self.reached = self.arrival.kind == "breakpoint"
-        if self.reached:
-            self.activation_instret = self.process.cpu.instret
-            self.snapshot = MachineSnapshot.capture(self.process, kernel)
-            # The pristine kernel lives inside the snapshot; the live
-            # process runs against a clone so no experiment can corrupt
-            # the state every later restore is built from.
-            self._install_kernel(self.snapshot.make_kernel())
-            self._pristine = True
-            # From here on, log cache inserts so each restore can
-            # evict exactly the decodes built from modified text.
-            self.process.cpu.decode_log = []
 
-    def _install_kernel(self, kernel):
-        self.process.cpu.kernel = kernel
-        self.process.kernel = kernel
-        return kernel
+    @property
+    def process(self):
+        """The machine's process; at this session's state only after
+        :meth:`acquire` (which every ``run_with_*`` call makes)."""
+        return self.machine.process
+
+    def _own(self):
+        # The pristine kernel lives inside the snapshot; the live
+        # process runs against a clone so no experiment can corrupt
+        # the state every later restore is built from.
+        self.machine.install_kernel(self.snapshot.make_kernel())
+        self.machine.owner = self
+        self._pristine = True
+
+    def acquire(self):
+        """Put the machine at this session's breakpoint state.
+
+        Nothing happens when the machine already holds it (the
+        per-bit restore in ``run_with_*`` then proceeds as usual);
+        after another session used the machine, memory and CPU are
+        fully restored from the snapshot and a fresh kernel clone is
+        installed.
+        """
+        if not self.reached:
+            raise RuntimeError("breakpoint at 0x%x was never reached"
+                               % self.breakpoint_address)
+        if self.machine.owner is not self:
+            self.machine.restore(self.snapshot, full=True)
+            self._own()
 
     def _restore(self):
         """Reset memory/CPU to the breakpoint and clone kernel+client.
@@ -112,22 +221,15 @@ class BreakpointSession:
         return self._restore_impl()
 
     def _restore_impl(self):
+        self.acquire()
         if self._pristine:
             self._pristine = False
             self.restore_stats["pristine_skips"] += 1
             return self.process.kernel
         snapshot = self.snapshot
         self.restore_stats["restores"] += 1
-        self.restore_stats["pages_written"] += snapshot.restore_memory(
-            self.process.memory, full=self.full_restore)
-        cpu = self.process.cpu
-        snapshot.restore_cpu(cpu)
-        # Text is back to the snapshot image, from which the prefix run
-        # (and every clean suffix decode) was cached -- only decodes
-        # built while bytes poked this experiment were in place can be
-        # stale, so evict those and keep the rest of the cache warm.
-        cpu.evict_suspect_decodes(self._dirty)
-        self._dirty.clear()
+        self.restore_stats["pages_written"] += self.machine.restore(
+            snapshot, full=self.full_restore)
         # Every kernel/client mutation is syscall-gated (the client
         # only acts inside server_read/server_write), so an unchanged
         # syscall count proves the installed clone is still pristine
@@ -148,46 +250,28 @@ class BreakpointSession:
         """Cheap sibling session at the same breakpoint.
 
         The sibling shares the immutable :class:`MachineSnapshot`
-        (region blobs + pristine kernel) but gets its own memory, CPU
-        and kernel clone, so experiments in one session can never leak
-        into another.  Used by the fork-independence property tests and
-        as the substrate for warm-worker reuse.
+        (region blobs + pristine kernel) but runs on a private
+        machine with its own kernel clone, so experiments in one
+        session can never leak into another.  Used by the
+        fork-independence property tests.
         """
         if not self.reached:
             raise RuntimeError("cannot fork: breakpoint at 0x%x was "
                                "never reached" % self.breakpoint_address)
         sibling = BreakpointSession.__new__(BreakpointSession)
-        sibling.daemon = self.daemon
-        sibling.budget = self.budget
-        sibling.run_fn = self.run_fn
-        sibling.breakpoint_address = self.breakpoint_address
-        sibling.full_restore = self.full_restore
+        sibling._bind(self.daemon, self.breakpoint_address, self.budget,
+                      self.run_fn, self.full_restore, None)
         sibling.snapshot = self.snapshot
         sibling.arrival = self.arrival
         sibling.reached = True
         sibling.activation_instret = self.activation_instret
-        sibling._dirty = set()
-        sibling._perf_taken = {}
-        sibling.sampler = None
-        sibling.restore_stats = {"restores": 0, "pristine_skips": 0,
-                                 "pages_written": 0, "kernel_reuses": 0,
-                                 "kernel_rewinds": 0}
-        kernel = self.snapshot.make_kernel()
-        sibling.process = Process(self.daemon.module, kernel,
-                                  memory=self.snapshot.materialize_memory())
-        self.snapshot.restore_cpu(sibling.process.cpu)
-        sibling.process.cpu.decode_log = []
-        sibling._pristine = True
+        sibling.acquire()
         return sibling
 
     def take_perf_delta(self):
-        """Perf counters accumulated since the last call -- the share
-        of this session's work not yet credited to any runner."""
-        counters = self.process.cpu.perf.as_dict()
-        taken = self._perf_taken
-        self._perf_taken = counters
-        return {name: value - taken.get(name, 0)
-                for name, value in counters.items()}
+        """Perf counters of this session's machine not yet credited to
+        any runner (see :meth:`Machine.take_perf_delta`)."""
+        return self.machine.take_perf_delta()
 
     def run_with_flip(self, flip_address, bit):
         """Flip one bit at the breakpoint and run to completion.
@@ -195,12 +279,9 @@ class BreakpointSession:
         Returns ``(status, kernel, client)`` where ``status.kind`` is
         ``exit``/``crash``/``limit``/``hang``.
         """
-        if not self.reached:
-            raise RuntimeError("breakpoint at 0x%x was never reached"
-                               % self.breakpoint_address)
         kernel = self._restore()
         self.process.flip_bit(flip_address, bit)
-        self._dirty.add(flip_address)
+        self.machine.dirty_text.add(flip_address)
         return self._finish(kernel)
 
     def run_with_register_flip(self, register, bit):
@@ -211,9 +292,6 @@ class BreakpointSession:
 
         ``register`` is the hardware register index (EAX=0 ... EDI=7).
         """
-        if not self.reached:
-            raise RuntimeError("breakpoint at 0x%x was never reached"
-                               % self.breakpoint_address)
         kernel = self._restore()
         cpu = self.process.cpu
         cpu.regs[register] ^= (1 << bit)
@@ -228,9 +306,6 @@ class BreakpointSession:
         coherent), though the text-fault models use
         :meth:`run_with_flip`/:meth:`run_with_bytes` directly.
         """
-        if not self.reached:
-            raise RuntimeError("breakpoint at 0x%x was never reached"
-                               % self.breakpoint_address)
         kernel = self._restore()
         return self._memory_flip(address, bit, kernel)
 
@@ -238,9 +313,6 @@ class BreakpointSession:
         """Flip one bit of the byte at ``ESP + offset`` as of the
         breakpoint (the live frame: saved state, locals, argument
         words) and resume."""
-        if not self.reached:
-            raise RuntimeError("breakpoint at 0x%x was never reached"
-                               % self.breakpoint_address)
         kernel = self._restore()
         address = (self.process.cpu.regs[4] + offset) & 0xFFFFFFFF
         return self._memory_flip(address, bit, kernel)
@@ -252,7 +324,7 @@ class BreakpointSession:
         low, high = getattr(cpu, "cacheable", (0, 0))
         if low <= address < high:
             cpu.invalidate_cache(address)
-            self._dirty.add(address)
+            self.machine.dirty_text.add(address)
         return self._finish(kernel)
 
     def run_with_bytes(self, address, replacement):
@@ -263,14 +335,11 @@ class BreakpointSession:
         instruction, which can differ from it in more than one bit of
         the *old* encoding.
         """
-        if not self.reached:
-            raise RuntimeError("breakpoint at 0x%x was never reached"
-                               % self.breakpoint_address)
         kernel = self._restore()
         for offset, value in enumerate(replacement):
             self.process.memory.poke(address + offset, value)
             self.process.cpu.invalidate_cache(address + offset)
-            self._dirty.add(address + offset)
+            self.machine.dirty_text.add(address + offset)
         return self._finish(kernel)
 
     def _finish(self, kernel):
@@ -279,7 +348,8 @@ class BreakpointSession:
 
 
 class SessionCache:
-    """Reusable :class:`BreakpointSession` store.
+    """Reusable :class:`BreakpointSession` store, plus one shared
+    :class:`Machine` per daemon image for its sessions to run on.
 
     Keyed by (daemon image, client script, budget, site): the prefix
     run and the snapshot do not depend on the fault model or the
@@ -287,17 +357,20 @@ class SessionCache:
     bit targeting that instruction.  Unreachable sites are remembered
     so each is probed at most once.
 
-    ``capacity`` bounds resident sessions (LRU eviction); campaigns
-    visit points in address order, so the serial runner uses capacity 1
-    while cross-model sweeps share an unbounded cache.  Not safe for
-    concurrent use from several threads; parallel campaigns give each
-    worker process its own cache.
+    ``capacity`` bounds resident sessions (LRU eviction) -- snapshots,
+    not processes: however many sessions are cached, each daemon has
+    one machine.  Campaigns visit points in address order, so the
+    serial runner uses capacity 1 while cross-model sweeps share an
+    unbounded cache.  Not safe for concurrent use from several
+    threads; parallel campaigns give each worker process its own
+    cache.
     """
 
     def __init__(self, capacity=None):
         self.capacity = capacity
         self._sessions = {}  # key -> session, insertion order = LRU
         self._unreachable = {}  # key -> arrival ExitStatus
+        self._machines = {}  # id(daemon) -> Machine
         self.hits = 0
         self.misses = 0
         #: sessions dropped by the LRU bound.  A long-lived warm
@@ -309,6 +382,20 @@ class SessionCache:
     @staticmethod
     def key(daemon, client_name, budget, address):
         return (id(daemon), client_name, budget, address)
+
+    def machine(self, daemon):
+        """The shared :class:`Machine` for *daemon*, built on first
+        use."""
+        machine = self._machines.get(id(daemon))
+        if machine is None:
+            machine = self._machines[id(daemon)] = Machine(daemon)
+        return machine
+
+    def drop_machine(self, daemon):
+        """Forget *daemon*'s machine, whose state or caches may be
+        corrupted (e.g. after a harness fault); the next session
+        rebuilds it, and cached sessions rebind to the new one."""
+        self._machines.pop(id(daemon), None)
 
     def lookup(self, key):
         session = self._sessions.get(key)
@@ -335,8 +422,8 @@ class SessionCache:
                 self.evictions += 1
 
     def discard(self, key):
-        """Drop a session whose machine state may be corrupted (e.g.
-        after a harness fault)."""
+        """Drop a session whose state may be corrupted (e.g. after a
+        harness fault)."""
         self._sessions.pop(key, None)
 
     def __len__(self):

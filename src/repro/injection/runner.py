@@ -1355,11 +1355,13 @@ class CampaignRunner:
         self._session_address = None
 
     def _harness_fault(self, pending):
-        """Convert an escaped exception into a HARNESS_FAULT record;
-        the cached session may be corrupted, so drop it from the cache
-        too (its counters are plain integers and stay trustworthy, so
-        they are kept).  Forensic state is snapshotted *before* the
-        session goes."""
+        """Convert an escaped exception into a HARNESS_FAULT record.
+
+        The session and the daemon's shared machine (its memory, CPU
+        and caches) may be corrupted, so both leave the cache; the
+        next site rebuilds the machine.  Perf counters are plain
+        integers and stay trustworthy, so they are kept.  Forensic
+        state is snapshotted *before* the session goes."""
         forensics = None
         if self._session is not None:
             if self.options.forensics:
@@ -1372,6 +1374,7 @@ class CampaignRunner:
                 self.daemon, self.client_name, self.options.budget,
                 self._session_address))
         self._retire_session()
+        self.session_cache.drop_machine(self.daemon)
         detail = traceback.format_exc(limit=8).strip()
         return InjectionResult(point=pending.point,
                                location=pending.location,
@@ -1463,17 +1466,21 @@ class CampaignRunner:
         if self.session_cache.unreachable_arrival(key) is not None:
             return None
         self._retire_session()
+        machine = self.session_cache.machine(self.daemon)
         session = self.session_cache.lookup(key)
         if session is not None:
             self.registry.counter("runtime.sessions_reused",
                                   volatile=True).inc()
+            # the machine it was built on may since have been dropped
+            session.machine = machine
         else:
             with self.tracer.span("client-session", cat="experiment",
                                   address="0x%x" % address) as span:
                 session = BreakpointSession(self.daemon,
                                             self.client_factory,
                                             address, self.options.budget,
-                                            run_fn=self.watchdog)
+                                            run_fn=self.watchdog,
+                                            machine=machine)
                 span.set("reached", session.reached)
             self.registry.counter("runtime.sessions",
                                   volatile=True).inc()
@@ -1484,8 +1491,11 @@ class CampaignRunner:
                 self._perf.absorb_dict(session.take_perf_delta())
                 return None
             self.session_cache.store(key, session)
-        # (Re)bind per-runner policy: a cached session may have been
-        # created by a campaign with different settings.
+        # Put the machine at the site before anyone reads its CPU
+        # (pruning seals sites against it), then (re)bind per-runner
+        # policy: a cached session may have been created by a campaign
+        # with different settings.
+        session.acquire()
         session.run_fn = self.watchdog
         session.full_restore = self.options.full_restore
         session.process.cpu.forensic_ring = (

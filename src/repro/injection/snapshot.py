@@ -17,13 +17,13 @@ The snapshot itself is never mutated after capture: region contents
 are ``bytes``, CPU state is tuples, and the kernel held inside is the
 pristine breakpoint-time kernel from which every experiment receives a
 fresh ``clone()``.  That makes one snapshot safely shareable between
-sibling sessions (:meth:`BreakpointSession.fork`) and across fault
-models targeting the same instruction.
+sibling sessions (:meth:`BreakpointSession.fork`), across fault models
+targeting the same instruction, and across the sessions taking turns
+on one shared machine (:class:`~repro.injection.injector.Machine`).
 """
 
 from __future__ import annotations
 
-from ..emu import Memory
 from ..emu.memory import PAGE_SHIFT, PAGE_SIZE
 
 
@@ -34,8 +34,8 @@ class MachineSnapshot:
     snapshot into a live process.
     """
 
-    __slots__ = ("region_blobs", "region_views", "region_layout", "regs",
-                 "eip", "eflags", "segments", "instret", "kernel")
+    __slots__ = ("region_blobs", "region_views", "regs", "eip", "eflags",
+                 "segments", "instret", "kernel")
 
     @classmethod
     def capture(cls, process, kernel):
@@ -50,9 +50,6 @@ class MachineSnapshot:
         # per-experiment restore path.
         snapshot.region_views = [memoryview(blob)
                                  for blob in snapshot.region_blobs]
-        snapshot.region_layout = [(region.name, region.start,
-                                   region.writable)
-                                  for region in memory.regions]
         cpu = process.cpu
         snapshot.regs = tuple(cpu.regs)
         snapshot.eip = cpu.eip
@@ -101,14 +98,3 @@ class MachineSnapshot:
         """A fresh kernel+client for one experiment; the pristine
         kernel inside the snapshot is never handed out directly."""
         return self.kernel.clone()
-
-    # -- fork ----------------------------------------------------------
-
-    def materialize_memory(self):
-        """Build a brand-new :class:`Memory` at the snapshot state --
-        no bytearray is shared with any live process."""
-        memory = Memory()
-        for (name, start, writable), blob in zip(self.region_layout,
-                                                 self.region_blobs):
-            memory.map_region(name, start, blob, writable=writable)
-        return memory

@@ -187,3 +187,40 @@ class TestSessionCacheBound:
         assert [r.outcome for r in tight.results] \
             == [r.outcome for r in loose.results]
         assert tight.counts() == loose.counts()
+
+
+class TestSharedMachine:
+    """Sessions of one daemon run on one warm machine."""
+
+    def test_serial_campaign_builds_one_machine(self, ftp_daemon,
+                                                monkeypatch):
+        """The full ftpd Client1 branch-bit cell: the golden run and
+        the shared machine are the only processes built, and the
+        machine's warm caches cut prepared-op misses an order of
+        magnitude (41,135 with a process per site) without moving
+        any other execution counter."""
+        import json
+        from pathlib import Path
+
+        from repro.apps.ftpd import CLIENT_FACTORIES
+        from repro.injection import run_campaign
+        built = []
+        original = Process.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting_init)
+        campaign = run_campaign(ftp_daemon, "Client1",
+                                CLIENT_FACTORIES["Client1"])
+        assert len(built) == 2
+        perf = campaign.timing["perf"]
+        assert perf["prepared_misses"] <= 5000
+        committed = json.loads(
+            (Path(__file__).resolve().parents[2] / "benchmarks"
+             / "results" / "table1_ftp_timing.json").read_text())
+        reference = committed["campaigns"]["FTP Client1 old"]["perf"]
+        for name in ("prepared_hits", "superstep_instructions",
+                     "syscalls"):
+            assert perf[name] == reference[name], name

@@ -224,6 +224,36 @@ class TestSampledCampaign:
         # the ring and the sampler are fed by the same loop
         assert samples("forensic.json", forensics=True) == plain
 
+    def test_prefix_runs_stay_unobserved(self, ftp_daemon, tmp_path):
+        """Sessions share one machine, so a prefix runs on the CPU the
+        previous site's ring and sampler were attached to.  The
+        profile and every SD ring must equal those of the same points
+        run with a private machine per session."""
+        from repro.injection import SessionCache
+        from repro.injection.injector import Machine
+
+        class PrivateMachines(SessionCache):
+            def machine(self, daemon):
+                return Machine(daemon)
+
+        def observed(name, cache):
+            path = tmp_path / name
+            campaign = run_campaign(ftp_daemon, "Client1", client1,
+                                    max_points=200, forensics=True,
+                                    profile=str(path),
+                                    session_cache=cache)
+            rings = [(result.point, result.forensics["ring"])
+                     for result in campaign.results
+                     if result.outcome == "SD"]
+            return json.loads(path.read_text())["samples"], rings
+
+        shared = observed("shared.json", SessionCache(capacity=1))
+        private = observed("private.json", PrivateMachines(capacity=1))
+        assert shared[1], "slice should crash somewhere"
+        assert len({point.instruction_address
+                    for point, __ in shared[1]}) > 1
+        assert shared == private
+
     def test_sampling_does_not_change_tallies(self, ftp_daemon,
                                               plain_campaign,
                                               tmp_path):

@@ -217,6 +217,62 @@ class TestHarnessFaultIsolation:
         assert refined[HARNESS_FAULT] == 1
         assert folded["NA"] == refined["NA"] + 1
 
+    def test_fault_mid_run_drops_the_shared_machine(self, ftp_daemon,
+                                                    monkeypatch):
+        """A harness fault in the middle of a suffix run leaves the
+        daemon's shared machine (memory, CPU, caches) suspect: it is
+        dropped and rebuilt, and every other point -- the later sites'
+        included -- matches a clean run."""
+        from repro.injection import injector
+        points = 160                          # two activated sites
+        baseline = run_campaign(ftp_daemon, "Client1", client1,
+                                max_points=points)
+        activated = [r.point for r in baseline.results if r.activated]
+        victim = activated[3]
+        assert any(point.instruction_address
+                   > victim.instruction_address for point in activated)
+        flipped = []
+        original_flip = Process.flip_bit
+        original_run = Watchdog.run
+        machines = []
+        original_machine = injector.Machine.__init__
+
+        def marking_flip(self, address, bit):
+            flipped.append((address, bit)
+                           == (victim.flip_address, victim.bit))
+            return original_flip(self, address, bit)
+
+        def faulting_run(self, process, budget):
+            if flipped[-1]:
+                process.run(200)              # dirty the machine
+                raise RuntimeError("synthetic mid-run fault")
+            return original_run(self, process, budget)
+
+        def counting_machine(self, daemon):
+            machines.append(self)
+            original_machine(self, daemon)
+
+        monkeypatch.setattr(Process, "flip_bit", marking_flip)
+        monkeypatch.setattr(Watchdog, "run", faulting_run)
+        monkeypatch.setattr(injector.Machine, "__init__",
+                            counting_machine)
+        campaign = run_campaign(ftp_daemon, "Client1", client1,
+                                max_points=points)
+        faults = campaign.results_with_outcome(HARNESS_FAULT)
+        assert [fault.point for fault in faults] == [victim]
+        assert "synthetic mid-run fault" in faults[0].detail
+        assert len(machines) == 2             # dropped and rebuilt once
+
+        def signature(result):
+            return (result.point, result.outcome, result.exit_kind,
+                    result.crash_latency, result.activation_instret,
+                    result.detail)
+
+        assert [signature(r) for r in campaign.results
+                if r.point != victim] \
+            == [signature(r) for r in baseline.results
+                if r.point != victim]
+
 
 # ----------------------------------------------------------------------
 # JSONL journal: checkpoint / resume
