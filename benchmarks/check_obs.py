@@ -1,14 +1,22 @@
 #!/usr/bin/env python
 """CI observability-artifact gate.
 
-Validates the trace and metrics files a smoke campaign wrote:
+Validates the trace, event and metrics files a smoke campaign wrote:
 
 ``trace``
     the file loads as Chrome-trace/Perfetto JSON, every event carries
     the required keys (``ph``/``ts``/``pid``/``tid``/``name``), and
-    the span tree nests temporally -- every event falls inside the
-    single ``campaign`` root span, every ``experiment`` span falls
-    inside a ``shard`` span when shards are present.
+    the span tree nests temporally -- every event (milestone instants
+    included) falls inside the single ``campaign`` root span, every
+    ``experiment`` span falls inside a ``shard`` span when shards are
+    present.
+
+``events``
+    an ``--events`` JSONL file is the whole stream: per campaign,
+    ``seq`` runs 0, 1, 2, ... in file order, ``golden`` and
+    ``campaign-started`` are present and ``campaign-finished`` comes
+    last (fleet-scoped worker-lifecycle events are checked for
+    contiguity only).
 
 ``metrics-equal``
     two metrics-registry dumps agree on the deterministic core
@@ -28,6 +36,7 @@ Validates the trace and metrics files a smoke campaign wrote:
 Usage::
 
     python benchmarks/check_obs.py trace smoke-trace.json
+    python benchmarks/check_obs.py events smoke-events.jsonl
     python benchmarks/check_obs.py metrics-equal serial.json sharded.json
     python benchmarks/check_obs.py telemetry --workers 3
 """
@@ -100,6 +109,42 @@ def check_trace(path):
     return failures
 
 
+#: campaign-less event types: worker lifecycle, shared by every live
+#: campaign of a fleet.
+FLEET_EVENT_TYPES = frozenset(("worker-respawn", "worker-backoff",
+                               "worker-retired"))
+
+
+def check_events(path):
+    """Return a list of failure messages for one ``--events`` file."""
+    events = [json.loads(line)
+              for line in pathlib.Path(path).read_text().splitlines()
+              if line.strip()]
+    if not events:
+        return ["%s: event file is empty" % path]
+    streams = {}
+    for event in events:
+        streams.setdefault(event.get("campaign"), []).append(event)
+    failures = []
+    for campaign, stream in sorted(streams.items(),
+                                   key=lambda item: str(item[0])):
+        label = "%s: campaign %s" % (path, campaign)
+        seqs = [event.get("seq") for event in stream]
+        if seqs != list(range(len(seqs))):
+            failures.append("%s: seq is not contiguous from 0 in file "
+                            "order (%r...)" % (label, seqs[:10]))
+        types = [event.get("type") for event in stream]
+        if set(types) <= FLEET_EVENT_TYPES:
+            continue
+        for required in ("golden", "campaign-started"):
+            if required not in types:
+                failures.append("%s: no %s event" % (label, required))
+        if types[-1] != "campaign-finished":
+            failures.append("%s: last event is %r, not "
+                            "campaign-finished" % (label, types[-1]))
+    return failures
+
+
 def deterministic_core(registry):
     registry = dict(registry)
     registry.pop("volatile", None)
@@ -139,13 +184,13 @@ def check_telemetry(workers=3, max_points=60, out_dir="."):
 
     from repro.apps.ftpd import client1, FtpDaemon
     from repro.injection import run_campaign
-    from repro.obs import check_contiguous, EventBus, load_profile
+    from repro.obs import EventBus, EventLog, load_profile
 
     daemon = FtpDaemon()
     out = pathlib.Path(out_dir)
     failures = []
     cores = {}
-    buses = {}
+    streams = {}
 
     with tempfile.TemporaryDirectory() as scratch:
         scratch = pathlib.Path(scratch)
@@ -163,12 +208,14 @@ def check_telemetry(workers=3, max_points=60, out_dir="."):
         run("off-workers", workers=workers)
         for label, worker_count in (("on-serial", None),
                                     ("on-workers", workers)):
-            buses[label] = EventBus()
-            run(label, workers=worker_count, telemetry=buses[label],
+            bus = EventBus()
+            log = EventLog(out / ("telemetry-%s.events.jsonl" % label))
+            bus.subscribe(log)
+            run(label, workers=worker_count, telemetry=bus,
                 telemetry_campaign="gate",
                 profile=str(scratch / (label + ".profile")))
-            buses[label].save(out / ("telemetry-%s.events.jsonl"
-                                     % label))
+            log.close()
+            streams[label] = log.path
 
         baseline = cores["off-serial"]
         for label, core in sorted(cores.items()):
@@ -176,15 +223,10 @@ def check_telemetry(workers=3, max_points=60, out_dir="."):
                 failures.append(
                     "deterministic metrics core of %s differs from "
                     "off-serial" % label)
-        for label, bus in sorted(buses.items()):
-            problems = check_contiguous(bus.events())
-            for problem in problems:
+        for label, path in sorted(streams.items()):
+            for problem in check_events(path):
                 failures.append("%s event stream: %s"
                                 % (label, problem))
-            if not any(event["type"] == "campaign-finished"
-                       for event in bus.events()):
-                failures.append("%s event stream never finished"
-                                % label)
         serial_profile = load_profile(scratch / "on-serial.profile")
         workers_profile = load_profile(scratch / "on-workers.profile")
         if serial_profile["samples"] != workers_profile["samples"]:
@@ -201,6 +243,11 @@ def main(argv=None):
     trace = commands.add_parser(
         "trace", help="validate Chrome-trace shape and span nesting")
     trace.add_argument("paths", nargs="+")
+    events = commands.add_parser(
+        "events", help="validate --events streams: contiguous seq, "
+                       "golden and campaign-started present, "
+                       "campaign-finished last")
+    events.add_argument("paths", nargs="+")
     equal = commands.add_parser(
         "metrics-equal",
         help="two registry dumps share a deterministic core")
@@ -222,14 +269,15 @@ def main(argv=None):
         if not failures:
             print("telemetry plane is invariant: 4/4 cores "
                   "identical, streams gap-free, profiles match")
-    elif args.command == "trace":
+    elif args.command in ("trace", "events"):
+        check, verdict = ((check_trace, "span tree nests ok")
+                          if args.command == "trace"
+                          else (check_events, "event stream is whole"))
         failures = []
         for path in args.paths:
-            failures.extend(check_trace(path))
+            failures.extend(check(path))
             if not failures:
-                events = load_events(path)
-                print("%s: %d event(s), span tree nests ok"
-                      % (path, len(events)))
+                print("%s: %s" % (path, verdict))
     else:
         failures = check_metrics_equal(args.left, args.right)
         if not failures:

@@ -13,6 +13,7 @@ Run:  python3 examples/ssh_campaign.py        (takes ~15 s)
 from repro.analysis import build_table1, format_table1
 from repro.apps.sshd import client1, SshDaemon
 from repro.injection import describe_targets, run_campaign
+from repro.obs import configure_logging, EventBus, ProgressReporter
 
 PAPER = {"NM": 40.16, "SD": 52.42, "FSV": 5.89, "BRK": 1.53}
 
@@ -25,15 +26,11 @@ def main():
           % (info["instructions"], info["bits"],
              100 * info["branch_fraction"]))
 
-    done = {"last": 0}
-
-    def progress(current, total):
-        if current - done["last"] >= 200 or current == total:
-            done["last"] = current
-            print("  ... %d / %d experiments" % (current, total))
-
-    campaign = run_campaign(daemon, "Client1", client1,
-                            progress=progress)
+    # progress lines come from a subscriber on the campaign's event bus
+    configure_logging()
+    bus = EventBus()
+    bus.subscribe(ProgressReporter(step=200))
+    campaign = run_campaign(daemon, "Client1", client1, telemetry=bus)
 
     print()
     print(format_table1(build_table1([campaign]),

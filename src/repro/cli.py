@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from .analysis import (build_histogram, build_table1, build_table3,
                        format_forensics, format_histogram,
@@ -76,38 +77,43 @@ def _add_daemon_arg(parser):
                              % ", ".join(available_daemons()))
 
 
-def _progress(args):
-    """``--progress`` now routes through the ``repro.campaign`` logger
-    (so ``--quiet`` silences it) instead of ad-hoc stream writes."""
-    return ProgressReporter() if args.progress else None
-
-
-def _telemetry_kwargs(args):
-    """Map ``--events`` / ``--profile`` / ``--sample-period`` to the
-    engine's telemetry keywords.  Returns ``(bus, kwargs)``; the bus
-    is ``None`` unless ``--events`` asked for a stream (zero overhead
-    when off: no flag, no object, no emit sites)."""
+@contextmanager
+def _telemetry(args):
+    """Map ``--events`` / ``--progress`` / ``--profile`` /
+    ``--sample-period`` to the engine's telemetry keywords.  Yields
+    ``(log, kwargs)``.  A bus is built only when ``--events`` or
+    ``--progress`` subscribes to it (zero overhead when off: no flag,
+    no object); ``log`` is the ``--events`` file's
+    :class:`~repro.obs.events.EventLog` subscriber, or ``None``, and
+    is closed on exit, checkpointed or not."""
     kwargs = {}
-    bus = None
-    if getattr(args, "events", None):
-        from .obs.events import EventBus
-        bus = EventBus()
-        kwargs["telemetry"] = bus
+    log = None
+    if args.events or args.progress:
+        from .obs.events import EventBus, EventLog
+        bus = kwargs["telemetry"] = EventBus()
+        if args.events:
+            log = EventLog(args.events)
+            bus.subscribe(log)
+        if args.progress:
+            # through the ``repro.campaign`` logger: --quiet silences it
+            bus.subscribe(ProgressReporter())
     if getattr(args, "sample_period", None):
         from .obs.sampler import Sampler
         kwargs["sampler"] = Sampler(getattr(args, "sample_period"))
     if getattr(args, "profile", None):
         kwargs["profile"] = args.profile
-    return bus, kwargs
+    try:
+        yield log, kwargs
+    finally:
+        if log is not None:
+            log.close()
 
 
-def _write_telemetry_artifacts(out, args, bus, daemon=None):
-    """Save the event stream and acknowledge the artifact paths (the
-    same contract as the ``trace:`` / ``metrics:`` lines)."""
-    if bus is not None and args.events:
-        bus.save(args.events)
-        out.write("events: %s (%d event(s))\n" % (args.events,
-                                                  len(bus)))
+def _write_telemetry_artifacts(out, args, log, daemon=None):
+    """Acknowledge the artifact paths (the same contract as the
+    ``trace:`` / ``metrics:`` lines)."""
+    if log is not None:
+        out.write("events: %s (%d event(s))\n" % (log.path, log.count))
     if getattr(args, "profile", None):
         out.write("profile: %s\n" % args.profile)
         if daemon is not None:
@@ -144,21 +150,22 @@ def cmd_campaign(args, out):
     if args.client not in clients:
         raise SystemExit("unknown client %r (have: %s)"
                          % (args.client, ", ".join(sorted(clients))))
-    bus, telemetry = _telemetry_kwargs(args)
-    campaign = run_campaign(
-        daemon, args.client, clients[args.client],
-        workers=args.workers, encoding=args.encoding,
-        fault_model=args.fault_model, max_points=args.max_points,
-        journal=args.journal, resume=args.resume,
-        retries=args.retries, trace=args.trace, metrics=args.metrics,
-        forensics=args.forensics, progress=_progress(args),
-        deadline=args.deadline, journal_fsync=args.journal_fsync,
-        journal_salvage=args.journal_salvage,
-        full_restore=args.full_restore, prune=args.prune,
-        audit_fraction=args.audit_fraction, audit_seed=args.audit_seed,
-        # SIGTERM/SIGINT checkpoint the campaign instead of killing
-        # it; resume with --resume.
-        graceful_signals=True, **telemetry)
+    with _telemetry(args) as (log, telemetry):
+        campaign = run_campaign(
+            daemon, args.client, clients[args.client],
+            workers=args.workers, encoding=args.encoding,
+            fault_model=args.fault_model, max_points=args.max_points,
+            journal=args.journal, resume=args.resume,
+            retries=args.retries, trace=args.trace,
+            metrics=args.metrics, forensics=args.forensics,
+            deadline=args.deadline, journal_fsync=args.journal_fsync,
+            journal_salvage=args.journal_salvage,
+            full_restore=args.full_restore, prune=args.prune,
+            audit_fraction=args.audit_fraction,
+            audit_seed=args.audit_seed,
+            # SIGTERM/SIGINT checkpoint the campaign instead of
+            # killing it; resume with --resume.
+            graceful_signals=True, **telemetry)
     if args.journal:
         # the files this run actually wrote: the base path alone for
         # a serial run; parent unit markers plus one file per worker
@@ -169,7 +176,7 @@ def cmd_campaign(args, out):
         out.write("trace: %s\n" % args.trace)
     if args.metrics:
         out.write("metrics: %s\n" % args.metrics)
-    _write_telemetry_artifacts(out, args, bus, daemon=daemon)
+    _write_telemetry_artifacts(out, args, log, daemon=daemon)
     _write_timing(out, campaign)
     if campaign.quarantined_count:
         out.write("quarantined (unstable, excluded from percentages): "
@@ -225,14 +232,14 @@ def cmd_table4(args, out):
 def cmd_figure4(args, out):
     daemon, clients = _make_daemon(args.daemon)
     attacker = get_daemon_spec(args.daemon).attacker_client
-    bus, telemetry = _telemetry_kwargs(args)
-    campaign = run_campaign(
-        daemon, attacker, clients[attacker], workers=args.workers,
-        trace=args.trace, metrics=args.metrics,
-        progress=_progress(args), graceful_signals=True, **telemetry)
+    with _telemetry(args) as (log, telemetry):
+        campaign = run_campaign(
+            daemon, attacker, clients[attacker], workers=args.workers,
+            trace=args.trace, metrics=args.metrics,
+            graceful_signals=True, **telemetry)
     histogram = build_histogram(campaign.crash_latencies())
     out.write(format_histogram(histogram) + "\n")
-    _write_telemetry_artifacts(out, args, bus, daemon=daemon)
+    _write_telemetry_artifacts(out, args, log, daemon=daemon)
     _write_timing(out, campaign)
     return 0
 
@@ -341,7 +348,7 @@ def cmd_serve(args, out):
 
 
 def cmd_status(args, out):
-    from .obs.top import format_eta, unit_progress
+    from .obs.top import format_eta, unit_progress, view_from_journals
     family = JournalFamily.load(args.journal, strict=False)
     if not family.members:
         raise SystemExit("no journal at %s (or %s.shard*)"
@@ -391,19 +398,16 @@ def cmd_status(args, out):
               "%d journal file(s)\n"
               % (len(family.results), len(family.quarantined),
                  len(family.members)))
-    in_flight, __, total_points, first_ts, last_ts = \
-        unit_progress(family.units)
-    if total_points:
-        completed = len(family.results)
-        remaining = max(0, total_points - completed)
+    # the same fold ``repro top <journal>`` renders
+    view = view_from_journals(args.journal, family)
+    if view.points:
         line = ("progress: %d/%d point(s) (%.0f%%)"
-                % (completed, total_points,
-                   100.0 * completed / total_points))
-        if remaining and completed and last_ts and first_ts \
-                and last_ts > first_ts:
-            rate = completed / (last_ts - first_ts)
-            line += ", eta %s at the journaled rate" \
-                % format_eta(remaining / rate)
+                % (view.completed, view.points,
+                   100.0 * view.completed / view.points))
+        eta = view.eta_seconds()
+        if eta:
+            line += (", eta %s at the journaled rate"
+                     % format_eta(eta))
         out.write(line + "\n")
     out.write("resume with: repro campaign --journal %s --resume%s\n"
               % (args.journal,
@@ -541,7 +545,8 @@ def build_parser():
     campaign.add_argument("--max-points", type=int, default=None,
                           help="truncate the experiment list (smoke "
                                "runs)")
-    campaign.add_argument("--progress", action="store_true")
+    campaign.add_argument("--progress", action="store_true",
+                          help="log 'N / M experiments' lines as it runs")
     campaign.add_argument("--save", default=None, metavar="PATH",
                           help="write per-experiment records as JSON")
     campaign.add_argument("--journal", default=None, metavar="PATH",
@@ -622,7 +627,8 @@ def build_parser():
         "figure4", parents=[verbosity],
         help="crash-latency histogram (Figure 4)")
     _add_daemon_arg(figure4)
-    figure4.add_argument("--progress", action="store_true")
+    figure4.add_argument("--progress", action="store_true",
+                         help="log 'N / M experiments' lines as it runs")
     figure4.add_argument("--workers", type=int, default=None,
                          metavar="N",
                          help="run the campaign on a warm fleet of N "
@@ -731,9 +737,10 @@ def _add_obs_args(parser):
                              "(outcome tallies, crash-latency "
                              "histogram, engine counters) as JSON")
     parser.add_argument("--events", default=None, metavar="FILE",
-                        help="write the campaign's telemetry event "
-                             "stream (unit/worker/outcome "
-                             "milestones) as JSONL; replayable by "
+                        help="write the campaign's whole telemetry "
+                             "event stream (unit/worker/outcome "
+                             "milestones) as JSONL, one line per "
+                             "event as it is emitted; replayable by "
                              "'repro report --events'")
     parser.add_argument("--profile", default=None, metavar="FILE",
                         help="write a deterministic guest-EIP "

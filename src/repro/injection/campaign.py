@@ -151,11 +151,13 @@ class RunOptions:
     captures the last-instructions ring and a register snapshot on
     every SD/HANG/HF record; ``telemetry`` is an
     :class:`~repro.obs.events.EventBus` for live events labelled
-    ``telemetry_campaign``; ``sampler`` attaches the sampling profiler
-    (instance, period or ``True``) and ``profile`` saves its JSON;
-    ``progress(done, total)`` is called as points complete.  All of
-    these are observational: tallies and the deterministic metrics
-    core are byte-identical with any combination enabled.
+    ``telemetry_campaign`` -- progress reporting is a subscriber
+    (:class:`~repro.obs.log.ProgressReporter`); ``sampler`` attaches
+    the sampling profiler (instance, period or ``True``) and
+    ``profile`` saves its JSON, with host seconds taken from the span
+    totals.  All of these are observational: tallies and the
+    deterministic metrics core are byte-identical with any
+    combination enabled.
 
     Resilience: ``deadline`` bounds the wall clock and
     ``graceful_signals=True`` converts SIGTERM/SIGINT into a clean
@@ -196,7 +198,6 @@ class RunOptions:
     sampler: object = None
     telemetry: object = field(default=None, metadata=_PARENT)
     telemetry_campaign: object = field(default=None, metadata=_PARENT)
-    progress: object = field(default=None, metadata=_PARENT)
     deadline: float | None = field(default=None, metadata=_PARENT)
     graceful_signals: bool = field(default=False, metadata=_PARENT)
     chaos: object = field(default=None, metadata=_PARENT)

@@ -23,10 +23,11 @@ scheduling layer of :mod:`repro.injection.scheduler`:
   every shard file of the journal family
   (:class:`~repro.injection.runner.JournalFamily`), so the worker
   count may change between runs;
-* the parent supervises: progress ticks are heartbeats, dead or
-  wedged workers are respawned with exponential backoff against a
-  per-incarnation restart budget, whatever a dead worker journaled is
-  salvaged and the remainder of its unit requeued, a worker that
+* the parent supervises: every event a unit runner emits onto its
+  worker's private bus is a heartbeat, dead or wedged workers are
+  respawned with exponential backoff against a per-incarnation
+  restart budget, whatever a dead worker journaled is salvaged and
+  the remainder of its unit requeued, a worker that
   exhausts its budget is retired (its units migrate to siblings), the
   parent finishes units inline as the last resort, and SIGTERM or a
   deadline drains every in-flight unit to a resumable checkpoint.
@@ -48,10 +49,11 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 
 from ..emu.perf import PerfCounters
+from ..obs.events import emit_milestone, EventBus, outcome_delta
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, record_supervision_metrics
 from ..obs.sampler import as_sampler, Sampler
-from ..obs.trace import Tracer, write_trace_file
+from ..obs.trace import as_tracer, Tracer
 from .campaign import CampaignResult, RunOptions
 from .faultmodels import get_fault_model
 from .golden import record_golden
@@ -254,12 +256,13 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
     if daemon is None:
         daemon = options.daemon_factory()
         daemons[cell] = daemon
-    tracer = Tracer(sink=None, tid=worker + 1) if options.trace else None
-
-    def progress(done, total):
-        # progress ticks double as the liveness heartbeat
-        emit("progress", cid, unit.unit_id, done, total)
-
+    tracer = _unit_tracer(options, worker + 1)
+    # The liveness heartbeat subscribes to a bus private to this
+    # worker: its events never leave the worker, so the parent still
+    # owns every campaign's sequence numbers (and no history is kept).
+    heartbeat = EventBus(capacity=1)
+    heartbeat.subscribe(lambda event: emit("heartbeat", cid,
+                                           unit.unit_id))
     # per-unit sampler: guest samples are deterministic per unit and
     # ship home in the payload for the parent to fold together.
     sampler = as_sampler(options.sampler)
@@ -268,7 +271,7 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
         points=list(unit.points), trace_root="shard",
         trace_attrs={"shard": worker, "unit": unit.unit_id},
         stop_check=lambda: stop["reason"], golden=goldens.get(cell),
-        progress=progress, resume=True, trace=tracer, chaos=chaos,
+        telemetry=heartbeat, resume=True, trace=tracer, chaos=chaos,
         session_cache=sessions, sampler=sampler,
         journal=(shard_journal_path(options.journal, worker)
                  if options.journal is not None else None))
@@ -281,6 +284,16 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
             len(payload["results"]) + len(payload["quarantined"]),
             campaign=cid)
     emit("unit-done", cid, unit.unit_id, payload)
+
+
+def _unit_tracer(options, tid):
+    """A unit runner's tracer, or ``None`` when the campaign is
+    neither traced nor profiled.  It keeps every span: they ship home
+    in the unit payload, and the parent folds them into its trace
+    file and its profile's host seconds."""
+    if options.trace is None and options.sampler is None:
+        return None
+    return Tracer(tid=tid)
 
 
 def _unit_payload(campaign, unit, worker, tracer, sampler, **timing):
@@ -354,8 +367,9 @@ class FleetCampaignState:
     scheduler: CampaignScheduler
     golden: object
     golden_reused: bool
-    #: parent-side tracer and its open root ``campaign`` span.
-    tracer: Tracer
+    #: parent-side tracer (the no-op one when the campaign is neither
+    #: traced nor profiled) and its open root ``campaign`` span.
+    tracer: object
     root_cm: object
     root_span: object
     #: parent-side profile sampler that worker profiles fold into.
@@ -367,7 +381,6 @@ class FleetCampaignState:
     #: happens in unit order at finalize).
     payloads: dict = field(default_factory=dict)
     executed: int = 0
-    partials: dict = field(default_factory=dict)  # worker -> progress
     interrupted: str | None = None
 
     def __post_init__(self):
@@ -388,14 +401,6 @@ class FleetCampaignState:
     @property
     def finished(self):
         return self.scheduler.finished
-
-    def completed(self):
-        return self.scheduler.completed + sum(self.partials.values())
-
-    def report_progress(self):
-        if self.options.progress is not None:
-            self.options.progress(self.completed(),
-                                  self.scheduler.total)
 
     def context(self):
         """The picklable campaign context a worker needs."""
@@ -434,10 +439,10 @@ class WorkerFleet:
         IDLE/BUSY --dead/wedged--> BACKOFF --delay--> IDLE (respawn)
         BACKOFF --restart budget exhausted--> RETIRED
 
-    Progress ticks are heartbeats; a slot is *dead* when its process
-    is not alive, whatever its exit code, and *wedged* when busy but
-    silent past the heartbeat deadline (SIGKILLed).  Whatever a dead
-    worker journaled is salvaged and the remainder of its unit
+    A unit runner's events are heartbeats; a slot is *dead* when its
+    process is not alive, whatever its exit code, and *wedged* when
+    busy but silent past the heartbeat deadline (SIGKILLed).  Whatever
+    a dead worker journaled is salvaged and the remainder of its unit
     requeued (at the front, so salvaged work finishes first); when
     every slot is retired the parent finishes remaining units inline
     with its own daemons.  :meth:`drain` checkpoints every in-flight
@@ -539,17 +544,18 @@ class WorkerFleet:
     # -- telemetry -----------------------------------------------------
 
     def _emit(self, state, type, **payload):
-        """Campaign-scoped telemetry event."""
-        if self.telemetry is not None:
-            self.telemetry.emit(type,
-                                campaign=state.telemetry_campaign,
-                                **payload)
-
-    def _emit_fleet(self, type, **payload):
-        """Fleet-scoped (campaign-less) telemetry event: worker
-        lifecycle is shared by every live campaign."""
-        if self.telemetry is not None:
-            self.telemetry.emit(type, **payload)
+        """The fleet's one milestone helper.  A campaign's milestone
+        goes on the bus under its label and into its trace; a
+        fleet-scoped one (``state=None``: worker lifecycle, shared by
+        every live campaign) goes on the bus campaign-less and into
+        every live campaign's trace."""
+        if state is None:
+            tracers = [live.tracer for live in self.campaigns.values()]
+            campaign = None
+        else:
+            tracers, campaign = (state.tracer,), state.telemetry_campaign
+        emit_milestone(self.telemetry, tracers, type, campaign,
+                       **payload)
 
     # -- submission ----------------------------------------------------
 
@@ -581,26 +587,21 @@ class WorkerFleet:
             watchdog = watchdog.config
         elif watchdog is None:
             watchdog = WatchdogConfig()
-        tracer = Tracer(sink=None)
-        root_cm = tracer.span("campaign", workers=self.config.workers,
-                              campaign=cid)
-        root_span = root_cm.__enter__()
         sampler = options.sampler
         if sampler is None and options.profile is not None:
             sampler = Sampler()
         sampler = as_sampler(sampler)
+        tracer = as_tracer(options.trace, timed=sampler is not None)
+        root_cm = tracer.span("campaign", workers=self.config.workers,
+                              campaign=cid)
+        root_span = root_cm.__enter__()
         cell = _cell(daemon, client_name, options.budget)
         golden = self.goldens.get(cell)
         golden_reused = golden is not None
         if golden is None:
             with tracer.span("golden-run") as span:
-                if sampler is not None:
-                    with sampler.host_phase("golden-run"):
-                        golden = record_golden(daemon, client_factory,
-                                               options.budget)
-                else:
-                    golden = record_golden(daemon, client_factory,
-                                           options.budget)
+                golden = record_golden(daemon, client_factory,
+                                       options.budget)
                 span.set("coverage_eips", len(golden.coverage))
             self.goldens[cell] = golden
         ranges = (options.ranges if options.ranges is not None
@@ -715,17 +716,14 @@ class WorkerFleet:
             return
         slot.last_beat = time.monotonic()
         slot.dead_since = None
-        if kind == "hello" or kind == "bye":
+        if kind in ("hello", "bye", "heartbeat"):
             return
         cid = message[3]
         state = self.campaigns.get(cid)
         if state is None:
             self.events["stale_messages"] += 1
             return
-        if kind == "progress":
-            state.partials[slot.worker] = message[5]
-            state.report_progress()
-        elif kind == "unit-done":
+        if kind == "unit-done":
             unit_id, payload = message[4], message[5]
             self._unit_done(slot, state, unit_id, payload)
         elif kind == "unit-checkpoint":
@@ -745,7 +743,6 @@ class WorkerFleet:
             self.events["stale_messages"] += 1
             return
         unit = slot.current[1]
-        state.partials.pop(slot.worker, None)
         slot.current = None
         slot.status = IDLE
         if state.sampler is not None:
@@ -772,10 +769,9 @@ class WorkerFleet:
                    quarantined=len(payload["quarantined"]),
                    completed=scheduler.completed,
                    total=scheduler.total, **extra)
-        if self.telemetry is not None:
-            self.telemetry.emit_outcomes(state.telemetry_campaign,
-                                         payload["results"])
-        state.report_progress()
+        if payload["results"]:
+            self._emit(state, "outcomes",
+                       delta=outcome_delta(payload["results"]))
         if state.on_unit is not None:
             state.on_unit(state, unit, payload)
 
@@ -803,7 +799,6 @@ class WorkerFleet:
             return
         unit = slot.current[1]
         slot.current = None
-        state.partials.pop(slot.worker, None)
         if slot.status == BUSY:
             slot.status = IDLE
         if salvage:
@@ -891,9 +886,9 @@ class WorkerFleet:
         if slot.restarts >= slot.max_restarts:
             slot.status = RETIRED
             self.events["failed_shards"] += 1
-            self._emit_fleet("worker-retired", worker=slot.worker,
-                             incarnation=slot.incarnation,
-                             restarts=slot.restarts)
+            self._emit(None, "worker-retired", worker=slot.worker,
+                       incarnation=slot.incarnation,
+                       restarts=slot.restarts)
             _LOGGER.warning(
                 "%s after %d restart(s); retiring worker %d (its "
                 "units migrate to siblings)", detail.splitlines()[0],
@@ -903,9 +898,9 @@ class WorkerFleet:
         delay = backoff_delay(self.config, slot.restarts)
         slot.status = BACKOFF
         slot.resume_due = time.monotonic() + delay
-        self._emit_fleet("worker-backoff", worker=slot.worker,
-                         incarnation=slot.incarnation,
-                         restarts=slot.restarts, delay=round(delay, 3))
+        self._emit(None, "worker-backoff", worker=slot.worker,
+                   incarnation=slot.incarnation,
+                   restarts=slot.restarts, delay=round(delay, 3))
         _LOGGER.warning("%s; respawning in %.1fs (restart %d/%d)",
                         detail.splitlines()[0], delay, slot.restarts,
                         slot.max_restarts)
@@ -913,14 +908,8 @@ class WorkerFleet:
     def _respawn(self, slot):
         self.events["respawns"] += 1
         slot.incarnation += 1
-        self._emit_fleet("worker-respawn", worker=slot.worker,
-                         incarnation=slot.incarnation,
-                         restarts=slot.restarts)
-        for state in self.campaigns.values():
-            state.tracer.instant(
-                "fleet-respawn", cat="supervisor", worker=slot.worker,
-                incarnation=slot.incarnation)
-            break
+        self._emit(None, "worker-respawn", worker=slot.worker,
+                   incarnation=slot.incarnation, restarts=slot.restarts)
         _LOGGER.info("respawning worker %d (incarnation %d)",
                      slot.worker, slot.incarnation)
         self._spawn(slot)
@@ -1023,8 +1012,7 @@ class WorkerFleet:
                         "(%d points)", unit.unit_id, state.cid,
                         len(unit.points))
         journal = state.options.journal
-        tracer = (Tracer(sink=None, tid=self._inline_tid + 1)
-                  if state.options.trace is not None else None)
+        tracer = _unit_tracer(state.worker_options, self._inline_tid + 1)
         runner = CampaignRunner(
             state.daemon, state.client_name, state.client_factory,
             state.worker_options, points=list(unit.points),
@@ -1059,9 +1047,6 @@ class WorkerFleet:
         self.events["checkpoint_exits"] += 1
         _LOGGER.warning("checkpoint requested (%s): draining fleet",
                         reason)
-        for state in self.campaigns.values():
-            state.tracer.instant("fleet-checkpoint", cat="supervisor",
-                                 reason=reason)
         for slot in self.slots.values():
             if slot.status == BUSY and slot.process is not None \
                     and slot.process.is_alive():
@@ -1107,12 +1092,6 @@ class WorkerFleet:
         drained one); flushes its trace and metrics sinks either way
         and forgets the campaign."""
         state = self.campaigns.pop(cid)
-        state.root_span.set("experiments",
-                            len(state.scheduler.results))
-        try:
-            state.root_cm.__exit__(None, None, None)
-        except Exception:
-            pass
         if state.interrupted is not None or not state.finished:
             registry = declare_campaign_metrics(MetricsRegistry())
             record_supervision_metrics(registry, self.events)
@@ -1121,10 +1100,7 @@ class WorkerFleet:
                 state.interrupted or "incomplete",
                 journal=state.options.journal,
                 completed=state.scheduler.completed)
-        if state.sampler is not None:
-            with state.sampler.host_phase("merge"):
-                campaign, registry = self._merge(state)
-        else:
+        with state.tracer.span("merge"):
             campaign, registry = self._merge(state)
         self._emit(state, "campaign-finished",
                    counts=campaign.counts(),
@@ -1133,16 +1109,19 @@ class WorkerFleet:
         return campaign
 
     def _flush_observability(self, state, registry):
+        """Close the root span (after the campaign's last milestone),
+        fold the units' shipped spans into the campaign's tracer in
+        unit order, and write the trace, profile and metrics sinks."""
+        state.root_span.set("experiments",
+                            len(state.scheduler.results))
+        state.root_cm.__exit__(None, None, None)
+        tracer = state.tracer
+        for index in sorted(state.payloads):
+            tracer.absorb(state.payloads[index].get("trace") or ())
+        tracer.close()
         options = state.options
         if options.profile is not None and state.sampler is not None:
-            state.sampler.save(options.profile)
-        if options.trace is not None:
-            events = list(state.tracer.events())
-            for index in sorted(state.payloads):
-                unit_events = state.payloads[index].get("trace")
-                if unit_events:
-                    events.extend(unit_events)
-            write_trace_file(str(options.trace), events)
+            state.sampler.save(options.profile, tracer.host_seconds())
         if options.metrics is not None and registry is not None:
             registry.save(options.metrics)
 

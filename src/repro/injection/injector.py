@@ -34,6 +34,7 @@ from __future__ import annotations
 from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from ..emu import Process
 from ..kernel import ServerHang
+from ..obs.trace import NULL_TRACER
 from .snapshot import MachineSnapshot
 
 
@@ -171,10 +172,9 @@ class BreakpointSession:
         self.restore_stats = {"restores": 0, "pristine_skips": 0,
                               "pages_written": 0, "kernel_reuses": 0,
                               "kernel_rewinds": 0}
-        #: optional :class:`repro.obs.sampler.Sampler` attributing the
-        #: restore path's host wall clock (rebound per runner, like
-        #: ``run_fn``); ``None`` keeps restores instrumentation-free.
-        self.sampler = None
+        #: span tracer timing the restore path (rebound per runner,
+        #: like ``run_fn``); the no-op tracer by default.
+        self.tracer = NULL_TRACER
 
     @property
     def process(self):
@@ -214,37 +214,31 @@ class BreakpointSession:
         installed kernel clone has never been touched, so the whole
         restore is skipped -- the common case for NA fast exits.
         """
-        sampler = self.sampler
-        if sampler is not None:
-            with sampler.host_phase("restore"):
-                return self._restore_impl()
-        return self._restore_impl()
-
-    def _restore_impl(self):
-        self.acquire()
-        if self._pristine:
-            self._pristine = False
-            self.restore_stats["pristine_skips"] += 1
-            return self.process.kernel
-        snapshot = self.snapshot
-        self.restore_stats["restores"] += 1
-        self.restore_stats["pages_written"] += self.machine.restore(
-            snapshot, full=self.full_restore)
-        # Every kernel/client mutation is syscall-gated (the client
-        # only acts inside server_read/server_write), so an unchanged
-        # syscall count proves the installed clone is still pristine
-        # and can serve the next experiment as-is -- the common case
-        # for faults that crash before reaching a system call.
-        # Otherwise the installed clone is rewound in place to the
-        # pristine snapshot state, which is why the kernel returned by
-        # the previous run_with_* call is only guaranteed stable until
-        # the next one.
-        installed = self.process.kernel
-        if installed.syscall_count == snapshot.kernel.syscall_count:
-            self.restore_stats["kernel_reuses"] += 1
-            return installed
-        self.restore_stats["kernel_rewinds"] += 1
-        return installed.rewind_to(snapshot.kernel)
+        with self.tracer.span("restore", cat="experiment"):
+            self.acquire()
+            if self._pristine:
+                self._pristine = False
+                self.restore_stats["pristine_skips"] += 1
+                return self.process.kernel
+            snapshot = self.snapshot
+            self.restore_stats["restores"] += 1
+            self.restore_stats["pages_written"] += self.machine.restore(
+                snapshot, full=self.full_restore)
+            # Every kernel/client mutation is syscall-gated (the client
+            # only acts inside server_read/server_write), so an
+            # unchanged syscall count proves the installed clone is
+            # still pristine and can serve the next experiment as-is --
+            # the common case for faults that crash before reaching a
+            # system call.  Otherwise the installed clone is rewound in
+            # place to the pristine snapshot state, which is why the
+            # kernel returned by the previous run_with_* call is only
+            # guaranteed stable until the next one.
+            installed = self.process.kernel
+            if installed.syscall_count == snapshot.kernel.syscall_count:
+                self.restore_stats["kernel_reuses"] += 1
+                return installed
+            self.restore_stats["kernel_rewinds"] += 1
+            return installed.rewind_to(snapshot.kernel)
 
     def fork(self):
         """Cheap sibling session at the same breakpoint.

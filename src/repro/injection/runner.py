@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 
 from ..emu.perf import PerfCounters
 from ..kernel import ServerHang
+from ..obs.events import emit_milestone, outcome_delta
 from ..obs.forensics import capture_forensics, make_forensic_ring
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
@@ -739,10 +740,24 @@ class CampaignRunner:
         #: explicit experiment list (one fleet work unit); ``None``
         #: enumerates the daemon's auth sections as usual.
         self.points = points
+        #: deterministic sampling profiler (:mod:`repro.obs.sampler`);
+        #: a ``profile`` sink with no sampler gets a default-period one.
+        sampler = options.sampler
+        if sampler is None and options.profile is not None:
+            sampler = Sampler()
+        self.sampler = as_sampler(sampler)
         #: span tracer (``trace`` is a sink path or a
-        #: :class:`~repro.obs.trace.Tracer`); the root span is named
-        #: ``campaign`` serially, ``shard`` in a fleet worker.
-        self.tracer = as_tracer(options.trace)
+        #: :class:`~repro.obs.trace.Tracer`; a profiled run without
+        #: one keeps span totals only, for the profile's host
+        #: seconds); the root span is named ``campaign`` serially,
+        #: ``shard`` in a fleet unit.
+        self.tracer = as_tracer(options.trace,
+                                timed=self.sampler is not None)
+        #: traces the milestones are mirrored into: the campaign's own
+        #: when this runner is the campaign; a fleet unit's milestones
+        #: stay on its worker's private bus.
+        self._mirror = ((self.tracer,) if trace_root == "campaign"
+                        and self.tracer.keep_spans else ())
         self.trace_root = trace_root
         self.trace_attrs = dict(trace_attrs or {})
         #: external "please checkpoint" poll (returns a falsy value or
@@ -772,13 +787,7 @@ class CampaignRunner:
         #: byte-identical either way.
         self.golden = golden
         self._active_guard = None
-        self._telemetry_reported = 0
-        #: deterministic sampling profiler (:mod:`repro.obs.sampler`);
-        #: a ``profile`` sink with no sampler gets a default-period one.
-        sampler = options.sampler
-        if sampler is None and options.profile is not None:
-            sampler = Sampler()
-        self.sampler = as_sampler(sampler)
+        self._reported = 0
 
     # -- public entry point --------------------------------------------
 
@@ -789,15 +798,12 @@ class CampaignRunner:
         try:
             with self.tracer.span(self.trace_root,
                                   **self.trace_attrs) as span:
-                campaign = self._run_traced(span)
-            return campaign
-        except CampaignInterrupted as interrupted:
-            if options.telemetry is not None:
-                options.telemetry.emit(
-                    "checkpoint", campaign=options.telemetry_campaign,
-                    reason=interrupted.reason,
-                    completed=interrupted.completed)
-            raise
+                try:
+                    return self._run_traced(span)
+                except CampaignInterrupted as interrupted:
+                    self._emit("checkpoint", reason=interrupted.reason,
+                               completed=interrupted.completed)
+                    raise
         finally:
             # flush observability sinks even on a checkpoint exit, so
             # an interrupted campaign still leaves a loadable trace
@@ -807,7 +813,8 @@ class CampaignRunner:
             if options.metrics is not None:
                 self.registry.save(options.metrics)
             if options.profile is not None and self.sampler is not None:
-                self.sampler.save(options.profile)
+                self.sampler.save(options.profile,
+                                  self.tracer.host_seconds())
 
     def _request_stop(self, name):
         # graceful SIGTERM/SIGINT: flag, not raise -- the current
@@ -843,17 +850,14 @@ class CampaignRunner:
                                   volatile=True).inc()
         else:
             with self.tracer.span("golden-run") as span:
-                golden = self._record_golden()
+                golden = record_golden(self.daemon, self.client_factory,
+                                       self.options.budget)
                 span.set("coverage_eips", len(golden.coverage))
             self._perf.absorb_dict(golden.perf)
             self.registry.counter("runtime.golden_runs",
                                   volatile=True).inc()
         self._golden = golden
-        telemetry = self.options.telemetry
-        if telemetry is not None:
-            telemetry.emit("golden",
-                           campaign=self.options.telemetry_campaign,
-                           reused=self.golden is not None)
+        self._emit("golden", reused=self.golden is not None)
         if self.points is not None:
             points = list(self.points)
         else:
@@ -869,10 +873,7 @@ class CampaignRunner:
                       type(self.daemon).__name__, self.client_name,
                       self.options.encoding, self.model.name,
                       len(points))
-        if telemetry is not None:
-            telemetry.emit("campaign-started",
-                           campaign=self.options.telemetry_campaign,
-                           points=len(points))
+        self._emit("campaign-started", points=len(points))
         campaign = CampaignResult(daemon_name=type(self.daemon).__name__,
                                   client_name=self.client_name,
                                   encoding=self.options.encoding,
@@ -924,34 +925,16 @@ class CampaignRunner:
         self.registry.gauge("points").set(len(points))
         self.registry.counter("runtime.watchdog_probes",
                               volatile=True).inc(self.watchdog.probes)
-        dropped = getattr(self.tracer, "spans_dropped", 0)
-        if dropped:
-            self.registry.counter("trace.spans_dropped",
-                                  volatile=True).inc(dropped)
         record_runtime_metrics(self.registry, wall_clock, executed,
                                perf=self._perf.as_dict())
         campaign.metrics = self.registry.as_dict()
-        if telemetry is not None:
-            telemetry.emit("campaign-finished",
-                           campaign=self.options.telemetry_campaign,
-                           counts=campaign.counts(),
-                           quarantined=len(campaign.quarantined))
+        self._emit("campaign-finished", counts=campaign.counts(),
+                   quarantined=len(campaign.quarantined))
         root_span.set("experiments", len(campaign.results))
         _LOGGER.debug("%s %s done: %d experiment(s) in %.1fs",
                       type(self.daemon).__name__, self.client_name,
                       len(campaign.results), wall_clock)
         return campaign
-
-    def _record_golden(self):
-        """The cold-path reference run, with its host wall clock
-        attributed to the profiler's ``golden-run`` phase when one is
-        attached."""
-        if self.sampler is None:
-            return record_golden(self.daemon, self.client_factory,
-                                 self.options.budget)
-        with self.sampler.host_phase("golden-run"):
-            return record_golden(self.daemon, self.client_factory,
-                                 self.options.budget)
 
     # -- journal plumbing ----------------------------------------------
 
@@ -989,7 +972,6 @@ class CampaignRunner:
             return self._run_points_pruned(campaign, points, journaled,
                                            quarantined_records, journal)
         from ..analysis.serialize import result_from_dict
-        total = len(points)
         queue = deque()
         for point in points:
             key = _point_key(point)
@@ -1001,12 +983,11 @@ class CampaignRunner:
                 campaign.results.append(resumed)
                 record_result_metrics(self.registry, resumed)
                 self._resumed += 1
-                self._report(campaign, quarantined_records, total)
+                self._report(campaign)
                 continue
             queue.append(_PendingPoint(
                 point=point, location=self.model.location(point)))
-        self._drain_queue(campaign, queue, quarantined_records,
-                          journal, total)
+        self._drain_queue(campaign, queue, quarantined_records, journal)
         if self._resumed:
             # A resume with a mid-journal gap (e.g. a salvaged corrupt
             # line) re-runs the gap *after* the journaled results;
@@ -1015,7 +996,7 @@ class CampaignRunner:
             self._restore_order(campaign, points)
 
     def _drain_queue(self, campaign, queue, quarantined_records,
-                     journal, total):
+                     journal):
         """Run pending points one at a time with retry/quarantine
         semantics (the exhaustive inner loop; pruning reuses it for
         singleton classes and declassified members)."""
@@ -1046,7 +1027,7 @@ class CampaignRunner:
                 record_result_metrics(self.registry, result)
                 if journal is not None:
                     journal.append_result(result)
-            self._report(campaign, quarantined_records, total)
+            self._report(campaign)
             self._chaos_tick += 1
             if self.options.chaos is not None:
                 # After journaling: a chaos kill here leaves the
@@ -1072,7 +1053,6 @@ class CampaignRunner:
         the end, so the result list is byte-identical to an exhaustive
         campaign's.
         """
-        total = len(points)
         ranges = (self.options.ranges if self.options.ranges is not None
                   else self.daemon.auth_ranges())
         plan = self.model.classify_points(
@@ -1094,8 +1074,7 @@ class CampaignRunner:
             if not site.sealed:
                 # fully journaled and never sealed: replay the records
                 # without paying for a session or classification.
-                self._replay_site(campaign, site, journaled, total,
-                                  quarantined_records)
+                self._replay_site(campaign, site, journaled)
                 continue
             self.registry.counter("pruning.classes",
                                   volatile=True).inc(len(site.classes))
@@ -1107,11 +1086,10 @@ class CampaignRunner:
                         completed=len(campaign.results)
                         + len(quarantined_records))
                 self._run_class(campaign, site, cls, journaled,
-                                quarantined_records, journal, total)
+                                quarantined_records, journal)
         self._restore_order(campaign, points)
 
-    def _replay_site(self, campaign, site, journaled, total,
-                     quarantined_records):
+    def _replay_site(self, campaign, site, journaled):
         for key in site.keys():
             record = journaled.get(key)
             if record is None:
@@ -1120,7 +1098,7 @@ class CampaignRunner:
             campaign.results.append(resumed)
             record_result_metrics(self.registry, resumed)
             self._resumed += 1
-        self._report(campaign, quarantined_records, total)
+        self._report(campaign)
 
     @staticmethod
     def _result_from_record(record):
@@ -1128,7 +1106,7 @@ class CampaignRunner:
         return result_from_dict(record)
 
     def _run_class(self, campaign, site, cls, journaled,
-                   quarantined_records, journal, total):
+                   quarantined_records, journal):
         from .pruning import GuardedWatchdog, PRUNE_SOLO
         # Replay journaled members first; the final enumeration-order
         # sort interleaves them back among the fresh records.
@@ -1146,7 +1124,7 @@ class CampaignRunner:
             else:
                 missing.append(point)
         if not missing:
-            self._report(campaign, quarantined_records, total)
+            self._report(campaign)
             return
         if cls.size == 1 or cls.kind == PRUNE_SOLO:
             # Singletons take the exhaustive path, retries included.
@@ -1155,7 +1133,7 @@ class CampaignRunner:
                 deque(_PendingPoint(point=point,
                                     location=self.model.location(point))
                       for point in missing),
-                quarantined_records, journal, total)
+                quarantined_records, journal)
             return
         guard = None
         if cls.needs_guard:
@@ -1185,7 +1163,7 @@ class CampaignRunner:
                 deque(_PendingPoint(point=point,
                                     location=self.model.location(point))
                       for point in missing),
-                quarantined_records, journal, total)
+                quarantined_records, journal)
             return
         if guard is not None and guard.tripped:
             # The suffix re-fetched the corrupted span: cross-image
@@ -1194,14 +1172,13 @@ class CampaignRunner:
             # run still stands for its own image.
             self.registry.counter("pruning.guard_trips",
                                   volatile=True).inc()
-            self._declassify(campaign, cls, result, missing, journaled,
-                             quarantined_records, journal, total)
+            self._declassify(campaign, cls, result, missing,
+                             quarantined_records, journal)
             return
-        self._fan_out(campaign, cls, result, missing, journal, total,
-                      quarantined_records)
+        self._fan_out(campaign, cls, result, missing, journal)
 
     def _declassify(self, campaign, cls, rep_result, missing,
-                    journaled, quarantined_records, journal, total):
+                    quarantined_records, journal):
         from .pruning import split_by_image
         missing_keys = {_point_key(point) for point in missing}
         for subgroup in split_by_image(self.model, self.daemon.module,
@@ -1213,8 +1190,7 @@ class CampaignRunner:
             if subgroup.representative is cls.representative:
                 # already executed (the tripped run itself)
                 self._fan_out(campaign, subgroup, rep_result,
-                              sub_missing, journal, total,
-                              quarantined_records)
+                              sub_missing, journal)
                 continue
             sub_pending = _PendingPoint(
                 point=subgroup.representative,
@@ -1231,13 +1207,12 @@ class CampaignRunner:
                         point=point,
                         location=self.model.location(point))
                         for point in sub_missing),
-                    quarantined_records, journal, total)
+                    quarantined_records, journal)
                 continue
             self._fan_out(campaign, subgroup, result, sub_missing,
-                          journal, total, quarantined_records)
+                          journal)
 
-    def _fan_out(self, campaign, cls, rep_result, missing, journal,
-                 total, quarantined_records):
+    def _fan_out(self, campaign, cls, rep_result, missing, journal):
         """Journal the representative's outcome for every missing
         member (class provenance stamped on multi-member classes) and,
         when the class is in the audit sample, exhaustively re-run the
@@ -1265,7 +1240,7 @@ class CampaignRunner:
             record_result_metrics(self.registry, result)
             if journal is not None:
                 journal.append_result(result)
-        self._report(campaign, quarantined_records, total)
+        self._report(campaign)
         self._chaos_tick += 1
         if self.options.chaos is not None:
             self.options.chaos.on_point(self._chaos_tick)
@@ -1291,17 +1266,19 @@ class CampaignRunner:
                     % (cls.class_id, _point_key(point), rep_key,
                        expected, got))
 
-    def _report(self, campaign, quarantined_records, total):
-        if self.options.progress is not None:
-            done = len(campaign.results) + len(quarantined_records)
-            self.options.progress(done, total)
-        telemetry = self.options.telemetry
-        if telemetry is not None:
-            fresh = campaign.results[self._telemetry_reported:]
-            if fresh:
-                telemetry.emit_outcomes(self.options.telemetry_campaign,
-                                        fresh)
-                self._telemetry_reported = len(campaign.results)
+    def _report(self, campaign):
+        """The ``outcomes`` milestone for the results recorded since
+        the last one (skipped when no bus or trace is watching)."""
+        if self.options.telemetry is None and not self._mirror:
+            return
+        fresh = campaign.results[self._reported:]
+        if fresh:
+            self._emit("outcomes", delta=outcome_delta(fresh))
+            self._reported = len(campaign.results)
+
+    def _emit(self, type, **payload):
+        emit_milestone(self.options.telemetry, self._mirror, type,
+                       self.options.telemetry_campaign, **payload)
 
     def _quarantine(self, campaign, pending, quarantined_records,
                     journal):
@@ -1383,12 +1360,6 @@ class CampaignRunner:
                                forensics=forensics)
 
     def _execute(self, point, location):
-        if self.sampler is not None:
-            with self.sampler.host_phase("experiment"):
-                return self._execute_traced(point, location)
-        return self._execute_traced(point, location)
-
-    def _execute_traced(self, point, location):
         with self.tracer.span("experiment", point=point.key,
                               location=location) as span:
             result = self._execute_inner(point, location)
@@ -1501,7 +1472,7 @@ class CampaignRunner:
         session.process.cpu.forensic_ring = (
             make_forensic_ring() if self.options.forensics else None)
         session.process.cpu.sampler = self.sampler
-        session.sampler = self.sampler
+        session.tracer = self.tracer
         self._session = session
         self._session_address = address
         return session

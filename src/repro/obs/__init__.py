@@ -5,8 +5,8 @@ latency, activation vs. manifestation, which branch flips open the
 BRK window -- so the pipeline needs a measurement layer of its own:
 
 * :mod:`repro.obs.trace` -- Chrome-trace-event/Perfetto-compatible
-  span tracing for campaign / shard / experiment / golden run /
-  injection / client session / watchdog probe;
+  span tracing of every engine phase; per-name span totals are the
+  profile's host seconds;
 * :mod:`repro.obs.metrics` -- one mergeable registry of counters,
   gauges and fixed-bucket histograms unifying outcome tallies, the
   crash-latency distribution, quarantine/retry counts, the execution
@@ -14,16 +14,19 @@ BRK window -- so the pipeline needs a measurement layer of its own:
   throughput;
 * :mod:`repro.obs.events` -- the live telemetry plane: a bounded,
   per-campaign-sequenced :class:`~repro.obs.events.EventBus` the
-  service streams to ``subscribe`` clients and ``repro top`` renders;
+  service streams and ``repro top`` renders, fed by
+  :func:`~repro.obs.events.emit_milestone`, the one emit site that
+  puts each milestone on the bus and into the trace;
 * :mod:`repro.obs.sampler` -- a deterministic (instruction-count)
   sampling profiler attributing retired guest instructions to the
-  compiled program's functions and host wall clock to engine phases;
+  compiled program's functions;
 * :mod:`repro.obs.forensics` -- last-N-instruction ring buffer plus
   register/flags snapshot captured when a run crashes or hangs, and
   the golden-trace divergence locator;
 * :mod:`repro.obs.ring` -- the bounded-buffer / trace-recorder
   primitives the above (and :mod:`repro.analysis.propagation`) share;
-* :mod:`repro.obs.log` -- the ``logging``-based campaign reporter.
+* :mod:`repro.obs.log` -- ``logging`` set-up and the progress
+  reporter, a bus subscriber.
 
 Everything here is stdlib-only and observational: with no sink, ring,
 bus or sampler attached, campaigns execute the exact same instruction
@@ -32,8 +35,8 @@ stream and produce byte-identical tables.
 
 from __future__ import annotations
 
-from .events import (check_contiguous, EventBus, load_event_stream,
-                     merge_event_streams)
+from .events import (check_contiguous, EventBus, EventLog,
+                     load_event_stream, merge_event_streams)
 from .forensics import (capture_forensics, first_divergence,
                         format_forensics_record)
 from .log import (configure_logging, get_logger, ProgressReporter,
@@ -50,6 +53,7 @@ __all__ = [
     "check_contiguous",
     "configure_logging",
     "EventBus",
+    "EventLog",
     "first_divergence",
     "fold_events",
     "format_forensics_record",

@@ -1,40 +1,38 @@
 """Typed campaign event bus: the live telemetry plane.
 
-A :class:`EventBus` turns the engine's internal milestones -- unit
+A :class:`EventBus` turns the engine's milestones -- unit
 started/finished, outcome-tally deltas, worker respawn/backoff,
 checkpoint, golden reuse -- into a bounded, subscribable stream of
-typed events.  It is the push counterpart of the pull-only artifacts
-PR 5 introduced (trace files, metrics dumps): the service streams it
-to ``subscribe`` clients and ``repro top`` renders it live.
+typed events: the service streams it to ``subscribe`` clients,
+``repro top`` renders it live, and ``--events`` and ``--progress``
+are subscribers.
 
-Design constraints, in order:
-
-* **zero overhead when off** -- nothing in the engine constructs a
-  bus by default; every emit site is guarded by ``if bus is not
-  None`` (one attribute test, the same discipline as the forensic
-  ring and the sampler);
-* **deterministic modulo timestamps** -- events carry a per-campaign
-  ``seq`` assigned at emit time in the *parent* process.  Workers do
-  not emit events directly: their unit completions ride the existing
-  pipe-per-incarnation messages and the parent emits on receipt, so
-  one process owns the ordering and subscriber streams are gap-free
-  per campaign (``seq`` is contiguous from 0);
-* **bounded** -- the retained history is a ring (newest
-  :data:`EVENT_RING_CAPACITY` events); live subscribers see every
-  event regardless of the ring, and :attr:`dropped` counts what the
-  ring let go;
-* **mergeable** -- :func:`merge_event_streams` interleaves several
-  buses' histories into one deterministic stream (campaign, seq)
-  for offline analysis.
+* **one emit site per milestone** -- the runner and the fleet send
+  every milestone through :func:`emit_milestone`: the bus event (when
+  a bus is attached) plus the same fact as an instant in each live
+  campaign's trace (when tracing is on).  Nothing builds a bus by
+  default;
+* **deterministic modulo timestamps** -- ``seq`` is per campaign and
+  assigned in the *parent* process.  A fleet unit runner emits only
+  onto a bus private to its worker (the liveness heartbeat
+  subscribes there); unit completions ride the worker's pipe and the
+  parent emits on receipt, so streams are gap-free per campaign
+  (``seq`` contiguous from 0);
+* **bounded** -- the history is a ring of the newest
+  :data:`EVENT_RING_CAPACITY` events (:attr:`dropped` counts the
+  rest); live subscribers, an :class:`EventLog` file among them, see
+  every event;
+* **mergeable** -- :func:`merge_event_streams` interleaves histories
+  deterministically by (campaign, seq).
 
 Event wire shape (one JSON-able dict per event)::
 
     {"seq": 17, "type": "unit-finished", "campaign": "c0000",
      "ts": 1723108712.41, ...payload...}
 
-``ts`` is wall clock and explicitly *volatile*: every consumer that
-feeds the deterministic metrics core must ignore it.  The schema
-table lives in DESIGN.md section 17.
+``ts`` is wall clock and *volatile*: consumers that feed the
+deterministic metrics core ignore it.  The schema table lives in
+DESIGN.md section 17.
 """
 
 from __future__ import annotations
@@ -102,20 +100,6 @@ class EventBus:
             callback(event)
         return event
 
-    def emit_outcomes(self, campaign, records):
-        """Tally the outcomes of a completed record batch into one
-        ``outcomes`` delta event (no event when the batch is empty)."""
-        if not records:
-            return None
-        delta = {}
-        for record in records:
-            outcome = (record.get("outcome")
-                       if isinstance(record, dict)
-                       else record.outcome)
-            delta[outcome] = delta.get(outcome, 0) + 1
-        return self.emit("outcomes", campaign=campaign,
-                         delta=dict(sorted(delta.items())))
-
     # -- subscribing ---------------------------------------------------
 
     def subscribe(self, callback):
@@ -136,18 +120,53 @@ class EventBus:
         """Retained events, oldest first."""
         return self._ring.snapshot()
 
-    def save(self, path):
-        """Write the retained history as JSONL (one event per line)."""
-        with open(path, "w") as handle:
-            for event in self.events():
-                handle.write(json.dumps(event) + "\n")
-
     def __len__(self):
         return len(self._ring)
 
 
+class EventLog:
+    """Subscriber appending each event to a JSONL file as it is
+    emitted (``--events``): the whole stream, not the bounded ring.
+    :attr:`count` is the number of events written."""
+
+    def __init__(self, path):
+        self.path = str(path)
+        self.count = 0
+        # line-buffered: a killed run still leaves every event it
+        # emitted on disk
+        self._handle = open(self.path, "w", buffering=1)
+
+    def __call__(self, event):
+        self._handle.write(json.dumps(event) + "\n")
+        self.count += 1
+
+    def close(self):
+        self._handle.close()
+
+
+def outcome_delta(records):
+    """``{outcome: count}`` of a completed record batch (result
+    objects or their dicts): the ``outcomes`` event payload."""
+    delta = {}
+    for record in records:
+        outcome = (record.get("outcome") if isinstance(record, dict)
+                   else record.outcome)
+        delta[outcome] = delta.get(outcome, 0) + 1
+    return dict(sorted(delta.items()))
+
+
+def emit_milestone(bus, tracers, type, campaign=None, **payload):
+    """The one emit site of a campaign milestone: the *bus* event
+    (``None`` = no bus) and the same fact as an instant in each of
+    *tracers*, the live campaigns' traces."""
+    if bus is not None:
+        bus.emit(type, campaign=campaign, **payload)
+    for tracer in tracers:
+        tracer.instant(type, cat="milestone", **payload)
+
+
 def load_event_stream(path):
-    """Events from a file written by :meth:`EventBus.save`."""
+    """Events from a file written by :class:`EventLog`."""
     events = []
     with open(path) as handle:
         for line in handle:

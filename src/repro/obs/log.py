@@ -78,22 +78,36 @@ def reset_warn_once():
 
 
 class ProgressReporter:
-    """Progress callback logging ``done / total`` lines.
+    """Event-bus subscriber logging ``done / total`` lines.
 
-    Drop-in for the ``progress`` argument of
-    :func:`repro.injection.campaign.run_campaign`: emits an INFO line
-    every *step* completed experiments and at completion, through the
-    ``repro.campaign`` logger so ``--quiet`` (or any logging config)
-    can silence it.
+    ``bus.subscribe(ProgressReporter())`` folds each campaign's
+    ``campaign-started`` (total, plus points resumed from a journal),
+    ``outcomes`` deltas and ``campaign-finished`` into an INFO line
+    every *step* experiments and one at completion, through the
+    ``repro.campaign`` logger so ``--quiet`` can silence it.
     """
 
     def __init__(self, step=250, logger=None):
         self.step = step
         self.logger = (logger if logger is not None
                        else get_logger("campaign"))
-        self._last = 0
+        self._campaigns = {}      # campaign -> [done, total, last]
 
-    def __call__(self, done, total):
-        if done - self._last >= self.step or done == total:
-            self._last = done
+    def __call__(self, event):
+        kind, campaign = event["type"], event["campaign"]
+        if kind == "campaign-started":
+            self._campaigns[campaign] = [event.get("resumed", 0),
+                                         event["points"], 0]
+            return
+        state = self._campaigns.get(campaign)
+        if state is None:
+            return
+        if kind == "outcomes":
+            state[0] += sum(event["delta"].values())
+        elif kind == "campaign-finished":
+            state[0] = (sum(event["counts"].values())
+                        + event["quarantined"])
+        done, total, last = state
+        if done != last and (done - last >= self.step or done == total):
+            state[2] = done
             self.logger.info("  ... %d / %d experiments", done, total)

@@ -1,9 +1,9 @@
-"""Bounded-buffer primitives shared by tracing and forensics.
+"""Bounded-buffer primitives shared by telemetry and forensics.
 
 Two capture disciplines cover every consumer in the pipeline:
 
 * :class:`RingBuffer` keeps the *last* ``capacity`` items (the
-  forensic instruction ring, the in-memory span ring) -- the recent
+  forensic instruction ring, the event bus history) -- the recent
   past matters, the distant past may be dropped;
 * :class:`TraceRecorder` keeps the *first* ``limit`` items (the
   propagation analyzer's post-activation traces) -- divergence search

@@ -28,42 +28,22 @@ Two attributions are recorded:
   those) and resolved offline to the compiled program's function and
   assembly-line map (:meth:`resolve`), rendered as per-cell hotspot
   tables and a collapsed-stack file flamegraph tools accept;
-* **host phases** -- wall-seconds per engine phase (``golden-run`` /
-  ``restore`` / ``experiment`` / ``merge``) via
-  :meth:`host_phase`, answering FastFlip's question of where the
-  *analysis* time goes.  Host seconds are volatile by nature and
-  never enter the deterministic metrics core.
+* **host seconds** -- wall-seconds per engine phase (``golden-run``
+  / ``restore`` / ``experiment`` / ``merge``), answering FastFlip's
+  question of where the *analysis* time goes: the campaign tracer's
+  span totals (:meth:`repro.obs.trace.Tracer.host_seconds`), written
+  alongside.  They are volatile and never enter the metrics core.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
 #: default sample period in retired instructions (prime, so samples
 #: do not phase-lock with loop bodies).
 SAMPLE_PERIOD = 997
 
 PROFILE_SCHEMA = 1
-
-
-class _HostPhase:
-    __slots__ = ("_sampler", "_name", "_start")
-
-    def __init__(self, sampler, name):
-        self._sampler = sampler
-        self._name = name
-        self._start = None
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self._start
-        seconds = self._sampler.host_seconds
-        seconds[self._name] = seconds.get(self._name, 0.0) + elapsed
-        return False
 
 
 class Sampler:
@@ -77,8 +57,7 @@ class Sampler:
     experiments, keeping the stream periodic over the whole campaign.
     """
 
-    __slots__ = ("period", "skip", "samples", "by_phase",
-                 "host_seconds")
+    __slots__ = ("period", "skip", "samples", "by_phase")
 
     def __init__(self, period=SAMPLE_PERIOD):
         if period < 1:
@@ -87,7 +66,6 @@ class Sampler:
         self.period = period
         self.skip = period - 1
         self.by_phase = {}
-        self.host_seconds = {}
         #: the current phase's eip -> count dict (what the CPU loop
         #: writes into).
         self.samples = self.by_phase.setdefault("experiment", {})
@@ -99,11 +77,6 @@ class Sampler:
         ``experiment``)."""
         self.samples = self.by_phase.setdefault(name, {})
 
-    def host_phase(self, name):
-        """Context manager accumulating host wall-seconds for *name*
-        (``golden-run`` / ``restore`` / ``experiment`` / ``merge``)."""
-        return _HostPhase(self, name)
-
     # -- serialization --------------------------------------------------
 
     @property
@@ -111,9 +84,10 @@ class Sampler:
         return sum(sum(counts.values())
                    for counts in self.by_phase.values())
 
-    def as_dict(self):
-        """JSON-able profile: deterministic guest samples plus
-        volatile host seconds, explicitly separated."""
+    def as_dict(self, host_seconds=None):
+        """JSON-able profile: deterministic guest samples and, apart,
+        the volatile *host_seconds* (``{phase: seconds}``)."""
+        host_seconds = host_seconds or {}
         return {
             "schema": PROFILE_SCHEMA,
             "period": self.period,
@@ -125,13 +99,14 @@ class Sampler:
             "volatile": {
                 "host_seconds": {name: round(seconds, 6)
                                  for name, seconds
-                                 in sorted(self.host_seconds.items())},
+                                 in sorted(host_seconds.items())},
             },
         }
 
     def absorb_dict(self, payload):
-        """Merge another sampler's :meth:`as_dict` (shard profiles
-        fold into the parent's, like metrics registries)."""
+        """Merge another sampler's guest samples from its
+        :meth:`as_dict` (shard profiles fold into the parent's, like
+        metrics registries; host seconds travel as trace spans)."""
         if not payload:
             return
         for phase, counts in (payload.get("samples") or {}).items():
@@ -139,17 +114,12 @@ class Sampler:
             for eip_hex, count in counts.items():
                 eip = int(eip_hex, 16)
                 mine[eip] = mine.get(eip, 0) + count
-        volatile = payload.get("volatile") or {}
-        for name, seconds in (volatile.get("host_seconds")
-                              or {}).items():
-            self.host_seconds[name] = (self.host_seconds.get(name, 0.0)
-                                       + seconds)
         self.samples = self.by_phase.setdefault("experiment",
                                                 self.samples)
 
-    def save(self, path):
+    def save(self, path, host_seconds=None):
         with open(path, "w") as handle:
-            json.dump(self.as_dict(), handle, indent=1,
+            json.dump(self.as_dict(host_seconds), handle, indent=1,
                       sort_keys=True)
             handle.write("\n")
 

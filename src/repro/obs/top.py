@@ -166,31 +166,35 @@ def unit_progress(units):
     return list(started.values()), done, total, first_ts, last_ts
 
 
-def view_from_journals(journal):
+def view_from_journals(journal, family=None):
     """Rebuild a :class:`CampaignView` offline from a journal base
-    path and its ``.shardK`` files (``repro top <journal>`` mode).
+    path and its ``.shardK`` files, or its already loaded *family*
+    (``repro top <journal>`` and the ``repro status`` progress line).
 
     Raises :class:`FileNotFoundError` when neither the base journal
     nor any shard exists.
     """
     import os
-    from ..injection.runner import JournalFamily
-    family = JournalFamily.load(journal, strict=False)
+    if family is None:
+        from ..injection.runner import JournalFamily
+        family = JournalFamily.load(journal, strict=False)
     if not family.members:
         raise FileNotFoundError("no journal at %s (or %s.shard*)"
                                 % (journal, journal))
     base = str(journal)
     view = CampaignView(None)
+    # by point key: a point journaled twice (it moved between workers
+    # across resumes) counts once
+    for record in family.results.values():
+        outcome = record.get("outcome")
+        view.outcomes[outcome] = view.outcomes.get(outcome, 0) + 1
+    view.quarantined = len(family.quarantined)
     base_units = []
     shard_units = []
     for member in family.members:
         if member.error is not None:
             continue
         path, meta, results = member.path, member.meta, member.results
-        for record in results.values():
-            outcome = record.get("outcome")
-            view.outcomes[outcome] = view.outcomes.get(outcome, 0) + 1
-        view.quarantined += len(member.quarantined)
         # Fleet runs mark every unit twice: the parent appends
         # started/done markers to the base journal and the worker
         # marks its own shard file.  The base markers carry the

@@ -8,26 +8,28 @@ in the Chrome trace event format (the JSON ``traceEvents`` array that
 
 Span taxonomy (nesting by temporal containment within a track)::
 
-    campaign                      the whole run (serial parent)
+    campaign                      the whole run (serial or fleet parent)
       golden-run                  reference execution
       experiment                  one injection point
         client-session            BreakpointSession build (prefix run)
         injection                 flip + run-to-completion
-    shard                         one worker's slice (tid = shard+1)
+          restore                 snapshot restore before the flip
+      merge                       fleet parent: fold unit payloads
+    shard                         one worker's unit (tid = shard+1)
       ...same children...
     watchdog-probe                post-budget tight-loop probe
 
-With a ``sink`` path the tracer keeps every event and
-:meth:`close` writes the file; with no sink it degrades to a bounded
-in-memory ring (the newest :data:`TRACE_RING_EVENTS` events) that
-library users can inspect programmatically, so always-on tracing
-cannot grow without bound.
+Instants (``cat`` ``milestone``) mirror the event-bus milestones
+(:func:`repro.obs.events.emit_milestone`) on the parent track.  Each
+span also adds its duration to a per-name total, and the profile's
+host seconds (:data:`HOST_PHASES`) are those totals: one clock.  A
+``--profile`` run without ``--trace`` keeps only the totals.
 
 Timestamps come from ``time.monotonic_ns()``, which on Linux is
 shared across forked worker processes, so worker spans land on the
 same timeline as the parent's.  The fleet ships each work unit's
-events back to the parent, which appends them to its own in unit
-order and writes one file (:func:`write_trace_file`).
+events back to the parent, which folds them into its own tracer in
+unit order and writes one file.
 """
 
 from __future__ import annotations
@@ -35,11 +37,8 @@ from __future__ import annotations
 import json
 import time
 
-from .log import warn_once
-from .ring import RingBuffer
-
-#: in-memory mode keeps this many most-recent events.
-TRACE_RING_EVENTS = 4096
+#: span names whose totals become the profile's ``host_seconds``.
+HOST_PHASES = ("experiment", "golden-run", "merge", "restore")
 
 
 def _now_us():
@@ -92,26 +91,24 @@ class _SpanContext:
 class Tracer:
     """Span recorder for one process (campaign parent or shard worker).
 
-    ``sink`` is the JSON file :meth:`close` writes (``None`` = bounded
-    in-memory ring only).  ``tid`` labels the track: 0 for the serial
-    runner / parallel parent, ``shard + 1`` for workers.  ``clock`` is
-    injectable for tests (defaults to monotonic microseconds).
+    ``sink`` is the JSON file :meth:`close` writes.  ``keep_spans``
+    (forced on by a sink) keeps every event for :meth:`events`; off,
+    only :attr:`totals_us` grows.  ``tid`` labels the track: 0 for the
+    serial runner / fleet parent, ``shard + 1`` for workers.
+    ``clock`` is injectable for tests (defaults to monotonic
+    microseconds).
     """
 
-    def __init__(self, sink=None, pid=1, tid=0,
-                 ring_capacity=TRACE_RING_EVENTS, clock=None):
+    def __init__(self, sink=None, pid=1, tid=0, keep_spans=True,
+                 clock=None):
         self.sink = str(sink) if sink is not None else None
         self.pid = pid
         self.tid = tid
         self._clock = clock if clock is not None else _now_us
-        self._events = ([] if self.sink is not None
-                        else RingBuffer(ring_capacity))
-        self._ring = (self._events if self.sink is None else None)
-        #: spans the in-memory ring silently evicted (sink mode never
-        #: drops).  Folded into the ``trace.spans_dropped`` volatile
-        #: metric at campaign finalize; the first drop warns once so
-        #: a truncated ring is never mistaken for a complete trace.
-        self.spans_dropped = 0
+        self.keep_spans = keep_spans or self.sink is not None
+        self._events = [] if self.keep_spans else None
+        #: span name -> summed duration in microseconds.
+        self.totals_us = {}
 
     def span(self, name, cat="campaign", **attrs):
         """Context manager timing one span; yields a :class:`Span`
@@ -125,23 +122,28 @@ class Tracer:
                     "tid": self.tid, "s": "t", "args": dict(attrs)})
 
     def _emit(self, event):
-        ring = self._ring
-        if (ring is not None and ring.capacity is not None
-                and len(ring) == ring.capacity):
-            self.spans_dropped += 1
-            if self.spans_dropped == 1:
-                warn_once(
-                    "trace-ring-drop",
-                    "in-memory span ring full (capacity %d): oldest "
-                    "spans are being dropped; pass a trace sink path "
-                    "to keep them all", ring.capacity)
-        self._events.append(event)
+        duration = event.get("dur")
+        if duration is not None:
+            name = event["name"]
+            self.totals_us[name] = self.totals_us.get(name, 0) + duration
+        if self._events is not None:
+            self._events.append(event)
+
+    def absorb(self, events):
+        """Fold another tracer's events (a fleet unit's, shipped home)
+        into the totals, and into the kept events when kept."""
+        for event in events:
+            self._emit(event)
+
+    def host_seconds(self):
+        """The :data:`HOST_PHASES` totals, in seconds."""
+        totals = self.totals_us
+        return {name: totals[name] / 1e6 for name in HOST_PHASES
+                if name in totals}
 
     def events(self):
         """Recorded events, oldest first."""
-        if isinstance(self._events, RingBuffer):
-            return self._events.snapshot()
-        return list(self._events)
+        return list(self._events or ())
 
     def save(self, path=None):
         """Write the Chrome trace JSON object to *path* (default: the
@@ -149,7 +151,10 @@ class Tracer:
         target = path if path is not None else self.sink
         if target is None:
             raise ValueError("tracer has no sink; pass a path")
-        write_trace_file(target, self.events())
+        with open(target, "w") as handle:
+            json.dump({"traceEvents": self.events(),
+                       "displayTimeUnit": "ms"}, handle)
+            handle.write("\n")
 
     def close(self):
         """Flush to the sink, if one was given.  Idempotent."""
@@ -158,72 +163,52 @@ class Tracer:
 
 
 class _NullSpan:
+    """The no-op tracer's span context and span handle in one."""
+
     __slots__ = ()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        return False
 
     def set(self, key, value):
         pass
 
 
-class _NullSpanContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return _NULL_SPAN
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-class NullTracer:
+class NullTracer(Tracer):
     """No-op tracer: call sites thread spans unconditionally and pay
-    one attribute lookup when tracing is off."""
+    one method call when tracing is off."""
 
-    sink = None
-    pid = 1
-    tid = 0
-    spans_dropped = 0
+    def __init__(self):
+        super().__init__(keep_spans=False)
 
     def span(self, name, cat="campaign", **attrs):
-        return _NULL_SPAN_CONTEXT
+        return _NULL_SPAN
 
-    def instant(self, name, cat="campaign", **attrs):
-        pass
-
-    def events(self):
-        return []
-
-    def save(self, path=None):
-        pass
-
-    def close(self):
+    def _emit(self, event):
         pass
 
 
 _NULL_SPAN = _NullSpan()
-_NULL_SPAN_CONTEXT = _NullSpanContext()
 NULL_TRACER = NullTracer()
 
 
-def as_tracer(trace, tid=0):
+def as_tracer(trace, tid=0, timed=False):
     """Coerce a user-facing ``trace`` argument -- ``None``, a sink
-    path, or a :class:`Tracer` -- into a tracer object."""
-    if trace is None:
-        return NULL_TRACER
-    if isinstance(trace, (Tracer, NullTracer)):
+    path, or a :class:`Tracer` -- into a tracer object.  ``timed``
+    asks for span totals even without a sink (a profiled run): a
+    totals-only tracer instead of the no-op one."""
+    if isinstance(trace, Tracer):
         return trace
-    return Tracer(sink=trace, tid=tid)
-
-
-def write_trace_file(path, events):
-    """Write *events* as a Chrome trace JSON object."""
-    with open(path, "w") as handle:
-        json.dump({"traceEvents": list(events),
-                   "displayTimeUnit": "ms"}, handle)
-        handle.write("\n")
+    if trace is not None:
+        return Tracer(sink=trace, tid=tid)
+    return Tracer(tid=tid, keep_spans=False) if timed else NULL_TRACER
 
 
 def load_trace_file(path):
-    """Events of a file written by :func:`write_trace_file` (the bare
+    """Events of a file written by :meth:`Tracer.save` (the bare
     ``[...]`` array form is accepted too)."""
     with open(path) as handle:
         payload = json.load(handle)

@@ -60,11 +60,16 @@ class TestCampaignMechanics:
             == [r.crash_latency for r in second.results]
 
     def test_progress_callback(self, ftp_daemon):
+        # progress is a bus subscriber: one outcomes delta per point
+        from repro.obs import EventBus
+        bus = EventBus()
         seen = []
+        bus.subscribe(seen.append)
         run_campaign(ftp_daemon, "Client1", client1, max_points=24,
-                     progress=lambda done, total: seen.append(done))
-        assert seen
-        assert seen[-1] <= 24
+                     telemetry=bus)
+        deltas = [sum(event["delta"].values()) for event in seen
+                  if event["type"] == "outcomes"]
+        assert deltas == [1] * 24
 
 
 class TestEncodings:

@@ -136,6 +136,51 @@ class TestTrace:
         assert len(experiments) == len(campaign.results)
 
 
+    def test_respawn_marks_every_live_campaign(self, ftp_daemon,
+                                              tmp_path):
+        # two campaigns share one fleet when a chaos kill respawns a
+        # worker: the fleet-scoped milestone lands in both traces, and
+        # both still nest (the finished instant inside the root span)
+        import importlib.util
+        import pathlib
+
+        from repro.injection import (ChaosAction, ChaosPolicy,
+                                     FleetConfig, WorkerFleet)
+        spec = importlib.util.spec_from_file_location(
+            "check_obs", pathlib.Path(__file__).resolve().parents[2]
+            / "benchmarks" / "check_obs.py")
+        check_obs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_obs)
+        chaos = ChaosPolicy(actions=(
+            ChaosAction(kind="kill", shard=0, after=2),))
+        fleet = WorkerFleet(FleetConfig(workers=2, backoff_base=0.05,
+                                        backoff_cap=0.2,
+                                        poll_interval=0.05,
+                                        dead_grace=0.2), chaos=chaos)
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        fleet.start()
+        try:
+            cids = [fleet.submit(ftp_daemon, "Client1", client1,
+                                 max_points=SLICE, trace=str(path))
+                    for path in paths]
+            # both campaigns stay live (unfinalized) until the
+            # respawn, however fast the surviving worker finishes
+            while not (all(fleet.finished(cid) for cid in cids)
+                       and fleet.events["respawns"]):
+                fleet.pump()
+            for cid in cids:
+                fleet.finalize(cid)
+        finally:
+            fleet.stop()
+        assert fleet.events["respawns"] == 1
+        for path in paths:
+            assert check_obs.check_trace(path) == []
+            names = [event["name"] for event in load_trace_file(path)
+                     if event["ph"] == "i"]
+            assert names.count("worker-respawn") == 1
+            assert names[-1] == "campaign-finished"
+
+
 class TestTelemetry:
     def test_serial_event_stream_is_gap_free(self, ftp_daemon,
                                              plain_campaign):

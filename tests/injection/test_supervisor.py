@@ -349,15 +349,23 @@ class TestCheckpointShutdown:
         released = context.Event()
 
         def child():
-            def hold(done, total):
-                if done == 5:
+            from repro.obs import EventBus
+            done = [0]
+
+            def hold(event):
+                if event["type"] != "outcomes":
+                    return
+                done[0] += sum(event["delta"].values())
+                if done[0] == 5:
                     ready.set()
                     released.wait(30.0)
 
+            bus = EventBus()
+            bus.subscribe(hold)
             try:
                 run_campaign(ftp_daemon, "Client1", client1,
                              max_points=SLICE, journal=path,
-                             graceful_signals=True, progress=hold)
+                             graceful_signals=True, telemetry=bus)
             except CampaignInterrupted as interrupted:
                 os._exit(75 if interrupted.reason == "SIGTERM" else 64)
             os._exit(0)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import (check_contiguous, EventBus, load_event_stream,
-                       merge_event_streams)
-from repro.obs.events import EVENT_RING_CAPACITY, EVENT_TYPES
+from repro.obs import (check_contiguous, EventBus, EventLog,
+                       load_event_stream, merge_event_streams, Tracer)
+from repro.obs.events import (emit_milestone, EVENT_RING_CAPACITY,
+                              EVENT_TYPES, outcome_delta)
 
 
 def clocked_bus(**kwargs):
@@ -49,12 +50,29 @@ class TestEmit:
         assert [event["campaign"] for event in seen] == ["a"]
 
     def test_outcome_delta_tally(self):
-        bus = clocked_bus()
         records = [{"outcome": "SD"}, {"outcome": "NA"},
                    {"outcome": "SD"}]
-        event = bus.emit_outcomes("a", records)
-        assert event["delta"] == {"NA": 1, "SD": 2}
-        assert bus.emit_outcomes("a", []) is None
+        assert outcome_delta(records) == {"NA": 1, "SD": 2}
+        assert outcome_delta([]) == {}
+
+    def test_milestone_reaches_bus_and_every_trace(self):
+        bus = clocked_bus()
+        traces = [Tracer(), Tracer()]
+        emit_milestone(bus, traces, "worker-respawn", worker=1,
+                       incarnation=2)
+        emit_milestone(None, traces[:1], "checkpoint", "a",
+                       reason="deadline", completed=3)
+        (event,) = bus.events()
+        assert event["type"] == "worker-respawn"
+        assert event["worker"] == 1
+        first, second = (trace.events() for trace in traces)
+        assert [(instant["name"], instant["ph"], instant["args"])
+                for instant in first] == [
+            ("worker-respawn", "i", {"worker": 1, "incarnation": 2}),
+            ("checkpoint", "i", {"reason": "deadline",
+                                 "completed": 3})]
+        assert [instant["name"] for instant in second] \
+            == ["worker-respawn"]
 
     def test_every_documented_type_emits(self):
         bus = clocked_bus()
@@ -93,12 +111,28 @@ class TestRing:
 class TestPersistence:
     def test_save_and_load_round_trip(self, tmp_path):
         bus = clocked_bus()
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
+        bus.subscribe(log)
         bus.emit("golden", campaign="a", reused=False)
         bus.emit("campaign-started", campaign="a", points=40)
-        path = tmp_path / "events.jsonl"
-        bus.save(path)
+        log.close()
         events = load_event_stream(path)
         assert events == bus.events()
+        assert log.count == 2
+
+    def test_event_log_outruns_the_ring(self, tmp_path):
+        bus = clocked_bus(capacity=2)
+        path = tmp_path / "events.jsonl"
+        log = EventLog(path)
+        bus.subscribe(log)
+        for index in range(5):
+            bus.emit("checkpoint", campaign="a", reason="r",
+                     completed=index)
+        log.close()
+        events = load_event_stream(path)
+        assert len(bus) == 2
+        assert [event["seq"] for event in events] == [0, 1, 2, 3, 4]
 
     def test_merge_orders_by_campaign_then_seq(self):
         one = clocked_bus()

@@ -78,22 +78,53 @@ class TestWarnOnce:
         assert warn_once("key", "message")
 
 
+def _campaign_events(points, batches, quarantined=0, resumed=None):
+    """A campaign's progress-relevant events: started, one
+    ``outcomes`` delta per batch size, finished."""
+    started = {"type": "campaign-started", "campaign": "c",
+               "points": points}
+    if resumed is not None:
+        started["resumed"] = resumed
+    events = [started]
+    for size in batches:
+        events.append({"type": "outcomes", "campaign": "c",
+                       "delta": {"NA": size}})
+    events.append({"type": "campaign-finished", "campaign": "c",
+                   "counts": {"NA": sum(batches) + (resumed or 0)},
+                   "quarantined": quarantined})
+    return events
+
+
 class TestProgressReporter:
     def test_steps_and_completion(self):
         stream = io.StringIO()
         configure_logging(0, stream=stream)
         progress = ProgressReporter(step=250)
-        for done in range(1, 601):
-            progress(done, 600)
+        for event in _campaign_events(600, [1] * 600):
+            progress(event)
         lines = stream.getvalue().splitlines()
         assert "250 / 600" in lines[0]
         assert "500 / 600" in lines[1]
         assert "600 / 600" in lines[2]
         assert len(lines) == 3
 
+    def test_finish_completes_quarantined_and_resumed_runs(self):
+        # quarantined points never appear in an outcomes delta, and a
+        # fleet resume reports preloaded points on campaign-started:
+        # the final line still reads N / N
+        stream = io.StringIO()
+        configure_logging(0, stream=stream)
+        progress = ProgressReporter(step=1000)
+        for event in _campaign_events(10, [3, 4], quarantined=1,
+                                      resumed=2):
+            progress(event)
+        assert stream.getvalue().splitlines() == [
+            "  ... 10 / 10 experiments"]
+
     def test_silenced_by_quiet(self):
         stream = io.StringIO()
         configure_logging(-1, stream=stream)
         progress = ProgressReporter(step=1)
-        progress(1, 1)
+        for event in _campaign_events(1, [1]):
+            progress(event)
         assert stream.getvalue() == ""

@@ -60,11 +60,37 @@ class TestTracer:
         assert event["args"] == {"note": "here"}
 
     def test_memory_mode_is_bounded(self):
-        tracer = Tracer(ring_capacity=4, clock=make_clock())
+        # without spans kept, memory is one total per span name
+        tracer = Tracer(keep_spans=False, clock=make_clock())
         for index in range(10):
             tracer.instant("e%d" % index)
-        names = [event["name"] for event in tracer.events()]
-        assert names == ["e6", "e7", "e8", "e9"]
+            with tracer.span("experiment"):
+                pass
+        assert tracer.events() == []
+        assert tracer.totals_us == {"experiment": 100}
+
+    def test_seconds_accumulate_per_span_name(self):
+        tracer = Tracer(clock=make_clock())
+        for name in ("restore", "restore", "merge", "injection"):
+            with tracer.span(name):
+                pass
+        assert tracer.totals_us == {"restore": 20, "merge": 10,
+                                    "injection": 10}
+        # only the profile's phases become host seconds
+        assert tracer.host_seconds() == {"restore": 20e-6,
+                                         "merge": 10e-6}
+
+    def test_absorb_folds_shipped_events(self):
+        worker = Tracer(tid=2, clock=make_clock())
+        with worker.span("experiment"):
+            pass
+        worker.instant("note")
+        parent = Tracer(keep_spans=False)
+        parent.absorb(worker.events())
+        assert parent.totals_us == {"experiment": 10}
+        keeping = Tracer()
+        keeping.absorb(worker.events())
+        assert keeping.events() == worker.events()
 
     def test_sink_written_on_close(self, tmp_path):
         sink = tmp_path / "trace.json"
@@ -87,11 +113,15 @@ class TestNullTracer:
         with NULL_TRACER.span("campaign") as span:
             span.set("k", "v")
         NULL_TRACER.instant("x")
+        NULL_TRACER.absorb([{"name": "experiment", "dur": 5}])
         NULL_TRACER.close()
         assert NULL_TRACER.events() == []
+        assert NULL_TRACER.host_seconds() == {}
 
     def test_as_tracer_coercions(self, tmp_path):
         assert as_tracer(None) is NULL_TRACER
+        timed = as_tracer(None, timed=True)
+        assert isinstance(timed, Tracer) and timed.events() == []
         tracer = Tracer()
         assert as_tracer(tracer) is tracer
         null = NullTracer()

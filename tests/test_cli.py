@@ -337,6 +337,49 @@ class TestStatusCommand:
         assert "resume with: repro campaign --journal %s --resume" \
             % journal in text
 
+    def test_fleet_progress_line_is_the_top_fold(self, tmp_path):
+        # a fleet journal with a unit in flight: the parent's last
+        # "done" marker and the unit's last journaled result are gone,
+        # as if the worker were still running it.  ``status`` must
+        # report what ``top <journal>`` folds from the same files.
+        import json
+        import pathlib
+
+        from repro.injection import JournalFamily
+        from repro.obs.top import format_eta, view_from_journals
+        journal = str(tmp_path / "run.jsonl")
+        code, __ = run_cli("campaign", "--app", "ftpd",
+                           "--max-points", "40",
+                           "--journal", journal, "--workers", "2")
+        assert code == 0
+
+        def drop_last(path, kind, status=None):
+            lines = pathlib.Path(path).read_text().splitlines(True)
+            for index in reversed(range(len(lines))):
+                record = json.loads(lines[index])
+                if record.get("type") == kind and (
+                        status is None or record.get("status") == status):
+                    del lines[index]
+                    break
+            pathlib.Path(path).write_text("".join(lines))
+
+        drop_last(journal, "unit", status="done")
+        drop_last(JournalFamily.paths(journal)[-1], "result")
+        view = view_from_journals(journal)
+        assert len(view.in_flight) == 1
+        assert (view.completed, view.points) == (39, 40)
+        code, text = run_cli("status", journal)
+        assert code == 0
+        assert "1 in flight" in text
+        (line,) = [line for line in text.splitlines()
+                   if line.startswith("progress: ")]
+        expected = "progress: 39/40 point(s) (98%)"
+        eta = view.eta_seconds()
+        if eta:
+            expected += (", eta %s at the journaled rate"
+                         % format_eta(eta))
+        assert line == expected
+
     def test_reports_serial_journal(self, tmp_path):
         journal = str(tmp_path / "run.jsonl")
         code, __ = run_cli("campaign", "--app", "ftpd",
@@ -396,6 +439,71 @@ class TestTelemetryFlags:
         kinds = [event["type"] for event in stream]
         assert "unit-started" in kinds
         assert "unit-finished" in kinds
+
+    def test_events_file_holds_the_whole_stream(self, tmp_path,
+                                                monkeypatch):
+        # the bus keeps only a bounded ring of recent events; the
+        # --events file must still hold every event the run emitted
+        # (a ring small enough for a 40-point smoke run stands in for
+        # the 4,096-event ring of a full register-bit cell)
+        from functools import partial
+
+        from repro.obs import events as events_module
+        from repro.obs import fold_events, load_event_stream
+        monkeypatch.setattr(events_module, "EventBus",
+                            partial(events_module.EventBus, capacity=16))
+        events = str(tmp_path / "run.events")
+        code, text = run_cli("campaign", "--app", "ftpd",
+                             "--max-points", "40", "--events", events)
+        assert code == 0
+        stream = load_event_stream(events)
+        # golden, campaign-started, one outcomes per point, finished
+        assert [event["seq"] for event in stream] == list(range(43))
+        assert [event["type"] for event in stream[:2]] \
+            == ["golden", "campaign-started"]
+        assert stream[-1]["type"] == "campaign-finished"
+        assert "events: %s (43 event(s))" % events in text
+        (view,) = fold_events(stream).values()
+        assert view.points == 40 and view.completed == 40
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]],
+                             ids=["serial", "workers2"])
+    def test_progress_prints_the_final_line(self, capsys, workers):
+        code, __ = run_cli("campaign", "--app", "ftpd",
+                           "--max-points", "40", "--progress",
+                           *workers)
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert "  ... 40 / 40 experiments" in lines
+
+    @pytest.mark.parametrize("workers,phases", [
+        ([], {"experiment", "golden-run", "restore"}),
+        (["--workers", "2"], {"experiment", "golden-run", "merge",
+                              "restore"}),
+    ], ids=["serial", "workers2"])
+    def test_profile_host_seconds_are_the_trace_spans(self, tmp_path,
+                                                      workers, phases):
+        # one clock: the profile's host seconds are the trace's span
+        # totals, not a second timer around the same intervals
+        from repro.obs import load_profile
+        from repro.obs.trace import load_trace_file
+        trace = str(tmp_path / "run.trace.json")
+        profile = str(tmp_path / "run.profile")
+        code, __ = run_cli("campaign", "--app", "ftpd",
+                           "--client", "Client1", "--max-points", "200",
+                           "--trace", trace, "--profile", profile,
+                           *workers)
+        assert code == 0
+        host_seconds = load_profile(profile)["volatile"]["host_seconds"]
+        assert set(host_seconds) == phases
+        totals = {}
+        for event in load_trace_file(trace):
+            if event["ph"] == "X":
+                totals[event["name"]] = (totals.get(event["name"], 0)
+                                         + event["dur"])
+        for name, seconds in host_seconds.items():
+            assert seconds == pytest.approx(totals[name] / 1e6,
+                                            abs=1e-6), name
 
     def test_sample_period_parses(self):
         args = build_parser().parse_args(
