@@ -46,9 +46,9 @@ def test_emulator_throughput(benchmark, record_result, record_json):
                   "emulated instructions per run: %d\n"
                   "mean wall time: %.4f s\n"
                   "throughput: %.0f instructions/second\n"
-                  "engine: %d prepared-op hits / %d misses, "
+                  "engine: %d cached-decode hits / %d misses, "
                   "%d flags forced / %d elided, %d supersteps "
-                  "(%d instructions), %d syscalls"
+                  "(%d instructions), %d blocks compiled, %d syscalls"
                   % (instret, stats.mean, rate,
                      last_perf.get("prepared_hits", 0),
                      last_perf.get("prepared_misses", 0),
@@ -56,6 +56,7 @@ def test_emulator_throughput(benchmark, record_result, record_json):
                      last_perf.get("flags_elided", 0),
                      last_perf.get("superstep_entries", 0),
                      last_perf.get("superstep_instructions", 0),
+                     last_perf.get("blocks_compiled", 0),
                      last_perf.get("syscalls", 0)))
     record_json("emulator_speed", {
         "instructions_per_run": instret,
@@ -66,6 +67,10 @@ def test_emulator_throughput(benchmark, record_result, record_json):
     })
     assert instret > 50_000
     assert rate > 50_000, "emulator slower than 50k instr/s"
+    # a silent bypass of the compiled tier would still pass the rate
+    # floor above
+    assert last_perf.get("blocks_compiled", 0) > 0, \
+        "no block reached the compiled tier"
 
 
 def test_connection_throughput(benchmark, cache):
@@ -105,7 +110,7 @@ def test_forensic_ring_overhead(record_result, record_json):
     # best-of-N on both variants so scheduler noise cannot fake a
     # regression (or hide one)
     rounds = 5
-    run_once(False)                      # warm the prepared-op cache
+    run_once(False)                      # warm the code cache
     plain = min(run_once(False)[0] for __ in range(rounds))
     ringed = min(run_once(True)[0] for __ in range(rounds))
     overhead = (ringed - plain) / plain if plain else 0.0
@@ -157,7 +162,7 @@ def test_sampler_overhead(record_result, record_json):
         return elapsed, status.instret
 
     rounds = 5
-    run_once(False)                      # warm the prepared-op cache
+    run_once(False)                      # warm the code cache
     plain = min(run_once(False)[0] for __ in range(rounds))
     timings = [run_once(True) for __ in range(rounds)]
     sampled = min(elapsed for elapsed, __ in timings)

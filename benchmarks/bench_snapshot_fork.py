@@ -55,23 +55,20 @@ def _ms(samples):
 
 def _legacy_evict(cpu, address):
     """The seed's per-experiment cache invalidation: a 15-byte range
-    scan of the decode/prepared caches plus a dead-scan over *every*
-    cached basic block.  Reproduced here so the legacy column charges
-    what the pre-snapshot engine actually paid each restore."""
+    scan of the decode cache plus a dead-scan over *every* cached
+    basic block.  Reproduced here so the legacy column charges what
+    the pre-snapshot engine actually paid each restore (its separate
+    prepared-op cache, and that cache's scan, no longer exist)."""
     cache = cpu.decode_cache
-    prepared = cpu.prepared
     for start in range(address - 14, address + 1):
         cached = cache.get(start)
         if cached is not None and start + len(cached.raw) > address:
             del cache[start]
-        entry = prepared.get(start)
-        if entry is not None and start + len(entry[1].raw) > address:
-            del prepared[start]
     if cpu.blocks:
         dead = [start for start, block in cpu.blocks.items()
                 if start <= address < block[2]]
         for start in dead:
-            del cpu.blocks[start]
+            cpu._evict_block(start)
 
 
 @contextlib.contextmanager

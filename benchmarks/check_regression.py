@@ -17,7 +17,7 @@ Usage::
 The threshold is deliberately loose: it tolerates runner-to-runner
 noise while still catching the order-of-magnitude slowdowns an
 accidental fast-path bypass causes (the campaign loop is ~100x slower
-without the prepared-op engine).
+without the block engine).
 """
 
 from __future__ import annotations

@@ -133,15 +133,16 @@ def _write_timing(out, campaign):
                  "" if timing["workers"] == 1 else "s"))
     perf = timing.get("perf")
     if perf:
-        out.write("engine: %d prepared-op hits / %d misses, "
+        out.write("engine: %d cached-decode hits / %d misses, "
                   "%d flags forced / %d elided, %d supersteps "
-                  "(%d instructions), %d syscalls\n"
+                  "(%d instructions), %d blocks compiled, %d syscalls\n"
                   % (perf.get("prepared_hits", 0),
                      perf.get("prepared_misses", 0),
                      perf.get("flags_forced", 0),
                      perf.get("flags_elided", 0),
                      perf.get("superstep_entries", 0),
                      perf.get("superstep_instructions", 0),
+                     perf.get("blocks_compiled", 0),
                      perf.get("syscalls", 0)))
 
 

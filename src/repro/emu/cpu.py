@@ -3,24 +3,28 @@
 Executes instructions decoded by :mod:`repro.x86.decoder` against a
 :class:`repro.emu.memory.Memory`.  The engine favours architectural
 fidelity over speed in semantics, but the hot loop is built for the
-exhaustive injection campaigns (see ``DESIGN.md`` section 10):
+exhaustive injection campaigns (see ``DESIGN.md`` section 10).  It has
+two tiers over one **decode cache** of the text segment:
 
-* a **prepared-op cache** over the text segment: each cached entry is
-  ``(callable, instruction, fall-through eip)``, so a retire costs one
-  dict probe and one call instead of re-hashing the mnemonic and
-  re-walking operands; the most frequent instruction forms get
-  specialised closures with their operand accessors pre-resolved;
-* **lazy EFLAGS**: ALU fast paths record the last op's operands
-  instead of computing SF/ZF/PF/AF/OF/CF; the flags materialise only
-  when something actually reads ``cpu.eflags`` (a Jcc, ``pushf``, a
-  snapshot, a test) -- flags clobbered unread are never computed;
-* **basic-block supersteps**: :meth:`CPU.run` executes straight-line
-  runs of prepared ops without per-instruction stop-set/budget
-  bookkeeping between branch boundaries.
+* a **cold** basic block runs each member instruction through its
+  ``_dispatch`` handler, exactly as :meth:`CPU.slow_step` does;
+* on its :attr:`CPU.COMPILE_THRESHOLD`-th entry the block is
+  **compiled**: one generated Python function for the whole block,
+  with inline templates for the common 32-bit forms (register and
+  immediate moves, loads and stores that inline the memory
+  locality-cache check, stack ops, ALU ops, branches) and a handler
+  call for everything else.  Generated code is cached per process by
+  ``(block start, block bytes)``, so every CPU over one image shares
+  one code object per block.
+
+Both tiers keep **lazy EFLAGS**: ALU ops record the last op's operands
+instead of computing SF/ZF/PF/AF/OF/CF, and the flags materialise only
+when something reads ``cpu.eflags`` (a Jcc that does not follow its
+flag writer in the same block, ``pushf``, a snapshot, a test).
 
 There are three run loops, each taking a ``stop`` set of addresses
 (a debugger breakpoint is a one-address set, plain execution the
-empty set): the plain superstep loop :meth:`CPU.run`, which never
+empty set): the plain block loop :meth:`CPU.run`, which never
 touches an observer; :meth:`CPU._run_observed`, the same loop feeding
 whichever of the forensic ring and the sampler is attached; and
 :meth:`CPU._run_reference` over :meth:`CPU.slow_step`, which keeps
@@ -50,6 +54,7 @@ from .machine_exceptions import (BoundRangeFault, BreakpointTrap, CpuFault,
                                  DebugTrap, DivideErrorFault,
                                  GeneralProtectionFault, InvalidOpcodeFault,
                                  OverflowTrap, PageFault)
+from .memory import PAGE_SHIFT, _pack_u32, _unpack_u32
 from .perf import PerfCounters
 
 _ALU_NAMES = ("add", "or", "adc", "sbb", "and", "sub", "xor", "cmp")
@@ -98,9 +103,8 @@ class CPU:
         self.segments = list(_INITIAL_SEGMENTS)
         self.instret = 0          # instructions retired
         self.halted = False
-        self.decode_cache = {}
-        self.prepared = {}        # address -> (fn, instruction, next_eip)
-        self.blocks = {}          # address -> basic block of prepared ops
+        self.decode_cache = {}    # address -> decoded instruction
+        self.blocks = {}          # address -> basic block (see _block_at)
         #: eviction index: address bucket -> set of block start
         #: addresses whose byte span touches that bucket.  Lets a
         #: single-address invalidation check a handful of candidate
@@ -109,11 +113,11 @@ class CPU:
         #: the campaign hot path.  Entries may be stale (block already
         #: evicted or rebuilt shorter); they are dropped lazily.
         self.block_index = {}
-        #: optional list of cache-insert start addresses (decodes,
-        #: prepared ops, blocks) since last drained.  ``None`` (the
-        #: default) disables logging; the snapshot injector enables it
-        #: so a restore can evict exactly the entries built from
-        #: modified text (see :meth:`evict_suspect_decodes`).
+        #: optional list of cache-insert start addresses (decodes and
+        #: blocks) since last drained.  ``None`` (the default) disables
+        #: logging; the snapshot injector enables it so a restore can
+        #: evict exactly the entries built from modified text (see
+        #: :meth:`evict_suspect_decodes`).
         self.decode_log = None
         self.cacheable = None     # (start, end) range eligible for caching
         self.coverage = None      # optional set of executed EIPs
@@ -290,8 +294,8 @@ class CPU:
     MAX_INSTRUCTION_LENGTH = 15
 
     def invalidate_cache(self, address=None):
-        """Drop cached decodes, prepared ops and basic blocks after a
-        text-segment modification.
+        """Drop cached decodes and basic blocks after a text-segment
+        modification.
 
         With no *address* every cache is dropped (arbitrary bytes may
         have changed).  With an *address*, only cached entries whose
@@ -302,22 +306,17 @@ class CPU:
         evicted whenever any of its member instructions is.
         """
         if address is None:
+            for start in list(self.blocks):
+                self._evict_block(start)
             self.decode_cache.clear()
-            self.prepared.clear()
-            self.blocks.clear()
             self.block_index.clear()
             return
         cache = self.decode_cache
-        prepared = self.prepared
         for start in range(address - self.MAX_INSTRUCTION_LENGTH + 1,
                            address + 1):
             cached = cache.get(start)
             if cached is not None and start + len(cached.raw) > address:
                 del cache[start]
-            entry = prepared.get(start)
-            if entry is not None \
-                    and start + len(entry[1].raw) > address:
-                del prepared[start]
         candidates = self.block_index.get(
             address >> self.BLOCK_BUCKET_SHIFT)
         if candidates:
@@ -326,7 +325,7 @@ class CPU:
                           if blocks.get(s) is None
                           or s <= address < blocks[s][2]]:
                 candidates.discard(start)
-                blocks.pop(start, None)
+                self._evict_block(start)
 
     def evict_suspect_decodes(self, addresses):
         """Drop cache entries decoded from since-restored text bytes.
@@ -348,7 +347,6 @@ class CPU:
             return
         if log and addresses:
             cache = self.decode_cache
-            prepared = self.prepared
             blocks = self.blocks
             addrs = tuple(addresses)
             for start in set(log):
@@ -356,66 +354,33 @@ class CPU:
                 cached = cache.get(start)
                 if cached is not None:
                     end = start + len(cached.raw)
-                entry = prepared.get(start)
-                if entry is not None:
-                    span = start + len(entry[1].raw)
-                    if span > end:
-                        end = span
                 block = blocks.get(start)
                 if block is not None and block[2] > end:
                     end = block[2]
                 for address in addrs:
                     if start <= address < end:
                         cache.pop(start, None)
-                        prepared.pop(start, None)
-                        blocks.pop(start, None)
+                        self._evict_block(start)
                         break
         del log[:]
 
-    # -- prepared-op fast path -----------------------------------------
+    def _evict_block(self, start):
+        """Drop the block at *start* and its shared code-cache entry,
+        so blocks compiled from corrupted bytes cannot accumulate."""
+        block = self.blocks.pop(start, None)
+        if block is not None:
+            _CODE_CACHE.pop(_code_key(block), None)
 
-    def _prepare(self, address):
-        """Build the prepared entry ``(fn, instruction, next_eip)`` for
-        the instruction at *address*.
-
-        ``fn()`` performs the instruction's full architectural effect
-        -- including advancing ``eip`` to the fall-through or branch
-        target -- but not the ``instret``/coverage/trace bookkeeping,
-        which stays with the caller.  On a fault ``fn`` raises with
-        ``eip`` still at *address*, exactly like the reference path.
-
-        Raises the same :class:`CpuFault` the reference path would for
-        undecodable or unimplemented instructions.
-        """
-        instruction = self.fetch_decode(address)
-        next_eip = address + len(instruction.raw)
-        builder = _SPECIALISERS.get(instruction.mnemonic)
-        fn = None
-        if builder is not None:
-            fn = builder(self, instruction, address, next_eip)
-        if fn is None:
-            handler = self._dispatch.get(instruction.mnemonic)
-            if handler is None:
-                raise InvalidOpcodeFault(address, "unimplemented %s"
-                                         % instruction.mnemonic)
-
-            def fn(handler=handler, instruction=instruction,
-                   next_eip=next_eip):
-                self._next_eip = next_eip
-                handler(instruction)
-                self.eip = self._next_eip
-        entry = (fn, instruction, next_eip)
-        self.perf.prepared_misses += 1
-        if self.cacheable and (self.cacheable[0] <= address
-                               < self.cacheable[1]):
-            self.prepared[address] = entry
-            if self.decode_log is not None:
-                self.decode_log.append(address)
-        return entry
+    # -- basic blocks ----------------------------------------------------
 
     #: basic blocks stop growing at this many instructions; bounds the
     #: cost of an eviction and of an over-long straight-line run.
     MAX_BLOCK_INSTRUCTIONS = 128
+
+    #: a block is compiled on this entry; earlier entries interpret it.
+    #: One ``compile`` costs about as much as interpreting a thousand
+    #: instructions, and a block that runs only once never pays it.
+    COMPILE_THRESHOLD = 2
 
     #: granularity of :attr:`block_index` buckets (64-byte lines: a
     #: typical block spans one or two, keeping candidate sets tiny).
@@ -424,85 +389,117 @@ class CPU:
     def _block_at(self, address):
         """Build (and cache) the basic block starting at *address*.
 
-        A block is ``(fns, inner_addresses, end_address, addresses)``:
-        a tuple of prepared callables for a straight-line run, the set
-        of member instruction addresses after the first (the ones a
-        stop-set check must consult), the end of the block's byte
-        range (for eviction), and the per-op address tuple (used to
-        recover the retired count when a mid-block op faults, since
-        every op raises with ``eip`` still at its own address).
-        Returns ``None`` outside the cacheable range, or when the
-        first instruction may not join a block or does not decode (the
-        caller's :meth:`step` then raises its fault).
+        A block is a list ``[run, inner_addresses, end_address,
+        addresses, instructions]``: ``run()`` executes the whole block
+        -- the cold interpreter of :meth:`_cold_block` until the block
+        is compiled, then the generated function that replaces it --
+        leaving ``eip`` at the successor; the set of member addresses
+        after the first (the ones a stop-set check must consult); the
+        end of the block's byte range (for eviction); the per-op
+        address tuple (a faulting op raises with ``eip`` at its own
+        address, so its index is the retired count); and the decoded
+        instructions.  Returns ``None`` outside the cacheable range,
+        or when the first instruction may not join a block or does not
+        decode (the caller's :meth:`step` then raises its fault).
 
         The block ends at the first control transfer, block-terminating
-        mnemonic (traps / ``loop`` family), undecodable tail
-        instruction, or cacheable-range boundary.  ``int``/``rdtsc``
-        and rep-prefixed string ops never join a block at all -- they
-        observe or adjust ``instret`` mid-execution, so they only run
-        through :meth:`step`, whose accounting is exact per
-        instruction.
+        mnemonic (traps / ``loop`` family), undecodable or unimplemented
+        tail instruction, or cacheable-range boundary.
+        ``int``/``rdtsc`` and rep-prefixed string ops never join a
+        block at all -- they observe or adjust ``instret``
+        mid-execution, so they only run through :meth:`step`, whose
+        accounting is exact per instruction.
         """
         cacheable = self.cacheable
         if not cacheable or not (cacheable[0] <= address < cacheable[1]):
             return None
-        fns = []
-        addrs = []
+        cache = self.decode_cache
+        dispatch = self._dispatch
+        instructions = []
         pc = address
-        end = address
         limit = cacheable[1]
         while True:
-            entry = self.prepared.get(pc)
-            if entry is None:
+            instruction = cache.get(pc)
+            if instruction is None:
                 try:
-                    entry = self._prepare(pc)
+                    instruction = self.fetch_decode(pc)
                 except CpuFault:
                     # Undecodable: end the block before it and let
                     # step() raise the fault, with eip/instret (and
                     # any observer) reflecting the instructions before.
                     break
-            fn, instruction, next_eip = entry
-            if (instruction.mnemonic in _BLOCK_EXCLUDED
+                self.perf.prepared_misses += 1
+            mnemonic = instruction.mnemonic
+            if (mnemonic not in dispatch or mnemonic in _BLOCK_EXCLUDED
                     or instruction.rep is not None):
                 break
-            fns.append(fn)
-            addrs.append(pc)
-            end = next_eip
+            instructions.append(instruction)
+            pc += len(instruction.raw)
             if (instruction.kind in CONTROL_KINDS
-                    or instruction.mnemonic in _BLOCK_TERMINATORS
-                    or next_eip >= limit
-                    or len(fns) >= self.MAX_BLOCK_INSTRUCTIONS):
+                    or mnemonic in _BLOCK_TERMINATORS
+                    or pc >= limit
+                    or len(instructions) >= self.MAX_BLOCK_INSTRUCTIONS):
                 break
-            pc = next_eip
-        if not fns:
+        if not instructions:
             return None
-        block = (tuple(fns), frozenset(addrs[1:]), end, tuple(addrs))
+        addrs = tuple(instruction.address for instruction in instructions)
+        block = [None, frozenset(addrs[1:]), pc, addrs,
+                 tuple(instructions)]
+        block[0] = self._cold_block(block)
         self.blocks[address] = block
         index = self.block_index
         for bucket in range(address >> self.BLOCK_BUCKET_SHIFT,
-                            ((end - 1) >> self.BLOCK_BUCKET_SHIFT) + 1):
+                            ((pc - 1) >> self.BLOCK_BUCKET_SHIFT) + 1):
             index.setdefault(bucket, set()).add(address)
         if self.decode_log is not None:
             self.decode_log.append(address)
         return block
 
+    def _cold_block(self, block):
+        """The callable of a new *block*: interpret it through the
+        dispatch handlers, and on the :attr:`COMPILE_THRESHOLD`-th
+        entry replace itself with the compiled block and run that."""
+        entries = 0
+
+        def run():
+            nonlocal entries
+            entries += 1
+            if entries >= self.COMPILE_THRESHOLD:
+                block[0] = compiled = self._compile_block(block)
+                return compiled()
+            dispatch = self._dispatch
+            for instruction in block[4]:
+                eip = instruction.address
+                self.eip = eip
+                self._next_eip = eip + len(instruction.raw)
+                dispatch[instruction.mnemonic](instruction)
+            self.eip = self._next_eip
+        return run
+
+    def _compile_block(self, block):
+        """The compiled function of *block*, bound to this CPU; the
+        generated code comes from :data:`_CODE_CACHE` when any CPU in
+        the process already compiled these bytes at this address."""
+        self.perf.blocks_compiled += 1
+        key = _code_key(block)
+        factory = _CODE_CACHE.get(key)
+        if factory is None:
+            factory = _CODE_CACHE[key] = _compile_factory(block[4])
+        return factory(self, block[4])
+
     def step(self):
         """Execute one instruction; raises CpuFault on a crash."""
-        if self.coverage is not None or self.trace_hook is not None:
-            return self.slow_step()
-        entry = self.prepared.get(self.eip)
-        if entry is None:
-            entry = self._prepare(self.eip)
-        else:
+        if self.eip in self.decode_cache:
             self.perf.prepared_hits += 1
-        entry[0]()
-        self.instret += 1
+        else:
+            self.perf.prepared_misses += 1
+        self.slow_step()
 
     def slow_step(self):
-        """Reference path: decode-and-dispatch one instruction with no
-        prepared-op involvement.  Kept both as the executable spec the
-        fast path is differentially tested against and as the path
-        that honours ``coverage``/``trace_hook`` instrumentation.
+        """Reference path: decode-and-dispatch one instruction.  Kept
+        both as the executable spec the block tiers are differentially
+        tested against and as the path that honours
+        ``coverage``/``trace_hook`` instrumentation.
         """
         eip = self.eip
         if self.coverage is not None:
@@ -527,11 +524,12 @@ class CPU:
         Returns ``("exit", code)``, ``("crash", fault)``,
         ``("limit", None)`` or ``("stop", None)``.
 
-        This is the plain superstep loop; it never touches an
-        observer.  ``coverage``/``trace_hook`` switch to the reference
-        loop (:meth:`_run_reference`), a forensic ring or a sampler to
-        :meth:`_run_observed`.  A superstep only skips the stop check
-        between its members when the block is disjoint from *stop*.
+        This is the plain block loop; it never touches an observer.
+        ``coverage``/``trace_hook`` switch to the reference loop
+        (:meth:`_run_reference`), a forensic ring or a sampler to
+        :meth:`_run_observed`.  A whole block runs as one superstep
+        only when it fits the budget and is disjoint from *stop*;
+        otherwise :meth:`step` runs one instruction.
         """
         if self.coverage is not None or self.trace_hook is not None:
             return self._run_reference(max_instructions, stop)
@@ -549,17 +547,14 @@ class CPU:
                 block = blocks.get(self.eip)
                 if block is None:
                     block = self._block_at(self.eip)
-                if (block is not None and len(block[0]) <= remaining
+                if (block is not None and len(block[3]) <= remaining
                         and (not stop or stop.isdisjoint(block[1]))):
-                    fns = block[0]
-                    count = len(fns)
+                    count = len(block[3])
                     try:
-                        for fn in fns:
-                            fn()
+                        block[0]()
                     except BaseException:
-                        # Every op raises with eip still at its own
-                        # address, so eip identifies the faulting op;
-                        # retire exactly the ones before it.
+                        # A faulting op raises with eip at its own
+                        # address; retire exactly the ones before it.
                         count = block[3].index(self.eip)
                         raise
                     finally:
@@ -606,15 +601,14 @@ class CPU:
                 block = blocks.get(self.eip)
                 if block is None:
                     block = self._block_at(self.eip)
-                if (block is not None and len(block[0]) <= remaining
+                if (block is not None and len(block[3]) <= remaining
                         and (not stop or stop.isdisjoint(block[1]))):
                     addrs = block[3]
                     count = len(addrs)
                     if ring_append is not None:
                         ring_append(addrs)
                     try:
-                        for fn in block[0]:
-                            fn()
+                        block[0]()
                     except BaseException:
                         count = addrs.index(self.eip)
                         if ring_append is not None:
@@ -1559,402 +1553,353 @@ class CPU:
 
 
 # ----------------------------------------------------------------------
-# Fast-path closure specialisers
+# Block compiler
 #
-# Each builder receives ``(cpu, instruction, address, next_eip)`` and
-# returns a zero-argument closure implementing the instruction with
-# its operand accessors pre-resolved, or ``None`` to fall back to the
-# generic dispatch wrapper.  Two aliasing rules shape every closure:
+# A hot block becomes the source of a factory ``make(cpu,
+# instructions)`` whose inner ``block()`` runs the whole block.  The
+# factory is compiled once per ``(start address, block bytes)`` and
+# shared through :data:`_CODE_CACHE`; calling it binds one CPU, its
+# memory and its dispatch handlers.  The generated body keeps these
+# invariants:
 #
-# * ``cpu.regs`` is REBOUND by ``Process.reset_cpu`` and by
-#   ``BreakpointSession._restore`` (``cpu.regs = list(regs)``), so a
-#   closure must fetch ``cpu.regs`` at call time, never capture the
-#   list itself;
-# * ``cpu.memory`` is never rebound (snapshots restore region bytes in
-#   place), so bound methods like ``memory.read32`` may be captured.
-#
-# The instruction's own address is baked in as the fault PC, which is
-# correct because a prepared op only ever runs with ``eip`` equal to
-# the address it was prepared at.
+# * ``regs = cpu.regs`` is fetched on every entry, because
+#   ``Process.reset_cpu`` and snapshot restores REBIND ``cpu.regs``.
+#   ``cpu.memory`` is never rebound (restores write region bytes in
+#   place), so its bound methods are captured at bind time;
+# * an op that can raise first stores its index in ``op``; the one
+#   ``except BaseException`` sets ``cpu.eip`` to that op's address --
+#   the fault PC the op's faults carry too -- so the run loop's
+#   ``block[3].index(eip)`` retire count is exact;
+# * 32-bit loads and stores inline ``Memory``'s locality-cache check
+#   and call ``read32``/``write32`` with the op's address otherwise,
+#   so permissions, dirty pages and ``PageFault`` EIPs are Memory's;
+# * every flag writer stores the lazy record the dispatch path would
+#   leave, so ``eflags`` is exact at every exit and every fault; a Jcc
+#   after a cmp/sub/test/and/or/xor in the same block (with only
+#   flag-neutral inline ops between) decides from that op's operands
+#   instead of materialising the flags;
+# * any other instruction or operand shape calls its dispatch handler
+#   with ``eip`` and ``_next_eip`` set as :meth:`CPU.slow_step` sets
+#   them.
 
-def _ea_closure(cpu, mem):
-    """Pre-resolved effective-address calculator for a Mem operand."""
-    base, index, scale, disp = mem.base, mem.index, mem.scale, mem.disp
-    if index is None:
-        if base is None:
-            fixed = disp & _MASK32
-            return lambda: fixed
-        return lambda: (cpu.regs[base] + disp) & _MASK32
-    if base is None:
-        return lambda: (cpu.regs[index] * scale + disp) & _MASK32
-    return lambda: (cpu.regs[base] + cpu.regs[index] * scale
-                    + disp) & _MASK32
+#: compiled block factories by ``(start address, block bytes)``, shared
+#: by every CPU in the process.  :meth:`CPU._evict_block` drops a
+#: block's entry with the block.
+_CODE_CACHE = {}
 
+_GENERATED_GLOBALS = {"_u32": _unpack_u32, "_p32": _pack_u32,
+                      "condition_met": condition_met}
 
-def _value_closure(cpu, operand, address):
-    """Pre-resolved value reader for a reg4/imm/mem4 source operand,
-    or ``None`` when the operand shape is not specialised."""
-    if operand.kind == "reg" and operand.size == 4:
-        si = operand.index
-        return lambda: cpu.regs[si]
-    if operand.kind == "imm":
-        value = operand.value
-        return lambda: value
-    if operand.kind == "mem" and operand.size == 4:
-        ea = _ea_closure(cpu, operand)
-        read32 = cpu.memory.read32
-        return lambda: read32(ea(), address)
-    return None
-
-
-def _spec_mov(cpu, ins, address, next_eip):
-    src, dst = ins.operands
-    if dst.kind == "reg" and dst.size == 4:
-        di = dst.index
-        if src.kind == "reg" and src.size == 4:
-            si = src.index
-
-            def fn():
-                cpu.regs[di] = cpu.regs[si]
-                cpu.eip = next_eip
-            return fn
-        if src.kind == "imm":
-            value = src.value & _MASK32
-
-            def fn():
-                cpu.regs[di] = value
-                cpu.eip = next_eip
-            return fn
-        if src.kind == "mem" and src.size == 4:
-            ea = _ea_closure(cpu, src)
-            read32 = cpu.memory.read32
-
-            def fn():
-                cpu.regs[di] = read32(ea(), address)
-                cpu.eip = next_eip
-            return fn
-        return None
-    if dst.kind == "mem" and dst.size == 4:
-        ea = _ea_closure(cpu, dst)
-        write32 = cpu.memory.write32
-        if src.kind == "reg" and src.size == 4:
-            si = src.index
-
-            def fn():
-                write32(ea(), cpu.regs[si], address)
-                cpu.eip = next_eip
-            return fn
-        if src.kind == "imm":
-            value = src.value & _MASK32
-
-            def fn():
-                write32(ea(), value, address)
-                cpu.eip = next_eip
-            return fn
-    return None
-
-
-def _spec_lea(cpu, ins, address, next_eip):
-    src, dst = ins.operands
-    if dst.size != 4 or src.kind != "mem":
-        return None
-    di = dst.index
-    ea = _ea_closure(cpu, src)
-
-    def fn():
-        cpu.regs[di] = ea()
-        cpu.eip = next_eip
-    return fn
-
-
-def _spec_push(cpu, ins, address, next_eip):
-    if ins.operand_size == 2:
-        return None
-    op = ins.operands[0]
-    write32 = cpu.memory.write32
-    if op.kind == "reg" and op.size == 4:
-        si = op.index
-
-        def fn():
-            regs = cpu.regs
-            esp = (regs[ESP] - 4) & _MASK32
-            write32(esp, regs[si], address)
-            regs[ESP] = esp
-            cpu.eip = next_eip
-        return fn
-    if op.kind == "imm":
-        value = op.value & _MASK32
-
-        def fn():
-            regs = cpu.regs
-            esp = (regs[ESP] - 4) & _MASK32
-            write32(esp, value, address)
-            regs[ESP] = esp
-            cpu.eip = next_eip
-        return fn
-    return None
-
-
-def _spec_pop(cpu, ins, address, next_eip):
-    op = ins.operands[0]
-    # pop %esp writes the popped value into the register that the
-    # ESP update would then clobber; leave that rarity to the
-    # reference-ordered generic handler.
-    if (ins.operand_size == 2 or op.kind != "reg" or op.size != 4
-            or op.index == ESP):
-        return None
-    di = op.index
-    read32 = cpu.memory.read32
-
-    def fn():
-        regs = cpu.regs
-        esp = regs[ESP]
-        regs[di] = read32(esp, address)
-        regs[ESP] = (esp + 4) & _MASK32
-        cpu.eip = next_eip
-    return fn
-
-
-def _alu_specialiser(kind):
-    """Builder family for the lazy-flag ALU fast paths (32-bit
-    register destinations; cmp/test also take memory destinations
-    since they write nothing back)."""
-
-    def build(cpu, ins, address, next_eip, _kind=kind):
-        src, dst = ins.operands
-        get_b = _value_closure(cpu, src, address)
-        if get_b is None:
-            return None
-        perf = cpu.perf
-        if dst.kind == "reg" and dst.size == 4:
-            di = dst.index
-
-            def get_a():
-                return cpu.regs[di]
-        elif (dst.kind == "mem" and dst.size == 4
-                and _kind in ("cmp", "test")):
-            ea = _ea_closure(cpu, dst)
-            read32 = cpu.memory.read32
-
-            def get_a():
-                return read32(ea(), address)
-        else:
-            return None
-        if _kind == "cmp":
-            def fn():
-                a = get_a()
-                b = get_b()
-                if cpu._lazy is not None:
-                    perf.flags_elided += 1
-                cpu._lazy = ("sub", a, b, 4, 0)
-                cpu.eip = next_eip
-        elif _kind == "test":
-            def fn():
-                result = get_a() & get_b()
-                if cpu._lazy is not None:
-                    perf.flags_elided += 1
-                cpu._lazy = ("logic", result, 4)
-                cpu.eip = next_eip
-        elif _kind == "add":
-            def fn():
-                regs = cpu.regs
-                a = regs[di]
-                b = get_b()
-                regs[di] = (a + b) & _MASK32
-                if cpu._lazy is not None:
-                    perf.flags_elided += 1
-                cpu._lazy = ("add", a, b, 4, 0)
-                cpu.eip = next_eip
-        elif _kind == "sub":
-            def fn():
-                regs = cpu.regs
-                a = regs[di]
-                b = get_b()
-                regs[di] = (a - b) & _MASK32
-                if cpu._lazy is not None:
-                    perf.flags_elided += 1
-                cpu._lazy = ("sub", a, b, 4, 0)
-                cpu.eip = next_eip
-        elif _kind == "and":
-            def fn():
-                regs = cpu.regs
-                result = (regs[di] & get_b()) & _MASK32
-                regs[di] = result
-                if cpu._lazy is not None:
-                    perf.flags_elided += 1
-                cpu._lazy = ("logic", result, 4)
-                cpu.eip = next_eip
-        elif _kind == "or":
-            def fn():
-                regs = cpu.regs
-                result = (regs[di] | get_b()) & _MASK32
-                regs[di] = result
-                if cpu._lazy is not None:
-                    perf.flags_elided += 1
-                cpu._lazy = ("logic", result, 4)
-                cpu.eip = next_eip
-        else:  # xor
-            def fn():
-                regs = cpu.regs
-                result = (regs[di] ^ get_b()) & _MASK32
-                regs[di] = result
-                if cpu._lazy is not None:
-                    perf.flags_elided += 1
-                cpu._lazy = ("logic", result, 4)
-                cpu.eip = next_eip
-        return fn
-    return build
-
-
-def _inc_dec_specialiser(delta):
-    def build(cpu, ins, address, next_eip, _delta=delta):
-        op = ins.operands[0]
-        if op.kind != "reg" or op.size != 4:
-            return None
-        di = op.index
-        routine = alu.inc if _delta > 0 else alu.dec
-
-        def fn():
-            result, flags = routine(cpu.regs[di], 4, cpu.eflags)
-            cpu.regs[di] = result
-            cpu._eflags = (cpu._eflags & ~STATUS_FLAGS) | flags
-            cpu.eip = next_eip
-        return fn
-    return build
-
-
-def _spec_movzx(cpu, ins, address, next_eip):
-    src, dst = ins.operands
-    if dst.kind != "reg" or dst.size != 4:
-        return None
-    di = dst.index
-    if src.kind == "mem":
-        ea = _ea_closure(cpu, src)
-        if src.size == 1:
-            read8 = cpu.memory.read8
-
-            def fn():
-                cpu.regs[di] = read8(ea(), address)
-                cpu.eip = next_eip
-            return fn
-        read16 = cpu.memory.read16
-
-        def fn():
-            cpu.regs[di] = read16(ea(), address)
-            cpu.eip = next_eip
-        return fn
-    if src.kind == "reg":
-        get_b = _narrow_reg_closure(cpu, src)
-
-        def fn():
-            cpu.regs[di] = get_b()
-            cpu.eip = next_eip
-        return fn
-    return None
-
-
-def _narrow_reg_closure(cpu, reg):
-    """Reader for an 8/16-bit register source (zero-extended)."""
-    si = reg.index
-    if reg.size == 2:
-        return lambda: cpu.regs[si] & 0xFFFF
-    if si < 4:
-        return lambda: cpu.regs[si] & 0xFF
-    sj = si - 4
-    return lambda: (cpu.regs[sj] >> 8) & 0xFF
-
-
-def _spec_imul2(cpu, ins, address, next_eip):
-    src, dst = ins.operands
-    if dst.kind != "reg" or dst.size != 4:
-        return None
-    get_b = _value_closure(cpu, src, address)
-    if get_b is None or src.kind == "imm":
-        return None
-    di = dst.index
-    signed = alu.signed
-
-    def fn():
-        product = signed(get_b(), 4) * signed(cpu.regs[di], 4)
-        cpu.regs[di] = product & _MASK32
-        cpu._set_mul_flags(product, 4)
-        cpu.eip = next_eip
-    return fn
-
-
-def _spec_jcc(cpu, ins, address, next_eip):
-    target = ins.operands[0].target
-    condition = ins.condition
-
-    def fn():
-        if condition_met(condition, cpu.eflags):
-            cpu.eip = target
-        else:
-            cpu.eip = next_eip
-    return fn
-
-
-def _spec_jmp(cpu, ins, address, next_eip):
-    target = ins.operands[0].target
-
-    def fn():
-        cpu.eip = target
-    return fn
-
-
-def _spec_call(cpu, ins, address, next_eip):
-    target = ins.operands[0].target
-    write32 = cpu.memory.write32
-
-    def fn():
-        regs = cpu.regs
-        esp = (regs[ESP] - 4) & _MASK32
-        write32(esp, next_eip, address)
-        regs[ESP] = esp
-        cpu.eip = target
-    return fn
-
-
-def _spec_ret(cpu, ins, address, next_eip):
-    read32 = cpu.memory.read32
-    extra = ins.operands[0].value if ins.operands else 0
-
-    def fn():
-        regs = cpu.regs
-        esp = regs[ESP]
-        cpu.eip = read32(esp, address)
-        regs[ESP] = (esp + 4 + extra) & _MASK32
-    return fn
-
-
-def _spec_nop(cpu, ins, address, next_eip):
-    def fn():
-        cpu.eip = next_eip
-    return fn
-
-
-_SPECIALISERS = {
-    "mov": _spec_mov,
-    "lea": _spec_lea,
-    "push": _spec_push,
-    "pop": _spec_pop,
-    "add": _alu_specialiser("add"),
-    "sub": _alu_specialiser("sub"),
-    "and": _alu_specialiser("and"),
-    "or": _alu_specialiser("or"),
-    "xor": _alu_specialiser("xor"),
-    "cmp": _alu_specialiser("cmp"),
-    "test": _alu_specialiser("test"),
-    "inc": _inc_dec_specialiser(1),
-    "dec": _inc_dec_specialiser(-1),
-    "movzxb": _spec_movzx,
-    "movzxw": _spec_movzx,
-    "imul2": _spec_imul2,
-    "jmp": _spec_jmp,
-    "call": _spec_call,
-    "ret": _spec_ret,
-    "nop": _spec_nop,
+#: Jcc conditions decided from the operands of the block's last flag
+#: writer: ``fa - fb`` for sub/cmp, the result ``fr`` for the logic ops
+#: (CF = OF = 0).  ``True``/``False`` are "always"/"never"; conditions
+#: absent here (overflow, parity) read the materialised flags.
+_FUSED_CONDITIONS = {
+    "sub": {2: "fa < fb", 3: "fa >= fb", 4: "fa == fb", 5: "fa != fb",
+            6: "fa <= fb", 7: "fa > fb",
+            8: "(fa - fb) & 0x80000000",
+            9: "not ((fa - fb) & 0x80000000)",
+            12: "(fa ^ 0x80000000) < (fb ^ 0x80000000)",
+            13: "(fa ^ 0x80000000) >= (fb ^ 0x80000000)",
+            14: "(fa ^ 0x80000000) <= (fb ^ 0x80000000)",
+            15: "(fa ^ 0x80000000) > (fb ^ 0x80000000)"},
+    "logic": {0: False, 1: True, 2: False, 3: True,
+              4: "fr == 0", 5: "fr != 0", 6: "fr == 0", 7: "fr != 0",
+              8: "fr & 0x80000000", 9: "not (fr & 0x80000000)",
+              12: "fr & 0x80000000", 13: "not (fr & 0x80000000)",
+              14: "not (0 < fr < 0x80000000)", 15: "0 < fr < 0x80000000"},
 }
+
+
+def _code_key(block):
+    return block[3][0], b"".join(insn.raw for insn in block[4])
+
+
+def _compile_factory(instructions):
+    """Generate and compile the factory for a block of *instructions*."""
+    source = _BlockSource(instructions).source()
+    namespace = {}
+    exec(compile(source, "<block 0x%x>" % instructions[0].address,
+                 "exec"), _GENERATED_GLOBALS, namespace)
+    return namespace["make"]
+
+
+def _r32(operand):
+    return operand.kind == "reg" and operand.size == 4
+
+
+def _m32(operand):
+    return operand.kind == "mem" and operand.size == 4
+
+
+def _v32(operand):
+    return operand.kind == "imm" or _r32(operand) or _m32(operand)
+
+
+class _BlockSource:
+    """The generated source of one block's factory."""
+
+    def __init__(self, instructions):
+        self.instructions = instructions
+        self.body = []          # lines of ``block()``, relative indent
+        self.bindings = []      # handler bindings in ``make()``
+        self.raising = False    # some op can raise: the body needs try
+        self.marked = 0         # last op index stored in ``op``
+        self.flags = None       # live fused flag writer: "sub"/"logic"
+        self.lazy = False       # ``cpu._lazy`` is known to be set
+
+    def source(self):
+        last = len(self.instructions) - 1
+        for k, instruction in enumerate(self.instructions):
+            self.k = k
+            self.address = instruction.address
+            self.next_eip = instruction.address + len(instruction.raw)
+            template = _TEMPLATES.get(instruction.mnemonic)
+            if template is None or not template(self, instruction):
+                self.handler(instruction, k == last)
+            elif k == last and instruction.kind not in CONTROL_KINDS:
+                self.emit("cpu.eip = %d" % self.next_eip)
+        lines = ["def make(cpu, instructions):",
+                 "    memory = cpu.memory",
+                 "    read8, read16 = memory.read8, memory.read16",
+                 "    read32, write32 = memory.read32, memory.write32",
+                 "    perf = cpu.perf",
+                 "    dispatch = cpu._dispatch"]
+        lines += ["    " + line for line in self.bindings]
+        lines += ["    def block():", "        regs = cpu.regs"]
+        if self.raising:
+            addrs = tuple(insn.address for insn in self.instructions)
+            lines += ["        op = 0", "        try:"]
+            lines += ["            " + line for line in self.body]
+            lines += ["        except BaseException:",
+                      "            cpu.eip = %r[op]" % (addrs,),
+                      "            raise"]
+        else:
+            lines += ["        " + line for line in self.body]
+        lines.append("    return block")
+        return "\n".join(lines) + "\n"
+
+    def emit(self, *lines):
+        self.body.extend(lines)
+
+    def may_raise(self):
+        """Record the current op as the one a fault would come from."""
+        self.raising = True
+        if self.marked != self.k:
+            self.marked = self.k
+            self.emit("op = %d" % self.k)
+
+    # -- operands ------------------------------------------------------
+
+    @staticmethod
+    def ea(mem):
+        terms = []
+        if mem.base is not None:
+            terms.append("regs[%d]" % mem.base)
+        if mem.index is not None:
+            terms.append("regs[%d] * %d" % (mem.index, mem.scale))
+        if not terms:
+            return "%d" % (mem.disp & _MASK32)
+        expr = " + ".join(terms)
+        if mem.disp:
+            expr += " %s %d" % ("-" if mem.disp < 0 else "+", abs(mem.disp))
+        elif mem.index is None:
+            return expr         # registers already hold 32-bit values
+        return "(%s) & 0xFFFFFFFF" % expr
+
+    @staticmethod
+    def expr(operand):
+        """A register or immediate operand's 32-bit value."""
+        if operand.kind == "imm":
+            return "%d" % (operand.value & _MASK32)
+        return "regs[%d]" % operand.index
+
+    def read(self, operand, target):
+        if operand.kind == "mem":
+            self.load(self.ea(operand), target)
+        else:
+            self.emit("%s = %s" % (target, self.expr(operand)))
+
+    def load(self, address, target):
+        """``target = read32(address)``, leaving the address in ``x``."""
+        self.may_raise()
+        self.emit("x = %s" % address,
+                  "r = memory._last",
+                  "if r is not None and r.start <= x and x + 4 <= r.end:",
+                  "    %s = _u32(r.data, x - r.start)[0]" % target,
+                  "else:",
+                  "    %s = read32(x, %d)" % (target, self.address))
+
+    def store(self, address, value):
+        """``write32(address, value)``, leaving the address in ``x``."""
+        self.may_raise()
+        self.emit("x = %s" % address,
+                  "r = memory._last",
+                  "if (r is not None and r.writable and r.start <= x",
+                  "        and x + 4 <= r.end):",
+                  "    o = x - r.start",
+                  "    p = o >> %d" % PAGE_SHIFT,
+                  "    r.dirty.add(p)",
+                  "    if (o + 3) >> %d != p:" % PAGE_SHIFT,
+                  "        r.dirty.add(p + 1)",
+                  "    _p32(r.data, o, %s)" % value,
+                  "else:",
+                  "    write32(x, %s, %d)" % (value, self.address))
+
+    def push(self, value):
+        self.store("(regs[%d] - 4) & 0xFFFFFFFF" % ESP, value)
+        self.emit("regs[%d] = x" % ESP)
+
+    def set_lazy(self, record, fused):
+        if self.lazy:
+            self.emit("perf.flags_elided += 1")
+        else:
+            self.emit("if cpu._lazy is not None:",
+                      "    perf.flags_elided += 1")
+        self.emit("cpu._lazy = (%s)" % record)
+        self.lazy = True
+        self.flags = fused
+
+    # -- ops ---------------------------------------------------------
+    #
+    # Each ``t_*`` template inlines one mnemonic; for an operand shape
+    # it does not inline it returns False before emitting anything,
+    # and the op becomes a :meth:`handler` call.
+
+    def handler(self, instruction, last):
+        k = self.k
+        self.may_raise()
+        self.bindings += ["h%d = dispatch[instructions[%d].mnemonic]"
+                          % (k, k), "i%d = instructions[%d]" % (k, k)]
+        self.emit("cpu.eip = %d" % self.address,
+                  "cpu._next_eip = %d" % self.next_eip,
+                  "h%d(i%d)" % (k, k))
+        if last:
+            self.emit("cpu.eip = cpu._next_eip")
+        self.lazy = False
+        self.flags = None
+
+    def t_mov(self, instruction):
+        src, dst = instruction.operands
+        if _r32(dst) and _v32(src):
+            self.read(src, "regs[%d]" % dst.index)
+        elif _m32(dst) and (_r32(src) or src.kind == "imm"):
+            self.store(self.ea(dst), self.expr(src))
+        else:
+            return False
+        return True
+
+    def t_lea(self, instruction):
+        src, dst = instruction.operands
+        if dst.size != 4 or src.kind != "mem":
+            return False
+        self.emit("regs[%d] = %s" % (dst.index, self.ea(src)))
+        return True
+
+    def t_push(self, instruction):
+        operand = instruction.operands[0]
+        if instruction.operand_size == 2 or not (
+                _r32(operand) or operand.kind == "imm"):
+            return False
+        self.push(self.expr(operand))
+        return True
+
+    def t_pop(self, instruction):
+        operand = instruction.operands[0]
+        # pop %esp writes the popped value into the register the ESP
+        # update would then clobber: left to the handler's ordering.
+        if (instruction.operand_size == 2 or not _r32(operand)
+                or operand.index == ESP):
+            return False
+        self.load("regs[%d]" % ESP, "regs[%d]" % operand.index)
+        self.emit("regs[%d] = (x + 4) & 0xFFFFFFFF" % ESP)
+        return True
+
+    def t_alu(self, instruction):
+        src, dst = instruction.operands
+        name = instruction.mnemonic
+        writes = name not in ("cmp", "test")
+        if not _v32(src) or not (_r32(dst) or (_m32(dst) and not writes)):
+            return False
+        self.read(dst, "fa")
+        self.read(src, "fb")
+        if name == "add":
+            self.emit("regs[%d] = (fa + fb) & 0xFFFFFFFF" % dst.index)
+            self.set_lazy('"add", fa, fb, 4, 0', None)
+        elif name in ("sub", "cmp"):
+            if writes:
+                self.emit("regs[%d] = (fa - fb) & 0xFFFFFFFF" % dst.index)
+            self.set_lazy('"sub", fa, fb, 4, 0', "sub")
+        else:
+            symbol = "|" if name == "or" else "^" if name == "xor" else "&"
+            self.emit("fr = fa %s fb" % symbol)
+            if writes:
+                self.emit("regs[%d] = fr" % dst.index)
+            self.set_lazy('"logic", fr, 4', "logic")
+        return True
+
+    def t_movzx(self, instruction):
+        src, dst = instruction.operands
+        if not _r32(dst):
+            return False
+        target = "regs[%d]" % dst.index
+        if src.kind == "mem" and src.size in (1, 2):
+            self.may_raise()
+            self.emit("%s = read%d(%s, %d)" % (target, src.size * 8,
+                                               self.ea(src), self.address))
+        elif src.kind == "reg" and src.size == 2:
+            self.emit("%s = regs[%d] & 0xFFFF" % (target, src.index))
+        elif src.kind == "reg" and src.index < 4:
+            self.emit("%s = regs[%d] & 0xFF" % (target, src.index))
+        elif src.kind == "reg":
+            self.emit("%s = (regs[%d] >> 8) & 0xFF"
+                      % (target, src.index - 4))
+        else:
+            return False
+        return True
+
+    def t_nop(self, instruction):
+        return True
+
+    def t_jmp(self, instruction):
+        self.emit("cpu.eip = %d" % instruction.operands[0].target)
+        return True
+
+    def t_call(self, instruction):
+        self.push("%d" % (self.next_eip & _MASK32))
+        self.emit("cpu.eip = %d" % instruction.operands[0].target)
+        return True
+
+    def t_ret(self, instruction):
+        extra = instruction.operands[0].value if instruction.operands else 0
+        self.load("regs[%d]" % ESP, "t")
+        self.emit("regs[%d] = (x + %d) & 0xFFFFFFFF" % (ESP, 4 + extra),
+                  "cpu.eip = t")
+        return True
+
+    def t_jcc(self, instruction):
+        target = instruction.operands[0].target
+        fused = _FUSED_CONDITIONS.get(self.flags, {}).get(
+            instruction.condition)
+        if fused is True or fused is False:
+            self.emit("cpu.eip = %d" % (target if fused else self.next_eip))
+            return True
+        if fused is None:
+            fused = "condition_met(%d, cpu.eflags)" % instruction.condition
+        self.emit("cpu.eip = %d if %s else %d"
+                  % (target, fused, self.next_eip))
+        return True
+
+
+_TEMPLATES = {
+    "mov": _BlockSource.t_mov, "lea": _BlockSource.t_lea,
+    "push": _BlockSource.t_push, "pop": _BlockSource.t_pop,
+    "movzxb": _BlockSource.t_movzx, "movzxw": _BlockSource.t_movzx,
+    "nop": _BlockSource.t_nop, "jmp": _BlockSource.t_jmp,
+    "call": _BlockSource.t_call, "ret": _BlockSource.t_ret,
+}
+for _name in ("add", "sub", "and", "or", "xor", "cmp", "test"):
+    _TEMPLATES[_name] = _BlockSource.t_alu
 for _suffix in _JCC_SUFFIXES:
-    _SPECIALISERS["j" + _suffix] = _spec_jcc
-del _suffix
+    _TEMPLATES["j" + _suffix] = _BlockSource.t_jcc
+del _name, _suffix

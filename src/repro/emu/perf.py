@@ -1,28 +1,30 @@
 """Execution-engine performance counters.
 
-The fast-path engine (prepared-op cache, lazy EFLAGS, basic-block
-supersteps -- see :mod:`repro.emu.cpu`) trades bookkeeping for
-throughput; these counters make that trade observable so a regression
-in cache hit rate or flag elision shows up in benchmark output and in
+The block engine (decode cache, cold and compiled basic blocks, lazy
+EFLAGS -- see :mod:`repro.emu.cpu`) trades bookkeeping for throughput;
+these counters make that trade observable so a regression in cache hit
+rate, compilation or flag elision shows up in benchmark output and in
 ``CampaignResult.timing`` instead of only in wall clock.
 
-Counters are observational: they never influence execution, and a
-fault mid-superstep may leave the superstep counters off by a few
-(attribution is per entered block, not per retired instruction).
+Counters are observational: they never influence execution.  A fault
+mid-superstep counts exactly the instructions retired before it.
 """
 
 from __future__ import annotations
 
 _FIELDS = ("prepared_hits", "prepared_misses", "flags_forced",
            "flags_elided", "superstep_entries", "superstep_instructions",
-           "syscalls")
+           "blocks_compiled", "syscalls")
 
 
 class PerfCounters:
     """Counter block attached to every :class:`~repro.emu.cpu.CPU`.
 
     ``prepared_hits`` / ``prepared_misses``
-        prepared-op cache lookups that found / had to build an entry.
+        instructions retired from a cached decode (superstep members
+        and :meth:`~repro.emu.cpu.CPU.step` hits) / decodes the step
+        path and the block builder had to make.  The names predate
+        the block compiler and are kept for journal compatibility.
     ``flags_forced`` / ``flags_elided``
         lazy EFLAGS records that were materialised because something
         read the flags, vs. discarded unread because a later
@@ -30,6 +32,9 @@ class PerfCounters:
     ``superstep_entries`` / ``superstep_instructions``
         basic blocks executed without per-instruction loop
         bookkeeping, and the instructions retired inside them.
+    ``blocks_compiled``
+        blocks promoted to the compiled tier (whether or not the
+        generated code came from the shared code cache).
     ``syscalls``
         ``int $0x80`` dispatches into the kernel model.
     """

@@ -12,8 +12,8 @@ are exactly those of a naive per-bit rerun; campaigns just finish
 about an order of magnitude sooner.
 
 The emulator itself is a :class:`Machine`: one warm
-:class:`~repro.emu.Process` per daemon image, whose decode,
-prepared-op and block caches survive from site to site.  A
+:class:`~repro.emu.Process` per daemon image, whose decode and
+block caches survive from site to site.  A
 :class:`BreakpointSession` owns no process; it is an immutable
 :class:`~repro.injection.snapshot.MachineSnapshot` (memory, CPU and
 the pristine breakpoint-time kernel) bound to a machine.  Building a

@@ -149,27 +149,32 @@ loop:
 
     def test_prepared_ops_bounded_outside_cacheable(self):
         """Outside the cacheable window nothing is retained: a wild
-        jump into data must not grow the prepared/decode/block caches
-        without bound."""
+        jump into data must not grow the decode or block caches
+        without bound, on the step path or the block path."""
         cpu, __ = machine(b"\x90\x90\x90\x90")
         cpu.cacheable = (0x1000, 0x1002)
         for _ in range(4):
             cpu.step()
+        for _ in range(3):
+            cpu.eip = 0x1000
+            cpu.run(cpu.instret + 4)
+        assert cpu.blocks
         assert all(0x1000 <= a < 0x1002 for a in cpu.decode_cache)
-        assert all(0x1000 <= a < 0x1002 for a in cpu.prepared)
         assert all(0x1000 <= a < 0x1002 for a in cpu.blocks)
+        assert all(block[2] <= 0x1002 for block in cpu.blocks.values())
 
     def test_poke_mid_instruction_never_runs_stale_prepared_op(self):
         """Execution-level stale check: corrupting a *middle* byte of
-        an instruction that sits inside a warm superstep block must
-        re-prepare it -- the old closure may never run again."""
+        an instruction that sits inside a compiled block must rebuild
+        the block -- the old compiled code may never run again."""
         # mov $1,%eax ; mov $2,%ebx ; mov $3,%ecx ; jmp back to start
         blob = (b"\xB8\x01\x00\x00\x00"
                 b"\xBB\x02\x00\x00\x00"
                 b"\xB9\x03\x00\x00\x00"
                 b"\xEB\xEF")
         cpu, memory = machine(blob)
-        cpu.run(4)                       # warm block + prepared ops
+        cpu.run(8)                       # second entry compiles it
+        assert cpu.perf.blocks_compiled == 1
         assert cpu.regs[0] == 1 and cpu.regs[3] == 2 and cpu.regs[1] == 3
         # corrupt the immediate (3rd byte) of the middle instruction
         memory.poke(0x1007, 0x7F)
@@ -229,6 +234,47 @@ _start:
         # must drop any entry covering the flipped byte)
         process.flip_bit(start + 1, 1)
         assert start not in process.cpu.decode_cache
-        assert start not in process.cpu.prepared
         assert all(not (addr <= start + 1 < block[2])
                    for addr, block in process.cpu.blocks.items())
+
+
+#: mov $1,%eax ; add $2,%eax ; jmp back to start
+LOOP = b"\xB8\x01\x00\x00\x00\x83\xC0\x02\xEB\xF6"
+
+
+class TestCodeCache:
+    """Compiled blocks share generated code per (start, bytes), and
+    the shared cache forgets a block when a CPU evicts it."""
+
+    def test_cpus_over_one_image_share_code(self):
+        first, __ = machine(LOOP)
+        second, __ = machine(LOOP)
+        first.run(12)
+        second.run(12)
+        fn_first = first.blocks[0x1000][0]
+        fn_second = second.blocks[0x1000][0]
+        assert first.perf.blocks_compiled == 1
+        assert second.perf.blocks_compiled == 1
+        assert fn_first is not fn_second         # each binds its CPU
+        assert fn_first.__code__ is fn_second.__code__
+
+    def test_evicting_corrupted_block_drops_its_code(self):
+        from repro.emu.cpu import _CODE_CACHE, _code_key
+        cpu, memory = machine(LOOP)
+        cpu.decode_log = []
+        cpu.run(12)
+        clean = _code_key(cpu.blocks[0x1000])
+        assert clean in _CODE_CACHE
+        # inject: corrupt add's immediate, run the corrupted block hot
+        memory.poke(0x1007, 0x40)
+        cpu.invalidate_cache(0x1007)
+        cpu.eip = 0x1000
+        cpu.run(cpu.instret + 12)
+        assert cpu.regs[0] == 0x41
+        corrupted = _code_key(cpu.blocks[0x1000])
+        assert corrupted != clean and corrupted in _CODE_CACHE
+        # restore the text, then evict what the log says is suspect
+        memory.poke(0x1007, 0x02)
+        cpu.evict_suspect_decodes({0x1007})
+        assert 0x1000 not in cpu.blocks
+        assert corrupted not in _CODE_CACHE

@@ -224,3 +224,27 @@ class TestSharedMachine:
         for name in ("prepared_hits", "superstep_instructions",
                      "syscalls"):
             assert perf[name] == reference[name], name
+        assert perf["blocks_compiled"] > 0
+
+    def test_code_cache_bounded_across_runs(self, ftp_daemon):
+        """Blocks compiled from corrupted text leave the process-wide
+        code cache when their experiment's restore evicts them: a
+        second run of the full ftpd Client1 cell in the same process
+        leaves the cache exactly as large as the first did, and no
+        entry the runs added holds corrupted bytes.  (Without the
+        eviction both runs leave the same ten corrupted entries, so
+        the size alone would not notice.)"""
+        from repro.apps.ftpd import CLIENT_FACTORIES
+        from repro.emu.cpu import _CODE_CACHE
+        from repro.injection import run_campaign
+        before = set(_CODE_CACHE)
+        run_campaign(ftp_daemon, "Client1", CLIENT_FACTORIES["Client1"])
+        size = len(_CODE_CACHE)
+        run_campaign(ftp_daemon, "Client1", CLIENT_FACTORIES["Client1"])
+        assert len(_CODE_CACHE) == size
+        text = ftp_daemon.module.text
+        base = ftp_daemon.module.text_base
+        leaked = [(start, raw) for start, raw in set(_CODE_CACHE) - before
+                  if bytes(text[start - base:start - base + len(raw)])
+                  != raw]
+        assert not leaked

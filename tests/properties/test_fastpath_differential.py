@@ -1,9 +1,9 @@
-"""Differential testing: the prepared-op fast path must be
-architecturally indistinguishable from the reference interpreter.
+"""Differential testing: the block engine must be architecturally
+indistinguishable from the reference interpreter.
 
-The fast engine (prepared ops + lazy EFLAGS + basic-block supersteps)
-and the reference path (``slow_step``: decode-and-dispatch with eager
-flags) are run over the same inputs and must agree on *everything* an
+The fast engine (cold and compiled basic blocks + lazy EFLAGS) and the
+reference path (``slow_step``: decode-and-dispatch with eager flags)
+are run over the same inputs and must agree on *everything* an
 experiment can observe: registers, EIP, the full EFLAGS word,
 ``instret``, memory contents, exit/fault kind and fault detail.  Any
 divergence here would silently corrupt campaign tallies, so this test
@@ -171,8 +171,8 @@ def test_random_byte_soup_equivalent(blob, stop, observers):
     b"\x0f\x31",              # rdtsc (reads instret)
 ]), min_size=1, max_size=24), stop=STOPS, observers=OBSERVERS)
 def test_compiler_like_streams_equivalent(ops, stop, observers):
-    """Streams built from the specialised mnemonics (the ones with
-    hand-written fast-path closures) stay equivalent, including
+    """Streams built from the mnemonics with inline templates in
+    compiled blocks (and a few without) stay equivalent, including
     ``int``/``rdtsc`` which observe ``instret`` mid-block."""
     _assert_equivalent(b"".join(ops), stop=stop, observers=observers)
 
@@ -253,3 +253,153 @@ def test_compiled_programs_equivalent():
                 assert bytes(fast_region.data) == bytes(slow_region.data)
             assert _observed(fast.cpu, len(retired)) == _expected(
                 retired, ("exit", 0), fast.cpu.eip, observers)
+
+
+# -- the compiled tier -------------------------------------------------
+
+
+def test_compiled_tier_equivalent(monkeypatch):
+    """The compiled tier on its own: with the threshold at 1 every
+    block compiles on its first entry, so every generator and program
+    above runs generated code where it would otherwise interpret."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+    test_random_byte_soup_equivalent()
+    test_compiler_like_streams_equivalent()
+    test_flipped_streams_equivalent()
+    test_compiled_programs_equivalent()
+    fast = Process(compile_program(_C_PROGRAMS[0]).module, Kernel())
+    fast.run(2_000_000)
+    assert fast.cpu.perf.blocks_compiled == len(fast.cpu.blocks) > 0
+
+
+def _compiled_vs_reference(blob, setup=None, budget=300):
+    """Fingerprints (with dirty pages and the full EFLAGS word) of
+    *blob* on the compiled tier and on the reference loop, plus the
+    compiled run's CPU."""
+    runs = []
+    for fast in (True, False):
+        cpu, memory = _machine(blob)
+        if setup is not None:
+            setup(cpu)
+        if fast:
+            cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
+        else:
+            cpu.coverage = set()
+        memory.clear_dirty()
+        outcome = cpu.run(budget)
+        forced = cpu.perf.flags_forced
+        fingerprint = _fingerprint(cpu, memory, outcome)
+        fingerprint["dirty"] = memory.dirty_pages()
+        fingerprint["eflags_word"] = cpu.eflags
+        runs.append((fingerprint, cpu, forced))
+    return runs
+
+
+def test_page_fault_mid_compiled_block(monkeypatch):
+    """A load from unmapped memory as the third op of a compiled
+    block: the fault, its EIP, the two retired ops, their registers,
+    the pushed word and its dirty page all match the reference."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+    blob = (b"\x50"                      # push %eax
+            b"\xb9\x07\x00\x00\x00"      # mov $7, %ecx
+            b"\x8b\x1a"                  # mov (%edx), %ebx: unmapped
+            b"\x90\xeb\xf6")             # nop; jmp back
+
+    def setup(cpu):
+        cpu.regs[2] = 0x5000
+
+    (fast, cpu, __), (slow, ___, ____) = _compiled_vs_reference(blob, setup)
+    assert fast == slow
+    assert cpu.perf.blocks_compiled == 1
+    kind, (fault, detail) = fast["outcome"]
+    assert kind == "crash" and fault == "PageFault"
+    assert fast["eip"] == 0x1006 and fast["instret"] == 2
+    assert fast["dirty"] == {"stack": [0]}
+
+
+def test_store_to_text_from_compiled_block(monkeypatch):
+    """A store into read-only text faults at the storing op's own
+    address and leaves the text and the earlier op's result as the
+    reference does."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+    blob = (b"\x83\xc0\x01"              # add $1, %eax
+            b"\x89\x03"                  # mov %eax, (%ebx): text
+            b"\xeb\xf9")                 # jmp back
+
+    def setup(cpu):
+        cpu.regs[3] = 0x1000
+
+    (fast, cpu, __), (slow, ___, ____) = _compiled_vs_reference(blob, setup)
+    assert fast == slow
+    assert cpu.perf.blocks_compiled == 1
+    assert fast["outcome"][0] == "crash"
+    assert fast["eip"] == 0x1003 and fast["instret"] == 1
+    assert fast["regs"][0] == 0x2101 and fast["dirty"] == {}
+
+
+_FLAG_WRITERS = {"cmp": b"\x39\xd8", "sub": b"\x29\xd8",
+                 "test": b"\x85\xd8", "and": b"\x21\xd8",
+                 "or": b"\x09\xd8", "xor": b"\x31\xd8"}
+_OPERAND_PAIRS = [(0, 0), (1, 2), (2, 1), (0x80000000, 1),
+                  (1, 0x80000000), (0x7FFFFFFF, 0xFFFFFFFF),
+                  (0xFFFFFFFF, 0xFFFFFFFF), (0x80, 0x7F)]
+
+
+def test_flag_writer_jcc_fusion(monkeypatch):
+    """Every Jcc right after each fusable flag writer, over operand
+    pairs at the signed and unsigned edges: the branch and the EFLAGS
+    word at block exit match the reference, and a fused condition
+    never materialises the flags."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+    for name, writer in _FLAG_WRITERS.items():
+        for condition in range(16):
+            # writer; j<cc> +1; nop -- taken and fall-through differ
+            blob = writer + bytes((0x70 | condition, 0x01)) + b"\x90"
+            for a, b in _OPERAND_PAIRS:
+                def setup(cpu, a=a, b=b):
+                    cpu.regs[0], cpu.regs[3] = a, b
+
+                (fast, cpu, forced), (slow, __, ___) = \
+                    _compiled_vs_reference(blob, setup, budget=2)
+                assert fast == slow, (name, condition, a, b)
+                assert cpu.perf.blocks_compiled == 1
+                reads_flags = condition in (10, 11) or (
+                    name in ("cmp", "sub") and condition in (0, 1))
+                assert forced == (1 if reads_flags else 0), \
+                    (name, condition)
+
+
+def test_reentry_after_regs_rebound(monkeypatch):
+    """A snapshot restore rebinds ``cpu.regs``; a compiled block
+    entered afterwards must use the new list, never the one it first
+    ran with."""
+    from types import SimpleNamespace
+
+    from repro.injection.snapshot import MachineSnapshot
+
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+    blob = (b"\x83\xc0\x01"              # add $1, %eax
+            b"\x50\x59"                  # push %eax; pop %ecx
+            b"\xeb\xf9")                 # jmp back
+    results = []
+    for fast in (True, False):
+        cpu, memory = _machine(blob)
+        if fast:
+            cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
+        else:
+            cpu.coverage = set()
+        cpu.run(8)
+        snapshot = MachineSnapshot.capture(
+            SimpleNamespace(memory=memory, cpu=cpu), None)
+        cpu.run(20)
+        stale = cpu.regs
+        snapshot.restore_cpu(cpu)
+        assert cpu.regs is not stale
+        left = list(stale)
+        cpu.run(cpu.instret + 12)
+        assert stale == left            # the dead list is never written
+        results.append(_fingerprint(cpu, memory, ("limit", None)))
+        if fast:
+            assert cpu.perf.blocks_compiled == 1
+    assert results[0] == results[1]
+    assert results[0]["regs"][0] == 0x2100 + 2 + 3

@@ -90,7 +90,8 @@ def _assert_machine_at_snapshot(session, module):
     base = module.text_base
     cpu = process.cpu
     cached = list(cpu.decode_cache.items()) + [
-        (address, entry[1]) for address, entry in cpu.prepared.items()]
+        (instruction.address, instruction)
+        for block in cpu.blocks.values() for instruction in block[4]]
     for address, instruction in cached:
         offset = address - base
         assert instruction.raw == bytes(
