@@ -66,7 +66,7 @@ def _legacy_evict(cpu, address):
             del cache[start]
     if cpu.blocks:
         dead = [start for start, block in cpu.blocks.items()
-                if start <= address < block[2]]
+                if any(low <= address < end for low, end in block[2])]
         for start in dead:
             cpu._evict_block(start)
 

@@ -4,18 +4,25 @@ Executes instructions decoded by :mod:`repro.x86.decoder` against a
 :class:`repro.emu.memory.Memory`.  The engine favours architectural
 fidelity over speed in semantics, but the hot loop is built for the
 exhaustive injection campaigns (see ``DESIGN.md`` section 10).  It has
-two tiers over one **decode cache** of the text segment:
+two tiers over one **decode cache** of the text segment, both running
+**superblocks**: straight-line code that continues through the target
+of a direct ``jmp``/``call`` and ends at any other control transfer:
 
-* a **cold** basic block runs each member instruction through its
+* a **cold** block runs each member instruction through its
   ``_dispatch`` handler, exactly as :meth:`CPU.slow_step` does;
 * on its :attr:`CPU.COMPILE_THRESHOLD`-th entry the block is
   **compiled**: one generated Python function for the whole block,
-  with inline templates for the common 32-bit forms (register and
-  immediate moves, loads and stores that inline the memory
-  locality-cache check, stack ops, ALU ops, branches) and a handler
-  call for everything else.  Generated code is cached per process by
+  with registers in locals, inline templates for the common forms
+  (register and immediate moves, loads and stores checked against the
+  stack or data region bound at compile time, stack ops with a push
+  forwarded to its pop, ALU ops, branches) and a handler call for
+  everything else.  Generated code is cached per process by
   ``(block start, block bytes)``, so every CPU over one image shares
   one code object per block.
+
+``int``, ``rdtsc`` and the string ops observe or adjust ``instret``
+mid-instruction; each is a one-instruction block of its own, never
+compiled, that the loop retires after its handler returns.
 
 Both tiers keep **lazy EFLAGS**: ALU ops record the last op's operands
 instead of computing SF/ZF/PF/AF/OF/CF, and the flags materialise only
@@ -54,7 +61,7 @@ from .machine_exceptions import (BoundRangeFault, BreakpointTrap, CpuFault,
                                  DebugTrap, DivideErrorFault,
                                  GeneralProtectionFault, InvalidOpcodeFault,
                                  OverflowTrap, PageFault)
-from .memory import PAGE_SHIFT, _pack_u32, _unpack_u32
+from .memory import PAGE_SHIFT, PAGE_SIZE, _pack_u32, _unpack_u32
 from .perf import PerfCounters
 
 _ALU_NAMES = ("add", "or", "adc", "sbb", "and", "sub", "xor", "cmp")
@@ -73,18 +80,23 @@ _BLOCK_TERMINATORS = frozenset({
     "loop", "loope", "loopne", "jecxz",
 })
 
-#: mnemonics that may never join a block at all: they read or write
-#: ``instret`` mid-execution (``int 0x80`` hands the kernel a CPU whose
-#: retire count must be exact, ``rdtsc`` returns it, the string ops
-#: self-adjust it per iteration), so they only run through
-#: :meth:`CPU.step`, whose accounting is per-instruction.
-#: Rep-prefixed instructions are excluded for the same reason (their
-#: ``instret`` contribution is data-dependent).
+#: mnemonics that may start a block but never join one: they read or
+#: write ``instret`` mid-execution (``int 0x80`` hands the kernel a CPU
+#: whose retire count must be exact, ``rdtsc`` returns it, the string
+#: ops self-adjust it per iteration).  Such an instruction is a
+#: one-instruction block of its own, never compiled, which the run
+#: loop retires after its handler returns -- exactly as
+#: :meth:`CPU.slow_step` does.  Rep-prefixed instructions are treated
+#: the same way (their ``instret`` contribution is data-dependent).
 _BLOCK_EXCLUDED = frozenset({
     "int", "rdtsc",
     "movsb", "movsd", "cmpsb", "cmpsd",
     "stosb", "stosd", "lodsb", "lodsd", "scasb", "scasd",
 })
+
+#: direct transfers a block continues through: the block goes on at
+#: the target (after the ``call``'s push) instead of ending.
+_DIRECT_TRANSFERS = frozenset({"jmp", "call"})
 
 _MASK32 = 0xFFFFFFFF
 
@@ -302,8 +314,15 @@ class CPU:
         byte range covers that address are evicted -- a single-bit
         flip then costs a handful of evictions instead of a full
         re-decode of the auth section on every experiment.  Blocks are
-        range-checked against their whole byte span, so a block is
-        evicted whenever any of its member instructions is.
+        range-checked against every byte range they span, so a block
+        is evicted whenever any of its member instructions is.
+
+        With a :attr:`decode_log` (a machine that restores pristine
+        text before every poke) an evicted block was built from
+        pristine bytes, so its generated code stays in
+        :data:`_CODE_CACHE` for the next CPU state that rebuilds it;
+        :meth:`evict_suspect_decodes` drops the code of blocks built
+        from poked bytes.
         """
         if address is None:
             for start in list(self.blocks):
@@ -321,11 +340,12 @@ class CPU:
             address >> self.BLOCK_BUCKET_SHIFT)
         if candidates:
             blocks = self.blocks
+            drop_code = self.decode_log is None
             for start in [s for s in candidates
                           if blocks.get(s) is None
-                          or s <= address < blocks[s][2]]:
+                          or _covers(blocks[s][2], address)]:
                 candidates.discard(start)
-                self._evict_block(start)
+                self._evict_block(start, drop_code)
 
     def evict_suspect_decodes(self, addresses):
         """Drop cache entries decoded from since-restored text bytes.
@@ -350,25 +370,24 @@ class CPU:
             blocks = self.blocks
             addrs = tuple(addresses)
             for start in set(log):
-                end = start
                 cached = cache.get(start)
-                if cached is not None:
-                    end = start + len(cached.raw)
+                end = start if cached is None else start + len(cached.raw)
                 block = blocks.get(start)
-                if block is not None and block[2] > end:
-                    end = block[2]
                 for address in addrs:
-                    if start <= address < end:
+                    if start <= address < end or (
+                            block is not None
+                            and _covers(block[2], address)):
                         cache.pop(start, None)
                         self._evict_block(start)
                         break
         del log[:]
 
-    def _evict_block(self, start):
-        """Drop the block at *start* and its shared code-cache entry,
-        so blocks compiled from corrupted bytes cannot accumulate."""
+    def _evict_block(self, start, drop_code=True):
+        """Drop the block at *start* and, unless *drop_code* is false,
+        its shared code-cache entry, so blocks compiled from corrupted
+        bytes cannot accumulate."""
         block = self.blocks.pop(start, None)
-        if block is not None:
+        if block is not None and drop_code:
             _CODE_CACHE.pop(_code_key(block), None)
 
     # -- basic blocks ----------------------------------------------------
@@ -387,38 +406,44 @@ class CPU:
     BLOCK_BUCKET_SHIFT = 6
 
     def _block_at(self, address):
-        """Build (and cache) the basic block starting at *address*.
+        """Build (and cache) the block starting at *address*.
 
-        A block is a list ``[run, inner_addresses, end_address,
-        addresses, instructions]``: ``run()`` executes the whole block
-        -- the cold interpreter of :meth:`_cold_block` until the block
-        is compiled, then the generated function that replaces it --
-        leaving ``eip`` at the successor; the set of member addresses
-        after the first (the ones a stop-set check must consult); the
-        end of the block's byte range (for eviction); the per-op
-        address tuple (a faulting op raises with ``eip`` at its own
-        address, so its index is the retired count); and the decoded
-        instructions.  Returns ``None`` outside the cacheable range,
-        or when the first instruction may not join a block or does not
-        decode (the caller's :meth:`step` then raises its fault).
+        A block is a list ``[run, inner_addresses, ranges, addresses,
+        instructions]``: ``run()`` executes the whole block -- the cold
+        interpreter of :meth:`_cold_block` until the block is compiled,
+        then the generated function that replaces it -- leaving ``eip``
+        at the successor; the set of member addresses after the first
+        (the ones a stop-set check must consult); the ``(start, end)``
+        byte ranges the members occupy (for eviction); the per-op
+        address tuple, in execution order and without repeats (a
+        faulting op raises with ``eip`` at its own address, so its
+        index is the retired count); and the decoded instructions.
+        Returns ``None`` outside the cacheable range, or when the
+        first instruction does not decode (the caller's :meth:`step`
+        then raises its fault).
 
-        The block ends at the first control transfer, block-terminating
-        mnemonic (traps / ``loop`` family), undecodable or unimplemented
-        tail instruction, or cacheable-range boundary.
-        ``int``/``rdtsc`` and rep-prefixed string ops never join a
-        block at all -- they observe or adjust ``instret``
-        mid-execution, so they only run through :meth:`step`, whose
-        accounting is exact per instruction.
+        A block is a superblock: it continues at the target of a
+        ``jmp``/``call`` rel whose target is cacheable, and ends at any
+        other control transfer, a block-terminating mnemonic (traps /
+        ``loop`` family), an undecodable or unimplemented tail
+        instruction, the cacheable-range boundary, or an address that
+        is already a member (a loop, or a misaligned stream that falls
+        back into step with the aligned one).  ``int``/``rdtsc`` and
+        rep-prefixed or string ops observe or adjust ``instret``
+        mid-execution: one of them is a one-instruction block of its
+        own, never compiled, and ends a block it would otherwise join.
         """
         cacheable = self.cacheable
         if not cacheable or not (cacheable[0] <= address < cacheable[1]):
             return None
+        low, limit = cacheable
         cache = self.decode_cache
         dispatch = self._dispatch
         instructions = []
-        pc = address
-        limit = cacheable[1]
-        while True:
+        members = set()
+        ranges = []
+        first = pc = address
+        while pc not in members:
             instruction = cache.get(pc)
             if instruction is None:
                 try:
@@ -430,30 +455,62 @@ class CPU:
                     break
                 self.perf.prepared_misses += 1
             mnemonic = instruction.mnemonic
-            if (mnemonic not in dispatch or mnemonic in _BLOCK_EXCLUDED
-                    or instruction.rep is not None):
+            if mnemonic not in dispatch:
+                break
+            if mnemonic in _BLOCK_EXCLUDED or instruction.rep is not None:
+                if not instructions:
+                    instructions.append(instruction)
+                    pc += len(instruction.raw)
                 break
             instructions.append(instruction)
+            members.add(pc)
             pc += len(instruction.raw)
+            if len(instructions) >= self.MAX_BLOCK_INSTRUCTIONS:
+                break
+            if mnemonic in _DIRECT_TRANSFERS:
+                target = instruction.operands[0].target
+                if not low <= target < limit:
+                    break
+                ranges.append((first, pc))
+                first = pc = target
+                continue
             if (instruction.kind in CONTROL_KINDS
-                    or mnemonic in _BLOCK_TERMINATORS
-                    or pc >= limit
-                    or len(instructions) >= self.MAX_BLOCK_INSTRUCTIONS):
+                    or mnemonic in _BLOCK_TERMINATORS or pc >= limit):
                 break
         if not instructions:
             return None
+        if pc > first:
+            ranges.append((first, pc))
         addrs = tuple(instruction.address for instruction in instructions)
-        block = [None, frozenset(addrs[1:]), pc, addrs,
+        block = [None, frozenset(addrs[1:]), tuple(ranges), addrs,
                  tuple(instructions)]
-        block[0] = self._cold_block(block)
+        lone = instructions[0]
+        if lone.mnemonic in _BLOCK_EXCLUDED or lone.rep is not None:
+            block[0] = self._lone_block(lone)
+        else:
+            block[0] = self._cold_block(block)
         self.blocks[address] = block
         index = self.block_index
-        for bucket in range(address >> self.BLOCK_BUCKET_SHIFT,
-                            ((pc - 1) >> self.BLOCK_BUCKET_SHIFT) + 1):
-            index.setdefault(bucket, set()).add(address)
+        shift = self.BLOCK_BUCKET_SHIFT
+        for start, end in ranges:
+            for bucket in range(start >> shift, ((end - 1) >> shift) + 1):
+                index.setdefault(bucket, set()).add(address)
         if self.decode_log is not None:
             self.decode_log.append(address)
         return block
+
+    def _lone_block(self, instruction):
+        """The callable of a one-instruction block (an op that may not
+        join a block): its dispatch handler, run as
+        :meth:`slow_step` runs it; never compiled."""
+        handler = self._dispatch[instruction.mnemonic]
+        next_eip = instruction.address + len(instruction.raw)
+
+        def run():
+            self._next_eip = next_eip
+            handler(instruction)
+            self.eip = self._next_eip
+        return run
 
     def _cold_block(self, block):
         """The callable of a new *block*: interpret it through the
@@ -529,43 +586,52 @@ class CPU:
         (:meth:`_run_reference`), a forensic ring or a sampler to
         :meth:`_run_observed`.  A whole block runs as one superstep
         only when it fits the budget and is disjoint from *stop*;
-        otherwise :meth:`step` runs one instruction.
+        otherwise :meth:`step` runs one instruction.  The superstep
+        counters are kept in locals and added to :attr:`perf` when
+        the loop returns or raises.
         """
         if self.coverage is not None or self.trace_hook is not None:
             return self._run_reference(max_instructions, stop)
         if self.forensic_ring is not None or self.sampler is not None:
             return self._run_observed(max_instructions, stop)
-        perf = self.perf
         blocks = self.blocks
+        entries = retired = 0
         try:
             while not self.halted:
-                if stop and self.eip in stop:
+                eip = self.eip
+                if stop and eip in stop:
                     return ("stop", None)
                 remaining = max_instructions - self.instret
                 if remaining <= 0:
                     return ("limit", None)
-                block = blocks.get(self.eip)
+                block = blocks.get(eip)
                 if block is None:
-                    block = self._block_at(self.eip)
+                    block = self._block_at(eip)
                 if (block is not None and len(block[3]) <= remaining
                         and (not stop or stop.isdisjoint(block[1]))):
-                    count = len(block[3])
                     try:
                         block[0]()
                     except BaseException:
                         # A faulting op raises with eip at its own
                         # address; retire exactly the ones before it.
                         count = block[3].index(self.eip)
-                        raise
-                    finally:
                         self.instret += count
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += count
-                        perf.prepared_hits += count
+                        entries += 1
+                        retired += count
+                        raise
+                    count = len(block[3])
+                    self.instret += count
+                    entries += 1
+                    retired += count
                     continue
                 self.step()
         except CpuFault as fault:
             return ("crash", fault)
+        finally:
+            perf = self.perf
+            perf.superstep_entries += entries
+            perf.superstep_instructions += retired
+            perf.prepared_hits += retired
         return ("exit", getattr(self, "exit_code", 0))
 
     def _run_observed(self, max_instructions, stop):
@@ -583,7 +649,6 @@ class CPU:
           per superstep.  A faulting instruction did not retire and
           is never sampled, so the profile stays exact.
         """
-        perf = self.perf
         blocks = self.blocks
         ring = self.forensic_ring
         ring_append = ring.append if ring is not None else None
@@ -591,16 +656,18 @@ class CPU:
         if sampler is not None:
             samples, period, skip = (sampler.samples, sampler.period,
                                      sampler.skip)
+        entries = retired = 0
         try:
             while not self.halted:
-                if stop and self.eip in stop:
+                eip = self.eip
+                if stop and eip in stop:
                     return ("stop", None)
                 remaining = max_instructions - self.instret
                 if remaining <= 0:
                     return ("limit", None)
-                block = blocks.get(self.eip)
+                block = blocks.get(eip)
                 if block is None:
-                    block = self._block_at(self.eip)
+                    block = self._block_at(eip)
                 if (block is not None and len(block[3]) <= remaining
                         and (not stop or stop.isdisjoint(block[1]))):
                     addrs = block[3]
@@ -622,11 +689,9 @@ class CPU:
                                 skip += period
                             skip -= count
                         self.instret += count
-                        perf.superstep_entries += 1
-                        perf.superstep_instructions += count
-                        perf.prepared_hits += count
+                        entries += 1
+                        retired += count
                     continue
-                eip = self.eip
                 if ring_append is not None:
                     ring_append(eip)
                 self.step()
@@ -640,6 +705,10 @@ class CPU:
         finally:
             if sampler is not None:
                 sampler.skip = skip
+            perf = self.perf
+            perf.superstep_entries += entries
+            perf.superstep_instructions += retired
+            perf.prepared_hits += retired
         return ("exit", getattr(self, "exit_code", 0))
 
     def _run_reference(self, max_instructions, stop):
@@ -1559,35 +1628,75 @@ class CPU:
 # instructions)`` whose inner ``block()`` runs the whole block.  The
 # factory is compiled once per ``(start address, block bytes)`` and
 # shared through :data:`_CODE_CACHE`; calling it binds one CPU, its
-# memory and its dispatch handlers.  The generated body keeps these
-# invariants:
+# memory, its stack and data regions and its dispatch handlers.  The
+# generated body keeps these invariants:
 #
 # * ``regs = cpu.regs`` is fetched on every entry, because
-#   ``Process.reset_cpu`` and snapshot restores REBIND ``cpu.regs``.
-#   ``cpu.memory`` is never rebound (restores write region bytes in
-#   place), so its bound methods are captured at bind time;
+#   ``Process.reset_cpu`` and snapshot restores REBIND ``cpu.regs``;
+# * registers live in locals ``g0``..``g7``.  The ops between two
+#   handler calls form a segment; on entry to a segment the registers
+#   its inline ops use are loaded, and the ones they write are stored
+#   back before the next handler call and at block exit.  An inline op
+#   writes registers only after its last access that can raise (or,
+#   like ``leave``'s ESP, where its handler also commits the write
+#   before that access), so the locals equal the architectural
+#   registers at every op boundary (inside a handler call the list is
+#   the truth);
 # * an op that can raise first stores its index in ``op``; the one
 #   ``except BaseException`` sets ``cpu.eip`` to that op's address --
 #   the fault PC the op's faults carry too -- so the run loop's
-#   ``block[3].index(eip)`` retire count is exact;
-# * 32-bit loads and stores inline ``Memory``'s locality-cache check
-#   and call ``read32``/``write32`` with the op's address otherwise,
-#   so permissions, dirty pages and ``PageFault`` EIPs are Memory's;
-# * every flag writer stores the lazy record the dispatch path would
-#   leave, so ``eflags`` is exact at every exit and every fault; a Jcc
-#   after a cmp/sub/test/and/or/xor in the same block (with only
-#   flag-neutral inline ops between) decides from that op's operands
-#   instead of materialising the flags;
+#   ``block[3].index(eip)`` retire count is exact.  When the raising
+#   op is inline it stores back its segment's written registers; a
+#   handler op synced them before the call, and whatever it wrote
+#   before faulting stands, exactly as under :meth:`CPU.slow_step`;
+# * a pop in the block of its push, with only pushes and pops moving
+#   ESP and no other store in between, takes the pushed value from a
+#   local instead of loading it: the push's store succeeded, so the
+#   load could neither fault nor read anything else;
+# * ``cpu.memory`` is never rebound and its regions are fixed once a
+#   process is built (restores write ``Region.data`` and
+#   ``Region.dirty`` in place), so ``make()`` binds the stack and data
+#   regions' bounds, bytes and ``dirty.add``.  A load or store checks
+#   the one region its base register implies (ESP/EBP: stack, else
+#   data) and otherwise calls ``read32``/``write32``/``read8`` with the
+#   op's address, so permissions, dirty pages and ``PageFault`` EIPs
+#   stay Memory's whichever region was guessed;
+# * an inline flag writer leaves its operands in ``fa``/``fb``/``fr``
+#   and the lazy record the dispatch path would leave is stored in
+#   ``cpu._lazy`` once: before a handler call, before a Jcc reads
+#   ``cpu.eflags``, at block exit, and on the fault path of an inline
+#   op (from ``fl``, the pending writer per op), with ``flags_elided``
+#   counted as one store per writer would count it.  So ``eflags`` is
+#   exact at every exit and every fault; a Jcc after a
+#   cmp/sub/test/and/or/xor in the same block (with only flag-neutral
+#   inline ops between) decides from that op's operands instead of
+#   materialising the flags;
 # * any other instruction or operand shape calls its dispatch handler
 #   with ``eip`` and ``_next_eip`` set as :meth:`CPU.slow_step` sets
 #   them.
 
 #: compiled block factories by ``(start address, block bytes)``, shared
-#: by every CPU in the process.  :meth:`CPU._evict_block` drops a
-#: block's entry with the block.
+#: by every CPU in the process.  The start and the concatenated member
+#: bytes determine a superblock: each member's address follows from the
+#: one before (fall-through, or the target of a ``jmp``/``call`` the
+#: block continued through).  :meth:`CPU._evict_block` drops a block's
+#: entry with the block.
 _CODE_CACHE = {}
 
+
+def _bound_region(memory, name):
+    """``(start, last word address, last byte address, data,
+    dirty.add)`` of the writable region *name* of *memory*, or bounds
+    no address satisfies when there is none."""
+    for region in memory.regions:
+        if region.name == name and region.writable:
+            return (region.start, region.end - 4, region.end - 1,
+                    region.data, region.dirty.add)
+    return 1, 0, 0, None, None
+
+
 _GENERATED_GLOBALS = {"_u32": _unpack_u32, "_p32": _pack_u32,
+                      "_region": _bound_region,
                       "condition_met": condition_met}
 
 #: Jcc conditions decided from the operands of the block's last flag
@@ -1610,9 +1719,25 @@ _FUSED_CONDITIONS = {
               14: "not (0 < fr < 0x80000000)", 15: "0 < fr < 0x80000000"},
 }
 
+#: the lazy-EFLAGS record of each flag-writer kind, over the locals
+#: the ALU templates leave their operands and result in
+_LAZY_RECORDS = {"add": '"add", fa, fb, 4, 0', "sub": '"sub", fa, fb, 4, 0',
+                 "logic": '"logic", fr, 4'}
+
+#: region prefix of the generated locals bound by ``_region``
+_REGION_PREFIX = {"stack": "s", "data": "d"}
+
 
 def _code_key(block):
     return block[3][0], b"".join(insn.raw for insn in block[4])
+
+
+def _covers(ranges, address):
+    """Whether *address* lies in one of a block's byte *ranges*."""
+    for start, end in ranges:
+        if start <= address < end:
+            return True
+    return False
 
 
 def _compile_factory(instructions):
@@ -1643,37 +1768,67 @@ class _BlockSource:
         self.instructions = instructions
         self.body = []          # lines of ``block()``, relative indent
         self.bindings = []      # handler bindings in ``make()``
+        self.regions = []       # regions bound in ``make()``
         self.raising = False    # some op can raise: the body needs try
         self.marked = 0         # last op index stored in ``op``
         self.flags = None       # live fused flag writer: "sub"/"logic"
-        self.lazy = False       # ``cpu._lazy`` is known to be set
+        self.pending = None     # kind of the unstored lazy record
+        self.writers = 0        # flag writers since the last store
+        self.fault_flags = {}   # inline op -> (pending kind, writers)
+        self.handlers = []      # indices of the handler-call ops
+        self.stores = []        # per segment: registers written inline
+        self.segment = 0        # body index the segment's loads go to
+        self.used = set()       # registers the segment's inline ops use
+        self.dirty = set()      # registers they write
+        self.stacked = []       # values of the pushes still on the stack
 
     def source(self):
         last = len(self.instructions) - 1
         for k, instruction in enumerate(self.instructions):
             self.k = k
+            self.last = k == last
             self.address = instruction.address
             self.next_eip = instruction.address + len(instruction.raw)
             template = _TEMPLATES.get(instruction.mnemonic)
             if template is None or not template(self, instruction):
-                self.handler(instruction, k == last)
-            elif k == last and instruction.kind not in CONTROL_KINDS:
+                self.handler(instruction)
+            elif self.last and instruction.kind not in CONTROL_KINDS:
                 self.emit("cpu.eip = %d" % self.next_eip)
+        self.store_flags()
+        self.emit(*self.write_back())
+        self.close_segment()
         lines = ["def make(cpu, instructions):",
                  "    memory = cpu.memory",
                  "    read8, read16 = memory.read8, memory.read16",
-                 "    read32, write32 = memory.read32, memory.write32",
+                 "    read32, write8 = memory.read32, memory.write8",
+                 "    write32 = memory.write32",
                  "    perf = cpu.perf",
                  "    dispatch = cpu._dispatch"]
+        for name in self.regions:
+            p = _REGION_PREFIX[name]
+            lines.append("    %sb, %s4, %s1, %sd, %sa = _region(memory, %r)"
+                         % (p, p, p, p, p, name))
         lines += ["    " + line for line in self.bindings]
+        if self.fault_flags:
+            lines.append("    fl = %r" % (self.fault_flags,))
         lines += ["    def block():", "        regs = cpu.regs"]
         if self.raising:
             addrs = tuple(insn.address for insn in self.instructions)
             lines += ["        op = 0", "        try:"]
             lines += ["            " + line for line in self.body]
             lines += ["        except BaseException:",
-                      "            cpu.eip = %r[op]" % (addrs,),
-                      "            raise"]
+                      "            cpu.eip = %r[op]" % (addrs,)]
+            lines += ["            " + line for line in self.fault_stores()]
+            if self.fault_flags:
+                lines += [
+                    "            f = fl.get(op)",
+                    "            if f is not None:",
+                    "                perf.flags_elided += f[1] - 1 + (",
+                    "                    cpu._lazy is not None)",
+                    "                cpu._lazy = (('logic', fr, 4)"
+                    " if f[0] == 'logic'",
+                    "                             else (f[0], fa, fb, 4, 0))"]
+            lines += ["            raise"]
         else:
             lines += ["        " + line for line in self.body]
         lines.append("    return block")
@@ -1683,21 +1838,71 @@ class _BlockSource:
         self.body.extend(lines)
 
     def may_raise(self):
-        """Record the current op as the one a fault would come from."""
+        """Record the current op as the one a fault would come from,
+        and the lazy record its fault path must store."""
         self.raising = True
+        if self.pending is not None:
+            self.fault_flags[self.k] = (self.pending, self.writers)
         if self.marked != self.k:
             self.marked = self.k
             self.emit("op = %d" % self.k)
 
+    # -- register locals -----------------------------------------------
+
+    def r(self, index):
+        """The local holding register *index*, read by this op."""
+        self.used.add(index)
+        return "g%d" % index
+
+    def w(self, index):
+        """The local holding register *index*, written by this op."""
+        self.used.add(index)
+        self.dirty.add(index)
+        if index == ESP:
+            self.stacked = []
+        return "g%d" % index
+
+    def write_back(self):
+        return ["regs[%d] = g%d" % (index, index)
+                for index in sorted(self.dirty)]
+
+    def close_segment(self):
+        """Load the segment's registers at its start and record the
+        ones it writes for the fault path."""
+        self.body[self.segment:self.segment] = [
+            "g%d = regs[%d]" % (index, index) for index in sorted(self.used)]
+        self.stores.append(self.write_back())
+        self.segment = len(self.body)
+        self.used = set()
+        self.dirty = set()
+
+    def fault_stores(self):
+        """The except path's write-back: the faulting op's segment's
+        registers when it is inline, nothing after a handler op."""
+        lines = []
+        bounds = [-1] + self.handlers + [len(self.instructions)]
+        for low, high, stores in zip(bounds, bounds[1:], self.stores):
+            if not stores:
+                continue
+            test = "op"
+            if low >= 0:
+                test = "%d < %s" % (low, test)
+            if high < len(self.instructions):
+                test = "%s < %d" % (test, high)
+            if test == "op":
+                return stores
+            lines.append("if %s:" % test)
+            lines += ["    " + line for line in stores]
+        return lines
+
     # -- operands ------------------------------------------------------
 
-    @staticmethod
-    def ea(mem):
+    def ea(self, mem):
         terms = []
         if mem.base is not None:
-            terms.append("regs[%d]" % mem.base)
+            terms.append(self.r(mem.base))
         if mem.index is not None:
-            terms.append("regs[%d] * %d" % (mem.index, mem.scale))
+            terms.append("%s * %d" % (self.r(mem.index), mem.scale))
         if not terms:
             return "%d" % (mem.disp & _MASK32)
         expr = " + ".join(terms)
@@ -1707,58 +1912,116 @@ class _BlockSource:
             return expr         # registers already hold 32-bit values
         return "(%s) & 0xFFFFFFFF" % expr
 
-    @staticmethod
-    def expr(operand):
+    def expr(self, operand):
         """A register or immediate operand's 32-bit value."""
         if operand.kind == "imm":
             return "%d" % (operand.value & _MASK32)
-        return "regs[%d]" % operand.index
+        return self.r(operand.index)
+
+    def region(self, mem):
+        """The bound-region prefix a memory operand's base implies."""
+        return self.region_named("stack" if mem.base in (ESP, EBP)
+                                 else "data")
+
+    def region_named(self, name):
+        if name not in self.regions:
+            self.regions.append(name)
+        return _REGION_PREFIX[name]
 
     def read(self, operand, target):
         if operand.kind == "mem":
-            self.load(self.ea(operand), target)
+            self.load(self.ea(operand), target, self.region(operand))
         else:
             self.emit("%s = %s" % (target, self.expr(operand)))
 
-    def load(self, address, target):
-        """``target = read32(address)``, leaving the address in ``x``."""
+    def load(self, address, target, p):
+        """``target = read32(address)`` through region *p*, leaving the
+        address in ``x``."""
         self.may_raise()
         self.emit("x = %s" % address,
-                  "r = memory._last",
-                  "if r is not None and r.start <= x and x + 4 <= r.end:",
-                  "    %s = _u32(r.data, x - r.start)[0]" % target,
+                  "if %sb <= x <= %s4:" % (p, p),
+                  "    %s = _u32(%sd, x - %sb)[0]" % (target, p, p),
                   "else:",
                   "    %s = read32(x, %d)" % (target, self.address))
 
-    def store(self, address, value):
-        """``write32(address, value)``, leaving the address in ``x``."""
+    def store(self, address, value, p):
+        """``write32(address, value)`` through region *p*, leaving the
+        address in ``x``; a store straddling a page boundary dirties
+        both pages."""
         self.may_raise()
+        self.stacked = []
         self.emit("x = %s" % address,
-                  "r = memory._last",
-                  "if (r is not None and r.writable and r.start <= x",
-                  "        and x + 4 <= r.end):",
-                  "    o = x - r.start",
-                  "    p = o >> %d" % PAGE_SHIFT,
-                  "    r.dirty.add(p)",
-                  "    if (o + 3) >> %d != p:" % PAGE_SHIFT,
-                  "        r.dirty.add(p + 1)",
-                  "    _p32(r.data, o, %s)" % value,
+                  "if %sb <= x <= %s4:" % (p, p),
+                  "    o = x - %sb" % p,
+                  "    %sa(o >> %d)" % (p, PAGE_SHIFT),
+                  "    if o & %d > %d:" % (PAGE_SIZE - 1, PAGE_SIZE - 4),
+                  "        %sa((o >> %d) + 1)" % (p, PAGE_SHIFT),
+                  "    _p32(%sd, o, %s)" % (p, value),
                   "else:",
                   "    write32(x, %s, %d)" % (value, self.address))
 
-    def push(self, value):
-        self.store("(regs[%d] - 4) & 0xFFFFFFFF" % ESP, value)
-        self.emit("regs[%d] = x" % ESP)
+    def load8(self, address, target, p):
+        """``target = read8(address)`` through region *p*."""
+        self.may_raise()
+        self.emit("x = %s" % address,
+                  "if %sb <= x <= %s1:" % (p, p),
+                  "    %s = %sd[x - %sb]" % (target, p, p),
+                  "else:",
+                  "    %s = read8(x, %d)" % (target, self.address))
 
-    def set_lazy(self, record, fused):
-        if self.lazy:
-            self.emit("perf.flags_elided += 1")
-        else:
+    def push(self, value):
+        """Push *value*, and remember it for a pop in this block.
+
+        Between a push and its pop, ESP moves only through pushes and
+        pops and nothing else stores (either clears :attr:`stacked`),
+        so the pop reads the word this push wrote: the push succeeded,
+        so the read cannot fault, and the popped value is the pushed
+        one, kept in a local ``p<depth>`` (a register may change)."""
+        stacked = self.stacked
+        if value.startswith("g"):
+            name = "p%d" % len(stacked)
+            self.emit("%s = %s" % (name, value))
+            value = name
+        self.store("(%s - 4) & 0xFFFFFFFF" % self.r(ESP), value,
+                   self.region_named("stack"))
+        self.emit("%s = x" % self.w(ESP))
+        self.stacked = stacked + [value]
+
+    def pop(self, target):
+        """``target = pop32()``: the value of the matching push in this
+        block when there is one, else a load."""
+        stacked = self.stacked
+        if stacked:
+            self.emit("%s = %s" % (target, stacked[-1]),
+                      "%s = (%s + 4) & 0xFFFFFFFF"
+                      % (self.w(ESP), self.r(ESP)))
+            self.stacked = stacked[:-1]
+            return
+        self.load(self.r(ESP), target, self.region_named("stack"))
+        self.emit("%s = (x + 4) & 0xFFFFFFFF" % self.w(ESP))
+
+    def set_lazy(self, kind, fused):
+        """A flag writer of *kind* ran: its lazy record is pending in
+        ``fa``/``fb``/``fr`` until :meth:`store_flags`."""
+        self.pending = kind
+        self.writers += 1
+        self.flags = fused
+
+    def store_flags(self):
+        """Store the pending lazy record in ``cpu._lazy``, counting the
+        records it and the writers before it elided, as one store per
+        writer would have."""
+        if self.pending is None:
+            return
+        if self.writers == 1:
             self.emit("if cpu._lazy is not None:",
                       "    perf.flags_elided += 1")
-        self.emit("cpu._lazy = (%s)" % record)
-        self.lazy = True
-        self.flags = fused
+        else:
+            self.emit("perf.flags_elided += %d + (cpu._lazy is not None)"
+                      % (self.writers - 1))
+        self.emit("cpu._lazy = (%s)" % _LAZY_RECORDS[self.pending])
+        self.pending = None
+        self.writers = 0
 
     # -- ops ---------------------------------------------------------
     #
@@ -1766,25 +2029,31 @@ class _BlockSource:
     # it does not inline it returns False before emitting anything,
     # and the op becomes a :meth:`handler` call.
 
-    def handler(self, instruction, last):
+    def handler(self, instruction):
         k = self.k
         self.may_raise()
+        self.fault_flags.pop(k, None)
+        self.store_flags()
         self.bindings += ["h%d = dispatch[instructions[%d].mnemonic]"
                           % (k, k), "i%d = instructions[%d]" % (k, k)]
+        self.emit(*self.write_back())
+        self.close_segment()
+        self.handlers.append(k)
+        self.stacked = []
         self.emit("cpu.eip = %d" % self.address,
                   "cpu._next_eip = %d" % self.next_eip,
                   "h%d(i%d)" % (k, k))
-        if last:
+        if self.last:
             self.emit("cpu.eip = cpu._next_eip")
-        self.lazy = False
+        self.segment = len(self.body)
         self.flags = None
 
     def t_mov(self, instruction):
         src, dst = instruction.operands
         if _r32(dst) and _v32(src):
-            self.read(src, "regs[%d]" % dst.index)
+            self.read(src, self.w(dst.index))
         elif _m32(dst) and (_r32(src) or src.kind == "imm"):
-            self.store(self.ea(dst), self.expr(src))
+            self.store(self.ea(dst), self.expr(src), self.region(dst))
         else:
             return False
         return True
@@ -1793,7 +2062,8 @@ class _BlockSource:
         src, dst = instruction.operands
         if dst.size != 4 or src.kind != "mem":
             return False
-        self.emit("regs[%d] = %s" % (dst.index, self.ea(src)))
+        address = self.ea(src)
+        self.emit("%s = %s" % (self.w(dst.index), address))
         return True
 
     def t_push(self, instruction):
@@ -1811,8 +2081,7 @@ class _BlockSource:
         if (instruction.operand_size == 2 or not _r32(operand)
                 or operand.index == ESP):
             return False
-        self.load("regs[%d]" % ESP, "regs[%d]" % operand.index)
-        self.emit("regs[%d] = (x + 4) & 0xFFFFFFFF" % ESP)
+        self.pop(self.w(operand.index))
         return True
 
     def t_alu(self, instruction):
@@ -1821,60 +2090,121 @@ class _BlockSource:
         writes = name not in ("cmp", "test")
         if not _v32(src) or not (_r32(dst) or (_m32(dst) and not writes)):
             return False
-        self.read(dst, "fa")
-        self.read(src, "fb")
+        # The memory operand first: ``fa``/``fb`` hold the pending
+        # record until the access that can raise is past.
+        if src.kind == "mem":
+            self.read(src, "fb")
+            self.read(dst, "fa")
+        else:
+            self.read(dst, "fa")
+            self.read(src, "fb")
         if name == "add":
-            self.emit("regs[%d] = (fa + fb) & 0xFFFFFFFF" % dst.index)
-            self.set_lazy('"add", fa, fb, 4, 0', None)
+            self.emit("%s = (fa + fb) & 0xFFFFFFFF" % self.w(dst.index))
+            self.set_lazy("add", None)
         elif name in ("sub", "cmp"):
             if writes:
-                self.emit("regs[%d] = (fa - fb) & 0xFFFFFFFF" % dst.index)
-            self.set_lazy('"sub", fa, fb, 4, 0', "sub")
+                self.emit("%s = (fa - fb) & 0xFFFFFFFF"
+                          % self.w(dst.index))
+            self.set_lazy("sub", "sub")
         else:
             symbol = "|" if name == "or" else "^" if name == "xor" else "&"
             self.emit("fr = fa %s fb" % symbol)
             if writes:
-                self.emit("regs[%d] = fr" % dst.index)
-            self.set_lazy('"logic", fr, 4', "logic")
+                self.emit("%s = fr" % self.w(dst.index))
+            self.set_lazy("logic", "logic")
         return True
 
     def t_movzx(self, instruction):
         src, dst = instruction.operands
         if not _r32(dst):
             return False
-        target = "regs[%d]" % dst.index
-        if src.kind == "mem" and src.size in (1, 2):
+        if src.kind == "mem" and src.size == 1:
+            self.load8(self.ea(src), self.w(dst.index), self.region(src))
+        elif src.kind == "mem" and src.size == 2:
+            address = self.ea(src)
             self.may_raise()
-            self.emit("%s = read%d(%s, %d)" % (target, src.size * 8,
-                                               self.ea(src), self.address))
+            self.emit("%s = read16(%s, %d)" % (self.w(dst.index), address,
+                                               self.address))
         elif src.kind == "reg" and src.size == 2:
-            self.emit("%s = regs[%d] & 0xFFFF" % (target, src.index))
+            self.emit("%s = %s & 0xFFFF" % (self.w(dst.index),
+                                            self.r(src.index)))
         elif src.kind == "reg" and src.index < 4:
-            self.emit("%s = regs[%d] & 0xFF" % (target, src.index))
+            self.emit("%s = %s & 0xFF" % (self.w(dst.index),
+                                          self.r(src.index)))
         elif src.kind == "reg":
-            self.emit("%s = (regs[%d] >> 8) & 0xFF"
-                      % (target, src.index - 4))
+            self.emit("%s = (%s >> 8) & 0xFF" % (self.w(dst.index),
+                                                 self.r(src.index - 4)))
         else:
             return False
+        return True
+
+    def t_movb(self, instruction):
+        src, dst = instruction.operands
+        if dst.kind == "mem" and src.kind in ("reg", "imm"):
+            if src.kind == "imm":
+                value = "%d" % (src.value & 0xFF)
+            elif src.index < 4:
+                value = "%s & 0xFF" % self.r(src.index)
+            else:
+                value = "(%s >> 8) & 0xFF" % self.r(src.index - 4)
+            address = self.ea(dst)
+            p = self.region(dst)
+            self.may_raise()
+            self.stacked = []
+            self.emit("x = %s" % address,
+                      "if %sb <= x <= %s1:" % (p, p),
+                      "    o = x - %sb" % p,
+                      "    %sa(o >> %d)" % (p, PAGE_SHIFT),
+                      "    %sd[o] = %s" % (p, value),
+                      "else:",
+                      "    write8(x, %s, %d)" % (value, self.address))
+        elif src.kind == "mem" and dst.kind == "reg":
+            self.load8(self.ea(src), "t", self.region(src))
+            if dst.index < 4:
+                self.emit("%s = (%s & 0xFFFFFF00) | t"
+                          % (self.w(dst.index), self.r(dst.index)))
+            else:
+                self.emit("%s = (%s & 0xFFFF00FF) | (t << 8)"
+                          % (self.w(dst.index - 4), self.r(dst.index - 4)))
+        else:
+            return False
+        return True
+
+    def t_leave(self, instruction):
+        # ESP = EBP stands even when the pop then faults, as in the
+        # handler: the fault path stores the segment's written locals.
+        self.emit("%s = %s" % (self.w(ESP), self.r(EBP)))
+        self.load(self.r(ESP), "t", self.region_named("stack"))
+        self.emit("%s = (x + 4) & 0xFFFFFFFF" % self.w(ESP),
+                  "%s = t" % self.w(EBP))
+        return True
+
+    def t_cdq(self, instruction):
+        self.emit("%s = 0xFFFFFFFF if %s & 0x80000000 else 0"
+                  % (self.w(EDX), self.r(EAX)))
         return True
 
     def t_nop(self, instruction):
         return True
 
     def t_jmp(self, instruction):
-        self.emit("cpu.eip = %d" % instruction.operands[0].target)
+        if self.last:
+            self.emit("cpu.eip = %d" % instruction.operands[0].target)
         return True
 
     def t_call(self, instruction):
         self.push("%d" % (self.next_eip & _MASK32))
-        self.emit("cpu.eip = %d" % instruction.operands[0].target)
+        if self.last:
+            self.emit("cpu.eip = %d" % instruction.operands[0].target)
         return True
 
     def t_ret(self, instruction):
-        extra = instruction.operands[0].value if instruction.operands else 0
-        self.load("regs[%d]" % ESP, "t")
-        self.emit("regs[%d] = (x + %d) & 0xFFFFFFFF" % (ESP, 4 + extra),
-                  "cpu.eip = t")
+        self.pop("t")
+        if instruction.operands:
+            self.emit("%s = (%s + %d) & 0xFFFFFFFF"
+                      % (self.w(ESP), self.r(ESP),
+                         instruction.operands[0].value))
+        self.emit("cpu.eip = t")
         return True
 
     def t_jcc(self, instruction):
@@ -1885,6 +2215,7 @@ class _BlockSource:
             self.emit("cpu.eip = %d" % (target if fused else self.next_eip))
             return True
         if fused is None:
+            self.store_flags()
             fused = "condition_met(%d, cpu.eflags)" % instruction.condition
         self.emit("cpu.eip = %d if %s else %d"
                   % (target, fused, self.next_eip))
@@ -1895,6 +2226,8 @@ _TEMPLATES = {
     "mov": _BlockSource.t_mov, "lea": _BlockSource.t_lea,
     "push": _BlockSource.t_push, "pop": _BlockSource.t_pop,
     "movzxb": _BlockSource.t_movzx, "movzxw": _BlockSource.t_movzx,
+    "movb": _BlockSource.t_movb, "leave": _BlockSource.t_leave,
+    "cdq": _BlockSource.t_cdq,
     "nop": _BlockSource.t_nop, "jmp": _BlockSource.t_jmp,
     "call": _BlockSource.t_call, "ret": _BlockSource.t_ret,
 }

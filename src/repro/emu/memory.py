@@ -143,7 +143,29 @@ class Memory:
             value |= self.read8(address + i, eip) << (8 * i)
         return value
 
+    # The kernel's copy-in and copy-out helpers take one slice when
+    # the range lies inside one region (a writable one, for writes);
+    # a range that straddles regions or touches unmapped or read-only
+    # memory goes byte by byte, so the fault address, the fault EIP
+    # and any partial write are those of the per-byte accesses.
+
+    def _span(self, address, count, write=False):
+        """``(region, offset)`` when ``[address, address + count)``
+        lies inside one region (writable, with *write*), else None."""
+        address &= 0xFFFFFFFF
+        region = self._find(address)
+        if (region is None or address + count > region.end
+                or (write and not region.writable)):
+            return None
+        return region, address - region.start
+
     def read_bytes(self, address, count, eip=0):
+        if count <= 0:
+            return b""
+        span = self._span(address, count)
+        if span is not None:
+            region, offset = span
+            return bytes(region.data[offset:offset + count])
         out = bytearray()
         for i in range(count):
             out.append(self.read8(address + i, eip))
@@ -151,6 +173,17 @@ class Memory:
 
     def read_cstring(self, address, limit=4096, eip=0):
         """Read a NUL-terminated string (kernel copy_from_user style)."""
+        if limit > 0:
+            region = self._find(address & 0xFFFFFFFF)
+            if region is not None:
+                data = region.data
+                offset = (address & 0xFFFFFFFF) - region.start
+                end = min(len(data), offset + limit)
+                nul = data.find(0, offset, end)
+                if nul >= 0:
+                    return bytes(data[offset:nul])
+                if end == offset + limit:
+                    return bytes(data[offset:end])
         out = bytearray()
         for i in range(limit):
             byte = self.read8(address + i, eip)
@@ -213,6 +246,15 @@ class Memory:
             self.write8(address + i, (value >> (8 * i)) & 0xFF, eip)
 
     def write_bytes(self, address, blob, eip=0):
+        count = len(blob)
+        span = self._span(address, count, write=True) if count else None
+        if span is not None:
+            region, offset = span
+            region.data[offset:offset + count] = blob
+            region.dirty.update(range(offset >> PAGE_SHIFT,
+                                      ((offset + count - 1) >> PAGE_SHIFT)
+                                      + 1))
+            return
         for i, byte in enumerate(blob):
             self.write8(address + i, byte, eip)
 

@@ -30,8 +30,9 @@ class PerfCounters:
         read the flags, vs. discarded unread because a later
         flag-writing instruction overwrote them first.
     ``superstep_entries`` / ``superstep_instructions``
-        basic blocks executed without per-instruction loop
-        bookkeeping, and the instructions retired inside them.
+        blocks (superblocks, and the one-instruction blocks of
+        ``int``/``rdtsc``/string ops) executed without per-instruction
+        loop bookkeeping, and the instructions retired inside them.
     ``blocks_compiled``
         blocks promoted to the compiled tier (whether or not the
         generated code came from the shared code cache).

@@ -161,7 +161,8 @@ loop:
         assert cpu.blocks
         assert all(0x1000 <= a < 0x1002 for a in cpu.decode_cache)
         assert all(0x1000 <= a < 0x1002 for a in cpu.blocks)
-        assert all(block[2] <= 0x1002 for block in cpu.blocks.values())
+        assert all(end <= 0x1002 for block in cpu.blocks.values()
+                   for __, end in block[2])
 
     def test_poke_mid_instruction_never_runs_stale_prepared_op(self):
         """Execution-level stale check: corrupting a *middle* byte of
@@ -234,8 +235,9 @@ _start:
         # must drop any entry covering the flipped byte)
         process.flip_bit(start + 1, 1)
         assert start not in process.cpu.decode_cache
-        assert all(not (addr <= start + 1 < block[2])
-                   for addr, block in process.cpu.blocks.items())
+        assert all(not (low <= start + 1 < end)
+                   for block in process.cpu.blocks.values()
+                   for low, end in block[2])
 
 
 #: mov $1,%eax ; add $2,%eax ; jmp back to start

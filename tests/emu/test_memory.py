@@ -191,3 +191,83 @@ class TestDirtyTracking:
     def test_page_count(self, memory, big):
         assert memory.region_named("data").page_count() == 1
         assert big.region_named("data").page_count() == 4
+
+
+class TestCopyPaths:
+    """The kernel's copy helpers take one slice inside a region; they
+    must agree with plain per-byte ``read8``/``write8`` loops on every
+    result, fault (kind, address, EIP) and dirty page, including
+    ranges that straddle regions or touch unmapped or read-only
+    memory (where a write is partial)."""
+
+    @staticmethod
+    def layout():
+        m = Memory()
+        m.map_region("text", 0x1000, bytes(range(256)) * 16,
+                     writable=False)
+        m.map_region("data", 0x2000, PAGE_SIZE * 2)     # adjacent
+        m.map_region("stack", 0x5000, PAGE_SIZE)
+        m.write_bytes(0x2000 + PAGE_SIZE * 2 - 3, b"ab\0")
+        m.write_bytes(0x2FFE, b"xy")                    # no NUL
+        m.clear_dirty()
+        return m
+
+    #: starts near every boundary: region ends, page edges, gaps
+    STARTS = [0x0FFE, 0x1000, 0x1FF0, 0x1FFE, 0x2000, 0x2FFC, 0x2FFE,
+              0x3FFA, 0x3FFE, 0x4FFE, 0x5000, 0x5FFC, 0x5FFF,
+              0x100002000]
+    COUNTS = [0, 1, 2, 4, 9, 40]
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return ("ok", call())
+        except PageFault as fault:
+            return ("fault", fault.access, fault.target, fault.address)
+
+    @staticmethod
+    def state(m):
+        return ([bytes(region.data) for region in m.regions],
+                m.dirty_pages())
+
+    def test_read_bytes_matches_per_byte(self):
+        m = self.layout()
+        for start in self.STARTS:
+            for count in self.COUNTS:
+                fast = self.outcome(lambda: m.read_bytes(start, count, 7))
+                slow = self.outcome(lambda: bytes(
+                    m.read8(start + i, 7) for i in range(count)))
+                assert fast == slow, (hex(start), count)
+
+    def test_read_cstring_matches_per_byte(self):
+        def per_byte(m, address, limit):
+            out = bytearray()
+            for i in range(limit):
+                byte = m.read8(address + i, 7)
+                if byte == 0:
+                    break
+                out.append(byte)
+            return bytes(out)
+
+        m = self.layout()
+        for start in self.STARTS + [0x3FFD, 0x1001]:
+            for limit in self.COUNTS + [4096]:
+                fast = self.outcome(lambda: m.read_cstring(start, limit, 7))
+                slow = self.outcome(lambda: per_byte(m, start, limit))
+                assert fast == slow, (hex(start), limit)
+
+    def test_write_bytes_matches_per_byte(self):
+        for start in self.STARTS:
+            for count in self.COUNTS:
+                blob = bytes((0x41 + i) & 0xFF for i in range(count))
+                fast, slow = self.layout(), self.layout()
+                got = self.outcome(lambda: fast.write_bytes(start, blob, 7))
+
+                def per_byte():
+                    for i, byte in enumerate(blob):
+                        slow.write8(start + i, byte, 7)
+
+                want = self.outcome(per_byte)
+                assert got == want, (hex(start), count)
+                assert self.state(fast) == self.state(slow), \
+                    (hex(start), count)

@@ -226,6 +226,39 @@ class TestSharedMachine:
             assert perf[name] == reference[name], name
         assert perf["blocks_compiled"] > 0
 
+    def test_flips_keep_pristine_code(self, ftp_daemon, monkeypatch):
+        """A flip evicts the clean block covering the flipped byte, but
+        on a machine (a CPU with a decode log) that block was built
+        from pristine text, so its generated code stays cached.  The
+        four ftpd branch-bit cells (86 injection sites) compile about
+        one block per site fewer than when every poke-time eviction
+        drops the code too: 85 when measured."""
+        from repro.apps.ftpd import CLIENT_FACTORIES
+        from repro.emu import CPU
+        from repro.emu import cpu as cpu_module
+        from repro.injection import run_campaign
+        compiles = []
+        compile_factory = cpu_module._compile_factory
+        evict_block = CPU._evict_block
+        monkeypatch.setattr(
+            cpu_module, "_compile_factory",
+            lambda instructions: compiles.append(1)
+            or compile_factory(instructions))
+
+        def count():
+            monkeypatch.setattr(cpu_module, "_CODE_CACHE", {})
+            del compiles[:]
+            for client in ("Client1", "Client2", "Client3", "Client4"):
+                run_campaign(ftp_daemon, client, CLIENT_FACTORIES[client])
+            return len(compiles)
+
+        kept = count()
+        monkeypatch.setattr(
+            CPU, "_evict_block",
+            lambda cpu, start, drop_code=True: evict_block(cpu, start))
+        dropped = count()
+        assert 80 <= dropped - kept <= 90
+
     def test_code_cache_bounded_across_runs(self, ftp_daemon):
         """Blocks compiled from corrupted text leave the process-wide
         code cache when their experiment's restore evicts them: a
@@ -233,10 +266,13 @@ class TestSharedMachine:
         leaves the cache exactly as large as the first did, and no
         entry the runs added holds corrupted bytes.  (Without the
         eviction both runs leave the same ten corrupted entries, so
-        the size alone would not notice.)"""
+        the size alone would not notice.)  A key's bytes are the
+        members of a superblock, so each member is checked against the
+        text at its own address."""
         from repro.apps.ftpd import CLIENT_FACTORIES
         from repro.emu.cpu import _CODE_CACHE
         from repro.injection import run_campaign
+        from repro.x86 import decoder
         before = set(_CODE_CACHE)
         run_campaign(ftp_daemon, "Client1", CLIENT_FACTORIES["Client1"])
         size = len(_CODE_CACHE)
@@ -244,7 +280,22 @@ class TestSharedMachine:
         assert len(_CODE_CACHE) == size
         text = ftp_daemon.module.text
         base = ftp_daemon.module.text_base
+
+        def pristine(start, raw):
+            # walk the members as the block builder laid them out:
+            # fall through, or on to a jmp/call target when bytes remain
+            pc = start
+            while raw:
+                insn = decoder.decode(raw[:15], pc)
+                length = len(insn.raw)
+                if bytes(text[pc - base:pc - base + length]) != raw[:length]:
+                    return False
+                raw = raw[length:]
+                pc = (insn.operands[0].target
+                      if raw and insn.mnemonic in ("jmp", "call")
+                      else pc + length)
+            return True
+
         leaked = [(start, raw) for start, raw in set(_CODE_CACHE) - before
-                  if bytes(text[start - base:start - base + len(raw)])
-                  != raw]
+                  if not pristine(start, raw)]
         assert not leaked

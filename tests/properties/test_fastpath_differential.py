@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cc import compile_program
 from repro.emu import CPU, Memory, Process
+from repro.emu.cpu import _BLOCK_EXCLUDED
 from repro.kernel import Kernel, ScriptedClient
 from repro.obs import RingBuffer, Sampler
 from repro.obs.forensics import flatten_ring
@@ -46,11 +47,11 @@ class NullClient(ScriptedClient):
         self.close()
 
 
-def _machine(blob):
+def _machine(blob, data_size=4096):
     memory = Memory()
     memory.map_region("text", 0x1000, bytes(blob) + b"\xF4" * 16,
                       writable=False)
-    memory.map_region("data", 0x2000, 4096)
+    memory.map_region("data", 0x2000, data_size)
     memory.map_region("stack", 0x8000, 4096)
     cpu = CPU(memory, Kernel.for_client(NullClient()))
     cpu.eip = 0x1000
@@ -169,11 +170,19 @@ def test_random_byte_soup_equivalent(blob, stop, observers):
     b"\x90",                  # nop
     b"\xcd\x80",              # int 0x80
     b"\x0f\x31",              # rdtsc (reads instret)
+    # direct transfers a superblock continues through
+    b"\xe9\x02\x00\x00\x00",  # jmp +2 (rel32, forward)
+    b"\xe9\xf0\xff\xff\xff",  # jmp -16 (rel32, backward)
+    b"\xe8\x01\x00\x00\x00",  # call +1 (rel32, forward)
+    b"\xe8\xf2\xff\xff\xff",  # call -14 (rel32, backward)
+    b"\x88\x03", b"\x8a\x23",  # movb %al, (%ebx); movb (%ebx), %ah
+    b"\xc9", b"\x99",          # leave; cdq
 ]), min_size=1, max_size=24), stop=STOPS, observers=OBSERVERS)
 def test_compiler_like_streams_equivalent(ops, stop, observers):
     """Streams built from the mnemonics with inline templates in
     compiled blocks (and a few without) stay equivalent, including
-    ``int``/``rdtsc`` which observe ``instret`` mid-block."""
+    superblocks through ``jmp``/``call`` and ``int``/``rdtsc``, which
+    observe ``instret`` and run as one-instruction blocks."""
     _assert_equivalent(b"".join(ops), stop=stop, observers=observers)
 
 
@@ -269,16 +278,22 @@ def test_compiled_tier_equivalent(monkeypatch):
     test_compiled_programs_equivalent()
     fast = Process(compile_program(_C_PROGRAMS[0]).module, Kernel())
     fast.run(2_000_000)
-    assert fast.cpu.perf.blocks_compiled == len(fast.cpu.blocks) > 0
+    # every block compiles except the one-instruction ``int 0x80``
+    # blocks, which never do
+    lone = [block for block in fast.cpu.blocks.values()
+            if block[4][0].mnemonic in _BLOCK_EXCLUDED]
+    assert lone and all(len(block[3]) == 1 for block in lone)
+    assert (fast.cpu.perf.blocks_compiled
+            == len(fast.cpu.blocks) - len(lone) > 0)
 
 
-def _compiled_vs_reference(blob, setup=None, budget=300):
+def _compiled_vs_reference(blob, setup=None, budget=300, data_size=4096):
     """Fingerprints (with dirty pages and the full EFLAGS word) of
     *blob* on the compiled tier and on the reference loop, plus the
     compiled run's CPU."""
     runs = []
     for fast in (True, False):
-        cpu, memory = _machine(blob)
+        cpu, memory = _machine(blob, data_size)
         if setup is not None:
             setup(cpu)
         if fast:
@@ -403,3 +418,280 @@ def test_reentry_after_regs_rebound(monkeypatch):
             assert cpu.perf.blocks_compiled == 1
     assert results[0] == results[1]
     assert results[0]["regs"][0] == 0x2100 + 2 + 3
+
+
+# -- superblocks, register locals, bound regions, lone blocks ----------
+
+
+def test_fault_in_second_range_of_superblock(monkeypatch):
+    """A superblock continues through a ``jmp``; a load fault in its
+    second byte range reports that op's EIP and retires exactly the
+    ops before it, across the range boundary."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+    blob = (b"\xb9\x07\x00\x00\x00"      # 0x1000 mov $7, %ecx
+            b"\xe9\x03\x00\x00\x00"      # 0x1005 jmp 0x100d
+            b"\x90\x90\x90"                # 0x100a (jumped over)
+            b"\x50"                        # 0x100d push %eax
+            b"\x8b\x1a"                    # 0x100e mov (%edx), %ebx
+            b"\xeb\xee")                   # 0x1010 jmp 0x1000
+
+    def setup(cpu):
+        cpu.regs[2] = 0x5000                # unmapped
+
+    (fast, cpu, __), (slow, ___, ____) = _compiled_vs_reference(blob, setup)
+    assert fast == slow
+    assert cpu.blocks[0x1000][2] == ((0x1000, 0x100A), (0x100D, 0x1012))
+    assert cpu.perf.blocks_compiled == 1
+    assert fast["outcome"][0] == "crash"
+    assert fast["eip"] == 0x100E and fast["instret"] == 3
+    assert fast["regs"][1] == 7 and fast["dirty"] == {"stack": [0]}
+
+
+#: mov $1,%eax; jmp 0x100c; (2 bytes skipped); mov $2,%ebx; jmp 0x1000
+LOOP2 = (b"\xb8\x01\x00\x00\x00"
+         b"\xe9\x02\x00\x00\x00"
+         b"\x90\x90"
+         b"\xbb\x02\x00\x00\x00"
+         b"\xe9\xea\xff\xff\xff")
+
+
+def test_poke_in_later_range_evicts_superblock(monkeypatch):
+    """A poke into a superblock's second range evicts the block
+    through ``invalidate_cache``; with a decode log the pristine
+    block's code stays cached, and ``evict_suspect_decodes`` drops
+    the block (and code) built while the poked byte was in place."""
+    from repro.emu import cpu as cpu_module
+    monkeypatch.setattr(cpu_module, "_CODE_CACHE", {})
+    for logged in (True, False):
+        cpu, memory = _machine(LOOP2)
+        cpu.cacheable = (0x1000, 0x1000 + len(LOOP2))
+        cpu.decode_log = [] if logged else None
+        cpu.run(12)
+        block = cpu.blocks[0x1000]
+        assert block[2] == ((0x1000, 0x100A), (0x100C, 0x1016))
+        assert cpu.perf.blocks_compiled == 1 and cpu.regs[3] == 2
+        clean = cpu_module._code_key(block)
+        if logged:
+            del cpu.decode_log[:]
+        memory.poke(0x100D, 0x7F)             # mov $0x7f, %ebx
+        cpu.invalidate_cache(0x100D)
+        assert 0x1000 not in cpu.blocks
+        assert (clean in cpu_module._CODE_CACHE) == logged
+        cpu.eip = 0x1000
+        cpu.run(cpu.instret + 12)
+        assert cpu.regs[3] == 0x7F
+        corrupted = cpu_module._code_key(cpu.blocks[0x1000])
+        assert corrupted in cpu_module._CODE_CACHE
+        memory.poke(0x100D, 0x02)
+        cpu.evict_suspect_decodes({0x100D})
+        assert 0x1000 not in cpu.blocks
+        assert corrupted not in cpu_module._CODE_CACHE
+        cpu.eip = 0x1000
+        cpu.run(cpu.instret + 12)
+        assert cpu.regs[3] == 2
+
+
+def test_stop_in_later_range(monkeypatch):
+    """A stop address in a superblock's second range stops the run
+    there, with every observer, cold and compiled."""
+    for threshold in (1, 2):
+        monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", threshold)
+        for observers in ((), ("ring",), ("sampler",), ("ring", "sampler")):
+            for budget in (2, 12, 40):
+                _assert_equivalent(LOOP2, budget=budget,
+                                   stop=frozenset({0x100C}),
+                                   observers=observers)
+        fast, __ = _run_engine(LOOP2, True, 40, frozenset({0x100C}))
+        assert fast["outcome"] == ("stop", None)
+        assert fast["eip"] == 0x100C and fast["instret"] == 2
+
+
+_HANDLER_FAULTS = [
+    # imul and idiv (handler calls) between inline writes, then an
+    # inline load faults
+    b"\xb8\x05\x00\x00\x00"          # mov $5, %eax
+    b"\xb9\x03\x00\x00\x00"          # mov $3, %ecx
+    b"\x0f\xaf\xc1"                  # imul %ecx, %eax
+    b"\x83\xc1\x01"                  # add $1, %ecx
+    b"\x99"                          # cdq
+    b"\xf7\xf9"                      # idiv %ecx
+    b"\xbe\x09\x00\x00\x00"          # mov $9, %esi
+    b"\x8b\x1a",                     # mov (%edx), %ebx: unmapped
+    # the handler itself faults after inline writes
+    b"\xbe\x09\x00\x00\x00"          # mov $9, %esi
+    b"\x31\xc9"                      # xor %ecx, %ecx
+    b"\xf7\xf9"                      # idiv %ecx: divide error
+    b"\x90",
+    # leave commits ESP = EBP before its pop faults
+    b"\xbd\x00\x50\x00\x00"          # mov $0x5000, %ebp
+    b"\x83\xc0\x01"                  # add $1, %eax
+    b"\xc9"                          # leave: pop from unmapped
+    b"\x90",
+    # the last flag writer's lazy record is stored on the fault path
+    b"\x29\xd8"                      # sub %ebx, %eax: CF, SF
+    b"\x31\xc9"                      # xor %ecx, %ecx: ZF, PF
+    b"\x8b\x1a",                     # mov (%edx), %ebx: unmapped
+    # movb stores through the bound region, then to unmapped memory
+    b"\x88\x03"                      # movb %al, (%ebx)
+    b"\x88\x67\x01"                  # movb %ah, 1(%edi)
+    b"\x8a\x23"                      # movb (%ebx), %ah
+    b"\x88\x02"                      # movb %al, (%edx): unmapped
+    b"\x90",
+]
+
+
+def test_handler_ops_between_inline_writes_then_fault(monkeypatch):
+    """Register locals and the pending lazy-EFLAGS record are stored
+    back around handler calls and on the fault path: after handler
+    ops, and when a handler (or the ``leave`` template) faults
+    part-way, registers, EFLAGS, memory and the fault match the
+    reference."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+
+    def setup(cpu):
+        cpu.regs[2] = 0x5000                # unmapped
+
+    for blob in _HANDLER_FAULTS:
+        (fast, cpu, __), (slow, ___, ____) = _compiled_vs_reference(
+            blob, setup)
+        assert fast == slow, blob.hex()
+        assert fast["outcome"][0] == "crash"
+        assert cpu.perf.blocks_compiled == 1
+    # the movb case: %ah (0x21) stored at 0x2601, then reloaded from
+    # the zero byte %al left at 0x2400
+    assert fast["memory"][1][0x601] == 0x21 and fast["regs"][0] == 0
+
+
+def test_page_straddling_stores_through_bound_region(monkeypatch):
+    """Stores through the bound data region: a word across a page
+    boundary dirties both pages, a byte at the region's last address
+    stays inline, and a word across the region's end takes Memory's
+    per-byte path (partial write, then the fault)."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+    blob = (b"\xbb\xfe\x2f\x00\x00"      # mov $0x2ffe, %ebx
+            b"\x89\x03"                  # mov %eax, (%ebx)
+            b"\xbb\xff\x4f\x00\x00"      # mov $0x4fff, %ebx
+            b"\x88\x03"                  # movb %al, (%ebx)
+            b"\x0f\xb6\x0b"              # movzbl (%ebx), %ecx
+            b"\xbb\xfe\x4f\x00\x00"      # mov $0x4ffe, %ebx
+            b"\x89\x03")                 # mov %eax, (%ebx): 0x5000 unmapped
+
+    def setup(cpu):
+        cpu.regs[0] = 0x11223344
+
+    (fast, cpu, __), (slow, ___, ____) = _compiled_vs_reference(
+        blob, setup, data_size=3 * 4096)
+    assert fast == slow
+    assert cpu.perf.blocks_compiled == 1
+    assert fast["dirty"] == {"data": [0, 1, 2]}
+    assert fast["outcome"][0] == "crash" and fast["instret"] == 6
+    assert fast["regs"][1] == 0x44
+    data = fast["memory"][1]
+    assert data[0xFFE:0x1002] == bytes.fromhex("44332211")
+    assert data[-2:] == b"\x44\x33"           # the partial write
+
+
+def test_syscall_and_rdtsc_lone_blocks(monkeypatch):
+    """``int 0x80`` and ``rdtsc`` run as one-instruction blocks that
+    are never compiled and never go through ``step()``: the kernel's
+    ``write`` events and ``rdtsc``'s value carry the reference
+    ``instret``."""
+    body = (b"\xb8\x14\x00\x00\x00"      # mov $20, %eax (getpid)
+            b"\xcd\x80"                  # int 0x80
+            b"\x89\xc6"                  # mov %eax, %esi
+            b"\x0f\x31"                  # rdtsc
+            b"\x89\xc7"                  # mov %eax, %edi
+            b"\xb8\x04\x00\x00\x00"      # mov $4, %eax (write)
+            b"\xbb\x01\x00\x00\x00"      # mov $1, %ebx
+            b"\xb9\x00\x20\x00\x00"      # mov $0x2000, %ecx
+            b"\xba\x04\x00\x00\x00"      # mov $4, %edx
+            b"\xcd\x80")                 # int 0x80
+    blob = body + bytes((0xEB, (-(len(body) + 2)) & 0xFF))
+    lone = {0x1005, 0x1009, 0x1021}
+    stepped = []
+    original = CPU.step
+
+    def counting_step(self):
+        stepped.append(self.eip)
+        original(self)
+
+    monkeypatch.setattr(CPU, "step", counting_step)
+    for threshold in (1, 2):
+        monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", threshold)
+        for budget in (7, 40, 61):
+            runs = []
+            for fast in (True, False):
+                cpu, memory = _machine(blob)
+                if fast:
+                    cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
+                else:
+                    cpu.coverage = set()
+                outcome = cpu.run(budget)
+                runs.append((_fingerprint(cpu, memory, outcome),
+                             list(cpu.kernel.write_events)))
+                if fast and budget > 11:
+                    assert lone <= set(cpu.blocks)
+                    for address in lone:
+                        assert cpu.blocks[address][3] == (address,)
+                    assert cpu.perf.blocks_compiled <= len(cpu.blocks) \
+                        - len(lone)
+            assert runs[0] == runs[1]
+            assert bool(runs[0][1]) == (budget > 11)
+    assert not lone & set(stepped)
+
+
+_PUSH_POP = [
+    # a store through another register into the pushed slot
+    b"\x50\x89\xe3\x89\x0b\x5a",          # push %eax; mov %esp,%ebx;
+                                          # mov %ecx,(%ebx); pop %edx
+    b"\x50\x88\x0c\x24\x5a",              # push %eax; movb %cl,(%esp);
+                                          # pop %edx
+    # ESP moved by other ops between the push and the pop
+    b"\x50\x83\xc4\x04\x83\xec\x04\x5a",  # push; add $4,%esp;
+                                          # sub $4,%esp; pop %edx
+    b"\x54\x58",                          # push %esp; pop %eax
+    b"\x6a\x07\x50\x5b\xb8\x01\x00\x00\x00\x59",  # push $7; push %eax;
+                                          # pop %ebx; mov $1,%eax; pop %ecx
+    # a call and its ret in one superblock, then a ret from memory
+    b"\xe8\x01\x00\x00\x00\x90\xc3",      # call 0x1006; nop; ret
+    # a handler between the push and the pop
+    b"\x50\x0f\xaf\xc1\x5a",              # push; imul %ecx,%eax; pop
+    b"\x55\x89\xe5\x50\xc9\x5b",          # push %ebp; mov %esp,%ebp;
+                                          # push %eax; leave; pop %ebx
+]
+
+
+def test_pushes_forwarded_to_pops(monkeypatch):
+    """A pop in the block of its push takes the pushed value without a
+    load; a store, an ESP change or a handler call in between makes it
+    load again.  Registers, memory and faults match the reference."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+
+    def setup(cpu):
+        cpu.regs[0], cpu.regs[1] = 0x11223344, 0x55667788
+
+    for blob in _PUSH_POP:
+        (fast, cpu, __), (slow, ___, ____) = _compiled_vs_reference(
+            blob, setup)
+        assert fast == slow, blob.hex()
+        assert cpu.perf.blocks_compiled >= 1
+    assert _compiled_vs_reference(_PUSH_POP[0], setup)[0][0]["regs"][2] \
+        == 0x55667788
+
+
+def test_misaligned_target_rejoining_the_block(monkeypatch):
+    """A ``call`` into the middle of an earlier member decodes a
+    misaligned stream that falls back into step with the aligned one;
+    the block ends where it would repeat a member, so its addresses
+    stay unique and a fault in the repeated code retires what the
+    reference retires."""
+    blob = (b"\x89\xd8\x0f\xb6\xc3\x89\xd8\x50\xc9\x99"
+            b"\xe8\xf2\xff\xff\xff")      # ...; call 0x1001
+    for threshold in (1, 2):
+        monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", threshold)
+        _assert_equivalent(blob)
+        cpu, __ = _machine(blob)
+        cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
+        addrs = cpu._block_at(0x1000)[3]
+        assert len(set(addrs)) == len(addrs)
+        assert addrs[-2:] == (0x1001, 0x1003)
