@@ -85,35 +85,47 @@ def test_connection_throughput(benchmark, cache):
     assert instret > 5_000
 
 
-def test_forensic_ring_overhead(record_result, record_json):
-    """The forensics acceptance gate: the block-granularity ring costs
-    under 5% on the fast path when attached, and exactly nothing when
-    not (``run()`` branches to a separate loop, so the plain path is
-    untouched -- asserted structurally in :func:`test_sampler_overhead`;
-    measured here for the attached case)."""
+def _observer_overhead(attach, rounds=5):
+    """Best-of-*rounds* wall time of the hash loop without and with an
+    observer (*attach* puts it on the CPU).  The plain and observed
+    runs alternate in pairs, so a change in host speed during the
+    measurement lands on both sides instead of reading as overhead.
+    Returns ``(plain, observed, instret, overhead_fraction)``."""
     import time
-
-    from repro.obs.forensics import make_forensic_ring
 
     program = compile_program(HASH_LOOP)
 
-    def run_once(with_ring):
+    def run_once(observed):
         process = Process(program.module, Kernel())
-        if with_ring:
-            process.cpu.forensic_ring = make_forensic_ring()
+        if observed:
+            attach(process.cpu)
         started = time.perf_counter()
         status = process.run(5_000_000)
         elapsed = time.perf_counter() - started
         assert status.kind == "exit"
         return elapsed, status.instret
 
-    # best-of-N on both variants so scheduler noise cannot fake a
-    # regression (or hide one)
-    rounds = 5
     run_once(False)                      # warm the code cache
-    plain = min(run_once(False)[0] for __ in range(rounds))
-    ringed = min(run_once(True)[0] for __ in range(rounds))
-    overhead = (ringed - plain) / plain if plain else 0.0
+    plain = observed = float("inf")
+    for __ in range(rounds):
+        plain = min(plain, run_once(False)[0])
+        elapsed, instret = run_once(True)
+        observed = min(observed, elapsed)
+    return plain, observed, instret, (observed - plain) / plain
+
+
+def test_forensic_ring_overhead(record_result, record_json):
+    """The forensics acceptance gate: the block-granularity ring costs
+    under 5% on the fast path when attached, and exactly nothing when
+    not (``run()`` branches to a separate loop, so the plain path is
+    untouched -- asserted structurally in :func:`test_sampler_overhead`;
+    measured here for the attached case)."""
+    from repro.obs.forensics import make_forensic_ring
+
+    def attach(cpu):
+        cpu.forensic_ring = make_forensic_ring()
+
+    plain, ringed, __, overhead = _observer_overhead(attach)
     record_result("forensic_ring_overhead",
                   "plain: %.4f s  ring: %.4f s  overhead: %.1f%%"
                   % (plain, ringed, 100 * overhead))
@@ -134,7 +146,6 @@ def test_sampler_overhead(record_result, record_json):
     either observer -- asserted structurally below, then measured for
     the attached case."""
     import inspect
-    import time
 
     from repro.emu.cpu import CPU
     from repro.obs.sampler import Sampler
@@ -149,25 +160,10 @@ def test_sampler_overhead(record_result, record_json):
             "is no longer zero" % observer)
     assert CPU._run_observed is not CPU.run
 
-    program = compile_program(HASH_LOOP)
+    def attach(cpu):
+        cpu.sampler = Sampler()
 
-    def run_once(with_sampler):
-        process = Process(program.module, Kernel())
-        if with_sampler:
-            process.cpu.sampler = Sampler()
-        started = time.perf_counter()
-        status = process.run(5_000_000)
-        elapsed = time.perf_counter() - started
-        assert status.kind == "exit"
-        return elapsed, status.instret
-
-    rounds = 5
-    run_once(False)                      # warm the code cache
-    plain = min(run_once(False)[0] for __ in range(rounds))
-    timings = [run_once(True) for __ in range(rounds)]
-    sampled = min(elapsed for elapsed, __ in timings)
-    instret = timings[0][1]
-    overhead = (sampled - plain) / plain if plain else 0.0
+    plain, sampled, instret, overhead = _observer_overhead(attach)
     rate = instret / sampled if sampled else 0.0
     record_result("sampler_overhead",
                   "plain: %.4f s  sampled: %.4f s  overhead: %.1f%%\n"

@@ -27,18 +27,13 @@ from __future__ import annotations
 
 import time
 
+from repro.analysis.equivalence import campaign_differences
 from repro.apps.ftpd import CLIENT_FACTORIES as FTP_CLIENTS, FtpDaemon
 from repro.injection import (FleetConfig, run_fleet_campaign,
                              WorkerFleet)
 
 MAX_POINTS = 120
 WORKERS = 2
-
-
-def _core(campaign):
-    core = dict(campaign.metrics)
-    core.pop("volatile", None)
-    return core
 
 
 def _counters(campaign):
@@ -95,10 +90,6 @@ def test_service_warm_speedup(record_result, record_json):
     assert warm_counters.get("runtime.golden_runs", 0) == 0
     assert warm_counters.get("runtime.golden_reused", 0) >= 1
     # and warm output must equal cold output exactly
-    assert [r.point for r in warm.results] \
-        == [r.point for r in cold.results]
-    assert [r.outcome for r in warm.results] \
-        == [r.outcome for r in cold.results]
-    assert _core(warm) == _core(cold)
+    assert campaign_differences(warm, cold) == []
     assert speedup >= 1.15, \
         "warm submission only %.2fx faster than cold" % speedup

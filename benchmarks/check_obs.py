@@ -20,25 +20,20 @@ Validates the trace, event and metrics files a smoke campaign wrote:
 
 ``metrics-equal``
     two metrics-registry dumps agree on the deterministic core
-    (everything outside the ``volatile`` section).  CI feeds it a
-    serial and a ``--workers 3`` run of the same campaign: the
-    emulator is deterministic, so any difference is an aggregation
-    bug in the shard merge.
+    (:func:`repro.analysis.equivalence.deterministic_core`).  CI
+    feeds it a serial and a ``--workers 2`` run of the same campaign:
+    the emulator is deterministic, so any difference is an
+    aggregation bug in the shard merge.
 
-``telemetry``
-    the telemetry plane is an observer, not a participant: runs the
-    same campaign four ways in-process (telemetry+sampler off/on,
-    serial and ``--workers N``) and fails unless (a) all four
-    deterministic metrics cores are byte-identical, (b) every event
-    stream is gap-free per campaign, and (c) the guest-sample profile
-    is identical for the serial and sharded runs.
+That observers leave records and metrics unchanged in-process is the
+oracle's job (``tests/properties/test_oracle.py``).
 
 Usage::
 
     python benchmarks/check_obs.py trace smoke-trace.json
     python benchmarks/check_obs.py events smoke-events.jsonl
-    python benchmarks/check_obs.py metrics-equal serial.json sharded.json
-    python benchmarks/check_obs.py telemetry --workers 3
+    PYTHONPATH=src python benchmarks/check_obs.py metrics-equal \\
+        serial.json sharded.json
 """
 
 from __future__ import annotations
@@ -145,14 +140,9 @@ def check_events(path):
     return failures
 
 
-def deterministic_core(registry):
-    registry = dict(registry)
-    registry.pop("volatile", None)
-    return registry
-
-
 def check_metrics_equal(left_path, right_path):
     """Return failure messages unless the deterministic cores match."""
+    from repro.analysis.equivalence import deterministic_core
     left = json.loads(pathlib.Path(left_path).read_text())
     right = json.loads(pathlib.Path(right_path).read_text())
     failures = []
@@ -176,67 +166,6 @@ def check_metrics_equal(left_path, right_path):
     return failures
 
 
-def check_telemetry(workers=3, max_points=60, out_dir="."):
-    """Run the telemetry-invariance matrix in-process; returns
-    failure messages (the four metrics dumps and both event streams
-    are left in *out_dir* as CI artifacts)."""
-    import tempfile
-
-    from repro.apps.ftpd import client1, FtpDaemon
-    from repro.injection import run_campaign
-    from repro.obs import EventBus, EventLog, load_profile
-
-    daemon = FtpDaemon()
-    out = pathlib.Path(out_dir)
-    failures = []
-    cores = {}
-    streams = {}
-
-    with tempfile.TemporaryDirectory() as scratch:
-        scratch = pathlib.Path(scratch)
-
-        def run(label, **kwargs):
-            metrics = out / ("telemetry-%s.metrics.json" % label)
-            run_campaign(daemon, "Client1", client1,
-                         max_points=max_points, metrics=str(metrics),
-                         **kwargs)
-            cores[label] = deterministic_core(
-                json.loads(metrics.read_text()))
-            print("ran %-12s -> %s" % (label, metrics))
-
-        run("off-serial")
-        run("off-workers", workers=workers)
-        for label, worker_count in (("on-serial", None),
-                                    ("on-workers", workers)):
-            bus = EventBus()
-            log = EventLog(out / ("telemetry-%s.events.jsonl" % label))
-            bus.subscribe(log)
-            run(label, workers=worker_count, telemetry=bus,
-                telemetry_campaign="gate",
-                profile=str(scratch / (label + ".profile")))
-            log.close()
-            streams[label] = log.path
-
-        baseline = cores["off-serial"]
-        for label, core in sorted(cores.items()):
-            if core != baseline:
-                failures.append(
-                    "deterministic metrics core of %s differs from "
-                    "off-serial" % label)
-        for label, path in sorted(streams.items()):
-            for problem in check_events(path):
-                failures.append("%s event stream: %s"
-                                % (label, problem))
-        serial_profile = load_profile(scratch / "on-serial.profile")
-        workers_profile = load_profile(scratch / "on-workers.profile")
-        if serial_profile["samples"] != workers_profile["samples"]:
-            failures.append(
-                "guest-sample profile differs between serial and "
-                "--workers %d (sampling is not deterministic)"
-                % workers)
-    return failures
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -253,23 +182,9 @@ def main(argv=None):
         help="two registry dumps share a deterministic core")
     equal.add_argument("left")
     equal.add_argument("right")
-    telemetry = commands.add_parser(
-        "telemetry",
-        help="telemetry/sampler on vs off leaves the deterministic "
-             "core byte-identical (serial and sharded)")
-    telemetry.add_argument("--workers", type=int, default=3)
-    telemetry.add_argument("--max-points", type=int, default=60)
-    telemetry.add_argument("--out-dir", default=".")
     args = parser.parse_args(argv)
 
-    if args.command == "telemetry":
-        failures = check_telemetry(workers=args.workers,
-                                   max_points=args.max_points,
-                                   out_dir=args.out_dir)
-        if not failures:
-            print("telemetry plane is invariant: 4/4 cores "
-                  "identical, streams gap-free, profiles match")
-    elif args.command in ("trace", "events"):
+    if args.command in ("trace", "events"):
         check, verdict = ((check_trace, "span tree nests ok")
                           if args.command == "trace"
                           else (check_events, "event stream is whole"))

@@ -4,10 +4,11 @@
 Starts a real ``repro serve`` process (warm worker fleet behind a
 Unix socket), submits two campaigns from two concurrent client
 connections -- the ftpd branch-bit cell and the pop3d register-bit
-cell -- and asserts that each streamed result set renders Table 1/3/5
-and Figure 4 inputs byte-identical to an undisturbed serial run of
-the same cell, with an identical deterministic metrics core.  A
-third connection subscribes to the telemetry stream for the whole
+cell -- and asserts that each streamed result set equals an
+undisturbed serial run of the same cell record for record, with an
+identical deterministic metrics core
+(:func:`repro.analysis.equivalence.campaign_differences`).  A third
+connection subscribes to the telemetry stream for the whole
 concurrent phase: it must not perturb the results, and each
 campaign's event stream must arrive gap-free (contiguous per-campaign
 sequence numbers) ending in ``campaign-finished``.
@@ -16,7 +17,7 @@ Then the shutdown path: a third campaign is submitted with a journal
 and the server is SIGTERMed mid-flight; the client must receive a
 ``checkpoint`` event naming a resumable journal, the server must exit
 0, and a plain ``--resume`` of that journal must complete the
-campaign with serial-identical tallies.
+campaign with serial-identical records.
 
 Usage::
 
@@ -35,10 +36,8 @@ import threading
 import time
 from pathlib import Path
 
-from repro.analysis import (build_histogram, build_table1,
-                            build_table3, format_histogram,
-                            format_table1, format_table3,
-                            result_from_dict)
+from repro.analysis import result_from_dict
+from repro.analysis.equivalence import campaign_differences
 from repro.apps.ftpd import CLIENT_FACTORIES as FTP_CLIENTS, FtpDaemon
 from repro.apps.pop3d import (CLIENT_FACTORIES as POP3_CLIENTS,
                               Pop3Daemon)
@@ -56,12 +55,6 @@ CELLS = {
 DAEMON_CLASSES = {"ftpd": "FtpDaemon", "pop3d": "Pop3Daemon"}
 
 
-def deterministic_core(metrics):
-    core = dict(metrics or {})
-    core.pop("volatile", None)
-    return core
-
-
 def rebuild_campaign(spec, done, records):
     """A CampaignResult from a service stream, exactly as the
     analysis layer would consume it."""
@@ -76,30 +69,9 @@ def rebuild_campaign(spec, done, records):
 
 
 def compare(label, campaign, reference):
-    """Failure messages for any divergence in the paper-facing data."""
-    failures = []
-    if [r.point for r in campaign.results] \
-            != [r.point for r in reference.results]:
-        failures.append("%s: result order/points diverged" % label)
-    if [r.outcome for r in campaign.results] \
-            != [r.outcome for r in reference.results]:
-        failures.append("%s: per-point outcomes diverged" % label)
-    table1 = format_table1(build_table1([campaign]), label)
-    if table1 != format_table1(build_table1([reference]), label):
-        failures.append("%s: Table 1/5 rendering diverged" % label)
-    table3 = format_table3(build_table3([campaign]), label)
-    if table3 != format_table3(build_table3([reference]), label):
-        failures.append("%s: Table 3 rendering diverged" % label)
-    histogram = format_histogram(
-        build_histogram(campaign.crash_latencies()))
-    if histogram != format_histogram(
-            build_histogram(reference.crash_latencies())):
-        failures.append("%s: Figure 4 histogram diverged" % label)
-    if deterministic_core(campaign.metrics) \
-            != deterministic_core(reference.metrics):
-        failures.append("%s: deterministic metrics core diverged"
-                        % label)
-    return failures
+    """Failure messages for any divergence from *reference*."""
+    return ["%s: %s" % (label, line)
+            for line in campaign_differences(campaign, reference)]
 
 
 def start_server(socket_path, workers):

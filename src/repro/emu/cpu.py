@@ -1426,9 +1426,10 @@ class CPU:
             self.regs[ESI] = (self.regs[ESI] + delta) & 0xFFFFFFFF
             self.regs[EDI] = (self.regs[EDI] + delta) & 0xFFFFFFFF
             self.instret += 1
+        if iterations:
+            self.instret -= 1  # the final iteration is the retired insn
         if count is not None:
             self.regs[ECX] = 0
-            self.instret -= 1  # the final iteration is the retired insn
 
     def _op_stos(self, instruction):
         width = self._string_width(instruction)
@@ -1443,9 +1444,10 @@ class CPU:
                 self.memory.write32(self.regs[EDI], value, self.eip)
             self.regs[EDI] = (self.regs[EDI] + delta) & 0xFFFFFFFF
             self.instret += 1
+        if iterations:
+            self.instret -= 1
         if count is not None:
             self.regs[ECX] = 0
-            self.instret -= 1
 
     def _op_lods(self, instruction):
         width = self._string_width(instruction)
@@ -1459,9 +1461,10 @@ class CPU:
             self.write_reg(EAX, value, width)
             self.regs[ESI] = (self.regs[ESI] + delta) & 0xFFFFFFFF
             self.instret += 1
+        if iterations:
+            self.instret -= 1
         if count is not None:
             self.regs[ECX] = 0
-            self.instret -= 1
 
     def _op_cmps(self, instruction):
         width = self._string_width(instruction)

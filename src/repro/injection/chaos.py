@@ -23,13 +23,13 @@ tests can also script multi-attempt failures explicitly (kill
 attempts 0..K to exhaust the restart budget and retire the worker).
 
 Journal *file* corruption -- the on-disk half of the chaos model --
-is covered by :func:`corrupt_journal_tail`, used by tests and the CI
-chaos job against the salvage loader
-(``CampaignJournal.load(strict=False)``).
+is covered by :func:`corrupt_journal_tail`, used by tests against the
+salvage loader (``CampaignJournal.load(strict=False)``).
 
-The acceptance property for every recovery path is byte-identical
-Table 1/3/5 and Figure 4 counts versus an undisturbed serial run;
-``benchmarks/check_chaos.py`` gates it in CI.
+The acceptance property for every recovery path is a campaign equal,
+record for record, to the reference run; the equivalence oracle
+(``tests/properties/test_oracle.py``) draws chaos schedules and
+journal corruptions as one of its axes.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.x86.flags import DF, ZF
 from repro.x86.registers import EAX, ECX, EDI, ESI
 
-from .harness import DATA_BASE, run_snippet
+from .harness import DATA_BASE, make_cpu, run_snippet
 
 
 class TestMovs:
@@ -100,3 +102,42 @@ class TestCmpsScas:
         # ECX decremented once per byte scanned incl. the NUL: 100-6
         assert cpu.regs[ECX] == 94
         assert cpu.eflags & ZF
+
+
+STRING_MNEMONICS = ("movsb", "movsd", "cmpsb", "cmpsd", "stosb",
+                    "stosd", "lodsb", "lodsd", "scasb", "scasd")
+
+
+def _loops(cpu):
+    return {"reference": cpu._run_reference, "blocks": cpu.run}
+
+
+class TestRetireCount:
+    """A string op retires one instruction per iteration, and at
+    least one (a ``rep`` with ECX=0 still retires the instruction
+    itself), under the reference loop and the block loop alike."""
+
+    @pytest.mark.parametrize("loop", ("reference", "blocks"))
+    @pytest.mark.parametrize("prefix,count,retired",
+                             [("", 3, 1), ("rep ", 0, 1),
+                              ("rep ", 3, 3)])
+    @pytest.mark.parametrize("mnemonic", STRING_MNEMONICS)
+    def test_instret(self, mnemonic, prefix, count, retired, loop):
+        # zeroed buffers and EAX=0: every cmps/scas compare is equal,
+        # so a repe runs all ECX iterations
+        cpu, module = make_cpu("""
+    movl $src, %%esi
+    movl $dst, %%edi
+    movl $%d, %%ecx
+    xorl %%eax, %%eax
+op:
+    %s%s
+end:
+    nop
+""" % (count, prefix, mnemonic), data="src: .space 16\ndst: .space 16")
+        run = _loops(cpu)[loop]
+        op, end = module.address_of("op"), module.address_of("end")
+        assert run(1000, frozenset((op,))) == ("stop", None)
+        before = cpu.instret
+        assert run(1000, frozenset((end,))) == ("stop", None)
+        assert cpu.instret - before == retired

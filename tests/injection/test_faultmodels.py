@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.ftpd import CLIENT_FACTORIES as FTP_CLIENTS
 from repro.analysis import campaign_to_dict
+from repro.analysis.equivalence import campaign_differences
 from repro.injection import (available_fault_models, BranchBitFlip,
                              BurstInjectionPoint, DEFAULT_FAULT_MODEL,
                              FaultModel, get_fault_model,
@@ -147,21 +148,6 @@ def test_point_keys_are_distinct_per_model():
 # ----------------------------------------------------------------------
 # Campaigns per model (smoke, with journal/resume/shard)
 
-def _strip_timing(payload):
-    """Drop the run-varying observational fields: ``timing``, and the
-    ``volatile`` section of the metrics registry (wall clock, engine
-    counters, resume history).  The deterministic metrics core stays
-    in, so these equivalence checks also pin serial == sharded ==
-    resumed tallies in the registry."""
-    payload = dict(payload)
-    payload.pop("timing", None)
-    if payload.get("metrics"):
-        metrics = dict(payload["metrics"])
-        metrics.pop("volatile", None)
-        payload["metrics"] = metrics
-    return payload
-
-
 @pytest.mark.parametrize("model", ["burst2", "register-bit",
                                    "memory-bit"])
 def test_new_model_campaign_journal_resume(model, ftp_daemon,
@@ -176,8 +162,7 @@ def test_new_model_campaign_journal_resume(model, ftp_daemon,
                            FTP_CLIENTS["Client1"], fault_model=model,
                            max_points=6, journal=journal, resume=True)
     assert resumed.timing["executed"] == 0
-    assert (_strip_timing(campaign_to_dict(resumed))
-            == _strip_timing(campaign_to_dict(first)))
+    assert campaign_differences(resumed, first) == []
 
 
 def test_resume_rejects_model_mismatch(ftp_daemon, tmp_path):
@@ -200,8 +185,7 @@ def test_register_campaign_parallel_matches_serial(ftp_daemon):
                            FTP_CLIENTS["Client1"],
                            fault_model="register-bit", max_points=24,
                            workers=2)
-    assert (_strip_timing(campaign_to_dict(sharded))
-            == _strip_timing(campaign_to_dict(serial)))
+    assert campaign_differences(sharded, serial) == []
 
 
 # ----------------------------------------------------------------------
@@ -218,12 +202,12 @@ def test_branch_bit_equivalence_serial_and_sharded(ftp_daemon):
                            FTP_CLIENTS["Client1"],
                            fault_model=BranchBitFlip(), max_points=40,
                            workers=3)
-    baseline = _strip_timing(campaign_to_dict(default))
-    assert baseline["fault_model"] == "branch-bit"
-    assert _strip_timing(campaign_to_dict(explicit)) == baseline
-    assert _strip_timing(campaign_to_dict(sharded)) == baseline
+    assert default.fault_model == "branch-bit"
+    assert campaign_differences(explicit, default) == []
+    assert campaign_differences(sharded, default) == []
     # the serialized records are the legacy shape bit-for-bit
-    assert all("ptype" not in record for record in baseline["results"])
+    assert all("ptype" not in record
+               for record in campaign_to_dict(default)["results"])
 
 
 def test_burst_defeats_new_encoding_sometimes(ftp_daemon):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.equivalence import campaign_differences
 from repro.apps.ftpd import client1
 from repro.injection import (CampaignInterrupted, ChaosAction,
                              ChaosPolicy, FleetConfig,
@@ -35,21 +36,6 @@ def serial_campaign(ftp_daemon):
                         max_points=SLICE)
 
 
-def assert_identical(campaign, serial):
-    assert campaign.counts() == serial.counts()
-    assert campaign.counts(refined=True) == serial.counts(refined=True)
-    assert [r.point for r in campaign.results] \
-        == [r.point for r in serial.results]
-    assert [r.outcome for r in campaign.results] \
-        == [r.outcome for r in serial.results]
-
-
-def deterministic_core(campaign):
-    core = dict(campaign.metrics)
-    core.pop("volatile", None)
-    return core
-
-
 def counters(campaign):
     return campaign.metrics["volatile"]["counters"]
 
@@ -58,16 +44,6 @@ def counters(campaign):
 # Equivalence
 
 class TestFleetEquivalence:
-    def test_fleet_run_equals_serial(self, ftp_daemon, tmp_path,
-                                     serial_campaign):
-        campaign = run_fleet_campaign(
-            ftp_daemon, "Client1", client1, config=fast_config(),
-            max_points=SLICE, journal=tmp_path / "run.jsonl")
-        assert_identical(campaign, serial_campaign)
-        assert deterministic_core(campaign) \
-            == deterministic_core(serial_campaign)
-        assert campaign.timing["workers"] == 2
-
     def test_journal_carries_unit_markers(self, ftp_daemon, tmp_path,
                                           serial_campaign):
         from repro.injection import (CampaignJournal,
@@ -92,7 +68,7 @@ class TestFleetEquivalence:
         resumed = run_fleet_campaign(
             ftp_daemon, "Client1", client1, config=fast_config(),
             max_points=SLICE, journal=base, resume=True)
-        assert_identical(resumed, serial_campaign)
+        assert campaign_differences(resumed, serial_campaign) == []
         assert resumed.timing["executed"] == 0
         assert counters(resumed)["runtime.resumed"] == SLICE
 
@@ -113,9 +89,7 @@ class TestWarmFleet:
         finally:
             fleet.stop()
         for campaign in (cold, warm):
-            assert_identical(campaign, serial_campaign)
-            assert deterministic_core(campaign) \
-                == deterministic_core(serial_campaign)
+            assert campaign_differences(campaign, serial_campaign) == []
         assert counters(cold).get("runtime.golden_runs", 0) >= 1
         assert counters(cold).get("runtime.golden_reused", 0) == 0
         assert counters(warm).get("runtime.golden_runs", 0) == 0
@@ -139,7 +113,7 @@ class TestWarmFleet:
         finally:
             fleet.stop()
         for campaign in campaigns:
-            assert_identical(campaign, serial_campaign)
+            assert campaign_differences(campaign, serial_campaign) == []
         # the second submission found the cell's golden already warm
         assert counters(campaigns[1]) \
             .get("runtime.golden_reused", 0) >= 1
@@ -159,13 +133,11 @@ class TestFleetSupervision:
             ftp_daemon, "Client1", client1, config=fast_config(),
             chaos=chaos, max_points=SLICE,
             journal=tmp_path / "run.jsonl")
-        assert_identical(campaign, serial_campaign)
+        assert campaign_differences(campaign, serial_campaign) == []
         volatile = counters(campaign)
         assert volatile["supervisor.respawns"] == 1
         assert volatile["supervisor.failed_shards"] == 0
         assert volatile["supervisor.salvaged_points"] >= 1
-        assert deterministic_core(campaign) \
-            == deterministic_core(serial_campaign)
 
     def test_all_workers_retired_falls_back_inline(self, ftp_daemon,
                                                    tmp_path,
@@ -179,13 +151,11 @@ class TestFleetSupervision:
             ftp_daemon, "Client1", client1,
             config=fast_config(max_restarts=0), chaos=chaos,
             max_points=SLICE, journal=tmp_path / "run.jsonl")
-        assert_identical(campaign, serial_campaign)
+        assert campaign_differences(campaign, serial_campaign) == []
         volatile = counters(campaign)
         assert volatile["supervisor.failed_shards"] == 2
         assert volatile["supervisor.degraded"] >= 1
         assert volatile["supervisor.inline_points"] >= 1
-        assert deterministic_core(campaign) \
-            == deterministic_core(serial_campaign)
 
     def test_torn_pipe_while_busy_counts_pipe_error(self):
         # a worker killed mid-send tears its channel: the parent must
@@ -222,7 +192,7 @@ class TestFleetCheckpoint:
             ftp_daemon, "Client1", client1, config=fast_config(),
             max_points=SLICE, journal=base, resume=True,
             journal_salvage=True)
-        assert_identical(resumed, serial_campaign)
+        assert campaign_differences(resumed, serial_campaign) == []
 
     def test_drain_keeps_fleet_alive_for_next_campaign(self,
                                                        ftp_daemon,
@@ -244,4 +214,4 @@ class TestFleetCheckpoint:
                 journal_salvage=True)
         finally:
             fleet.stop()
-        assert_identical(campaign, serial_campaign)
+        assert campaign_differences(campaign, serial_campaign) == []

@@ -1,4 +1,4 @@
-"""Campaign observability: tables are byte-identical with every flag
+"""Campaign observability: records are identical with every flag
 combination, metrics are worker-count-invariant, traces nest, and
 forensics snapshots land in results and journals."""
 
@@ -8,6 +8,8 @@ import json
 
 import pytest
 
+from repro.analysis.equivalence import (campaign_differences,
+                                        deterministic_core)
 from repro.apps.ftpd import client1
 from repro.injection import run_campaign
 from repro.obs.trace import load_trace_file
@@ -21,23 +23,12 @@ def plain_campaign(ftp_daemon):
                         max_points=SLICE)
 
 
-def _core(metrics):
-    metrics = dict(metrics)
-    metrics.pop("volatile", None)
-    return metrics
-
-
 class TestTallyInvariance:
     def test_forensics_does_not_change_tallies(self, ftp_daemon,
                                                plain_campaign):
         forensic = run_campaign(ftp_daemon, "Client1", client1,
                                 max_points=SLICE, forensics=True)
-        assert forensic.counts() == plain_campaign.counts()
-        assert forensic.counts(refined=True) \
-            == plain_campaign.counts(refined=True)
-        assert forensic.crash_latencies() \
-            == plain_campaign.crash_latencies()
-        assert forensic.by_location() == plain_campaign.by_location()
+        assert campaign_differences(forensic, plain_campaign) == []
 
     def test_trace_and_metrics_do_not_change_tallies(
             self, ftp_daemon, plain_campaign, tmp_path):
@@ -45,9 +36,7 @@ class TestTallyInvariance:
                                 max_points=SLICE,
                                 trace=str(tmp_path / "t.json"),
                                 metrics=str(tmp_path / "m.json"))
-        assert observed.counts() == plain_campaign.counts()
-        assert observed.crash_latencies() \
-            == plain_campaign.crash_latencies()
+        assert campaign_differences(observed, plain_campaign) == []
 
 
 class TestMetrics:
@@ -78,7 +67,7 @@ class TestMetrics:
                      metrics=str(parallel_path))
         serial = json.loads(serial_path.read_text())
         parallel = json.loads(parallel_path.read_text())
-        assert _core(parallel) == _core(serial)
+        assert deterministic_core(parallel) == deterministic_core(serial)
         # the volatile section reflects the extra per-shard golden runs
         assert parallel["volatile"]["counters"]["runtime.golden_runs"] \
             > serial["volatile"]["counters"]["runtime.golden_runs"]
@@ -203,8 +192,8 @@ class TestTelemetry:
         assert delta == {outcome: count for outcome, count
                          in campaign.counts(refined=True).items()
                          if count}
-        # telemetry is an observer: tallies are byte-identical
-        assert campaign.counts() == plain_campaign.counts()
+        # telemetry is an observer: records are identical
+        assert campaign_differences(campaign, plain_campaign) == []
 
     def test_parallel_event_stream_is_gap_free(self, ftp_daemon):
         from repro.obs import check_contiguous, EventBus
@@ -217,22 +206,6 @@ class TestTelemetry:
         assert check_contiguous(events) == []
         assert events[-1]["type"] == "campaign-finished"
         assert events[-1]["counts"] == campaign.counts()
-
-    def test_metrics_core_identical_with_telemetry_on(
-            self, ftp_daemon, tmp_path):
-        import json as _json
-        from repro.obs import EventBus
-        plain_path = tmp_path / "plain.json"
-        observed_path = tmp_path / "observed.json"
-        run_campaign(ftp_daemon, "Client1", client1,
-                     max_points=SLICE, metrics=str(plain_path))
-        run_campaign(ftp_daemon, "Client1", client1,
-                     max_points=SLICE, metrics=str(observed_path),
-                     telemetry=EventBus(), telemetry_campaign="t0",
-                     profile=str(tmp_path / "profile.json"))
-        plain = _json.loads(plain_path.read_text())
-        observed = _json.loads(observed_path.read_text())
-        assert _core(observed) == _core(plain)
 
 
 class TestSampledCampaign:
@@ -247,7 +220,7 @@ class TestSampledCampaign:
         parallel = run_campaign(ftp_daemon, "Client1", client1,
                                 max_points=SLICE, workers=3,
                                 profile=str(parallel_path))
-        assert parallel.counts() == serial.counts()
+        assert campaign_differences(parallel, serial) == []
 
         def samples(path):
             return _json.loads(path.read_text())["samples"]
@@ -305,9 +278,7 @@ class TestSampledCampaign:
         sampled = run_campaign(ftp_daemon, "Client1", client1,
                                max_points=SLICE,
                                profile=str(tmp_path / "p.json"))
-        assert sampled.counts() == plain_campaign.counts()
-        assert sampled.crash_latencies() \
-            == plain_campaign.crash_latencies()
+        assert campaign_differences(sampled, plain_campaign) == []
 
 
 class TestForensics:

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.analysis import result_from_dict
+from repro.analysis.equivalence import campaign_differences
 from repro.apps.ftpd import client1
 from repro.injection import (CampaignResult, FleetConfig,
                              run_campaign, run_fleet_campaign)
@@ -91,19 +92,6 @@ def rebuild(done, records):
     return campaign
 
 
-def assert_identical(campaign, serial):
-    assert [r.point for r in campaign.results] \
-        == [r.point for r in serial.results]
-    assert [r.outcome for r in campaign.results] \
-        == [r.outcome for r in serial.results]
-    assert campaign.counts() == serial.counts()
-    core = dict(campaign.metrics)
-    core.pop("volatile", None)
-    serial_core = dict(serial.metrics)
-    serial_core.pop("volatile", None)
-    assert core == serial_core
-
-
 class TestServiceEquivalence:
     def test_concurrent_clients_match_serial(self, harness,
                                              serial_campaign):
@@ -122,7 +110,8 @@ class TestServiceEquivalence:
             thread.join(120)
         assert set(outputs) == {"a", "b"}
         for done, records in outputs.values():
-            assert_identical(rebuild(done, records), serial_campaign)
+            assert campaign_differences(rebuild(done, records),
+                                        serial_campaign) == []
 
     def test_repeat_submission_is_warm(self, harness,
                                        serial_campaign):
@@ -132,7 +121,8 @@ class TestServiceEquivalence:
             second = client.submit(SPEC, max_points=SLICE)
             assert second["warm"] is True
             done, records = client.collect(second["campaign"])
-        assert_identical(rebuild(done, records), serial_campaign)
+        assert campaign_differences(rebuild(done, records),
+                                    serial_campaign) == []
         counters = done["metrics"]["volatile"]["counters"]
         assert counters.get("runtime.golden_runs", 0) == 0
         assert counters.get("runtime.golden_reused", 0) >= 1
@@ -163,7 +153,8 @@ class TestServiceTelemetry:
                 done, records = client.collect(cid)
             # results are byte-identical to a serial run even with a
             # live subscriber attached
-            assert_identical(rebuild(done, records), serial_campaign)
+            assert campaign_differences(rebuild(done, records),
+                                        serial_campaign) == []
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
                 mine = [event for event in received
@@ -292,4 +283,4 @@ class TestServiceDrain:
             ftp_daemon, "Client1", client1,
             config=FleetConfig(**FAST), max_points=points,
             journal=journal, resume=True, journal_salvage=True)
-        assert_identical(resumed, serial)
+        assert campaign_differences(resumed, serial) == []

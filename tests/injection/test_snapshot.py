@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.equivalence import campaign_differences
 from repro.apps.registry import available_daemons, get_daemon_spec
 from repro.injection import (available_fault_models, BreakpointSession,
                              get_fault_model, MachineSnapshot,
@@ -44,12 +45,6 @@ def _covered_points(daemon, spec, model, cap=MAX_POINTS):
     return covered[:cap] if cap else covered
 
 
-def _signature(campaign):
-    return [(result.point.key, result.outcome, result.exit_kind,
-             result.crash_latency, result.broke_in)
-            for result in campaign.results]
-
-
 def _run(daemon, spec, model, points, **kwargs):
     runner = CampaignRunner(daemon, "Client1",
                             spec.client_factory("Client1"),
@@ -67,7 +62,7 @@ class TestDirtyVsFullCrossCheck:
                                                           model_name)
         dirty = _run(daemon, spec, model, points, full_restore=False)
         full = _run(daemon, spec, model, points, full_restore=True)
-        assert _signature(dirty) == _signature(full)
+        assert campaign_differences(dirty, full) == []
 
 
 class TestPristineSkip:
@@ -96,8 +91,7 @@ class TestPristineSkip:
         skipping = _run(ftp_daemon, spec, model, points)
         full = _run(ftp_daemon, spec, model, points,
                     full_restore=True)
-        assert skipping.counts() == full.counts()
-        assert _signature(skipping) == _signature(full)
+        assert campaign_differences(skipping, full) == []
 
     def test_restores_write_only_dirty_pages(self, ftp_daemon):
         spec = get_daemon_spec("ftpd")
@@ -205,7 +199,7 @@ class TestSessionCacheReuse:
             private = _run(ftp_daemon, spec, model, points)
             shared = _run(ftp_daemon, spec, model, points,
                           session_cache=cache)
-            assert _signature(private) == _signature(shared), model_name
+            assert campaign_differences(private, shared) == [], model_name
         assert cache.hits > 0
 
     def test_cache_capacity_evicts_lru(self, ftp_daemon):
