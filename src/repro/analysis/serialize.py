@@ -171,27 +171,26 @@ def load_campaign(path):
 
 
 def campaign_from_shard_journals(journal):
-    """Reconstruct a :class:`CampaignResult` from the per-worker JSONL
-    journals of a parallel campaign (see :mod:`repro.injection.fleet`).
+    """Reconstruct a :class:`CampaignResult` from a campaign's journal
+    family: the base file and the per-worker ``<journal>.shardK``
+    files a fleet writes (see :mod:`repro.injection.fleet`).
 
-    *journal* is either the campaign's base journal path (shard files
-    are discovered as ``<journal>.shardK``) or an explicit iterable of
-    shard file paths.  Results are ordered by point (address, byte,
-    bit), which matches enumeration order for a contiguous auth
-    section; tallies are order-independent either way.
+    *journal* is the campaign's base journal path.  Results are
+    ordered by point (address, byte, bit), which matches enumeration
+    order for a contiguous auth section; tallies are order-independent
+    either way.
     """
     from ..injection.runner import JournalFamily
-    family = JournalFamily.load(journal, base=False)
+    family = JournalFamily.load(journal)
     if not family.members:
-        raise FileNotFoundError("no shard journals found for %r"
-                                % journal)
+        raise FileNotFoundError("no journal found for %r" % journal)
     metas, results, quarantined = (family.metas, family.results,
                                    family.quarantined)
     for meta in metas[1:]:
         for field in ("daemon", "client", "encoding", "model"):
             if meta.get(field) != metas[0].get(field):
                 raise ValueError(
-                    "shard journals disagree on %s: %r vs %r"
+                    "journal files disagree on %s: %r vs %r"
                     % (field, metas[0].get(field), meta.get(field)))
     head = metas[0] if metas else {}
     campaign = CampaignResult(daemon_name=head.get("daemon", ""),

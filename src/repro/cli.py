@@ -276,12 +276,12 @@ def _spec_from_journal_meta(meta):
 
 def cmd_forensics(args, out):
     from .analysis import point_from_dict
-    from .injection.runner import CampaignJournal
     from .obs.forensics import format_forensics_record
-    meta, results, __ = CampaignJournal.load(args.journal)
-    if meta is None:
+    family = JournalFamily.load(args.journal, strict=False)
+    if not family.metas:
         raise SystemExit("journal %s has no meta header" % args.journal)
-    records = sorted(results.values(),
+    meta = family.metas[0]
+    records = sorted(family.results.values(),
                      key=lambda record: point_from_dict(record).sort_key)
     if args.key:
         records = [record for record in records

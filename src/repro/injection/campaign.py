@@ -128,9 +128,11 @@ class RunOptions:
     for the path-validation extension experiments).
 
     Journal: ``journal`` appends every result to a JSONL file as it
-    completes; ``resume=True`` skips already-journaled points, so a
-    killed campaign restarts where it stopped with identical tallies.
-    ``journal_fsync=N`` fsyncs every N records and
+    completes; ``resume=True`` skips the points the base file and its
+    ``.shardK`` files (whichever engine wrote them) hold, so a killed
+    campaign restarts where it stopped with identical tallies, while
+    ``resume=False`` truncates the base file and deletes those
+    ``.shardK`` files.  ``journal_fsync=N`` fsyncs every N records and
     ``journal_salvage=True`` quarantines corrupt journal lines on
     resume instead of raising.
 
@@ -342,13 +344,14 @@ def run_campaign(daemon, client_name, client_factory, options=None, *,
                          else FleetConfig(), workers=workers)
         return run_fleet_campaign(daemon, client_name, client_factory,
                                   options, config=config)
-    from .runner import CampaignRunner
+    from .runner import CampaignRunner, resume_state
     # a serial run is "shard 0, attempt 0" to a chaos policy (an
     # already-built agent passes through).
     if hasattr(options.chaos, "agent"):
         options = replace(options, chaos=options.chaos.agent(0, 0))
-    return CampaignRunner(daemon, client_name, client_factory,
-                          options).run()
+    return CampaignRunner(
+        daemon, client_name, client_factory, options,
+        resumed=resume_state(daemon, client_name, options)).run()
 
 
 def run_spec(spec, daemon=None, **kwargs):

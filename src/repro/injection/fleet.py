@@ -19,10 +19,11 @@ scheduling layer of :mod:`repro.injection.scheduler`:
 * every unit runs through the ordinary fault-tolerant
   :class:`~repro.injection.runner.CampaignRunner` (isolation,
   watchdog, retries, quarantine, pruning all apply per unit) and
-  journals to the worker's ``<journal>.shardK`` file; resume loads
-  every shard file of the journal family
-  (:class:`~repro.injection.runner.JournalFamily`), so the worker
-  count may change between runs;
+  journals to the worker's ``<journal>.shardK`` file.  Units never
+  read a journal: the parent decides at submission what is already
+  done (:func:`~repro.injection.runner.resume_state` loads the whole
+  journal family, so the worker count, or the engine, may change
+  between runs);
 * the parent supervises: every event a unit runner emits onto its
   worker's private bus is a heartbeat, dead or wedged workers are
   respawned with exponential backoff against a per-incarnation
@@ -62,9 +63,9 @@ from .runner import (_point_key, backoff_delay, CampaignInterrupted,
                      CampaignJournal, campaign_timing, CampaignRunner,
                      declare_campaign_metrics, EVENT_NAMES,
                      install_stop_handlers, join_process, JournalError,
-                     JournalFamily, record_result_metrics,
-                     record_runtime_metrics, shard_journal_path,
-                     validate_journal_meta, Watchdog, WatchdogConfig)
+                     record_result_metrics, record_runtime_metrics,
+                     resume_state, shard_journal_path, Watchdog,
+                     WatchdogConfig)
 from .scheduler import CampaignScheduler, UNIT_INSTRUCTIONS
 
 _LOGGER = get_logger("fleet")
@@ -256,7 +257,6 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
     if daemon is None:
         daemon = options.daemon_factory()
         daemons[cell] = daemon
-    tracer = _unit_tracer(options, worker + 1)
     # The liveness heartbeat subscribes to a bus private to this
     # worker: its events never leave the worker, so the parent still
     # owns every campaign's sequence numbers (and no history is kept).
@@ -266,15 +266,11 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
     # per-unit sampler: guest samples are deterministic per unit and
     # ship home in the payload for the parent to fold together.
     sampler = as_sampler(options.sampler)
-    runner = CampaignRunner(
+    runner, tracer = _unit_runner(
         daemon, ctx["client_name"], ctx["client_factory"], options,
-        points=list(unit.points), trace_root="shard",
-        trace_attrs={"shard": worker, "unit": unit.unit_id},
-        stop_check=lambda: stop["reason"], golden=goldens.get(cell),
-        telemetry=heartbeat, resume=True, trace=tracer, chaos=chaos,
-        session_cache=sessions, sampler=sampler,
-        journal=(shard_journal_path(options.journal, worker)
-                 if options.journal is not None else None))
+        unit, worker, stop_check=lambda: stop["reason"],
+        golden=goldens.get(cell), telemetry=heartbeat, chaos=chaos,
+        session_cache=sessions, sampler=sampler)
     campaign = runner.run()
     goldens[cell] = runner._golden
     payload = _unit_payload(campaign, unit, worker, tracer, sampler)
@@ -286,40 +282,38 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
     emit("unit-done", cid, unit.unit_id, payload)
 
 
-def _unit_tracer(options, tid):
-    """A unit runner's tracer, or ``None`` when the campaign is
-    neither traced nor profiled.  It keeps every span: they ship home
-    in the unit payload, and the parent folds them into its trace
-    file and its profile's host seconds."""
-    if options.trace is None and options.sampler is None:
-        return None
-    return Tracer(tid=tid)
+def _unit_runner(daemon, client_name, client_factory, options, unit,
+                 shard, trace_attrs=None, **extra):
+    """A work unit's runner (exactly its points, journaled to
+    *shard*'s ``.shardK`` file) and its tracer: ``None`` unless the
+    campaign is traced or profiled, else keeping every span for the
+    parent to fold into its trace file and profile host seconds."""
+    tracer = (None if options.trace is None and options.sampler is None
+              else Tracer(tid=shard + 1))
+    runner = CampaignRunner(
+        daemon, client_name, client_factory, options,
+        points=list(unit.points), trace_root="shard", trace=tracer,
+        trace_attrs={"shard": shard, "unit": unit.unit_id,
+                     **(trace_attrs or {})},
+        journal=(shard_journal_path(options.journal, shard)
+                 if options.journal is not None else None), **extra)
+    return runner, tracer
 
 
 def _unit_payload(campaign, unit, worker, tracer, sampler, **timing):
     """A finished unit's results as plain dicts for the parent."""
     from ..analysis.serialize import (quarantined_to_dict,
                                       result_to_dict)
-    # The worker journal accumulates every unit of this campaign, and
-    # a resume loads *all* its quarantine records -- restrict the
-    # payload (and its metrics counter) to this unit's own points so
-    # the parent's exact metric aggregation never double-counts.
-    unit_keys = set(unit.keys)
-    quarantined = [entry for entry in campaign.quarantined
-                   if _point_key(entry.point) in unit_keys]
-    metrics = campaign.metrics
-    metrics["counters"]["quarantined"] = len(quarantined)
     timing = {**(campaign.timing or {}), **timing}
     timing.update(shard=worker, unit=unit.unit_id,
-                  points=len(unit.points),
-                  experiments=len(campaign.results) + len(quarantined))
+                  points=len(unit.points))
     return {
         "results": [result_to_dict(result)
                     for result in campaign.results],
         "quarantined": [quarantined_to_dict(entry)
-                        for entry in quarantined],
+                        for entry in campaign.quarantined],
         "timing": timing,
-        "metrics": metrics,
+        "metrics": campaign.metrics,
         "trace": tracer.events() if tracer is not None else None,
         "profile": sampler.as_dict() if sampler is not None else None,
     }
@@ -375,7 +369,6 @@ class FleetCampaignState:
     #: parent-side profile sampler that worker profiles fold into.
     sampler: object = None
     on_unit: object = None
-    resumed_quarantined: dict = field(default_factory=dict)
     started: float = field(default_factory=time.monotonic)
     #: unit payloads keyed by unit index (exact metric absorption
     #: happens in unit order at finalize).
@@ -577,6 +570,8 @@ class WorkerFleet:
         submission.
         """
         options = RunOptions.resolve(options, **kwargs)
+        resumed_results, resumed_quarantined = resume_state(
+            daemon, client_name, options)
         if not self._started:
             self.start()
         cid = "c%04d" % self._next_cid
@@ -612,22 +607,7 @@ class WorkerFleet:
             points = points[:options.max_points]
         scheduler = CampaignScheduler(
             points, unit_instructions=self.config.unit_instructions)
-        resumed_quarantined = {}
-        if options.resume and options.journal is not None:
-            expected = {"daemon": type(daemon).__name__,
-                        "client": client_name,
-                        "encoding": options.encoding,
-                        "model": model.name}
-            family = JournalFamily.load(
-                options.journal, strict=not options.journal_salvage,
-                base=False)
-            for meta in family.metas:
-                validate_journal_meta(meta, expected, options.journal)
-            scheduler.preload(family.results, family.quarantined)
-            resumed_quarantined = {
-                key: record
-                for key, record in family.quarantined.items()
-                if key in scheduler.order}
+        scheduler.preload(resumed_results, resumed_quarantined)
         worker_options = options.for_worker(
             fault_model=model, watchdog=watchdog, max_points=None,
             daemon_factory=(options.daemon_factory
@@ -638,8 +618,7 @@ class WorkerFleet:
         state = FleetCampaignState(
             cid, daemon, client_name, client_factory, options,
             worker_options, scheduler, golden, golden_reused, tracer,
-            root_cm, root_span, sampler=sampler, on_unit=on_unit,
-            resumed_quarantined=resumed_quarantined)
+            root_cm, root_span, sampler=sampler, on_unit=on_unit)
         self.campaigns[cid] = state
         self._emit(state, "golden", reused=golden_reused,
                    coverage_eips=len(golden.coverage))
@@ -1011,17 +990,10 @@ class WorkerFleet:
         _LOGGER.warning("running unit %s of %s inline in the parent "
                         "(%d points)", unit.unit_id, state.cid,
                         len(unit.points))
-        journal = state.options.journal
-        tracer = _unit_tracer(state.worker_options, self._inline_tid + 1)
-        runner = CampaignRunner(
+        runner, tracer = _unit_runner(
             state.daemon, state.client_name, state.client_factory,
-            state.worker_options, points=list(unit.points),
-            trace_root="shard", golden=state.golden,
-            trace_attrs={"shard": self._inline_tid,
-                         "unit": unit.unit_id, "inline": True},
-            journal=(shard_journal_path(journal, self._inline_tid)
-                     if journal is not None else None),
-            resume=True, journal_salvage=True, trace=tracer,
+            state.worker_options, unit, self._inline_tid,
+            trace_attrs={"inline": True}, golden=state.golden,
             session_cache=self._inline_sessions,
             # inline units run in the parent, feeding the campaign's
             # own sampler directly (no profile payload to fold).
@@ -1162,17 +1134,16 @@ class WorkerFleet:
         registry = declare_campaign_metrics(MetricsRegistry())
         for index in sorted(state.payloads):
             registry.absorb_dict(state.payloads[index].get("metrics"))
-        order = scheduler.order
-        resumed_results = sorted(
-            (key for key in scheduler.resumed
-             if key in scheduler.results), key=order.__getitem__)
-        for key in resumed_results:
-            record_result_metrics(
-                registry, result_from_dict(scheduler.results[key]))
+        resumed = sorted(scheduler.resumed,
+                         key=scheduler.order.__getitem__)
+        for key in resumed:
+            if key in scheduler.results:
+                record_result_metrics(
+                    registry, result_from_dict(scheduler.results[key]))
         registry.counter("runtime.resumed", volatile=True).inc(
-            len(scheduler.resumed))
+            len(resumed))
         registry.counter("quarantined").inc(
-            len(state.resumed_quarantined))
+            sum(key in scheduler.quarantined for key in resumed))
         registry.gauge("points").set(scheduler.total)
         if state.golden_reused:
             registry.counter("runtime.golden_reused",

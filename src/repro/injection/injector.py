@@ -206,6 +206,12 @@ class BreakpointSession:
             self.machine.restore(self.snapshot, full=True)
             self._own()
 
+    def release(self):
+        """Give the machine up, wherever the last experiment left it:
+        the next :meth:`acquire`, by this session too, restores it."""
+        if self.machine.owner is self:
+            self.machine.owner = None
+
     def _restore(self):
         """Reset memory/CPU to the breakpoint and clone kernel+client.
 

@@ -445,15 +445,16 @@ class CampaignJournal:
 
     # -- writing -------------------------------------------------------
 
-    def open(self, meta, append=False):
-        if append:
-            # A SIGKILL can leave a half-written final line; appending
-            # straight after it would corrupt the next record, so drop
-            # any unparseable tail first.
-            self._truncate_partial_tail()
-            self._handle = open(self.path, "a")
-        else:
-            self._handle = open(self.path, "w")
+    def open(self, meta):
+        """Open for appending; a new (missing or empty) file gets the
+        ``meta`` header first (:func:`resume_state` clears stale
+        files)."""
+        # A SIGKILL can leave a half-written final line; appending
+        # straight after it would corrupt the next record, so drop any
+        # unparseable tail first.
+        self._truncate_partial_tail()
+        self._handle = open(self.path, "a")
+        if self._handle.tell() == 0:
             self._write({"type": "meta", "schema": JOURNAL_SCHEMA,
                          **meta})
 
@@ -655,19 +656,14 @@ class JournalFamily:
     quarantined: dict = field(default_factory=dict)
 
     @classmethod
-    def load(cls, journal, strict=True, base=True):
-        """Load *journal* -- a base path whose existing base file
-        (when ``base``) and shard files are the members, or an
-        explicit iterable of member paths.  ``strict`` is as for
-        :meth:`CampaignJournal.load`; a salvage load records a member
-        it cannot read on :attr:`JournalMember.error` and carries on.
-        An empty family means no member exists."""
-        if isinstance(journal, (str, os.PathLike)):
-            paths = cls.paths(journal, base=base)
-        else:
-            paths = [str(path) for path in journal]
+    def load(cls, journal, strict=True):
+        """Load the existing base file and shard files of the base path
+        *journal*.  ``strict`` is as for :meth:`CampaignJournal.load`;
+        a salvage load records a member it cannot read on
+        :attr:`JournalMember.error` and carries on.  An empty family
+        means no member exists."""
         family = cls()
-        for path in paths:
+        for path in cls.paths(journal):
             try:
                 meta, results, quarantined, report = \
                     CampaignJournal.load_with_report(path,
@@ -684,11 +680,11 @@ class JournalFamily:
         return family
 
     @staticmethod
-    def paths(journal, base=True):
-        """The family's existing files: the base journal (when
-        ``base``) then its shard files in shard order."""
+    def paths(journal):
+        """The family's existing files: the base journal, then its
+        shard files in shard order."""
         journal = str(journal)
-        paths = [journal] if base and os.path.exists(journal) else []
+        paths = [journal] if os.path.exists(journal) else []
         return paths + discover_shard_journals(journal)
 
     @property
@@ -701,6 +697,40 @@ class JournalFamily:
         return [marker for member in self.members
                 if member.report is not None
                 for marker in member.report.units]
+
+
+def journal_meta(daemon, client_name, options):
+    """The ``meta`` header of a campaign's journal files, and what a
+    resume checks every member's header against."""
+    return {"daemon": type(daemon).__name__, "client": client_name,
+            "encoding": options.encoding,
+            "model": get_fault_model(options.fault_model).name,
+            "budget": options.budget}
+
+
+def resume_state(daemon, client_name, options):
+    """The ``(results, quarantined)`` records, keyed by point, a
+    campaign starts from.  Only its owner calls this (``run_campaign``
+    serially, ``WorkerFleet.submit`` for a fleet); work units never
+    read a journal.  With ``resume`` the whole :class:`JournalFamily`
+    loads, whichever engine wrote it, and every member's meta must
+    name this campaign; without, the family starts afresh (base file
+    truncated, ``.shardK`` files removed)."""
+    journal = options.journal
+    if journal is None:
+        return {}, {}
+    if not options.resume:
+        open(journal, "w").close()
+        for path in discover_shard_journals(journal):
+            os.remove(path)
+        return {}, {}
+    family = JournalFamily.load(journal,
+                                strict=not options.journal_salvage)
+    expected = journal_meta(daemon, client_name, options)
+    for member in family.members:
+        if member.meta is not None:
+            validate_journal_meta(member.meta, expected, member.path)
+    return family.results, family.quarantined
 
 
 # ----------------------------------------------------------------------
@@ -726,7 +756,7 @@ class CampaignRunner:
 
     def __init__(self, daemon, client_name, client_factory, options=None,
                  points=None, trace_root="campaign", trace_attrs=None,
-                 stop_check=None, golden=None, **kwargs):
+                 stop_check=None, golden=None, resumed=None, **kwargs):
         #: the campaign's :class:`~repro.injection.campaign.RunOptions`
         #: (keywords naming its fields override ``options``).
         self.options = options = RunOptions.resolve(options, **kwargs)
@@ -786,6 +816,9 @@ class CampaignRunner:
         #: The golden run is deterministic per cell, so outcomes are
         #: byte-identical either way.
         self.golden = golden
+        #: ``(results, quarantined)`` the campaign starts from
+        #: (:func:`resume_state`; a runner never reads a journal).
+        self.resumed = resumed if resumed is not None else ({}, {})
         self._active_guard = None
         self._reported = 0
 
@@ -800,9 +833,14 @@ class CampaignRunner:
                                   **self.trace_attrs) as span:
                 try:
                     return self._run_traced(span)
-                except CampaignInterrupted as interrupted:
-                    self._emit("checkpoint", reason=interrupted.reason,
-                               completed=interrupted.completed)
+                except BaseException as error:
+                    # the machine may have stopped mid-experiment with
+                    # its session still the owner: rebuild it, as a
+                    # harness fault does
+                    self.session_cache.drop_machine(self.daemon)
+                    if isinstance(error, CampaignInterrupted):
+                        self._emit("checkpoint", reason=error.reason,
+                                   completed=error.completed)
                     raise
         finally:
             # flush observability sinks even on a checkpoint exit, so
@@ -879,7 +917,8 @@ class CampaignRunner:
                                   encoding=self.options.encoding,
                                   fault_model=self.model.name,
                                   golden=golden)
-        journaled, quarantined_records = self._load_journal(campaign)
+        journaled, quarantined = self.resumed
+        quarantined_records = dict(quarantined)   # _quarantine adds
         journal = None
         if self.options.journal is not None:
             journal = CampaignJournal(
@@ -887,8 +926,8 @@ class CampaignRunner:
                 fsync_every=self.options.journal_fsync,
                 write_hook=(self.options.chaos.on_journal_write
                             if self.options.chaos is not None else None))
-            journal.open(self._meta(), append=bool(journaled
-                                                   or quarantined_records))
+            journal.open(journal_meta(self.daemon, self.client_name,
+                                      self.options))
         self._resumed = 0
         self._fanned = 0
         self._extra_runs = 0
@@ -899,9 +938,10 @@ class CampaignRunner:
         finally:
             if journal is not None:
                 journal.close()
+        from ..analysis.serialize import point_from_dict
         for record in quarantined_records.values():
             campaign.quarantined.append(QuarantinedPoint(
-                point=self._point_from_record(record["point"]),
+                point=point_from_dict(record["point"]),
                 location=record["location"],
                 outcomes=tuple(record["outcomes"]),
                 rounds=record["rounds"]))
@@ -936,34 +976,6 @@ class CampaignRunner:
                       len(campaign.results), wall_clock)
         return campaign
 
-    # -- journal plumbing ----------------------------------------------
-
-    def _meta(self):
-        return {"daemon": type(self.daemon).__name__,
-                "client": self.client_name,
-                "encoding": self.options.encoding,
-                "model": self.model.name, "budget": self.options.budget}
-
-    def _load_journal(self, campaign):
-        """Returns ``(results_by_key, quarantine_by_key)`` from an
-        existing journal when resuming (else empty dicts)."""
-        options = self.options
-        if not (options.resume and options.journal is not None):
-            return {}, {}
-        try:
-            meta, results, quarantined = CampaignJournal.load(
-                options.journal, strict=not options.journal_salvage)
-        except FileNotFoundError:
-            return {}, {}
-        if meta is not None:
-            validate_journal_meta(meta, self._meta(), options.journal)
-        return results, quarantined
-
-    @staticmethod
-    def _point_from_record(record):
-        from ..analysis.serialize import point_from_dict
-        return point_from_dict(record)
-
     # -- main loop -----------------------------------------------------
 
     def _run_points(self, campaign, points, journaled,
@@ -971,7 +983,6 @@ class CampaignRunner:
         if self.options.prune:
             return self._run_points_pruned(campaign, points, journaled,
                                            quarantined_records, journal)
-        from ..analysis.serialize import result_from_dict
         queue = deque()
         for point in points:
             key = _point_key(point)
@@ -979,10 +990,7 @@ class CampaignRunner:
                 self._resumed += 1
                 continue                      # stays quarantined
             if key in journaled:
-                resumed = result_from_dict(journaled[key])
-                campaign.results.append(resumed)
-                record_result_metrics(self.registry, resumed)
-                self._resumed += 1
+                self._replay(campaign, journaled[key])
                 self._report(campaign)
                 continue
             queue.append(_PendingPoint(
@@ -1094,16 +1102,16 @@ class CampaignRunner:
             record = journaled.get(key)
             if record is None:
                 continue                      # quarantined
-            resumed = self._result_from_record(record)
-            campaign.results.append(resumed)
-            record_result_metrics(self.registry, resumed)
-            self._resumed += 1
+            self._replay(campaign, record)
         self._report(campaign)
 
-    @staticmethod
-    def _result_from_record(record):
+    def _replay(self, campaign, record):
+        """Add one resumed record to *campaign* without running it."""
         from ..analysis.serialize import result_from_dict
-        return result_from_dict(record)
+        resumed = result_from_dict(record)
+        campaign.results.append(resumed)
+        record_result_metrics(self.registry, resumed)
+        self._resumed += 1
 
     def _run_class(self, campaign, site, cls, journaled,
                    quarantined_records, journal):
@@ -1117,10 +1125,7 @@ class CampaignRunner:
                 continue
             record = journaled.get(key)
             if record is not None:
-                resumed = self._result_from_record(record)
-                campaign.results.append(resumed)
-                record_result_metrics(self.registry, resumed)
-                self._resumed += 1
+                self._replay(campaign, record)
             else:
                 missing.append(point)
         if not missing:
@@ -1328,6 +1333,9 @@ class CampaignRunner:
         a later campaign (another fault model or encoding)."""
         if self._session is not None:
             self._perf.absorb_dict(self._session.take_perf_delta())
+            # the next acquirer (a later campaign or unit) must find
+            # the site's state, which pruning seals against
+            self._session.release()
         self._session = None
         self._session_address = None
 
@@ -1360,6 +1368,10 @@ class CampaignRunner:
                                forensics=forensics)
 
     def _execute(self, point, location):
+        if self.sampler is not None:
+            # every experiment samples from the same phase, so a
+            # profile does not depend on how units cut the campaign
+            self.sampler.restart()
         with self.tracer.span("experiment", point=point.key,
                               location=location) as span:
             result = self._execute_inner(point, location)

@@ -53,8 +53,9 @@ class Sampler:
     next sample: 0 means "sample the very next instruction".  The run
     loop decrements it by whole supersteps and indexes the block's
     address tuple for the sampled EIP, so cost is independent of the
-    period.  The counter persists across ``run()`` slices and
-    experiments, keeping the stream periodic over the whole campaign.
+    period.  The counter persists across ``run()`` slices and restarts
+    (:meth:`restart`) at each experiment, so a profile is the same
+    however a fleet cut the campaign into work units.
     """
 
     __slots__ = ("period", "skip", "samples", "by_phase")
@@ -64,11 +65,15 @@ class Sampler:
             raise ValueError("sample period must be >= 1, got %r"
                              % period)
         self.period = period
-        self.skip = period - 1
+        self.restart()
         self.by_phase = {}
         #: the current phase's eip -> count dict (what the CPU loop
         #: writes into).
         self.samples = self.by_phase.setdefault("experiment", {})
+
+    def restart(self):
+        """Sample the ``period``-th instruction from here next."""
+        self.skip = self.period - 1
 
     # -- phase attribution ---------------------------------------------
 

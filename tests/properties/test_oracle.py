@@ -23,8 +23,8 @@ profile matches one sampled through the reference loop.  The
 ``@example``\\ s are the configurations the per-slice CI scripts and
 tests used to check one by one, so they run on every tier-1 run; the
 drawn ones add fresh combinations (nightly runs the property under a
-new ``--hypothesis-seed``).  The ``xfail`` tests at the end pin known
-defects the oracle found.
+new ``--hypothesis-seed``).  The tests at the end pin defects the
+oracle found, and a journal family reused without resume.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ from repro.injection import (available_fault_models,
                              ChaosPolicy,
                              corrupt_journal_tail,
                              discover_shard_journals, FleetConfig,
-                             get_fault_model, run_campaign)
-from repro.injection.runner import JournalFamily
+                             get_fault_model, run_campaign,
+                             SessionCache)
+from repro.injection.runner import CampaignRunner, JournalFamily
 from repro.injection.scheduler import instruction_groups
 from repro.obs import check_contiguous, EventBus, EventLog
 
@@ -110,9 +111,10 @@ def _reference_loop():
     """A ``CPU.run`` for one reference campaign:
     :meth:`CPU._run_reference`, one instruction at a time when a
     sampler is attached, sampling as the sampler's contract says (the
-    EIP of every ``period``-th instruction that retires, counted
-    across calls).  The countdowns are its own, so they do not depend
-    on the engine's sampler arithmetic."""
+    EIP of every ``period``-th instruction that retires in one
+    experiment, counted across calls).  The countdowns are its own,
+    so they do not depend on the engine's sampler arithmetic;
+    ``run.restart()`` starts them over."""
     countdowns = {}
 
     def run(cpu, max_instructions, stop=frozenset()):
@@ -137,7 +139,22 @@ def _reference_loop():
         finally:
             countdowns[sampler] = countdown
 
+    run.restart = countdowns.clear
     return run
+
+
+def _use_reference_loop(patch):
+    """Route ``CPU.run`` to a fresh :func:`_reference_loop` whose
+    countdowns restart wherever the runner starts an experiment."""
+    loop = _reference_loop()
+    execute = CampaignRunner._execute
+
+    def restarted(runner, *args):
+        loop.restart()
+        return execute(runner, *args)
+
+    patch.setattr(CPU, "run", loop)
+    patch.setattr(CampaignRunner, "_execute", restarted)
 
 
 #: reference campaigns and profiles, cached for the module.
@@ -152,7 +169,7 @@ def reference(daemons, config):
     key = (config.daemon, config.model, config.encoding, config.window)
     if key not in _REFERENCES:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CPU, "run", _reference_loop())
+            _use_reference_loop(patch)
             _REFERENCES[key] = _run(daemons, config, full_restore=True)
     return _REFERENCES[key]
 
@@ -166,7 +183,7 @@ def reference_samples(daemons, config, scratch):
     if key not in _PROFILES:
         path = scratch / "serial.profile.json"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CPU, "run", _reference_loop())
+            _use_reference_loop(patch)
             _run(daemons, config, prune=config.prune,
                  audit_fraction=config.audit_fraction,
                  audit_seed=config.audit_seed, profile=str(path))
@@ -257,11 +274,8 @@ def run_configuration(daemons, config, scratch):
     assert len(kept) == campaign.total_runs - 1
     resumed = _observed_run(daemons, config, scratch,
                             workers=config.resume_workers, resume=True)
-    if config.workers > 1 and config.resume_workers > 1:
-        # (serial and fleet runs ignore each other's journal files:
-        # test_journal_resumes_across_serial_and_fleet)
-        reused = resumed.metrics["volatile"]["counters"]["runtime.resumed"]
-        assert reused == len(kept)
+    reused = resumed.metrics["volatile"]["counters"]["runtime.resumed"]
+    assert reused == len(kept)
     return resumed
 
 
@@ -297,22 +311,8 @@ def check_configuration(daemons, config):
                 and config.disturbance == "none":
             profile = json.loads((scratch / "profile.json").read_text())
             assert profile["samples"]
-            if config.workers == 1 or _one_sampled_unit(expected):
-                assert profile["samples"] \
-                    == reference_samples(daemons, config, scratch)
-
-
-def _one_sampled_unit(reference):
-    """True when every activated point of the window is at one
-    instruction, so one fleet work unit runs all the sampled guest
-    code.  A fleet worker starts a fresh sampler per unit while a
-    serial run keeps one sampler phase across the campaign, so
-    profiles of fleet runs with activated points in several units
-    differ from the serial profile
-    (:func:`test_fleet_profile_spanning_units_matches_serial`)."""
-    return len({result.point.instruction_address
-                for result in reference.results
-                if result.activated}) <= 1
+            assert profile["samples"] \
+                == reference_samples(daemons, config, scratch)
 
 
 @st.composite
@@ -321,11 +321,7 @@ def configurations(draw):
     disturbance = draw(st.sampled_from(
         DISTURBANCES if workers > 1 else
         tuple(name for name in DISTURBANCES if name != "chaos")))
-    # chaos is drawn with pruning off: a failed journal write in a
-    # pruned fleet unit is a known defect
-    # (test_pruned_fleet_survives_a_failed_journal_write)
-    prune = draw(st.sampled_from(
-        ("off",) if disturbance == "chaos" else ("off", "on", "audit")))
+    prune = draw(st.sampled_from(("off", "on", "audit")))
     config = Config(
         daemon=draw(st.sampled_from(available_daemons())),
         model=draw(st.sampled_from(available_fault_models())),
@@ -383,6 +379,9 @@ TELEMETRY = frozenset(("events", "profile", "metrics"))
 @example(config=Config(workers=3, observers=frozenset(("metrics",))))
 @example(config=Config(observers=TELEMETRY))
 @example(config=Config(workers=3, observers=TELEMETRY))
+# the observers the telemetry matrix leaves out, serial
+@example(config=Config(observers=frozenset(("forensics", "trace",
+                                            "metrics"))))
 # tests: three workers (quarantine included), a truncated fleet
 # journal resumed on two, a journaled two-worker fleet
 @example(config=Config(window=96, workers=3))
@@ -408,15 +407,15 @@ def test_pruned_cell_matches_reference(daemons, daemon, model):
     check_configuration(daemons, config)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a fleet worker restarts the sampler's phase "
-                          "at each work unit")
 def test_fleet_profile_spanning_units_matches_serial(daemons):
-    """Known defect: activated points at two instructions, so the
-    fleet samples them in two units, each with a fresh sampler."""
+    """Activated points at several instructions, so the fleet samples
+    them in several units: each experiment restarts the sampler's
+    countdown, so the profile does not depend on the cut."""
     config = Config(daemon="sshd", window=32, workers=2,
                     observers=frozenset(("profile",)))
-    assert not _one_sampled_unit(reference(daemons, config))
+    assert len({result.point.instruction_address
+                for result in reference(daemons, config).results
+                if result.activated}) > 1
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         _observed_run(daemons, config, scratch)
@@ -425,14 +424,11 @@ def test_fleet_profile_spanning_units_matches_serial(daemons):
             == reference_samples(daemons, config, scratch)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a serial resume reads only the base journal, "
-                          "a fleet resume only the shard files")
 @pytest.mark.parametrize("workers,resume_workers", [(1, 2), (2, 1)])
 def test_journal_resumes_across_serial_and_fleet(daemons, workers,
                                                  resume_workers):
-    """Known waste: resuming a journal that lost one record under the
-    other engine re-runs every point instead of that one."""
+    """A journal that lost one record re-runs only that record under
+    the other engine: both load the whole journal family."""
     config = Config(window=24, workers=workers, disturbance="truncate",
                     resume_workers=resume_workers)
     with tempfile.TemporaryDirectory() as scratch:
@@ -440,15 +436,10 @@ def test_journal_resumes_across_serial_and_fleet(daemons, workers,
     assert resumed.timing["executed"] == 1
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="records of a pruned fleet campaign differ from "
-                          "the reference after a worker's journal write "
-                          "fails")
 def test_pruned_fleet_survives_a_failed_journal_write(daemons):
-    """Known defect: ENOSPC on worker 0's first journal write; the
-    fleet recovers, but about ten records of the pruned 200-point
-    ftpd window come back wrong (serial, or with pruning off, all are
-    right)."""
+    """ENOSPC on worker 0's first journal write: the unit fails with
+    the shared machine mid-experiment, which the runner drops so the
+    retried unit's sites seal against a restored machine."""
     config = Config(window=200, workers=2, prune=True)
     chaos = ChaosPolicy(actions=(ChaosAction(kind="fail-write", shard=0,
                                              after=1),))
@@ -458,3 +449,33 @@ def test_pruned_fleet_survives_a_failed_journal_write(daemons):
     assert campaign_differences(campaign,
                                 reference(daemons, config)) == []
 
+
+def test_pruned_campaigns_share_a_session_cache(daemons):
+    """The second campaign starts at the site the first ended at, on
+    the machine the first left mid-experiment: its sites must seal
+    against the site's state."""
+    config = Config(window=16, prune=True)
+    cache = SessionCache(capacity=1)
+    for __ in range(2):
+        campaign = _run(daemons, config, prune=True, session_cache=cache)
+    assert campaign_differences(campaign,
+                                reference(daemons, config)) == []
+
+
+@pytest.mark.parametrize("model", ["branch-bit", "register-bit"])
+def test_fresh_fleet_run_ignores_a_used_journal(daemons, model):
+    """A fleet run without resume at a path an earlier run used, for
+    the same cell or another, starts the journal family afresh: every
+    point runs, and no unit trips over the old files' meta."""
+    used = Config(window=24, workers=2, journal=True)
+    config = replace(used, model=model)
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        _observed_run(daemons, used, scratch)
+        campaign = _observed_run(daemons, config, scratch)
+    assert campaign_differences(campaign,
+                                reference(daemons, config)) == []
+    assert campaign.timing["executed"] == campaign.total_runs
+    counters = campaign.metrics["volatile"]["counters"]
+    assert counters["supervisor.worker_errors"] == 0
+    assert counters["supervisor.inline_points"] == 0

@@ -221,6 +221,18 @@ class TestForensicsCommand:
         assert "final state: eip=0x" in text
         assert "eflags=0x" in text
 
+    def test_reads_a_fleet_journal(self, tmp_path):
+        # a fleet run keeps its records, snapshots included, in the
+        # .shardK files; the base file holds unit markers only
+        journal = str(tmp_path / "run.jsonl")
+        code, __ = run_cli("campaign", "--app", "ftpd",
+                           "--max-points", "60", "--workers", "2",
+                           "--journal", journal, "--forensics")
+        assert code == 0
+        code, text = run_cli("forensics", journal, "--limit", "1")
+        assert code == 0
+        assert "final state: eip=0x" in text
+
     def test_divergence_replay(self, tmp_path):
         journal = str(tmp_path / "run.jsonl")
         run_cli("campaign", "--app", "ftpd", "--max-points", "60",
