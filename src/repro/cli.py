@@ -598,11 +598,12 @@ def build_parser():
                           help="force the exhaustive sweep (default)")
     campaign.add_argument("--audit-fraction", type=float, default=0.0,
                           metavar="F",
-                          help="with --prune: exhaustively re-run a "
-                               "seeded fraction F of fanned-out "
-                               "classes and fail on any divergence")
+                          help="re-run in full a seeded fraction F "
+                               "of the experiments that exited early "
+                               "(and, with --prune, of the fanned-out "
+                               "classes) and fail on any divergence")
     campaign.add_argument("--audit-seed", type=int, default=0,
-                          help="seed for the audit class sample "
+                          help="seed for the audit sample "
                                "(default 0)")
     campaign.add_argument("--forensics", action="store_true",
                           help="capture the last-instructions ring and "

@@ -148,6 +148,13 @@ class CPU:
         #: and indexes ``block[3]`` for sampled EIPs.  A ring and a
         #: sampler attached together are both fed.
         self.sampler = None
+        #: optional ``fn(cpu, instruction)`` called at every ``int
+        #: 0x80`` entry, before the kernel runs, with ``eip`` at the
+        #: ``int`` and ``instret`` not yet counting it.  The golden
+        #: run records its states through it and a campaign checks
+        #: for convergence (:mod:`repro.injection.earlyexit`); an
+        #: exception it raises leaves the syscall unexecuted.
+        self.syscall_hook = None
         self._next_eip = 0
         self._dispatch = self._build_dispatch()
 
@@ -543,6 +550,13 @@ class CPU:
         if factory is None:
             factory = _CODE_CACHE[key] = _compile_factory(block[4])
         return factory(self, block[4])
+
+    def block_size(self, address):
+        """Instructions the run loop retires in one superstep at
+        *address* (building the block if needed); 1 where no block
+        can start."""
+        block = self.blocks.get(address) or self._block_at(address)
+        return len(block[3]) if block is not None else 1
 
     def step(self):
         """Execute one instruction; raises CpuFault on a crash."""
@@ -1195,6 +1209,8 @@ class CPU:
     def _op_int(self, instruction):
         vector = instruction.operands[0].value
         if vector == 0x80 and self.kernel is not None:
+            if self.syscall_hook is not None:
+                self.syscall_hook(self, instruction)
             self.perf.syscalls += 1
             self.kernel.syscall(self)
             return

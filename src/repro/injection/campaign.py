@@ -146,7 +146,11 @@ class RunOptions:
     (:mod:`repro.injection.pruning`) and fans its outcome out;
     ``audit_fraction`` exhaustively re-runs a seeded (``audit_seed``)
     sample of classes and raises
-    :class:`~repro.injection.pruning.PruningAuditError` on divergence.
+    :class:`~repro.injection.pruning.PruningAuditError` on divergence,
+    and re-runs the same share of the experiments that exited early
+    (:mod:`repro.injection.earlyexit`; every campaign without a
+    sampler takes them) in full, raising
+    :class:`~repro.injection.earlyexit.EarlyExitAuditError`.
 
     Observability: ``trace`` writes a Chrome-trace span file,
     ``metrics`` the serialized metrics registry, ``forensics=True``

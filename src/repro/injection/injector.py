@@ -91,13 +91,14 @@ class Machine:
 
     def reboot(self, kernel):
         """Reset to the boot image with *kernel* installed and no
-        observer attached: the start state of a prefix run, identical
-        to a freshly constructed process's."""
+        observer or syscall hook attached: the start state of a prefix
+        run, identical to a freshly constructed process's."""
         self.restore(self.boot_image, full=True)
         self.owner = None
         cpu = self.process.cpu
         cpu.forensic_ring = None
         cpu.sampler = None
+        cpu.syscall_hook = None
         return self.install_kernel(kernel)
 
     def restore(self, snapshot, full=False):

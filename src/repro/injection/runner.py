@@ -54,12 +54,13 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.sampler import as_sampler, Sampler
 from ..obs.trace import as_tracer, NULL_TRACER
 from .campaign import CampaignResult, QuarantinedPoint, RunOptions
+from .earlyexit import Converged, EarlyExitAuditError, EarlyExits
 from .faultmodels import get_fault_model
 from .golden import record_golden
 from .injector import BreakpointSession, SessionCache
 from .outcomes import (classify_completed_run, FAIL_SILENCE_VIOLATION,
                        HANG, HARNESS_FAULT, InjectionResult,
-                       NOT_ACTIVATED, SECURITY_BREAKIN)
+                       NOT_ACTIVATED, NOT_MANIFESTED, SECURITY_BREAKIN)
 
 #: unstable points are re-queued at most this many times before being
 #: quarantined (the "capped backoff" of the experiment list).
@@ -207,7 +208,12 @@ class HangProbe:
 
 class Watchdog:
     """Budgeted executor: runs a process in slices, enforcing the
-    wall clock, and probes ``limit`` endings for tight loops."""
+    wall clock, and probes ``limit`` endings for tight loops.
+
+    With :attr:`early` armed (:mod:`repro.injection.earlyexit`) the
+    slices go through a cycle search, and a run that converges on the
+    golden run ends there; either way ``status.early_exit`` says how,
+    and the status is the full run's."""
 
     def __init__(self, config=None, tracer=None):
         self.config = config if config is not None else WatchdogConfig()
@@ -218,27 +224,33 @@ class Watchdog:
         #: EIPs the most recent probe visited; the pruning guard
         #: inspects this to notice a watch-window hit past the budget.
         self.probe_seen = frozenset()
+        #: the armed :class:`~repro.injection.earlyexit.EarlyExits`
+        #: of the current experiment, or ``None``.
+        self.early = None
 
     def __call__(self, process, budget):
         return self.run(process, budget)
 
     def run(self, process, budget):
         config = self.config
+        cpu = process.cpu
+        search = (self.early.cycle_search(process)
+                  if self.early is not None else None)
         started = time.monotonic()
         try:
             while True:
-                ceiling = min(process.cpu.instret
-                              + config.slice_instructions, budget)
-                status = process.run(ceiling)
-                if status.kind != "limit" or ceiling >= budget:
+                ceiling = min(cpu.instret + config.slice_instructions,
+                              budget)
+                status = (process.run(ceiling) if search is None
+                          else search.run(ceiling, budget))
+                if status.kind != "limit" or cpu.instret >= budget:
                     break
                 if config.wall_clock_limit is not None:
                     elapsed = time.monotonic() - started
                     if elapsed > config.wall_clock_limit:
                         status.hang_probe = HangProbe(
                             tight_loop=True, wall_clock=True,
-                            eip_low=process.cpu.eip,
-                            eip_high=process.cpu.eip,
+                            eip_low=cpu.eip, eip_high=cpu.eip,
                             elapsed=elapsed)
                         return status
         except ServerHang as hang:
@@ -246,8 +258,15 @@ class Watchdog:
             status.kind = "hang"
             status.fault_detail = str(hang)
             return status
+        except Converged as converged:
+            status = process._status("exit", converged.exit_code)
+            status.instret = converged.instret
+            status.early_exit = converged.early_exit
+            return status
         if status.kind == "limit":
             status.hang_probe = self._probe(process)
+        if search is not None and search.found is not None:
+            status.early_exit = search.found
         return status
 
     def _probe(self, process):
@@ -503,7 +522,9 @@ class CampaignJournal:
 
         ``status`` distinguishes ``started`` markers (a worker picked
         the unit up; ``repro status`` reports it as in-flight until a
-        completion marker lands) from the default completion marker.
+        completion marker lands) and ``closed`` markers (a resume
+        found it started and never completed; it is neither in flight
+        nor completed) from the default completion marker.
         ``total`` carries the campaign's total point count and ``ts``
         a wall-clock stamp, feeding the live ETA -- all advisory,
         never tallied."""
@@ -730,7 +751,27 @@ def resume_state(daemon, client_name, options):
     for member in family.members:
         if member.meta is not None:
             validate_journal_meta(member.meta, expected, member.path)
+    _close_dangling_units(family)
     return family.results, family.quarantined
+
+
+def _close_dangling_units(family):
+    """Close every ``started`` unit marker that has no completion
+    marker: its run stopped (a checkpoint or a kill), and whichever
+    engine resumes it writes its own markers, so without a ``closed``
+    marker ``repro status`` would report the unit in flight forever."""
+    from ..obs.top import unit_progress
+    for member in family.members:
+        if member.report is None:
+            continue
+        dangling = unit_progress(member.report.units)[0]
+        if dangling and member.report.truncated_tail:
+            # append after whole lines only
+            CampaignJournal(member.path)._truncate_partial_tail()
+        for marker in dangling:
+            CampaignJournal.mark_unit(member.path, marker["unit"], 0,
+                                      campaign=marker.get("campaign"),
+                                      status="closed")
 
 
 # ----------------------------------------------------------------------
@@ -895,6 +936,7 @@ class CampaignRunner:
             self.registry.counter("runtime.golden_runs",
                                   volatile=True).inc()
         self._golden = golden
+        self._early = EarlyExits(golden)
         self._emit("golden", reused=self.golden is not None)
         if self.points is not None:
             points = list(self.points)
@@ -1306,6 +1348,8 @@ class CampaignRunner:
         outcome was unstable and the point should be retried."""
         try:
             result = self._execute(pending.point, pending.location)
+        except EarlyExitAuditError:
+            raise                             # the engine is wrong
         except Exception:
             return self._harness_fault(pending)
         if self.options.retries <= 0 or not result.activated:
@@ -1318,6 +1362,8 @@ class CampaignRunner:
         for __ in range(confirmations):
             try:
                 confirm = self._execute(pending.point, pending.location)
+            except EarlyExitAuditError:
+                raise
             except Exception:
                 return self._harness_fault(pending)
             if (confirm.outcome, confirm.exit_kind,
@@ -1384,7 +1430,16 @@ class CampaignRunner:
                           for eip in result.hang_eip_range])
             return result
 
-    def _execute_inner(self, point, location):
+    def _early_exits(self, session):
+        """The :class:`~repro.injection.earlyexit.EarlyExits` this
+        experiment may take, or ``None``: a profile claims every
+        retired instruction, and a pruning guard must watch the whole
+        suffix."""
+        if self.sampler is not None or self._active_guard is not None:
+            return None
+        return self._early
+
+    def _execute_inner(self, point, location, early_exits=True):
         golden = self._golden
         if point.instruction_address not in golden.coverage:
             return InjectionResult(point=point, location=location,
@@ -1407,14 +1462,33 @@ class CampaignRunner:
         session.run_fn = (self._active_guard
                           if self._active_guard is not None
                           else self.watchdog)
-        with self.tracer.span("injection", cat="experiment") as span:
-            status, kernel, client = self.model.apply(
-                session, point, self.options.encoding,
-                self.daemon.module)
-            span.set("instret", status.instret)
-        outcome, detail = classify_completed_run(
-            golden, client, kernel.channel.normalized_transcript(),
-            status)
+        early = self._early_exits(session) if early_exits else None
+        if early is not None:
+            early.arm(session, self.watchdog)
+        try:
+            with self.tracer.span("injection", cat="experiment") as span:
+                status, kernel, client = self.model.apply(
+                    session, point, self.options.encoding,
+                    self.daemon.module)
+                span.set("instret", status.instret)
+                exited = getattr(status, "early_exit", None)
+                if exited is not None:
+                    if exited.kind == "converged":
+                        span.set("converged_at", exited.index)
+                    else:
+                        span.set("cycle_period", exited.period)
+        finally:
+            if early is not None:
+                early.disarm(session, self.watchdog)
+        if exited is not None and exited.kind == "converged":
+            # the rest of the run is the golden run's
+            outcome, detail = NOT_MANIFESTED, ""
+            broke_in = golden.broke_in
+        else:
+            outcome, detail = classify_completed_run(
+                golden, client, kernel.channel.normalized_transcript(),
+                status)
+            broke_in = client.broke_in()
         outcome, detail, eip_range = refine_limit_outcome(
             outcome, detail, status)
         latency = None
@@ -1424,17 +1498,49 @@ class CampaignRunner:
         if self.options.forensics and (status.kind == "crash"
                                        or outcome == HANG):
             forensics = capture_forensics(session.process.cpu)
-        return InjectionResult(
+        result = InjectionResult(
             point=point, location=location, outcome=outcome,
             activated=True,
             activation_instret=session.activation_instret,
             exit_kind=status.kind, exit_code=status.exit_code,
             signal=status.signal, crash_latency=latency,
-            broke_in=client.broke_in(),
+            broke_in=broke_in,
             crashed_after_breakin=(outcome == SECURITY_BREAKIN
                                    and status.kind == "crash"),
             detail=detail, hang_eip_range=eip_range,
             forensics=forensics)
+        if exited is not None:
+            self._early_exited(result, exited)
+        return result
+
+    def _early_exited(self, result, exited):
+        """Count an early exit and, when the audit samples it, run the
+        experiment again in full and raise on any difference."""
+        from .pruning import class_is_audited, result_signature
+        counter = self.registry.counter
+        if exited.kind == "converged":
+            counter("early_exit.converged", volatile=True).inc()
+            if exited.shift:
+                counter("early_exit.shifted", volatile=True).inc()
+        else:
+            counter("early_exit.cycles", volatile=True).inc()
+        counter("early_exit.insns_skipped",
+                volatile=True).inc(exited.skipped)
+        key = _point_key(result.point)
+        if not class_is_audited(key, self.options.audit_fraction,
+                                self.options.audit_seed):
+            return
+        full = self._execute_inner(result.point, result.location,
+                                   early_exits=False)
+        self._extra_runs += 1
+        counter("early_exit.audited", volatile=True).inc()
+        expected = (result_signature(result), result.forensics)
+        got = (result_signature(full), full.forensics)
+        if got != expected:
+            raise EarlyExitAuditError(
+                "point %s: %s exit diverged from the full run\n"
+                "  early %r\n  full  %r" % (key, exited.kind, expected,
+                                              got))
 
     def _session_for(self, address):
         """Breakpoint session for *address*, cached across the bits of

@@ -144,7 +144,8 @@ def unit_progress(units):
 
     Returns ``(in_flight, done, total, first_ts, last_ts)`` where
     *in_flight* is the ordered list of ``started`` markers with no
-    completion marker yet.
+    completion (or ``closed``) marker yet; a ``closed`` marker ends
+    a unit without completing it.
     """
     started = {}
     done = 0
@@ -158,11 +159,12 @@ def unit_progress(units):
         if marker.get("total") is not None:
             total = marker["total"]
         unit = marker.get("unit")
-        if marker.get("status") == "started":
+        status = marker.get("status")
+        if status == "started":
             started.setdefault(unit, marker)
         else:
             started.pop(unit, None)
-            done += 1
+            done += status != "closed"
     return list(started.values()), done, total, first_ts, last_ts
 
 

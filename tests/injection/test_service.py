@@ -214,12 +214,21 @@ class TestServiceTelemetry:
 
 
 class TestServiceAdmission:
-    def test_quota_rejects_excess_in_flight(self, harness):
+    def test_quota_rejects_excess_in_flight(self, harness, monkeypatch):
+        # the gate holds both admitted campaigns in flight: until it
+        # opens, the service sees no campaign finish, however fast
+        # the workers run them
+        gate = threading.Event()
+        fleet = harness.service.fleet
+        finished = fleet.finished
+        monkeypatch.setattr(fleet, "finished",
+                            lambda cid: gate.is_set() and finished(cid))
         with ServiceClient(harness.socket_path) as client:
             first = client.submit(SPEC, max_points=SLICE)
             second = client.submit(SPEC, max_points=SLICE)
             with pytest.raises(ServiceError):
                 client.submit(SPEC, max_points=SLICE)
+            gate.set()
             # the rejection charges nothing: both accepted campaigns
             # still stream to completion
             client.collect(first["campaign"])

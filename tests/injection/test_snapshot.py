@@ -1,10 +1,11 @@
 """MachineSnapshot semantics: dirty-page restore vs full restore,
 pristine-skip, forking, and cross-model session reuse.
 
-The acceptance gate for the snapshot-fork engine: on every registered
-daemon x fault-model cell, the dirty-page restore path must produce
-experiment-for-experiment identical outcomes to the ``full_restore``
-escape hatch (which rewrites every region, the old behaviour).
+The acceptance gate for the snapshot-fork engine -- every registered
+daemon x fault-model cell run with dirty-page restores equals the
+full-restore reference, record for record -- is the equivalence
+oracle's ``test_pruned_cell_matches_reference`` (its ``-unpruned``
+cases run every experiment through the dirty-page path).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.equivalence import campaign_differences
-from repro.apps.registry import available_daemons, get_daemon_spec
+from repro.apps.registry import get_daemon_spec
 from repro.injection import (available_fault_models, BreakpointSession,
                              get_fault_model, MachineSnapshot,
                              record_golden, SessionCache)
@@ -21,20 +22,6 @@ from repro.injection.runner import CampaignRunner
 #: per-cell experiment cap: enough to span several instructions (and
 #: therefore several restores per session) while staying fast.
 MAX_POINTS = 12
-
-_daemons = {}
-
-
-@pytest.fixture(params=available_daemons())
-def daemon_cell(request, ftp_daemon, ssh_daemon, pop3_daemon):
-    compiled = {"ftpd": ftp_daemon, "sshd": ssh_daemon,
-                "pop3d": pop3_daemon}
-    name = request.param
-    spec = get_daemon_spec(name)
-    daemon = compiled.get(name) or _daemons.setdefault(
-        name, spec.build())
-    return name, daemon, spec
-
 
 def _covered_points(daemon, spec, model, cap=MAX_POINTS):
     golden = record_golden(daemon, spec.client_factory("Client1"))
@@ -50,19 +37,6 @@ def _run(daemon, spec, model, points, **kwargs):
                             spec.client_factory("Client1"),
                             fault_model=model, points=points, **kwargs)
     return runner.run()
-
-
-class TestDirtyVsFullCrossCheck:
-    @pytest.mark.parametrize("model_name", available_fault_models())
-    def test_cell_outcomes_identical(self, daemon_cell, model_name):
-        name, daemon, spec = daemon_cell
-        model = get_fault_model(model_name)
-        points = _covered_points(daemon, spec, model)
-        assert points, "no covered points for %s x %s" % (name,
-                                                          model_name)
-        dirty = _run(daemon, spec, model, points, full_restore=False)
-        full = _run(daemon, spec, model, points, full_restore=True)
-        assert campaign_differences(dirty, full) == []
 
 
 class TestPristineSkip:

@@ -3,10 +3,12 @@ reproduce the reference run record for record.
 
 The reference is the plainest execution the engine has: serial, no
 pruning, every memory region rewritten between experiments
-(``full_restore=True``), no observers, and every instruction decoded
-and dispatched one at a time (``CPU.run`` routed to
-:meth:`CPU._run_reference`, so no compiled block runs).  It is cached
-per (cell, encoding, window).
+(``full_restore=True``), no observers, every instruction decoded and
+dispatched one at a time (``CPU.run`` routed to
+:meth:`CPU._run_reference`, so no compiled block runs), and every
+experiment run to its end (no early exit,
+:mod:`repro.injection.earlyexit`).  It is cached per (cell, encoding,
+window).
 
 :func:`test_configuration_matches_reference` draws a configuration
 from every axis the engine offers -- serial or a fleet, pruning with
@@ -16,10 +18,13 @@ the cell, the encoding and the point window, and one disturbance
 truncated journal resumed under another worker count, or a deadline
 checkpoint then resume) -- and asserts
 :func:`~repro.analysis.equivalence.campaign_differences` against the
-reference is empty.  Each axis also checks that it did something: the
+reference is empty.  Every configuration but the reference runs with
+early exits armed.  Each axis also checks that it did something: the
 chaos schedule fired, the audit re-ran classes, the deadline
 interrupted, the journal lost a record, the event stream is whole, the
-profile matches one sampled through the reference loop.  The
+profile matches one sampled through the reference loop (and no
+profiled run exited early), and the early exits fired where the window
+has them.  The
 ``@example``\\ s are the configurations the per-slice CI scripts and
 tests used to check one by one, so they run on every tier-1 run; the
 drawn ones add fresh combinations (nightly runs the property under a
@@ -145,7 +150,8 @@ def _reference_loop():
 
 def _use_reference_loop(patch):
     """Route ``CPU.run`` to a fresh :func:`_reference_loop` whose
-    countdowns restart wherever the runner starts an experiment."""
+    countdowns restart wherever the runner starts an experiment, and
+    run every experiment to its end."""
     loop = _reference_loop()
     execute = CampaignRunner._execute
 
@@ -155,6 +161,8 @@ def _use_reference_loop(patch):
 
     patch.setattr(CPU, "run", loop)
     patch.setattr(CampaignRunner, "_execute", restarted)
+    patch.setattr(CampaignRunner, "_early_exits",
+                  lambda runner, session: None)
 
 
 #: reference campaigns and profiles, cached for the module.
@@ -287,12 +295,13 @@ def check_configuration(daemons, config):
         assert campaign_differences(campaign, expected) == []
         if config.workers > 1 and config.disturbance == "none":
             assert campaign.timing["workers"] == config.workers
+        counters = campaign.metrics["volatile"]["counters"]
         if config.audit_fraction and config.disturbance == "none" \
                 and any(result.class_id for result in campaign.results):
             # the window has a multi-member class to audit
-            counters = campaign.metrics["volatile"]["counters"]
             assert counters["pruning.audited_classes"] > 0
             assert counters["pruning.audit_runs"] > 0
+        check_early_exits(config, counters)
         if "events" in config.observers:
             events = [json.loads(line) for line in
                       (scratch / "events.jsonl").read_text().splitlines()]
@@ -313,6 +322,27 @@ def check_configuration(daemons, config):
             assert profile["samples"]
             assert profile["samples"] \
                 == reference_samples(daemons, config, scratch)
+
+
+def check_early_exits(config, counters):
+    """The early exits fired where the window has them, never under a
+    sampler, and the audit re-ran them."""
+    early = {name: counters.get("early_exit.%s" % name, 0)
+             for name in ("converged", "shifted", "cycles", "audited")}
+    if "profile" in config.observers:
+        assert not any(early.values()), early
+        return
+    if config.disturbance != "none" \
+            or (config.daemon, config.model) != ("ftpd", "branch-bit"):
+        return
+    if config.window == 60:
+        assert early["converged"] > 0, early
+    if config.window is None:
+        # the whole Client1 cell: its two budget runs are exact
+        # cycles, and some runs rejoin the golden run shifted
+        assert early["cycles"] > 0 and early["shifted"] > 0, early
+    if config.audit_fraction and early["converged"] + early["cycles"]:
+        assert early["audited"] > 0, early
 
 
 @st.composite
@@ -397,12 +427,18 @@ def test_configuration_matches_reference(daemons, config):
     check_configuration(daemons, config)
 
 
-@pytest.mark.parametrize("model", available_fault_models())
-@pytest.mark.parametrize("daemon", available_daemons())
-def test_pruned_cell_matches_reference(daemons, daemon, model):
-    """Every registered daemon x fault model: a pruned 60-point
-    window (dirty-page restore) equals the reference."""
-    config = Config(daemon=daemon, model=model, prune=True)
+@pytest.mark.parametrize("daemon,model,prune", [
+    pytest.param(daemon, model, prune,
+                 id="%s-%s%s" % (daemon, model,
+                                 "" if prune else "-unpruned"))
+    for daemon in available_daemons()
+    for model in available_fault_models()
+    for prune in (True, False)])
+def test_pruned_cell_matches_reference(daemons, daemon, model, prune):
+    """Every registered daemon x fault model: a 60-point window
+    (dirty-page restore), pruned and unpruned, equals the
+    reference."""
+    config = Config(daemon=daemon, model=model, prune=prune)
     assert reference(daemons, config).activated_count > 0
     check_configuration(daemons, config)
 

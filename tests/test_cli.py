@@ -169,6 +169,25 @@ class TestResilienceFlags:
         assert code == 0
         assert "Total" in text
 
+    def test_serial_resume_of_a_fleet_checkpoint_leaves_no_unit_in_flight(
+            self, tmp_path):
+        journal = str(tmp_path / "run.jsonl")
+        code, __ = run_cli("campaign", "--app", "ftpd", "--workers", "2",
+                           "--max-points", "48", "--journal", journal,
+                           "--deadline", "0.0")
+        assert code == 75
+        code, text = run_cli("status", journal)
+        assert "in flight" in text
+        code, __ = run_cli("campaign", "--app", "ftpd",
+                           "--max-points", "48", "--journal", journal,
+                           "--resume")
+        assert code == 0
+        code, text = run_cli("status", journal)
+        assert code == 0
+        assert "48/48" in text
+        assert "in flight" not in text
+        assert "0 completed" in text
+
     def test_journal_fsync_flag(self, tmp_path):
         journal = str(tmp_path / "run.jsonl")
         code, __ = run_cli("campaign", "--app", "ftpd",
