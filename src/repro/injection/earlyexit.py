@@ -11,22 +11,30 @@ syscall entry (:class:`~repro.injection.golden.GoldenState`, one per
 syscall index).  At each ``int 0x80`` entry of an armed experiment,
 before the kernel runs, :meth:`EarlyExits.match` compares the
 experiment with the golden state at the same syscall index, cheapest
-test first:
+test first, on what the golden tail from there can still observe:
 
-1. ``eip``, the ``int`` instruction's bytes and the registers;
-2. EFLAGS (materialised) and the segment registers;
+1. ``eip``, the ``int`` instruction's bytes and the registers; a
+   register may differ where it is dead at this index
+   (``GoldenRun.dead_regs``: the golden tail overwrites it before
+   reading it);
+2. EFLAGS (materialised) and the segment registers, exactly;
 3. memory: every writable page either run may have changed since the
    site's snapshot -- the pages the experiment dirtied
    (``region.dirty``) and the pages whose golden digest at this index
-   differs from the snapshot's (computed once per site and index) --
-   must hash to the golden digest, and the second set must lie inside
-   the first;
+   differs from the snapshot's (moved; computed once per site and
+   index) -- must hash to the golden digest, or differ from the
+   golden page only in bytes dead at this index
+   (:class:`~repro.injection.golden.ByteLiveness`); a moved page the
+   experiment did not dirty still holds the snapshot's bytes;
 4. the kernel and client state (:meth:`GoldenState.kernel_matches`);
 5. the text-fetch rule: no text byte the experiment corrupted
-   (``Machine.dirty_text``) is fetched by the golden run after this
-   syscall index (``GoldenRun.last_fetch``).  Text differs between
-   the runs only there, and the program never reads text as data, so
-   from here the experiment would execute the golden run's tail.
+   (``Machine.dirty_text``) is fetched or read as data by the golden
+   run after this syscall index (``GoldenRun.last_fetch``).  Text
+   differs between the runs only there, so from here the experiment
+   executes the golden run's tail: each instruction reads only
+   locations equal in both runs, so it computes the same values and
+   goes to the same place, and every dead location is overwritten
+   before anything reads it.
 
 A match raises :class:`Converged`; the watchdog turns it into the
 golden run's own ending (``exit``, the golden exit code, ``instret``
@@ -66,6 +74,12 @@ from ..emu.memory import PAGE_SHIFT, PAGE_SIZE
 from .golden import page_digest, writable_regions
 
 
+#: golden pages an :class:`EarlyExits` keeps as their live-byte mask
+#: and live bytes (two 4 KiB integers each), least recently used out
+#: first: the golden page at an index is the same whichever site asks.
+_KEPT_PAGES = 64
+
+
 class EarlyExitAuditError(RuntimeError):
     """An audited early exit differs from the full run of the same
     experiment."""
@@ -85,6 +99,10 @@ class EarlyExit:
     shift: int = 0
     #: cycle: the period in instructions.
     period: int | None = None
+    #: converged: the registers, and the number of bytes, that still
+    #: differed from the golden run's but are dead there.
+    dead_regs: tuple = ()
+    dead_bytes: int = 0
 
 
 class Converged(Exception):
@@ -112,10 +130,15 @@ class EarlyExits:
         #: the armed experiment's :class:`CycleSearch`, once its
         #: watchdog started one.
         self.search = None
-        #: the site snapshot the two caches below describe.
+        #: ``(registers, byte count)`` that differed, dead, at the
+        #: last match.
+        self.dead = ((), 0)
+        #: the site snapshot the caches below describe.
         self._snapshot = None
+        self._blobs = None        # per writable region, its bytes
         self._digests = None      # per writable region, per page
         self._moved = {}          # syscall index -> moved page sets
+        self._expected = {}       # (index, region, page) -> live bytes
 
     def arm(self, session, watchdog):
         self.session = session
@@ -147,29 +170,42 @@ class EarlyExits:
         golden = self.golden
         state = golden.states[index]
         shift = cpu.instret - state.instret
+        dead_regs, dead_bytes = self.dead
         raise Converged(
             EarlyExit("converged", skipped=golden.instret - state.instret,
-                      index=index, shift=shift),
+                      index=index, shift=shift, dead_regs=dead_regs,
+                      dead_bytes=dead_bytes),
             golden.exit_code, golden.instret + shift)
 
     def match(self, cpu, instruction):
         """The syscall index whose golden state *cpu* (at the entry
-        of ``int 0x80`` *instruction*) equals, or ``None``."""
+        of ``int 0x80`` *instruction*) equals up to dead registers and
+        bytes, or ``None``; a match leaves those in :attr:`dead`."""
         golden = self.golden
         index = cpu.kernel.syscall_count
         if index >= len(golden.states):
             return None
         state = golden.states[index]
-        if (cpu.eip != state.eip or cpu.regs != state.regs
-                or instruction.raw != state.raw):
+        if cpu.eip != state.eip or instruction.raw != state.raw:
             return None
+        regs = cpu.regs
+        dead_regs = ()
+        if regs != state.regs:
+            dead = golden.dead_regs[index]
+            dead_regs = tuple(register for register, (ours, theirs)
+                              in enumerate(zip(regs, state.regs))
+                              if ours != theirs)
+            for register in dead_regs:
+                if not dead >> register & 1:
+                    return None
         if cpu.eflags != state.eflags or cpu.segments != state.segments:
             return None
         shift = cpu.instret - state.instret
         if shift and (golden.instret + shift > self.session.budget
                       or golden.last_instret_read > index):
             return None
-        if not self._memory_matches(cpu, index, state):
+        dead_bytes = self._memory_matches(cpu, index, state)
+        if dead_bytes is None:
             return None
         if not state.kernel_matches(cpu.kernel):
             return None
@@ -177,20 +213,66 @@ class EarlyExits:
         for address in self.session.machine.dirty_text:
             if last_fetch.get(address, -1) > index:
                 return None
+        self.dead = (dead_regs, dead_bytes)
         return index
 
     def _memory_matches(self, cpu, index, state):
+        """How many dead bytes the writable pages differ from the
+        golden ones in, or ``None`` when a live one differs."""
         moved = self._moved_pages(index, state)
-        for region, pages, digests in zip(writable_regions(cpu.memory),
-                                          moved, state.pages):
+        differing = []
+        for number, (region, pages, digests, blob) in enumerate(zip(
+                writable_regions(cpu.memory), moved, state.pages,
+                self._blobs)):
             dirty = region.dirty
-            if not pages <= dirty:
-                return False
             data = region.data
             for page in dirty:
                 if page_digest(data, page) != digests[page]:
-                    return False
-        return True
+                    value = self._live_match(index, number, page, data)
+                    if value is None:
+                        return None
+                    differing.append((number, page, value))
+            if not pages <= dirty:
+                # the experiment still holds the snapshot's bytes there
+                for page in pages - dirty:
+                    value = self._live_match(index, number, page, blob)
+                    if value is None:
+                        return None
+                    differing.append((number, page, value))
+        dead = 0
+        for number, page, value in differing:
+            golden = self._golden_page(index, number, page)
+            dead += len(golden) - (value ^ int.from_bytes(golden, "little")) \
+                .to_bytes(len(golden), "little").count(0)
+        return dead
+
+    def _live_match(self, index, number, page, ours):
+        """Page *page* of writable region *number* in *ours* (the
+        region's bytes) as an integer when its live bytes at *index*
+        equal the golden page's, else ``None``."""
+        key = (index, number, page)
+        kept = self._expected
+        expected = kept.pop(key, None)
+        if expected is None:
+            golden = int.from_bytes(self._golden_page(*key), "little")
+            live = self.golden.live_bytes.live(index, number, page)
+            expected = (live, golden & live)
+            if len(kept) >= _KEPT_PAGES:
+                del kept[next(iter(kept))]
+        kept[key] = expected
+        live, masked = expected
+        low = page << PAGE_SHIFT
+        value = int.from_bytes(ours[low:low + PAGE_SIZE], "little")
+        return value if value & live == masked else None
+
+    def _golden_page(self, index, number, page):
+        """The bytes of the golden page at *index*: a moved page is
+        kept by the golden run, any other equals the snapshot's."""
+        if page in self._moved[index][number]:
+            return self.golden.live_bytes.page(
+                self.golden.states[index].pages[number][page])
+        low = page << PAGE_SHIFT
+        return self._blobs[number][low:low + PAGE_SIZE]
 
     def _moved_pages(self, index, state):
         """Per writable region, the pages whose golden digest at
@@ -199,12 +281,15 @@ class EarlyExits:
         if snapshot is not self._snapshot:
             self._snapshot = snapshot
             self._moved = {}
+            writable = [(region, view) for region, view
+                        in zip(self.session.process.memory.regions,
+                               snapshot.region_views)
+                        if region.writable]
+            self._blobs = [view for __, view in writable]
             self._digests = [
-                [page_digest(blob, page)
+                [page_digest(view, page)
                  for page in range(region.page_count())]
-                for region, blob in zip(self.session.process.memory
-                                        .regions, snapshot.region_blobs)
-                if region.writable]
+                for region, view in writable]
         moved = self._moved.get(index)
         if moved is None:
             moved = self._moved[index] = tuple(

@@ -53,6 +53,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..obs.sampler import as_sampler, Sampler
 from ..obs.trace import as_tracer, NULL_TRACER
+from ..x86.registers import REG32_NAMES
 from .campaign import CampaignResult, QuarantinedPoint, RunOptions
 from .earlyexit import Converged, EarlyExitAuditError, EarlyExits
 from .faultmodels import get_fault_model
@@ -1475,6 +1476,10 @@ class CampaignRunner:
                 if exited is not None:
                     if exited.kind == "converged":
                         span.set("converged_at", exited.index)
+                        span.set("dead_regs", [REG32_NAMES[register]
+                                               for register
+                                               in exited.dead_regs])
+                        span.set("dead_bytes", exited.dead_bytes)
                     else:
                         span.set("cycle_period", exited.period)
         finally:
@@ -1522,6 +1527,8 @@ class CampaignRunner:
             counter("early_exit.converged", volatile=True).inc()
             if exited.shift:
                 counter("early_exit.shifted", volatile=True).inc()
+            if exited.dead_regs or exited.dead_bytes:
+                counter("early_exit.converged_dead", volatile=True).inc()
         else:
             counter("early_exit.cycles", volatile=True).inc()
         counter("early_exit.insns_skipped",

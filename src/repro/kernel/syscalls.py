@@ -32,6 +32,27 @@ SYS_CLOSE = 6
 SYS_TIME = 13
 SYS_GETPID = 20
 
+#: the registers each syscall reads besides EAX (its number), exactly
+#: as :meth:`Kernel.syscall` passes them; any other number reads only
+#: EAX.
+SYSCALL_ARGUMENTS = {
+    SYS_EXIT: (EBX,),
+    SYS_READ: (EBX, ECX, EDX),
+    SYS_WRITE: (EBX, ECX, EDX),
+    SYS_OPEN: (EBX,),
+    SYS_CLOSE: (EBX,),
+}
+
+
+def syscall_reads(number):
+    """Bitmask (bit *i*: register *i*) of the registers ``int 0x80``
+    reads when EAX holds *number*."""
+    mask = 1 << EAX
+    for register in SYSCALL_ARGUMENTS.get(number, ()):
+        mask |= 1 << register
+    return mask
+
+
 # Bounds a corrupted length register so one bad write() cannot stall
 # the campaign; Linux would cap at the VMA boundary similarly.
 MAX_IO_CHUNK = 1 << 16

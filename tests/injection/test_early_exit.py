@@ -16,6 +16,7 @@ import pytest
 
 from repro.apps.ftpd import client1
 from repro.emu import Process
+from repro.emu.liveness import AccessLog
 from repro.emu.memory import PAGE_SHIFT, PAGE_SIZE
 from repro.injection import (BreakpointSession, MachineSnapshot,
                              record_golden, run_campaign, Watchdog,
@@ -24,7 +25,10 @@ from repro.injection.earlyexit import (CycleSearch, EarlyExitAuditError,
                                        EarlyExits)
 from repro.injection.golden import writable_regions
 from repro.kernel import Kernel
+from repro.kernel.filesystem import FileSystem
+from repro.obs.trace import load_trace_file
 from repro.x86 import assemble
+from repro.x86.registers import EAX, EBX, ECX, EDX, ESP
 
 #: an ftpd Client1 branch the golden run executes long before it
 #: exits, and the HANG point of the full Client1 cell: its ``je``
@@ -106,10 +110,11 @@ class TestConvergence:
         assert early.match(cpu, instruction) is None
 
     def test_a_dirty_page_is_compared(self, at_syscall):
-        early, cpu, instruction, __ = at_syscall
+        early, cpu, instruction, index = at_syscall
         stack = cpu.memory.region_named("stack")
         page = max(stack.dirty)
-        stack.data[page << PAGE_SHIFT] ^= 1
+        offset = _live_offsets(early, cpu, index, stack, page)[0]
+        stack.data[(page << PAGE_SHIFT) + offset] ^= 1
         assert early.match(cpu, instruction) is None
 
     def test_corrupted_text_the_golden_tail_fetches_is_refused(
@@ -138,6 +143,205 @@ class TestConvergence:
         assert early.match(cpu, instruction) is None
         cpu.instret -= room + 1 + 7
         assert early.match(cpu, instruction) == index
+
+
+def _live_offsets(early, cpu, index, region, page):
+    """Offsets of the bytes of *page* of *region* live at *index*."""
+    number = writable_regions(cpu.memory).index(region)
+    mask = early.golden.live_bytes.live(index, number, page) \
+        .to_bytes(PAGE_SIZE, "little")
+    return [offset for offset, byte in enumerate(mask) if byte]
+
+
+def _flip(region, address):
+    """Flip bit 0 of one byte as a store would: the page turns dirty."""
+    offset = address - region.start
+    region.data[offset] ^= 1
+    region.dirty.add(offset >> PAGE_SHIFT)
+
+
+class TestLiveness:
+    """Registers and bytes the golden tail overwrites before reading
+    them may differ; everything it reads may not."""
+
+    def test_a_dead_register_matches_and_a_live_one_does_not(
+            self, at_syscall):
+        early, cpu, instruction, index = at_syscall
+        dead = early.golden.dead_regs[index]
+        registers = [register for register in range(8)
+                     if dead >> register & 1]
+        assert registers and len(registers) < 8
+        for register in registers:
+            cpu.regs[register] ^= 0x10
+        assert early.match(cpu, instruction) == index
+        assert early.dead == (tuple(registers), 0)
+        for register in registers:
+            cpu.regs[register] ^= 0x10
+        for register in set(range(8)) - set(registers):
+            cpu.regs[register] ^= 0x10
+            assert early.match(cpu, instruction) is None, register
+            cpu.regs[register] ^= 0x10
+
+    def test_every_syscall_reads_its_arguments(self, golden):
+        """At every index the registers the syscall itself reads are
+        live: EAX, and EBX, ECX and EDX for read(2) and write(2)."""
+        arguments = {3: (EBX, ECX, EDX), 4: (EBX, ECX, EDX)}
+        numbers = set()
+        for state, dead in zip(golden.states, golden.dead_regs):
+            number = state.regs[EAX]
+            numbers.add(number)
+            for register in (EAX,) + arguments.get(number, ()):
+                assert not dead >> register & 1, (number, register)
+        assert {3, 4} <= numbers
+
+    def test_a_dead_byte_matches_and_a_live_one_does_not(
+            self, at_syscall):
+        early, cpu, instruction, index = at_syscall
+        stack = cpu.memory.region_named("stack")
+        page = (cpu.regs[ESP] - stack.start) >> PAGE_SHIFT
+        live = _live_offsets(early, cpu, index, stack, page)
+        dead = sorted(set(range(PAGE_SIZE)) - set(live))
+        assert live and dead
+        low = stack.start + (page << PAGE_SHIFT)
+        _flip(stack, low + dead[-1])
+        assert early.match(cpu, instruction) == index
+        assert early.dead == ((), 1)
+        _flip(stack, low + dead[-1])
+        _flip(stack, low + live[0])
+        assert early.match(cpu, instruction) is None
+
+    def test_a_byte_read_before_the_next_syscall_is_live_here(
+            self, at_syscall):
+        """A byte the golden tail reads before the next syscall entry
+        and overwrites after it is live at this index, though dead at
+        the next."""
+        early, cpu, instruction, index = at_syscall
+        live_bytes = early.golden.live_bytes
+        found = None
+        for number, region in enumerate(writable_regions(cpu.memory)):
+            for page in range(region.page_count()):
+                only_here = (live_bytes.live(index, number, page)
+                             & ~live_bytes.live(index + 1, number, page))
+                if only_here:
+                    offset = ((only_here & -only_here).bit_length() - 1) // 8
+                    found = region, (page << PAGE_SHIFT) + offset
+                    break
+            if found:
+                break
+        assert found is not None
+        region, offset = found
+        _flip(region, region.start + offset)
+        assert early.match(cpu, instruction) is None
+
+    def test_a_register_flip_campaign_converges_on_dead_state(
+            self, ftp_daemon, tmp_path):
+        path = tmp_path / "trace.json"
+        campaign = run_campaign(ftp_daemon, "Client1", client1,
+                                fault_model="register-bit",
+                                max_points=WINDOW, audit_fraction=1.0,
+                                trace=str(path))
+        counters = _counters(campaign)
+        assert counters["early_exit.converged_dead"] > 0
+        assert counters["early_exit.audited"] \
+            == counters["early_exit.converged"]
+        spans = [event["args"] for event in load_trace_file(path)
+                 if event["name"] == "injection"
+                 and "converged_at" in event.get("args", {})]
+        assert len(spans) == counters["early_exit.converged"]
+        assert sum(1 for args in spans
+                   if args["dead_regs"] or args["dead_bytes"]) \
+            == counters["early_exit.converged_dead"]
+
+
+#: open a file, read four bytes of it into ``buf``, use them, read a
+#: text byte as data, exit.
+ACCESSES = """
+.data
+path: .asciz "/f"
+buf: .long 0
+.text
+.global _start
+_start:
+    movl $5, %eax
+    movl $path, %ebx
+    int $0x80
+    movl %eax, %ebx
+    movl $3, %eax
+    movl $buf, %ecx
+    movl $4, %edx
+    int $0x80
+    movl buf, %ebx
+    movzbl _start, %ecx
+    movl $20, %eax
+    int $0x80
+    movl $1, %eax
+    int $0x80
+"""
+
+
+class _Silent:
+    """A client that never talks."""
+
+    def attach(self, channel):
+        self.channel = channel
+
+    def finished(self):
+        return True
+
+    def broke_in(self):
+        return False
+
+
+@pytest.fixture(scope="module")
+def accesses():
+    module = assemble(ACCESSES)
+    daemon = SimpleNamespace(
+        module=module,
+        make_kernel=lambda client: Kernel.for_client(
+            client, FileSystem({"/f": b"abcd"})))
+    return module, record_golden(daemon, _Silent)
+
+
+class TestAccessLog:
+    def test_the_kernels_copies_are_logged(self, accesses):
+        """``open`` reads the path up to its NUL; ``read`` writes
+        the buffer."""
+        module, __ = accesses
+        process = Process(module, Kernel(filesystem=FileSystem(
+            {"/f": b"abcd"})))
+        log = AccessLog(process.memory)
+        process.run(1000)
+        path = module.symbols["path"].address
+        buf = module.symbols["buf"].address
+        logged = list(zip(log.starts, log.spans))
+        assert (path, 3) in logged
+        assert (buf, -4) in logged
+        assert logged.index((buf, -4)) < logged.index((buf, 4))
+
+    def test_bytes_the_kernel_reads_are_live_and_bytes_it_writes_dead(
+            self, accesses):
+        module, golden = accesses
+        path = module.symbols["path"].address
+        buf = module.symbols["buf"].address
+        base = module.data_base     # region 0: the data region
+
+        def live(index, address):
+            offset = address - base
+            mask = golden.live_bytes.live(index, 0, offset >> PAGE_SHIFT)
+            return mask >> 8 * (offset % PAGE_SIZE) & 0xFF == 0xFF
+
+        # "/f" and its NUL; the byte after is never read
+        assert [live(0, path + offset) for offset in range(4)] \
+            == [True, True, True, False]
+        assert not any(live(index, buf + offset)
+                       for index in (0, 1) for offset in range(4))
+        assert not any(live(2, path + offset) for offset in range(3))
+
+    def test_a_text_byte_read_as_data_joins_last_fetch(self, accesses):
+        module, golden = accesses
+        start = module.symbols["_start"].address
+        assert golden.last_fetch[start] == 2
+        assert golden.last_fetch[start + 1] == 0
 
 
 # ----------------------------------------------------------------------
