@@ -8,8 +8,12 @@ supervision timeline (from an ``--events`` file).  The output embeds
 its CSS and uses no scripts or external assets, so it can be attached
 to a CI run or mailed around as a single artifact.
 
-Everything is derived from journal record dicts -- the report never
-re-runs experiments and never touches the deterministic metrics core.
+The journal family loads as a
+:class:`~repro.injection.campaign.CampaignResult`, and every section
+is one of its ordinary views (``counts``, ``by_location``,
+``crash_latencies``, :func:`~repro.analysis.report.build_pruning_report`)
+-- the report never re-runs experiments and never touches the
+deterministic metrics core.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import html
 import os
 import time
 
-#: canonical outcome display order (Table 1 row order).
-OUTCOME_ORDER = ("NA", "NM", "FSV", "SD", "BRK", "HANG", "HF")
+from ..injection.outcomes import OUTCOME_ORDER
 
 _STYLE = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -37,38 +40,39 @@ pre { background: #f4f4f8; padding: .8em; overflow-x: auto; }
 """
 
 
-def _load_journal_records(journal):
-    """All result records, quarantine count, meta and unit markers
-    from a base journal path and its shard files."""
+def _load_journal(journal):
+    """Meta, campaign and unit markers of a base journal path and its
+    shard files (a salvage load: unreadable lines are skipped)."""
     from ..injection.runner import JournalFamily
+    from .serialize import campaign_from_family
     family = JournalFamily.load(journal, strict=False)
     if not family.members:
         raise FileNotFoundError("no journal at %s (or %s.shard*)"
                                 % (journal, journal))
     metas = family.metas
-    return (metas[0] if metas else None, list(family.results.values()),
-            len(family.quarantined), family.units)
+    return (metas[0] if metas else None, campaign_from_family(family),
+            family.units)
 
 
-def _outcome_section(records, quarantined):
-    tally = {}
-    for record in records:
-        outcome = record.get("outcome")
-        tally[outcome] = tally.get(outcome, 0) + 1
+def _outcome_section(campaign):
+    tally = {outcome: count
+             for outcome, count in campaign.counts(refined=True).items()
+             if count}
     total = sum(tally.values())
     rows = []
-    order = [o for o in OUTCOME_ORDER if o in tally]
-    order += sorted(o for o in tally if o not in OUTCOME_ORDER)
     peak = max(tally.values()) if tally else 1
-    for outcome in order:
-        count = tally[outcome]
-        pct = 100.0 * count / total if total else 0.0
+    for outcome in OUTCOME_ORDER:
+        count = tally.get(outcome)
+        if not count:
+            continue
+        pct = 100.0 * count / total
         width = int(round(240.0 * count / peak))
         rows.append(
             "<tr><td class='label'>%s</td><td>%d</td>"
             "<td>%.1f%%</td><td class='label'>"
             "<span class='bar' style='width:%dpx'></span></td></tr>"
-            % (html.escape(str(outcome)), count, pct, width))
+            % (html.escape(outcome), count, pct, width))
+    quarantined = campaign.quarantined_count
     note = ("<p class='muted'>%d quarantined point(s) excluded from "
             "percentages.</p>" % quarantined if quarantined else "")
     return ("<h2>Outcome distribution</h2>"
@@ -77,12 +81,8 @@ def _outcome_section(records, quarantined):
             % ("".join(rows), note))
 
 
-def _location_section(records):
-    tally = {}
-    for record in records:
-        if record.get("outcome") in ("BRK", "FSV", "HANG"):
-            location = record.get("location") or "?"
-            tally[location] = tally.get(location, 0) + 1
+def _location_section(campaign):
+    tally = campaign.by_location()
     if not tally:
         return ("<h2>BRK+FSV by location</h2>"
                 "<p class='muted'>no BRK/FSV/HANG records.</p>")
@@ -97,11 +97,9 @@ def _location_section(records):
             "<th>share</th></tr>%s</table>" % rows)
 
 
-def _latency_section(records):
+def _latency_section(campaign):
     from .histogram import build_histogram
-    latencies = [record["crash_latency"] for record in records
-                 if record.get("outcome") == "SD"
-                 and record.get("crash_latency") is not None]
+    latencies = campaign.crash_latencies()
     if not latencies:
         return ("<h2>Crash latency (Figure 4)</h2>"
                 "<p class='muted'>no SD records with a latency.</p>")
@@ -127,15 +125,15 @@ def _latency_section(records):
                "".join(rows)))
 
 
-def _pruning_section(records):
-    fanned = sum(1 for record in records if record.get("class_id"))
-    executed = sum(1 for record in records
-                   if record.get("class_id")
-                   and record.get("representative"))
-    if not fanned:
+def _pruning_section(campaign):
+    from ..injection.pruning import PRUNE_SOLO
+    from .report import build_pruning_report
+    report = build_pruning_report(campaign)
+    classed = report["points"] - report["kinds"][PRUNE_SOLO]["members"]
+    if not classed:
         return ("<h2>Pruning</h2><p class='muted'>exhaustive sweep "
                 "(no equivalence-class records).</p>")
-    synthesized = fanned - executed
+    synthesized = report["fanned_out"]
     return ("<h2>Pruning</h2>"
             "<table><tr><th class='label'>records</th><th>count</th>"
             "</tr>"
@@ -147,8 +145,8 @@ def _pruning_section(records):
             "<td>%d</td></tr></table>"
             "<p class='muted'>%.1f%% of classed records were "
             "synthesized from their representative.</p>"
-            % (fanned, executed, synthesized,
-               100.0 * synthesized / fanned))
+            % (classed, classed - synthesized, synthesized,
+               100.0 * synthesized / classed))
 
 
 def _hotspot_section(profile, module):
@@ -261,7 +259,7 @@ def build_html_report(journal, events=None, profile=None, module=None,
     (:func:`repro.obs.sampler.load_profile`) and *module* the compiled
     program module used to symbolize hotspots -- all optional.
     """
-    meta, records, quarantined, units = _load_journal_records(journal)
+    meta, campaign, units = _load_journal(journal)
     if title is None:
         if meta is not None:
             title = "%s %s (%s encoding)" % (meta.get("daemon"),
@@ -276,11 +274,11 @@ def build_html_report(journal, events=None, profile=None, module=None,
         "<p class='muted'>campaign report generated %s from %s "
         "(%d record(s)).</p>"
         % (html.escape(generated), html.escape(str(journal)),
-           len(records)),
-        _outcome_section(records, quarantined),
-        _location_section(records),
-        _latency_section(records),
-        _pruning_section(records),
+           campaign.total_runs),
+        _outcome_section(campaign),
+        _location_section(campaign),
+        _latency_section(campaign),
+        _pruning_section(campaign),
     ]
     if profile is not None:
         sections.append(_hotspot_section(profile, module))

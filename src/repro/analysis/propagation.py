@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from ..emu import Process
-from ..injection.injector import BreakpointSession
-from ..kernel import ServerHang
+from ..injection.injector import plain_run
 from ..obs.forensics import first_divergence
 from ..obs.ring import TraceRecorder
 from ..x86.registers import REG32_NAMES
@@ -129,12 +128,7 @@ def _trace_from_breakpoint(daemon, client_factory, instruction_address,
     # max_trace instructions are the ones that matter.
     recorder = TraceRecorder(limit=max_trace)
     process.cpu.trace_hook = recorder.hook
-    try:
-        status = process.run(budget)
-    except ServerHang:
-        status = process._status("limit", None)
-        status.kind = "hang"
-    return recorder, kernel, status
+    return recorder, kernel, plain_run(process, budget)
 
 
 def format_propagation(report):

@@ -135,10 +135,6 @@ def quarantined_from_dict(record):
         rounds=record["rounds"])
 
 
-# Pre-v3 private names, kept for callers of the old spelling.
-_quarantined_to_dict = quarantined_to_dict
-_quarantined_from_dict = quarantined_from_dict
-
 
 def campaign_from_dict(payload):
     """Rebuild a :class:`CampaignResult` (without the golden run)."""
@@ -175,36 +171,40 @@ def campaign_from_shard_journals(journal):
     family: the base file and the per-worker ``<journal>.shardK``
     files a fleet writes (see :mod:`repro.injection.fleet`).
 
-    *journal* is the campaign's base journal path.  Results are
-    ordered by point (address, byte, bit), which matches enumeration
-    order for a contiguous auth section; tallies are order-independent
-    either way.
+    *journal* is the campaign's base journal path; the files must
+    agree on the campaign they record.
     """
     from ..injection.runner import JournalFamily
     family = JournalFamily.load(journal)
     if not family.members:
         raise FileNotFoundError("no journal found for %r" % journal)
-    metas, results, quarantined = (family.metas, family.results,
-                                   family.quarantined)
+    metas = family.metas
     for meta in metas[1:]:
         for field in ("daemon", "client", "encoding", "model"):
             if meta.get(field) != metas[0].get(field):
                 raise ValueError(
                     "journal files disagree on %s: %r vs %r"
                     % (field, metas[0].get(field), meta.get(field)))
-    head = metas[0] if metas else {}
+    return campaign_from_family(family)
+
+
+def campaign_from_family(family):
+    """A :class:`CampaignResult` of a loaded
+    :class:`~repro.injection.runner.JournalFamily`'s records, headed
+    by its first meta line.  Results are ordered by point (address,
+    byte, bit), which matches enumeration order for a contiguous auth
+    section; tallies are order-independent either way."""
+    head = family.metas[0] if family.metas else {}
     campaign = CampaignResult(daemon_name=head.get("daemon", ""),
                               client_name=head.get("client", ""),
                               encoding=head.get("encoding", ""),
                               fault_model=head.get("model",
                                                    "branch-bit"))
-
-    def point_order(record):
-        return point_from_dict(record).sort_key
-
-    for record in sorted(results.values(), key=point_order):
-        campaign.results.append(result_from_dict(record))
-    for record in sorted(quarantined.values(),
-                         key=lambda entry: point_order(entry["point"])):
-        campaign.quarantined.append(quarantined_from_dict(record))
+    campaign.results = sorted(
+        (result_from_dict(record) for record in family.results.values()),
+        key=lambda result: result.point.sort_key)
+    campaign.quarantined = sorted(
+        (quarantined_from_dict(record)
+         for record in family.quarantined.values()),
+        key=lambda entry: entry.point.sort_key)
     return campaign

@@ -112,7 +112,8 @@ _PARENT = {"parent": True}
 class RunOptions:
     """Every execution option of one campaign, in one place.
 
-    :func:`run_campaign`, :class:`~repro.injection.runner.CampaignRunner`,
+    :func:`run_campaign`, :class:`~repro.injection.runner.CampaignOwner`,
+    :class:`~repro.injection.runner.CampaignRunner`,
     :meth:`WorkerFleet.submit <repro.injection.fleet.WorkerFleet.submit>`
     and the service all take a ``RunOptions`` (or keywords naming its
     fields), so adding an option touches this class only: the fleet's
@@ -331,8 +332,13 @@ def run_campaign(daemon, client_name, client_factory, options=None, *,
     :class:`RunOptions` for what each one does.  An unknown keyword
     raises :class:`TypeError`.
 
+    Serially, one :class:`~repro.injection.runner.CampaignRunner`
+    runs in this process under the campaign's
+    :class:`~repro.injection.runner.CampaignOwner`
+    (:func:`~repro.injection.runner.run_serial_campaign`).
     ``workers=N`` (N > 1) runs the campaign on a private warm worker
-    fleet (:func:`repro.injection.fleet.run_fleet_campaign`); tallies,
+    fleet (:func:`repro.injection.fleet.run_fleet_campaign`) under the
+    same owner steps; tallies,
     tables and the deterministic metrics core are identical to a
     serial run, and the journal becomes the base path's unit markers
     plus one ``<journal>.shardK`` file per worker that ran work.
@@ -348,14 +354,9 @@ def run_campaign(daemon, client_name, client_factory, options=None, *,
                          else FleetConfig(), workers=workers)
         return run_fleet_campaign(daemon, client_name, client_factory,
                                   options, config=config)
-    from .runner import CampaignRunner, resume_state
-    # a serial run is "shard 0, attempt 0" to a chaos policy (an
-    # already-built agent passes through).
-    if hasattr(options.chaos, "agent"):
-        options = replace(options, chaos=options.chaos.agent(0, 0))
-    return CampaignRunner(
-        daemon, client_name, client_factory, options,
-        resumed=resume_state(daemon, client_name, options)).run()
+    from .runner import run_serial_campaign
+    return run_serial_campaign(daemon, client_name, client_factory,
+                               options)
 
 
 def run_spec(spec, daemon=None, **kwargs):

@@ -18,12 +18,19 @@ scheduling layer of :mod:`repro.injection.scheduler`:
   concurrent campaigns;
 * every unit runs through the ordinary fault-tolerant
   :class:`~repro.injection.runner.CampaignRunner` (isolation,
-  watchdog, retries, quarantine, pruning all apply per unit) and
-  journals to the worker's ``<journal>.shardK`` file.  Units never
-  read a journal: the parent decides at submission what is already
-  done (:func:`~repro.injection.runner.resume_state` loads the whole
-  journal family, so the worker count, or the engine, may change
-  between runs);
+  watchdog, retries, quarantine, pruning all apply per unit) on the
+  cell's golden run, which the worker records on its first unit of
+  the cell, and journals to the worker's ``<journal>.shardK`` file.
+  Units never read a journal;
+* each campaign's owner half is the shared
+  :class:`~repro.injection.runner.CampaignOwner`, the same steps a
+  serial run takes: :meth:`WorkerFleet.submit` opens it (golden run,
+  enumeration, resume preload of the whole journal family, so the
+  worker count, or the engine, may change between runs),
+  :meth:`WorkerFleet.finalize` closes it (merge, metrics fold,
+  sinks).  The fleet itself is transport and supervision: it
+  deserializes a unit's records once, on payload receipt or salvage,
+  and hands them to the owner;
 * the parent supervises: every event a unit runner emits onto its
   worker's private bus is a heartbeat, dead or wedged workers are
   respawned with exponential backoff against a per-incarnation
@@ -34,10 +41,11 @@ scheduling layer of :mod:`repro.injection.scheduler`:
   deadline drains every in-flight unit to a resumable checkpoint.
 
 Determinism: completions are keyed by point and merged by enumeration
-index (:meth:`CampaignScheduler.merged_results`), so Tables 1/3/5,
-Figure 4 and the deterministic metrics core are byte-identical to a
-serial run no matter how units interleaved, migrated between workers,
-or were salvaged and requeued after a crash.
+index (:meth:`CampaignScheduler.merged_results`), and the
+deterministic metrics core is a fold over the merged records, so
+Tables 1/3/5, Figure 4 and the core are byte-identical to a serial run
+no matter how units interleaved, migrated between workers, or were
+salvaged and requeued after a crash.
 """
 
 from __future__ import annotations
@@ -49,24 +57,19 @@ import traceback
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 
-from ..emu.perf import PerfCounters
 from ..obs.events import emit_milestone, EventBus, outcome_delta
 from ..obs.log import get_logger
-from ..obs.metrics import MetricsRegistry, record_supervision_metrics
-from ..obs.sampler import as_sampler, Sampler
+from ..obs.sampler import as_sampler
 from ..obs.trace import as_tracer, Tracer
-from .campaign import CampaignResult, RunOptions
-from .faultmodels import get_fault_model
+from .campaign import RunOptions
 from .golden import record_golden
 from .injector import SessionCache
-from .runner import (_point_key, backoff_delay, CampaignInterrupted,
-                     CampaignJournal, campaign_timing, CampaignRunner,
-                     declare_campaign_metrics, EVENT_NAMES,
-                     install_stop_handlers, join_process, JournalError,
-                     record_result_metrics, record_runtime_metrics,
-                     resume_state, shard_journal_path, Watchdog,
+from .runner import (backoff_delay, CampaignInterrupted,
+                     CampaignJournal, CampaignOwner, CampaignRunner,
+                     EVENT_NAMES, join_process, JournalError,
+                     shard_journal_path, StopCheck, Watchdog,
                      WatchdogConfig)
-from .scheduler import CampaignScheduler, UNIT_INSTRUCTIONS
+from .scheduler import UNIT_INSTRUCTIONS
 
 _LOGGER = get_logger("fleet")
 
@@ -249,7 +252,9 @@ def _fleet_worker_main(worker, incarnation, conn, config,
 
 def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
               worker, chaos):
-    """One work unit through the ordinary fault-tolerant runner."""
+    """One work unit through the ordinary fault-tolerant runner, on
+    the cell's golden run (recorded by this worker's first unit of the
+    cell)."""
     cid = ctx["cid"]
     cell = ctx["cell"]
     options = ctx["options"]
@@ -266,15 +271,15 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
     # per-unit sampler: guest samples are deterministic per unit and
     # ship home in the payload for the parent to fold together.
     sampler = as_sampler(options.sampler)
-    runner, tracer = _unit_runner(
+    runner, tracer = _run_unit_runner(
         daemon, ctx["client_name"], ctx["client_factory"], options,
-        unit, worker, stop_check=lambda: stop["reason"],
-        golden=goldens.get(cell), telemetry=heartbeat, chaos=chaos,
-        session_cache=sessions, sampler=sampler)
-    campaign = runner.run()
-    goldens[cell] = runner._golden
-    payload = _unit_payload(campaign, unit, worker, tracer, sampler)
-    if runner.options.journal is not None:
+        unit, worker, goldens.get(cell),
+        stop_check=lambda: stop["reason"], telemetry=heartbeat,
+        chaos=chaos, session_cache=sessions, sampler=sampler)
+    goldens[cell] = runner.golden
+    payload = _unit_payload(runner.campaign, unit, worker, tracer,
+                            sampler)
+    if options.journal is not None:
         CampaignJournal.mark_unit(
             runner.options.journal, unit.unit_id,
             len(payload["results"]) + len(payload["quarantined"]),
@@ -282,21 +287,36 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
     emit("unit-done", cid, unit.unit_id, payload)
 
 
-def _unit_runner(daemon, client_name, client_factory, options, unit,
-                 shard, trace_attrs=None, **extra):
-    """A work unit's runner (exactly its points, journaled to
-    *shard*'s ``.shardK`` file) and its tracer: ``None`` unless the
-    campaign is traced or profiled, else keeping every span for the
-    parent to fold into its trace file and profile host seconds."""
+def _run_unit_runner(daemon, client_name, client_factory, options, unit,
+                     shard, golden=None, trace_attrs=None, **extra):
+    """Run a work unit's runner (exactly its points, journaled to
+    *shard*'s ``.shardK`` file) inside a ``shard`` span, recording the
+    cell's golden run first when no warm one is handed in.  Returns
+    the finished runner and its tracer: ``None`` unless the campaign
+    is traced or profiled, else keeping every span for the parent to
+    fold into its trace file and profile host seconds."""
     tracer = (None if options.trace is None and options.sampler is None
               else Tracer(tid=shard + 1))
-    runner = CampaignRunner(
-        daemon, client_name, client_factory, options,
-        points=list(unit.points), trace_root="shard", trace=tracer,
-        trace_attrs={"shard": shard, "unit": unit.unit_id,
-                     **(trace_attrs or {})},
-        journal=(shard_journal_path(options.journal, shard)
-                 if options.journal is not None else None), **extra)
+    spans = as_tracer(tracer)
+    with spans.span("shard", shard=shard, unit=unit.unit_id,
+                    **(trace_attrs or {})) as span:
+        recorded = golden is None
+        if recorded:
+            with spans.span("golden-run") as golden_span:
+                golden = record_golden(daemon, client_factory,
+                                       options.budget)
+                golden_span.set("coverage_eips", len(golden.coverage))
+        runner = CampaignRunner(
+            daemon, client_name, client_factory, options,
+            points=unit.points, golden=golden, trace=tracer,
+            journal=(shard_journal_path(options.journal, shard)
+                     if options.journal is not None else None), **extra)
+        if recorded:
+            runner.perf.absorb_dict(golden.perf)
+        runner.registry.counter(
+            "runtime.golden_runs" if recorded
+            else "runtime.golden_reused", volatile=True).inc()
+        span.set("experiments", len(runner.run().results))
     return runner, tracer
 
 
@@ -345,51 +365,27 @@ class WorkerSlot:
 
 @dataclass
 class FleetCampaignState:
-    """Parent-side record of one submitted campaign."""
+    """Parent-side record of one submitted campaign: its
+    :class:`~repro.injection.runner.CampaignOwner` plus what the
+    fleet's transport needs."""
 
     cid: str
-    daemon: object
-    client_name: str
-    client_factory: object
-    #: the campaign's :class:`~repro.injection.campaign.RunOptions` as
-    #: submitted, and the resolved copy workers receive
+    owner: CampaignOwner
+    #: the resolved options workers receive
     #: (:meth:`RunOptions.for_worker`: fault model, watchdog config,
     #: daemon factory and sampler period filled in, parent-only
     #: fields cleared).
-    options: RunOptions
     worker_options: RunOptions
-    scheduler: CampaignScheduler
-    golden: object
-    golden_reused: bool
-    #: parent-side tracer (the no-op one when the campaign is neither
-    #: traced nor profiled) and its open root ``campaign`` span.
-    tracer: object
-    root_cm: object
-    root_span: object
-    #: parent-side profile sampler that worker profiles fold into.
-    sampler: object = None
     on_unit: object = None
-    started: float = field(default_factory=time.monotonic)
-    #: unit payloads keyed by unit index (exact metric absorption
-    #: happens in unit order at finalize).
-    payloads: dict = field(default_factory=dict)
-    executed: int = 0
     interrupted: str | None = None
 
-    def __post_init__(self):
-        #: telemetry label (defaults to the fleet-local cid).
-        self.telemetry_campaign = (
-            self.options.telemetry_campaign
-            if self.options.telemetry_campaign is not None
-            else self.cid)
+    @property
+    def scheduler(self):
+        return self.owner.scheduler
 
     @property
-    def cell(self):
-        return _cell(self.daemon, self.client_name, self.options.budget)
-
-    @property
-    def model(self):
-        return self.worker_options.fault_model
+    def options(self):
+        return self.owner.options
 
     @property
     def finished(self):
@@ -397,9 +393,12 @@ class FleetCampaignState:
 
     def context(self):
         """The picklable campaign context a worker needs."""
-        return {"cid": self.cid, "cell": self.cell,
-                "client_name": self.client_name,
-                "client_factory": self.client_factory,
+        owner = self.owner
+        return {"cid": self.cid,
+                "cell": _cell(owner.daemon, owner.client_name,
+                              self.options.budget),
+                "client_name": owner.client_name,
+                "client_factory": owner.client_factory,
                 "options": self.worker_options}
 
 
@@ -543,18 +542,21 @@ class WorkerFleet:
         every live campaign) goes on the bus campaign-less and into
         every live campaign's trace."""
         if state is None:
-            tracers = [live.tracer for live in self.campaigns.values()]
-            campaign = None
+            emit_milestone(self.telemetry,
+                           [live.owner.tracer
+                            for live in self.campaigns.values()],
+                           type, None, **payload)
         else:
-            tracers, campaign = (state.tracer,), state.telemetry_campaign
-        emit_milestone(self.telemetry, tracers, type, campaign,
-                       **payload)
+            state.owner.emit(type, **payload)
 
     # -- submission ----------------------------------------------------
 
     def submit(self, daemon, client_name, client_factory, options=None,
                on_unit=None, **kwargs):
-        """Submit one campaign; returns its campaign id.
+        """Submit one campaign: open its
+        :class:`~repro.injection.runner.CampaignOwner` (on the fleet's
+        cached golden run for the cell, if any); returns its campaign
+        id.
 
         Takes the campaign's
         :class:`~repro.injection.campaign.RunOptions` (keywords naming
@@ -570,69 +572,43 @@ class WorkerFleet:
         submission.
         """
         options = RunOptions.resolve(options, **kwargs)
-        resumed_results, resumed_quarantined = resume_state(
-            daemon, client_name, options)
+        cid = "c%04d" % self._next_cid
+        cell = _cell(daemon, client_name, options.budget)
+        owner = CampaignOwner(
+            daemon, client_name, client_factory, options,
+            golden=self.goldens.get(cell), bus=self.telemetry,
+            label=(options.telemetry_campaign
+                   if options.telemetry_campaign is not None else cid),
+            workers=self.config.workers,
+            unit_instructions=self.config.unit_instructions)
+        self._next_cid += 1
+        self.goldens[cell] = owner.golden
         if not self._started:
             self.start()
-        cid = "c%04d" % self._next_cid
-        self._next_cid += 1
-        model = get_fault_model(options.fault_model)
         watchdog = options.watchdog
         if isinstance(watchdog, Watchdog):
             watchdog = watchdog.config
         elif watchdog is None:
             watchdog = WatchdogConfig()
-        sampler = options.sampler
-        if sampler is None and options.profile is not None:
-            sampler = Sampler()
-        sampler = as_sampler(sampler)
-        tracer = as_tracer(options.trace, timed=sampler is not None)
-        root_cm = tracer.span("campaign", workers=self.config.workers,
-                              campaign=cid)
-        root_span = root_cm.__enter__()
-        cell = _cell(daemon, client_name, options.budget)
-        golden = self.goldens.get(cell)
-        golden_reused = golden is not None
-        if golden is None:
-            with tracer.span("golden-run") as span:
-                golden = record_golden(daemon, client_factory,
-                                       options.budget)
-                span.set("coverage_eips", len(golden.coverage))
-            self.goldens[cell] = golden
-        ranges = (options.ranges if options.ranges is not None
-                  else daemon.auth_ranges())
-        points = model.enumerate_points(daemon.module, ranges,
-                                        options.kinds)
-        if options.max_points is not None:
-            points = points[:options.max_points]
-        scheduler = CampaignScheduler(
-            points, unit_instructions=self.config.unit_instructions)
-        scheduler.preload(resumed_results, resumed_quarantined)
         worker_options = options.for_worker(
-            fault_model=model, watchdog=watchdog, max_points=None,
+            fault_model=owner.model, watchdog=watchdog, max_points=None,
             daemon_factory=(options.daemon_factory
                             if options.daemon_factory is not None
                             else default_daemon_factory(daemon)),
-            sampler=sampler.period if sampler is not None else None,
+            sampler=(owner.sampler.period
+                     if owner.sampler is not None else None),
             trace=None if options.trace is None else str(options.trace))
-        state = FleetCampaignState(
-            cid, daemon, client_name, client_factory, options,
-            worker_options, scheduler, golden, golden_reused, tracer,
-            root_cm, root_span, sampler=sampler, on_unit=on_unit)
-        self.campaigns[cid] = state
-        self._emit(state, "golden", reused=golden_reused,
-                   coverage_eips=len(golden.coverage))
-        self._emit(state, "campaign-started", points=len(points),
-                   workers=self.config.workers,
-                   resumed=len(scheduler.results))
+        self.campaigns[cid] = FleetCampaignState(cid, owner,
+                                                 worker_options,
+                                                 on_unit=on_unit)
         if self.config.heartbeat_timeout is None:
             wall = watchdog.wall_clock_limit or 60.0
             self._heartbeat_timeout = max(
                 self._heartbeat_timeout or 0.0, 2.0 * wall + 30.0)
         _LOGGER.info("campaign %s submitted: %s %s (%d points, "
                      "%s golden)", cid, type(daemon).__name__,
-                     client_name, len(points),
-                     "warm" if golden_reused else "cold")
+                     client_name, owner.scheduler.total,
+                     "warm" if owner.golden_reused else "cold")
         return cid
 
     def finished(self, cid):
@@ -724,23 +700,23 @@ class WorkerFleet:
         unit = slot.current[1]
         slot.current = None
         slot.status = IDLE
-        if state.sampler is not None:
-            state.sampler.absorb_dict(payload.get("profile"))
+        if state.owner.sampler is not None:
+            state.owner.sampler.absorb_dict(payload.get("profile"))
         self._complete_unit(state, unit, payload, slot.worker)
 
     def _complete_unit(self, state, unit, payload, worker, **extra):
         """Record a finished unit's payload (from a worker, or from the
         parent's inline fallback) and tell every observer."""
-        from ..analysis.serialize import point_from_dict
+        from ..analysis.serialize import (quarantined_from_dict,
+                                          result_from_dict)
+        results = [result_from_dict(record)
+                   for record in payload["results"]]
+        state.owner.record(results, [quarantined_from_dict(record)
+                                     for record in payload["quarantined"]])
+        state.owner.report(unit.index, payload["timing"],
+                           payload["metrics"], payload["trace"])
         scheduler = state.scheduler
-        for record in payload["results"]:
-            scheduler.record(_record_key(record), record)
-        for record in payload["quarantined"]:
-            key = _point_key(point_from_dict(record["point"]))
-            scheduler.record_quarantine(key, record)
         scheduler.complete(unit)
-        state.payloads[unit.index] = payload
-        state.executed += payload["timing"].get("executed", 0)
         records = len(payload["results"]) + len(payload["quarantined"])
         self._mark_unit(state, unit, status="done", records=records)
         self._emit(state, "unit-finished", unit=unit.unit_id,
@@ -748,9 +724,8 @@ class WorkerFleet:
                    quarantined=len(payload["quarantined"]),
                    completed=scheduler.completed,
                    total=scheduler.total, **extra)
-        if payload["results"]:
-            self._emit(state, "outcomes",
-                       delta=outcome_delta(payload["results"]))
+        if results:
+            self._emit(state, "outcomes", delta=outcome_delta(results))
         if state.on_unit is not None:
             state.on_unit(state, unit, payload)
 
@@ -787,7 +762,9 @@ class WorkerFleet:
     def _salvage_unit(self, state, unit, worker):
         """Recover what a worker already journaled for *unit* (only
         its own points: the worker journal also holds earlier units,
-        whose payloads were already counted)."""
+        already recorded from their payloads)."""
+        from ..analysis.serialize import (quarantined_from_dict,
+                                          result_from_dict)
         if state.options.journal is None:
             return
         path = shard_journal_path(state.options.journal, worker)
@@ -796,40 +773,20 @@ class WorkerFleet:
                 path, strict=False)
         except (FileNotFoundError, JournalError):
             return
-        unit_keys = set(unit.keys)
-        new_results = {
-            key: record for key, record in results.items()
-            if key in unit_keys and key not in state.scheduler.results}
-        new_quarantined = {
-            key: record for key, record in quarantined.items()
-            if key in unit_keys
-            and key not in state.scheduler.quarantined}
-        for key, record in new_results.items():
-            state.scheduler.record(key, record)
-        for key, record in new_quarantined.items():
-            state.scheduler.record_quarantine(key, record)
-        salvaged = len(new_results) + len(new_quarantined)
-        if salvaged:
-            self.events["salvaged_points"] += salvaged
-            # No unit payload will arrive for these records: rebuild
-            # their share of the deterministic metrics so the exact
-            # aggregation still matches a serial run.
-            from ..analysis.serialize import result_from_dict
-            registry = declare_campaign_metrics(MetricsRegistry())
-            for record in new_results.values():
-                record_result_metrics(registry,
-                                      result_from_dict(record))
-            registry.counter("quarantined").inc(len(new_quarantined))
-            state.payloads[unit.index] = {
-                "results": [], "quarantined": [],
-                "timing": {"shard": worker, "unit": unit.unit_id,
-                           "executed": 0, "salvaged": salvaged},
-                "metrics": registry.as_dict(),
-                "trace": None,
-            }
+        scheduler = state.scheduler
+        keys = [key for key in unit.keys
+                if key not in scheduler.results
+                and key not in scheduler.quarantined]
+        salvaged = ([result_from_dict(results[key])
+                     for key in keys if key in results],
+                    [quarantined_from_dict(quarantined[key])
+                     for key in keys if key in quarantined])
+        count = len(salvaged[0]) + len(salvaged[1])
+        if count:
+            state.owner.record(*salvaged)
+            self.events["salvaged_points"] += count
             _LOGGER.info("salvaged %d journaled record(s) of unit %s "
-                         "from worker %d", salvaged, unit.unit_id,
-                         worker)
+                         "from worker %d", count, unit.unit_id, worker)
 
     # -- liveness / respawn --------------------------------------------
 
@@ -990,20 +947,20 @@ class WorkerFleet:
         _LOGGER.warning("running unit %s of %s inline in the parent "
                         "(%d points)", unit.unit_id, state.cid,
                         len(unit.points))
-        runner, tracer = _unit_runner(
-            state.daemon, state.client_name, state.client_factory,
-            state.worker_options, unit, self._inline_tid,
-            trace_attrs={"inline": True}, golden=state.golden,
-            session_cache=self._inline_sessions,
-            # inline units run in the parent, feeding the campaign's
-            # own sampler directly (no profile payload to fold).
-            sampler=state.sampler)
+        owner = state.owner
         self._mark_unit(state, unit, status="started")
         self._emit(state, "unit-started", unit=unit.unit_id,
                    worker=self._inline_tid, points=len(unit.points),
                    inline=True)
-        campaign = runner.run()
-        payload = _unit_payload(campaign, unit, self._inline_tid,
+        runner, tracer = _run_unit_runner(
+            owner.daemon, owner.client_name, owner.client_factory,
+            state.worker_options, unit, self._inline_tid, owner.golden,
+            trace_attrs={"inline": True},
+            session_cache=self._inline_sessions,
+            # inline units run in the parent, feeding the campaign's
+            # own sampler directly (no profile payload to fold).
+            sampler=owner.sampler)
+        payload = _unit_payload(runner.campaign, unit, self._inline_tid,
                                 tracer, None, inline=True)
         self._complete_unit(state, unit, payload, self._inline_tid,
                             inline=True)
@@ -1058,107 +1015,19 @@ class WorkerFleet:
     # -- finalize ------------------------------------------------------
 
     def finalize(self, cid):
-        """Merge a finished campaign into a
-        :class:`~repro.injection.campaign.CampaignResult` (or raise
+        """Close a finished campaign through its owner
+        (:meth:`CampaignOwner.close
+        <repro.injection.runner.CampaignOwner.close>`) into a
+        :class:`~repro.injection.campaign.CampaignResult`, or raise
         :class:`~repro.injection.runner.CampaignInterrupted` for a
-        drained one); flushes its trace and metrics sinks either way
-        and forgets the campaign."""
+        drained one; writes its sinks either way and forgets the
+        campaign."""
         state = self.campaigns.pop(cid)
+        interrupted = None
         if state.interrupted is not None or not state.finished:
-            registry = declare_campaign_metrics(MetricsRegistry())
-            record_supervision_metrics(registry, self.events)
-            self._flush_observability(state, registry)
-            raise CampaignInterrupted(
-                state.interrupted or "incomplete",
-                journal=state.options.journal,
-                completed=state.scheduler.completed)
-        with state.tracer.span("merge"):
-            campaign, registry = self._merge(state)
-        self._emit(state, "campaign-finished",
-                   counts=campaign.counts(),
-                   quarantined=len(campaign.quarantined))
-        self._flush_observability(state, registry)
-        return campaign
-
-    def _flush_observability(self, state, registry):
-        """Close the root span (after the campaign's last milestone),
-        fold the units' shipped spans into the campaign's tracer in
-        unit order, and write the trace, profile and metrics sinks."""
-        state.root_span.set("experiments",
-                            len(state.scheduler.results))
-        state.root_cm.__exit__(None, None, None)
-        tracer = state.tracer
-        for index in sorted(state.payloads):
-            tracer.absorb(state.payloads[index].get("trace") or ())
-        tracer.close()
-        options = state.options
-        if options.profile is not None and state.sampler is not None:
-            state.sampler.save(options.profile, tracer.host_seconds())
-        if options.metrics is not None and registry is not None:
-            registry.save(options.metrics)
-
-    def _merge(self, state):
-        from ..analysis.serialize import (quarantined_from_dict,
-                                          result_from_dict)
-        scheduler = state.scheduler
-        campaign = CampaignResult(
-            daemon_name=type(state.daemon).__name__,
-            client_name=state.client_name,
-            encoding=state.options.encoding,
-            fault_model=state.model.name, golden=state.golden)
-        campaign.results = [result_from_dict(record)
-                            for record in scheduler.merged_results()]
-        campaign.quarantined = [
-            quarantined_from_dict(record)
-            for record in scheduler.merged_quarantined()]
-        perf = PerfCounters()
-        perf.absorb_dict(state.golden.perf)
-        for index in sorted(state.payloads):
-            perf.absorb_dict(
-                state.payloads[index]["timing"].get("perf"))
-        wall_clock = time.monotonic() - state.started
-        campaign.timing = campaign_timing(
-            wall_clock=wall_clock,
-            experiments=len(campaign.results)
-            + len(campaign.quarantined),
-            executed=state.executed,
-            workers=self.config.workers,
-            shards=[state.payloads[index]["timing"]
-                    for index in sorted(state.payloads)],
-            perf=perf.as_dict())
-        # Exact metric aggregation: unit registries absorbed in unit
-        # order, then what only the parent saw -- records preloaded
-        # from journals at submit, its own golden run (or cell-cache
-        # reuse) and the fleet's supervision counters.  The
-        # deterministic section comes out identical to a serial run's.
-        registry = declare_campaign_metrics(MetricsRegistry())
-        for index in sorted(state.payloads):
-            registry.absorb_dict(state.payloads[index].get("metrics"))
-        resumed = sorted(scheduler.resumed,
-                         key=scheduler.order.__getitem__)
-        for key in resumed:
-            if key in scheduler.results:
-                record_result_metrics(
-                    registry, result_from_dict(scheduler.results[key]))
-        registry.counter("runtime.resumed", volatile=True).inc(
-            len(resumed))
-        registry.counter("quarantined").inc(
-            sum(key in scheduler.quarantined for key in resumed))
-        registry.gauge("points").set(scheduler.total)
-        if state.golden_reused:
-            registry.counter("runtime.golden_reused",
-                             volatile=True).inc()
-        else:
-            registry.counter("runtime.golden_runs",
-                             volatile=True).inc()
-        parent_perf = PerfCounters()
-        parent_perf.absorb_dict(state.golden.perf)
-        record_runtime_metrics(registry, wall_clock, state.executed,
-                               perf=parent_perf.as_dict(),
-                               workers=self.config.workers)
-        record_supervision_metrics(registry, self.events)
-        campaign.metrics = registry.as_dict()
-        return campaign, registry
+            interrupted = state.interrupted or "incomplete"
+        return state.owner.close(supervision=self.events,
+                                 interrupted=interrupted)
 
 
 # ----------------------------------------------------------------------
@@ -1186,25 +1055,17 @@ def run_fleet_campaign(daemon, client_name, client_factory, options=None,
         fleet = WorkerFleet(config, chaos=options.chaos,
                             telemetry=options.telemetry)
         fleet.start()
-    stop = {"reason": None}
-    restore = (install_stop_handlers(
-        lambda name: stop.__setitem__("reason", name))
-        if options.graceful_signals else (lambda: None))
-    deadline_at = (time.monotonic() + options.deadline
-                   if options.deadline is not None else None)
     try:
-        cid = fleet.submit(daemon, client_name, client_factory, options)
-        while not fleet.finished(cid):
-            fleet.pump()
-            reason = stop["reason"]
-            if reason is None and deadline_at is not None \
-                    and time.monotonic() > deadline_at:
-                reason = "deadline"
-            if reason is not None:
-                fleet.drain(reason)
-                break
-        return fleet.finalize(cid)
+        with StopCheck(options) as stop:
+            cid = fleet.submit(daemon, client_name, client_factory,
+                               options)
+            while not fleet.finished(cid):
+                fleet.pump()
+                reason = stop()
+                if reason is not None:
+                    fleet.drain(reason)
+                    break
+            return fleet.finalize(cid)
     finally:
-        restore()
         if owns:
             fleet.stop()

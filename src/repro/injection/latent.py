@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from ..emu import Process
-from ..kernel import ServerHang
 from .golden import record_golden
+from .injector import plain_run
 from .outcomes import classify_completed_run, NOT_MANIFESTED
 
 
@@ -89,11 +89,7 @@ def run_latent_study(daemon, workload, faults,
             client = factory()
             kernel = daemon.make_kernel(client)
             child = parent.clone_for_connection(kernel)
-            try:
-                status = child.run(budget)
-            except ServerHang:
-                status = child._status("limit", None)
-                status.kind = "hang"
+            status = plain_run(child, budget)
             outcome, detail = classify_completed_run(
                 goldens[label], client,
                 kernel.channel.normalized_transcript(), status)

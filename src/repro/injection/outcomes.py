@@ -23,6 +23,11 @@ ALL_OUTCOMES = (NOT_ACTIVATED, NOT_MANIFESTED, SYSTEM_DETECTION,
 #: plus the two refinements.
 REFINED_OUTCOMES = ALL_OUTCOMES + (HANG, HARNESS_FAULT)
 
+#: the order ``repro report``, ``repro top`` and ``repro status``
+#: list outcome tallies in.
+OUTCOME_ORDER = (NOT_ACTIVATED, NOT_MANIFESTED, FAIL_SILENCE_VIOLATION,
+                 SYSTEM_DETECTION, SECURITY_BREAKIN, HANG, HARNESS_FAULT)
+
 #: how the refinements map back onto the paper's taxonomy for Table
 #: 1/3/5 comparisons: a detected tight loop was classified FSV
 #: ("server looping") before the watchdog existed, and a harness

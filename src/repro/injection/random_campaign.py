@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from ..apps.common import CONNECTION_INSTRUCTION_BUDGET
 from ..emu import Process
-from ..kernel import ServerHang
 from .golden import record_golden
+from .injector import plain_run
 from .outcomes import (classify_completed_run, NOT_ACTIVATED,
                        SECURITY_BREAKIN)
 
@@ -80,11 +80,7 @@ def run_random_campaign(daemon, client_factory, trials=3000, seed=2001,
         kernel = daemon.make_kernel(client)
         process = Process(daemon.module, kernel)
         process.flip_bit(address, bit)
-        try:
-            status = process.run(budget)
-        except ServerHang:
-            status = process._status("limit", None)
-            status.kind = "hang"
+        status = plain_run(process, budget)
         outcome, __detail = classify_completed_run(
             golden, client, kernel.channel.normalized_transcript(),
             status)

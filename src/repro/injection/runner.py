@@ -24,11 +24,17 @@ deep:
   re-queued with capped backoff and, if still unstable, quarantined
   and excluded from percentages with an explicit count.
 
-:func:`repro.injection.campaign.run_campaign` is a thin wrapper over
-:class:`CampaignRunner`, and every work unit of the parallel fleet
-(:mod:`repro.injection.fleet`) runs through one, so every benchmark,
-example and CLI command picks this up with no call-site churn.  The
-journal-family loader (:class:`JournalFamily`) and the stop-signal
+Each campaign has one owner, :class:`CampaignOwner` (NFTAPE's
+control host, the same for a serial run and a fleet): it records the
+golden run, enumerates the points, loads the resume state, merges the
+records in enumeration order, folds the deterministic metrics over
+them, emits the campaign's milestones, honours the deadline and stop
+signals (:class:`StopCheck`) and writes the sinks.  A
+:class:`CampaignRunner` runs exactly the points and golden run it is
+handed: serial :func:`run_serial_campaign` runs one in-process over
+the points the owner's scheduler still lacks, and every work unit of
+the parallel fleet (:mod:`repro.injection.fleet`) runs through one.
+The journal-family loader (:class:`JournalFamily`) and the stop-signal
 and backoff helpers the fleet's supervisor uses live here too.
 """
 
@@ -42,15 +48,15 @@ import signal
 import threading
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass, field, replace
 
 from ..emu.perf import PerfCounters
 from ..kernel import ServerHang
 from ..obs.events import emit_milestone, outcome_delta
 from ..obs.forensics import capture_forensics, make_forensic_ring
 from ..obs.log import get_logger
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, record_supervision_metrics
 from ..obs.sampler import as_sampler, Sampler
 from ..obs.trace import as_tracer, NULL_TRACER
 from ..x86.registers import REG32_NAMES
@@ -62,6 +68,7 @@ from .injector import BreakpointSession, SessionCache
 from .outcomes import (classify_completed_run, FAIL_SILENCE_VIOLATION,
                        HANG, HARNESS_FAULT, InjectionResult,
                        NOT_ACTIVATED, NOT_MANIFESTED, SECURITY_BREAKIN)
+from .scheduler import CampaignScheduler, UNIT_INSTRUCTIONS
 
 #: unstable points are re-queued at most this many times before being
 #: quarantined (the "capped backoff" of the experiment list).
@@ -125,8 +132,8 @@ class CampaignInterrupted(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Stop signals and supervision helpers (the serial runner and the
-# fleet's supervisor share them, so both degrade identically)
+# Stop signals and supervision helpers (the campaign owner and the
+# fleet's supervisor share them, so both engines degrade identically)
 
 #: every supervision event the fleet counts (and the metrics registry
 #: exports as ``supervisor.<name>`` volatile counters).
@@ -134,9 +141,9 @@ class CampaignInterrupted(RuntimeError):
 #: still busy (killed mid-send) -- the EOF after a clean ``bye`` is
 #: normal teardown and not counted.
 EVENT_NAMES = ("respawns", "wedged", "worker_errors", "failed_shards",
-               "degraded", "degraded_points", "salvaged_points",
-               "inline_points", "checkpoints", "checkpoint_exits",
-               "stale_messages", "pipe_errors")
+               "degraded", "salvaged_points", "inline_points",
+               "checkpoints", "checkpoint_exits", "stale_messages",
+               "pipe_errors")
 
 
 def backoff_delay(config, restarts):
@@ -345,50 +352,31 @@ def campaign_timing(wall_clock, experiments, executed, workers=1,
     return timing
 
 
-# ----------------------------------------------------------------------
-# Metrics plumbing (shared by the serial and parallel runners so the
-# deterministic section is identical for every worker count)
-
-def declare_campaign_metrics(registry):
-    """Pre-declare the deterministic campaign instruments so every
-    registry -- serial, shard, parallel parent -- carries the same
-    key set even at zero counts."""
-    registry.counter("experiments")
-    registry.counter("activated")
-    registry.counter("quarantined")
-    registry.counter("retry_requeues")
-    registry.histogram("crash_latency")
-    # resumed counts depend on execution history (how often the
-    # campaign was killed and restarted), not on the campaign spec, so
-    # they live with the other run-shape measurements.
-    registry.counter("runtime.resumed", volatile=True)
+def campaign_metrics(results, quarantined, points):
+    """The deterministic metrics core of a campaign: one fold over its
+    merged records (result objects and
+    :class:`~repro.injection.campaign.QuarantinedPoint` entries) and
+    its point count.  Every engine gets its core from here, so it is
+    the same for every worker count, unit cut and resume history.
+    ``retry_requeues`` counts the retry rounds quarantined points
+    spent; a requeue that later stabilised leaves no record, so it is
+    the volatile ``runtime.retry_requeues``."""
+    registry = MetricsRegistry()
+    registry.counter("experiments").inc(len(results))
+    registry.counter("activated").inc(
+        sum(1 for result in results if result.activated))
+    registry.counter("quarantined").inc(len(quarantined))
+    registry.counter("retry_requeues").inc(
+        sum(entry.rounds - 1 for entry in quarantined))
+    histogram = registry.histogram("crash_latency")
+    for result in results:
+        if result.crash_latency is not None:
+            histogram.observe(result.crash_latency)
+    for outcome, count in Counter(result.outcome
+                                  for result in results).items():
+        registry.counter("outcome.%s" % outcome).inc(count)
+    registry.gauge("points").set(points)
     return registry
-
-
-def record_result_metrics(registry, result):
-    """Fold one experiment record into the deterministic section."""
-    registry.counter("experiments").inc()
-    registry.counter("outcome.%s" % result.outcome).inc()
-    if result.activated:
-        registry.counter("activated").inc()
-    if result.crash_latency is not None:
-        registry.histogram("crash_latency").observe(
-            result.crash_latency)
-
-
-def record_runtime_metrics(registry, wall_clock, executed, perf=None,
-                           workers=1):
-    """Operational (volatile) measurements: wall clock, throughput and
-    the execution engine's counters.  These legitimately differ
-    between worker counts -- a parallel campaign performs one golden
-    run per shard plus the parent's -- which is exactly why they live
-    in the registry's volatile section."""
-    registry.gauge("wall_clock_seconds", volatile=True).set(wall_clock)
-    registry.gauge("experiments_per_sec", volatile=True).set(
-        executed / wall_clock if wall_clock > 0 else 0.0)
-    registry.gauge("workers", volatile=True).set(workers)
-    for name, value in (perf or {}).items():
-        registry.counter("engine.%s" % name, volatile=True).inc(value)
 
 
 # ----------------------------------------------------------------------
@@ -732,12 +720,11 @@ def journal_meta(daemon, client_name, options):
 
 def resume_state(daemon, client_name, options):
     """The ``(results, quarantined)`` records, keyed by point, a
-    campaign starts from.  Only its owner calls this (``run_campaign``
-    serially, ``WorkerFleet.submit`` for a fleet); work units never
-    read a journal.  With ``resume`` the whole :class:`JournalFamily`
-    loads, whichever engine wrote it, and every member's meta must
-    name this campaign; without, the family starts afresh (base file
-    truncated, ``.shardK`` files removed)."""
+    campaign starts from.  Only its :class:`CampaignOwner` calls
+    this; work units never read a journal.  With ``resume`` the whole
+    :class:`JournalFamily` loads, whichever engine wrote it, and every
+    member's meta must name this campaign; without, the family starts
+    afresh (base file truncated, ``.shardK`` files removed)."""
     journal = options.journal
     if journal is None:
         return {}, {}
@@ -776,6 +763,263 @@ def _close_dangling_units(family):
 
 
 # ----------------------------------------------------------------------
+# The campaign owner
+
+class StopCheck:
+    """A campaign owner's one stop check: SIGTERM/SIGINT under
+    ``graceful_signals`` and the ``deadline``, counted from
+    construction.  Calling it returns why the campaign should
+    checkpoint now, or ``None``; as a context manager it puts the
+    previous signal handlers back on exit."""
+
+    def __init__(self, options):
+        self.signal = None
+        self._deadline_at = (None if options.deadline is None
+                             else time.monotonic() + options.deadline)
+        self._restore = (install_stop_handlers(self._request)
+                         if options.graceful_signals else (lambda: None))
+
+    def _request(self, name):
+        # flag, not raise: the current experiment finishes and the
+        # journal closes before CampaignInterrupted surfaces
+        self.signal = name
+
+    def __call__(self):
+        if self.signal is not None:
+            return self.signal
+        if (self._deadline_at is not None
+                and time.monotonic() > self._deadline_at):
+            return "deadline"
+        return None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._restore()
+        return False
+
+
+class CampaignOwner:
+    """The owner of one campaign, serial or on the fleet.
+
+    Opening it (construction) loads the resume state
+    (:func:`resume_state`), opens the tracer, the sampler and the root
+    ``campaign`` span, records the golden run (``golden`` hands in a
+    cached one), enumerates the points into a
+    :class:`~repro.injection.scheduler.CampaignScheduler` preloaded
+    with the resumed records, and emits the ``golden`` and
+    ``campaign-started`` milestones plus one ``outcomes`` delta for
+    the resumed results.  Whatever runs the points hands their records
+    to :meth:`record` and each unit's timing, volatile metrics and
+    shipped spans to :meth:`report`; :meth:`close` merges, folds and
+    writes the sinks.  Records are deserialized once, where they enter
+    the owner (resume preload here, payload receipt and salvage in the
+    fleet): the owner holds result objects only.
+
+    Milestones go on ``bus`` under ``label`` and into the trace.
+    """
+
+    def __init__(self, daemon, client_name, client_factory, options,
+                 golden=None, bus=None, label=None, workers=1,
+                 unit_instructions=UNIT_INSTRUCTIONS):
+        from ..analysis.serialize import (quarantined_from_dict,
+                                          result_from_dict)
+        self.started = time.monotonic()
+        self.daemon = daemon
+        self.client_name = client_name
+        self.client_factory = client_factory
+        self.options = options
+        self.model = get_fault_model(options.fault_model)
+        self.bus = bus
+        self.label = label
+        self.workers = workers
+        resumed, quarantined = resume_state(daemon, client_name, options)
+        sampler = options.sampler
+        if sampler is None and options.profile is not None:
+            sampler = Sampler()
+        self.sampler = as_sampler(sampler)
+        #: the campaign's tracer (a profiled run without a trace sink
+        #: keeps span totals only, for the profile's host seconds).
+        self.tracer = as_tracer(options.trace,
+                                timed=self.sampler is not None)
+        self._root = self.tracer.span("campaign", workers=workers,
+                                      campaign=label)
+        self.root_span = self._root.__enter__()
+        self.golden_reused = golden is not None
+        if golden is None:
+            with self.tracer.span("golden-run") as span:
+                golden = record_golden(daemon, client_factory,
+                                       options.budget)
+                span.set("coverage_eips", len(golden.coverage))
+        self.golden = golden
+        ranges = (options.ranges if options.ranges is not None
+                  else daemon.auth_ranges())
+        points = self.model.enumerate_points(daemon.module, ranges,
+                                             options.kinds)
+        if options.max_points is not None:
+            points = points[:options.max_points]
+        self.scheduler = scheduler = CampaignScheduler(
+            points, unit_instructions=unit_instructions)
+        scheduler.preload(
+            {key: result_from_dict(record)
+             for key, record in resumed.items() if key in scheduler.order},
+            {key: quarantined_from_dict(record)
+             for key, record in quarantined.items()
+             if key in scheduler.order})
+        #: unit index -> ``(timing, volatile metrics, shipped spans)``.
+        self.units = {}
+        self.emit("golden", reused=self.golden_reused,
+                  coverage_eips=len(golden.coverage))
+        self.emit("campaign-started", points=len(points),
+                  workers=workers, resumed=len(scheduler.resumed))
+        if scheduler.results:
+            self.emit("outcomes",
+                      delta=outcome_delta(scheduler.results.values()))
+        _LOGGER.debug("%s %s (%s, %s): %d experiment(s), %d resumed",
+                      type(daemon).__name__, client_name,
+                      options.encoding, self.model.name, len(points),
+                      len(scheduler.resumed))
+
+    def emit(self, type, campaign=None, **payload):
+        """One milestone: on the bus under this campaign's label and
+        as an instant in its trace.  The signature is the bus's, so a
+        serial runner reports its ``outcomes`` on the owner (its own
+        ``campaign`` label is then ignored)."""
+        emit_milestone(self.bus, (self.tracer,), type, self.label,
+                       **payload)
+
+    def record(self, results=(), quarantined=()):
+        """Completed records (result objects and quarantined points),
+        from any source."""
+        scheduler = self.scheduler
+        for result in results:
+            scheduler.record(result.point.key, result)
+        for entry in quarantined:
+            scheduler.record_quarantine(entry.point.key, entry)
+
+    def report(self, index, timing, metrics, trace=None):
+        """Unit *index*'s timing and volatile metrics registry, plus
+        the spans a fleet worker shipped home."""
+        self.units[index] = (timing or {}, metrics, trace)
+
+    def close(self, supervision=None, interrupted=None):
+        """Merge the records by enumeration order, fold the
+        deterministic metrics over them (:func:`campaign_metrics`) and
+        add the units' volatile registries, time the campaign,
+        announce it and write the trace, profile and metrics sinks.
+        Returns the :class:`~repro.injection.campaign.CampaignResult`;
+        a checkpointed campaign (``interrupted`` names why) raises
+        :class:`CampaignInterrupted` after the sinks instead.
+        ``supervision`` is a fleet's event counts; a fleet's timing
+        also lists its units' timings."""
+        options = self.options
+        scheduler = self.scheduler
+        units = [self.units[index] for index in sorted(self.units)]
+        with self.tracer.span("merge"):
+            campaign = CampaignResult(
+                daemon_name=type(self.daemon).__name__,
+                client_name=self.client_name, encoding=options.encoding,
+                fault_model=self.model.name, golden=self.golden,
+                results=scheduler.merged_results(),
+                quarantined=scheduler.merged_quarantined())
+            registry = campaign_metrics(campaign.results,
+                                        campaign.quarantined,
+                                        scheduler.total)
+            perf = PerfCounters()
+            if not self.golden_reused:
+                perf.absorb_dict(self.golden.perf)
+            for timing, metrics, __ in units:
+                registry.absorb_dict(metrics)
+                perf.absorb_dict(timing.get("perf"))
+            executed = sum(timing.get("executed", 0)
+                           for timing, __, __ in units)
+            wall_clock = time.monotonic() - self.started
+            campaign.timing = campaign_timing(
+                wall_clock=wall_clock,
+                experiments=scheduler.completed, executed=executed,
+                workers=self.workers,
+                shards=(None if supervision is None
+                        else [timing for timing, __, __ in units]),
+                perf=perf.as_dict())
+            self._runtime_metrics(registry, campaign.timing)
+            if supervision is not None:
+                record_supervision_metrics(registry, supervision)
+            campaign.metrics = registry.as_dict()
+        if interrupted is None:
+            self.emit("campaign-finished", counts=campaign.counts(),
+                      quarantined=len(campaign.quarantined))
+        self.root_span.set("experiments", len(campaign.results))
+        self._root.__exit__(None, None, None)
+        for __, __, trace in units:
+            self.tracer.absorb(trace or ())
+        self.tracer.close()
+        if options.profile is not None and self.sampler is not None:
+            self.sampler.save(options.profile, self.tracer.host_seconds())
+        if options.metrics is not None:
+            registry.save(options.metrics)
+        if interrupted is not None:
+            raise CampaignInterrupted(interrupted, journal=options.journal,
+                                      completed=scheduler.completed)
+        _LOGGER.debug("%s %s done: %d experiment(s) in %.1fs",
+                      type(self.daemon).__name__, self.client_name,
+                      len(campaign.results), wall_clock)
+        return campaign
+
+    def _runtime_metrics(self, registry, timing):
+        """The owner's volatile measurements: resume and golden reuse,
+        wall clock, throughput and the execution engine's counters.
+        They differ between worker counts and runs (a fleet records a
+        golden run per worker too), which is why they are volatile."""
+        counter = registry.counter
+        counter("runtime.resumed",
+                volatile=True).inc(len(self.scheduler.resumed))
+        counter("runtime.golden_reused" if self.golden_reused
+                else "runtime.golden_runs", volatile=True).inc()
+        registry.gauge("wall_clock_seconds",
+                       volatile=True).set(timing["wall_clock"])
+        registry.gauge("experiments_per_sec",
+                       volatile=True).set(timing["experiments_per_sec"])
+        registry.gauge("workers", volatile=True).set(self.workers)
+        for name, value in timing["perf"].items():
+            counter("engine.%s" % name, volatile=True).inc(value)
+
+
+def run_serial_campaign(daemon, client_name, client_factory, options):
+    """One campaign in this process: its :class:`CampaignOwner` opens
+    it, one :class:`CampaignRunner` runs the points the owner's
+    scheduler still lacks (with the campaign's tracer, sampler and
+    base journal, reporting on the owner as its bus), and the owner
+    closes it -- also when the stop check checkpoints the run."""
+    # a serial run is "shard 0, attempt 0" to a chaos policy (an
+    # already-built agent passes through).
+    if hasattr(options.chaos, "agent"):
+        options = replace(options, chaos=options.chaos.agent(0, 0))
+    with StopCheck(options) as stop:
+        owner = CampaignOwner(daemon, client_name, client_factory,
+                              options, bus=options.telemetry,
+                              label=options.telemetry_campaign)
+        runner = CampaignRunner(
+            daemon, client_name, client_factory, options,
+            points=owner.scheduler.remaining, golden=owner.golden,
+            stop_check=stop, trace=owner.tracer, sampler=owner.sampler,
+            telemetry=(owner if options.telemetry is not None
+                       or owner.tracer.keep_spans else None))
+        interrupted = None
+        try:
+            runner.run()
+        except CampaignInterrupted as checkpoint:
+            interrupted = checkpoint.reason
+        owner.record(runner.campaign.results,
+                     runner.campaign.quarantined)
+        owner.report(0, runner.campaign.timing, runner.campaign.metrics)
+        if interrupted is not None:
+            owner.emit("checkpoint", reason=interrupted,
+                       completed=owner.scheduler.completed)
+        return owner.close(interrupted=interrupted)
+
+
+# ----------------------------------------------------------------------
 # The runner
 
 @dataclass
@@ -787,20 +1031,33 @@ class _PendingPoint:
 
 
 class CampaignRunner:
-    """Executes one selective-exhaustive campaign fault-tolerantly.
+    """Runs exactly the points and golden run it is handed,
+    fault-tolerantly.
 
     Takes the campaign's
-    :class:`~repro.injection.campaign.RunOptions` (serial
-    :func:`~repro.injection.campaign.run_campaign` is a thin wrapper;
-    every fleet work unit runs through one too); :meth:`run` returns
-    the populated :class:`~repro.injection.campaign.CampaignResult`.
+    :class:`~repro.injection.campaign.RunOptions` (keywords naming its
+    fields override ``options``), the ``points`` in enumeration order
+    and the cell's ``golden`` run.  Each experiment is isolated,
+    unstable points are retried and quarantined, pruning runs one
+    representative per class, every record is journaled to
+    ``options.journal`` and each batch's ``outcomes`` delta goes on
+    ``options.telemetry`` (the owner in a serial run, a worker's
+    heartbeat bus in a fleet unit).  When ``stop_check()`` returns a
+    reason the runner raises :class:`CampaignInterrupted` at the next
+    clean boundary, its journal closed.  Everything else -- golden
+    run, enumeration, resume, deadline and signals, the merge, the
+    deterministic metrics and the sinks -- is its
+    :class:`CampaignOwner`'s.
+
+    :meth:`run` returns a
+    :class:`~repro.injection.campaign.CampaignResult` holding the
+    records in execution order, the runner's timing and its volatile
+    metrics registry; :attr:`campaign` holds what an interrupted run
+    completed.
     """
 
     def __init__(self, daemon, client_name, client_factory, options=None,
-                 points=None, trace_root="campaign", trace_attrs=None,
-                 stop_check=None, golden=None, resumed=None, **kwargs):
-        #: the campaign's :class:`~repro.injection.campaign.RunOptions`
-        #: (keywords naming its fields override ``options``).
+                 *, points, golden, stop_check=None, **kwargs):
         self.options = options = RunOptions.resolve(options, **kwargs)
         self.daemon = daemon
         self.client_name = client_name
@@ -809,38 +1066,22 @@ class CampaignRunner:
         self.watchdog = (options.watchdog
                          if isinstance(options.watchdog, Watchdog)
                          else Watchdog(options.watchdog))
-        #: explicit experiment list (one fleet work unit); ``None``
-        #: enumerates the daemon's auth sections as usual.
-        self.points = points
-        #: deterministic sampling profiler (:mod:`repro.obs.sampler`);
-        #: a ``profile`` sink with no sampler gets a default-period one.
-        sampler = options.sampler
-        if sampler is None and options.profile is not None:
-            sampler = Sampler()
-        self.sampler = as_sampler(sampler)
-        #: span tracer (``trace`` is a sink path or a
-        #: :class:`~repro.obs.trace.Tracer`; a profiled run without
-        #: one keeps span totals only, for the profile's host
-        #: seconds); the root span is named ``campaign`` serially,
-        #: ``shard`` in a fleet unit.
+        self.points = list(points)
+        self.golden = golden
+        self._early = EarlyExits(golden)
+        #: deterministic sampling profiler (:mod:`repro.obs.sampler`).
+        self.sampler = as_sampler(options.sampler)
+        #: span tracer (a sink path or a
+        #: :class:`~repro.obs.trace.Tracer`).
         self.tracer = as_tracer(options.trace,
                                 timed=self.sampler is not None)
-        #: traces the milestones are mirrored into: the campaign's own
-        #: when this runner is the campaign; a fleet unit's milestones
-        #: stay on its worker's private bus.
-        self._mirror = ((self.tracer,) if trace_root == "campaign"
-                        and self.tracer.keep_spans else ())
-        self.trace_root = trace_root
-        self.trace_attrs = dict(trace_attrs or {})
-        #: external "please checkpoint" poll (returns a falsy value or
-        #: a reason string); like ``deadline`` and ``graceful_signals``
-        #: it raises :class:`CampaignInterrupted` after closing the
-        #: journal.
-        self.stop_check = stop_check
-        self._stop_signal = None
-        self._deadline_at = None
-        self.registry = declare_campaign_metrics(MetricsRegistry())
         self.watchdog.tracer = self.tracer
+        self.stop_check = (stop_check if stop_check is not None
+                           else (lambda: None))
+        #: volatile measurements (sessions, pruning, early exits).
+        self.registry = MetricsRegistry()
+        #: execution-engine counters of this runner's sessions.
+        self.perf = PerfCounters()
         # Session cache: points arrive in address order, so a private
         # cache keeps one live session (plus the unreachable set, so a
         # disagreeing address is probed once, not once per bit).  A
@@ -851,216 +1092,85 @@ class CampaignRunner:
                               else SessionCache(capacity=1))
         self._session = None
         self._session_address = None
-        #: pre-recorded golden run for this (daemon, client, budget)
-        #: cell.  A warm fleet worker serving its second campaign for
-        #: a cell passes the cached one in, skipping the reference
-        #: execution entirely; ``None`` records a fresh golden run.
-        #: The golden run is deterministic per cell, so outcomes are
-        #: byte-identical either way.
-        self.golden = golden
-        #: ``(results, quarantined)`` the campaign starts from
-        #: (:func:`resume_state`; a runner never reads a journal).
-        self.resumed = resumed if resumed is not None else ({}, {})
         self._active_guard = None
         self._reported = 0
+        self.campaign = None
 
     # -- public entry point --------------------------------------------
 
     def run(self):
         options = self.options
-        restore = (install_stop_handlers(self._request_stop)
-                   if options.graceful_signals else (lambda: None))
-        try:
-            with self.tracer.span(self.trace_root,
-                                  **self.trace_attrs) as span:
-                try:
-                    return self._run_traced(span)
-                except BaseException as error:
-                    # the machine may have stopped mid-experiment with
-                    # its session still the owner: rebuild it, as a
-                    # harness fault does
-                    self.session_cache.drop_machine(self.daemon)
-                    if isinstance(error, CampaignInterrupted):
-                        self._emit("checkpoint", reason=error.reason,
-                                   completed=error.completed)
-                    raise
-        finally:
-            # flush observability sinks even on a checkpoint exit, so
-            # an interrupted campaign still leaves a loadable trace
-            # and (partial) metrics dump behind.
-            restore()
-            self.tracer.close()
-            if options.metrics is not None:
-                self.registry.save(options.metrics)
-            if options.profile is not None and self.sampler is not None:
-                self.sampler.save(options.profile,
-                                  self.tracer.host_seconds())
-
-    def _request_stop(self, name):
-        # graceful SIGTERM/SIGINT: flag, not raise -- the current
-        # experiment finishes and the journal closes before
-        # CampaignInterrupted surfaces.
-        self._stop_signal = name
-
-    def _interrupt_reason(self):
-        """Why the campaign should checkpoint now, or ``None``."""
-        if self._stop_signal is not None:
-            return self._stop_signal
-        if self.stop_check is not None:
-            reason = self.stop_check()
-            if reason:
-                return (reason if isinstance(reason, str)
-                        else "stop-requested")
-        if (self._deadline_at is not None
-                and time.monotonic() > self._deadline_at):
-            return "deadline"
-        return None
-
-    def _run_traced(self, root_span):
         started = time.monotonic()
-        if self.options.deadline is not None:
-            self._deadline_at = started + self.options.deadline
-        self._perf = PerfCounters()
-        if self.golden is not None:
-            # Warm path: the cell's golden run (and its perf share)
-            # was recorded by an earlier campaign; only count the
-            # reuse so warm-vs-cold is measurable.
-            golden = self.golden
-            self.registry.counter("runtime.golden_reused",
-                                  volatile=True).inc()
-        else:
-            with self.tracer.span("golden-run") as span:
-                golden = record_golden(self.daemon, self.client_factory,
-                                       self.options.budget)
-                span.set("coverage_eips", len(golden.coverage))
-            self._perf.absorb_dict(golden.perf)
-            self.registry.counter("runtime.golden_runs",
-                                  volatile=True).inc()
-        self._golden = golden
-        self._early = EarlyExits(golden)
-        self._emit("golden", reused=self.golden is not None)
-        if self.points is not None:
-            points = list(self.points)
-        else:
-            if self.options.ranges is not None:
-                ranges = self.options.ranges
-            else:
-                ranges = self.daemon.auth_ranges()
-            points = self.model.enumerate_points(
-                self.daemon.module, ranges, self.options.kinds)
-        if self.options.max_points is not None:
-            points = points[:self.options.max_points]
-        _LOGGER.debug("%s %s (%s, %s): %d experiment(s)",
-                      type(self.daemon).__name__, self.client_name,
-                      self.options.encoding, self.model.name,
-                      len(points))
-        self._emit("campaign-started", points=len(points))
-        campaign = CampaignResult(daemon_name=type(self.daemon).__name__,
-                                  client_name=self.client_name,
-                                  encoding=self.options.encoding,
-                                  fault_model=self.model.name,
-                                  golden=golden)
-        journaled, quarantined = self.resumed
-        quarantined_records = dict(quarantined)   # _quarantine adds
+        campaign = self.campaign = CampaignResult(
+            daemon_name=type(self.daemon).__name__,
+            client_name=self.client_name, encoding=options.encoding,
+            fault_model=self.model.name, golden=self.golden)
         journal = None
-        if self.options.journal is not None:
+        if options.journal is not None:
             journal = CampaignJournal(
-                self.options.journal,
-                fsync_every=self.options.journal_fsync,
-                write_hook=(self.options.chaos.on_journal_write
-                            if self.options.chaos is not None else None))
+                options.journal, fsync_every=options.journal_fsync,
+                write_hook=(options.chaos.on_journal_write
+                            if options.chaos is not None else None))
             journal.open(journal_meta(self.daemon, self.client_name,
-                                      self.options))
-        self._resumed = 0
+                                      options))
         self._fanned = 0
         self._extra_runs = 0
         self._chaos_tick = 0
         try:
-            self._run_points(campaign, points, journaled,
-                             quarantined_records, journal)
+            if options.prune:
+                self._run_pruned(campaign, journal)
+            else:
+                self._drain_queue(campaign, self._pending(self.points),
+                                  journal)
+            self._retire_session()
+        except BaseException:
+            # the machine may have stopped mid-experiment with its
+            # session still the owner: rebuild it, as a harness fault
+            # does
+            self.session_cache.drop_machine(self.daemon)
+            raise
         finally:
             if journal is not None:
                 journal.close()
-        from ..analysis.serialize import point_from_dict
-        for record in quarantined_records.values():
-            campaign.quarantined.append(QuarantinedPoint(
-                point=point_from_dict(record["point"]),
-                location=record["location"],
-                outcomes=tuple(record["outcomes"]),
-                rounds=record["rounds"]))
-        self._retire_session()
-        wall_clock = time.monotonic() - started
-        # fanned-out class members were journaled without running;
-        # audit re-executions ran without journaling a record of their
-        # own -- correct the throughput accounting for both.
-        executed = (len(campaign.results) + len(campaign.quarantined)
-                    - self._resumed - self._fanned + self._extra_runs)
-        campaign.timing = campaign_timing(
-            wall_clock=wall_clock,
-            experiments=len(campaign.results)
-            + len(campaign.quarantined),
-            executed=executed,
-            perf=self._perf.as_dict())
-        self.registry.counter("runtime.resumed",
-                              volatile=True).inc(self._resumed)
-        self.registry.counter("quarantined").inc(
-            len(campaign.quarantined))
-        self.registry.gauge("points").set(len(points))
-        self.registry.counter("runtime.watchdog_probes",
-                              volatile=True).inc(self.watchdog.probes)
-        record_runtime_metrics(self.registry, wall_clock, executed,
-                               perf=self._perf.as_dict())
-        campaign.metrics = self.registry.as_dict()
-        self._emit("campaign-finished", counts=campaign.counts(),
-                   quarantined=len(campaign.quarantined))
-        root_span.set("experiments", len(campaign.results))
-        _LOGGER.debug("%s %s done: %d experiment(s) in %.1fs",
-                      type(self.daemon).__name__, self.client_name,
-                      len(campaign.results), wall_clock)
+            # fanned-out class members were journaled without running;
+            # audit re-executions ran without journaling a record of
+            # their own -- correct the throughput accounting for both.
+            experiments = len(campaign.results) + len(campaign.quarantined)
+            campaign.timing = campaign_timing(
+                wall_clock=time.monotonic() - started,
+                experiments=experiments,
+                executed=experiments - self._fanned + self._extra_runs,
+                perf=self.perf.as_dict())
+            self.registry.counter("runtime.watchdog_probes",
+                                  volatile=True).inc(self.watchdog.probes)
+            campaign.metrics = self.registry.as_dict()
         return campaign
+
+    def _check_stop(self, campaign):
+        """Checkpoint now if the owner asks: the journal holds every
+        completed experiment (``run`` closes it on the way out), so a
+        resume finishes the campaign identically."""
+        reason = self.stop_check()
+        if reason:
+            raise CampaignInterrupted(
+                reason if isinstance(reason, str) else "stop-requested",
+                journal=self.options.journal,
+                completed=len(campaign.results)
+                + len(campaign.quarantined))
+
+    def _pending(self, points):
+        return deque(_PendingPoint(point=point,
+                                   location=self.model.location(point))
+                     for point in points)
 
     # -- main loop -----------------------------------------------------
 
-    def _run_points(self, campaign, points, journaled,
-                    quarantined_records, journal):
-        if self.options.prune:
-            return self._run_points_pruned(campaign, points, journaled,
-                                           quarantined_records, journal)
-        queue = deque()
-        for point in points:
-            key = _point_key(point)
-            if key in quarantined_records:
-                self._resumed += 1
-                continue                      # stays quarantined
-            if key in journaled:
-                self._replay(campaign, journaled[key])
-                self._report(campaign)
-                continue
-            queue.append(_PendingPoint(
-                point=point, location=self.model.location(point)))
-        self._drain_queue(campaign, queue, quarantined_records, journal)
-        if self._resumed:
-            # A resume with a mid-journal gap (e.g. a salvaged corrupt
-            # line) re-runs the gap *after* the journaled results;
-            # restore enumeration order so result lists are identical
-            # to an uninterrupted run, like the parallel merge.
-            self._restore_order(campaign, points)
-
-    def _drain_queue(self, campaign, queue, quarantined_records,
-                     journal):
+    def _drain_queue(self, campaign, queue, journal):
         """Run pending points one at a time with retry/quarantine
         semantics (the exhaustive inner loop; pruning reuses it for
         singleton classes and declassified members)."""
         while queue:
-            reason = self._interrupt_reason()
-            if reason is not None:
-                # Checkpoint: the journal holds every completed
-                # experiment (the finally in _run_traced closes it),
-                # so a resume finishes the campaign identically.
-                raise CampaignInterrupted(
-                    reason, journal=self.options.journal,
-                    completed=len(campaign.results)
-                    + len(quarantined_records))
+            self._check_stop(campaign)
             pending = queue.popleft()
             result = self._guarded_experiment(pending)
             if result is None:
@@ -1068,14 +1178,13 @@ class CampaignRunner:
                 # experiment list, or quarantine once the cap is hit.
                 if pending.round + 1 < MAX_RETRY_ROUNDS:
                     pending.round += 1
-                    self.registry.counter("retry_requeues").inc()
+                    self.registry.counter("runtime.retry_requeues",
+                                          volatile=True).inc()
                     queue.append(pending)
                     continue
-                self._quarantine(campaign, pending,
-                                 quarantined_records, journal)
+                self._quarantine(campaign, pending, journal)
             else:
                 campaign.results.append(result)
-                record_result_metrics(self.registry, result)
                 if journal is not None:
                     journal.append_result(result)
             self._report(campaign)
@@ -1085,103 +1194,41 @@ class CampaignRunner:
                 # journal at a deterministic resume boundary.
                 self.options.chaos.on_point(self._chaos_tick)
 
-    def _restore_order(self, campaign, points):
-        order = {_point_key(point): index
-                 for index, point in enumerate(points)}
-        campaign.results.sort(
-            key=lambda result: order[_point_key(result.point)])
-
     # -- pruned main loop ----------------------------------------------
 
-    def _run_points_pruned(self, campaign, points, journaled,
-                           quarantined_records, journal):
+    def _run_pruned(self, campaign, journal):
         """Class-at-a-time execution (:mod:`repro.injection.pruning`).
 
-        Sites are sealed lazily against their live snapshot, each
-        class runs one representative (guarded when the equivalence
-        argument needs the re-fetch watch) and fans the outcome out to
-        its members.  Results are re-sorted to enumeration order at
-        the end, so the result list is byte-identical to an exhaustive
-        campaign's.
+        Classes form over the handed points only.  Sites are sealed
+        lazily against their live snapshot, each class runs one
+        representative (guarded when the equivalence argument needs
+        the re-fetch watch) and fans the outcome out to its members;
+        the owner's merge puts the records back in enumeration order.
         """
         ranges = (self.options.ranges if self.options.ranges is not None
                   else self.daemon.auth_ranges())
         plan = self.model.classify_points(
-            self.daemon.module, points, self.options.encoding,
-            self._golden.coverage, ranges)
+            self.daemon.module, self.points, self.options.encoding,
+            self.golden.coverage, ranges)
         self.registry.counter("pruning.sites",
                               volatile=True).inc(len(plan.sites))
-        for point in points:
-            if _point_key(point) in quarantined_records:
-                self._resumed += 1            # stays quarantined
         for site in plan.sites:
-            missing = [key for key in site.keys()
-                       if key not in journaled
-                       and key not in quarantined_records]
-            if missing and not site.sealed:
+            if not site.sealed:
                 session = self._session_for(site.address)
                 site.seal(session.process.cpu
                           if session is not None else None)
-            if not site.sealed:
-                # fully journaled and never sealed: replay the records
-                # without paying for a session or classification.
-                self._replay_site(campaign, site, journaled)
-                continue
             self.registry.counter("pruning.classes",
                                   volatile=True).inc(len(site.classes))
             for cls in site.classes:
-                reason = self._interrupt_reason()
-                if reason is not None:
-                    raise CampaignInterrupted(
-                        reason, journal=self.options.journal,
-                        completed=len(campaign.results)
-                        + len(quarantined_records))
-                self._run_class(campaign, site, cls, journaled,
-                                quarantined_records, journal)
-        self._restore_order(campaign, points)
+                self._check_stop(campaign)
+                self._run_class(campaign, cls, journal)
 
-    def _replay_site(self, campaign, site, journaled):
-        for key in site.keys():
-            record = journaled.get(key)
-            if record is None:
-                continue                      # quarantined
-            self._replay(campaign, record)
-        self._report(campaign)
-
-    def _replay(self, campaign, record):
-        """Add one resumed record to *campaign* without running it."""
-        from ..analysis.serialize import result_from_dict
-        resumed = result_from_dict(record)
-        campaign.results.append(resumed)
-        record_result_metrics(self.registry, resumed)
-        self._resumed += 1
-
-    def _run_class(self, campaign, site, cls, journaled,
-                   quarantined_records, journal):
+    def _run_class(self, campaign, cls, journal):
         from .pruning import GuardedWatchdog, PRUNE_SOLO
-        # Replay journaled members first; the final enumeration-order
-        # sort interleaves them back among the fresh records.
-        missing = []
-        for point in cls.points:
-            key = _point_key(point)
-            if key in quarantined_records:
-                continue
-            record = journaled.get(key)
-            if record is not None:
-                self._replay(campaign, record)
-            else:
-                missing.append(point)
-        if not missing:
-            self._report(campaign)
-            return
         if cls.size == 1 or cls.kind == PRUNE_SOLO:
             # Singletons take the exhaustive path, retries included.
-            self._drain_queue(
-                campaign,
-                deque(_PendingPoint(point=point,
-                                    location=self.model.location(point))
-                      for point in missing),
-                quarantined_records, journal)
+            self._drain_queue(campaign, self._pending(cls.points),
+                              journal)
             return
         guard = None
         if cls.needs_guard:
@@ -1206,12 +1253,8 @@ class CampaignRunner:
             # every member individually (retry/quarantine as usual).
             self.registry.counter("pruning.declassified",
                                   volatile=True).inc()
-            self._drain_queue(
-                campaign,
-                deque(_PendingPoint(point=point,
-                                    location=self.model.location(point))
-                      for point in missing),
-                quarantined_records, journal)
+            self._drain_queue(campaign, self._pending(cls.points),
+                              journal)
             return
         if guard is not None and guard.tripped:
             # The suffix re-fetched the corrupted span: cross-image
@@ -1220,25 +1263,17 @@ class CampaignRunner:
             # run still stands for its own image.
             self.registry.counter("pruning.guard_trips",
                                   volatile=True).inc()
-            self._declassify(campaign, cls, result, missing,
-                             quarantined_records, journal)
+            self._declassify(campaign, cls, result, journal)
             return
-        self._fan_out(campaign, cls, result, missing, journal)
+        self._fan_out(campaign, cls, result, journal)
 
-    def _declassify(self, campaign, cls, rep_result, missing,
-                    quarantined_records, journal):
+    def _declassify(self, campaign, cls, rep_result, journal):
         from .pruning import split_by_image
-        missing_keys = {_point_key(point) for point in missing}
         for subgroup in split_by_image(self.model, self.daemon.module,
                                        cls, self.options.encoding):
-            sub_missing = [point for point in subgroup.points
-                           if _point_key(point) in missing_keys]
-            if not sub_missing:
-                continue
             if subgroup.representative is cls.representative:
                 # already executed (the tripped run itself)
-                self._fan_out(campaign, subgroup, rep_result,
-                              sub_missing, journal)
+                self._fan_out(campaign, subgroup, rep_result, journal)
                 continue
             sub_pending = _PendingPoint(
                 point=subgroup.representative,
@@ -1249,21 +1284,15 @@ class CampaignRunner:
             if result is None:
                 self.registry.counter("pruning.declassified",
                                       volatile=True).inc()
-                self._drain_queue(
-                    campaign,
-                    deque(_PendingPoint(
-                        point=point,
-                        location=self.model.location(point))
-                        for point in sub_missing),
-                    quarantined_records, journal)
+                self._drain_queue(campaign,
+                                  self._pending(subgroup.points), journal)
                 continue
-            self._fan_out(campaign, subgroup, result, sub_missing,
-                          journal)
+            self._fan_out(campaign, subgroup, result, journal)
 
-    def _fan_out(self, campaign, cls, rep_result, missing, journal):
-        """Journal the representative's outcome for every missing
-        member (class provenance stamped on multi-member classes) and,
-        when the class is in the audit sample, exhaustively re-run the
+    def _fan_out(self, campaign, cls, rep_result, journal):
+        """Journal the representative's outcome for every member
+        (class provenance stamped on multi-member classes) and, when
+        the class is in the audit sample, exhaustively re-run the
         other members and hard-fail on divergence."""
         from .pruning import (PruningAuditError, class_is_audited,
                               fan_out_result, result_signature)
@@ -1272,20 +1301,16 @@ class CampaignRunner:
             rep_result.class_id = cls.class_id
             rep_result.representative = _point_key(cls.representative)
         rep_key = _point_key(cls.representative)
-        emitted = []
-        for point in missing:
+        for point in cls.points:
             if _point_key(point) == rep_key:
-                emitted.append(rep_result)
-                continue
-            member = fan_out_result(rep_result, point,
-                                    self.model.location(point))
-            emitted.append(member)
-            self._fanned += 1
-            self.registry.counter("pruning.fanned_out",
-                                  volatile=True).inc()
-        for result in emitted:
+                result = rep_result
+            else:
+                result = fan_out_result(rep_result, point,
+                                        self.model.location(point))
+                self._fanned += 1
+                self.registry.counter("pruning.fanned_out",
+                                      volatile=True).inc()
             campaign.results.append(result)
-            record_result_metrics(self.registry, result)
             if journal is not None:
                 journal.append_result(result)
         self._report(campaign)
@@ -1316,26 +1341,20 @@ class CampaignRunner:
 
     def _report(self, campaign):
         """The ``outcomes`` milestone for the results recorded since
-        the last one (skipped when no bus or trace is watching)."""
-        if self.options.telemetry is None and not self._mirror:
+        the last one (skipped when no bus is watching)."""
+        bus = self.options.telemetry
+        if bus is None:
             return
         fresh = campaign.results[self._reported:]
         if fresh:
-            self._emit("outcomes", delta=outcome_delta(fresh))
+            bus.emit("outcomes", campaign=self.options.telemetry_campaign,
+                     delta=outcome_delta(fresh))
             self._reported = len(campaign.results)
 
-    def _emit(self, type, **payload):
-        emit_milestone(self.options.telemetry, self._mirror, type,
-                       self.options.telemetry_campaign, **payload)
-
-    def _quarantine(self, campaign, pending, quarantined_records,
-                    journal):
-        from ..analysis.serialize import point_to_dict
-        record = {"point": point_to_dict(pending.point),
-                  "location": pending.location,
-                  "outcomes": list(pending.observed),
-                  "rounds": pending.round + 1}
-        quarantined_records[_point_key(pending.point)] = record
+    def _quarantine(self, campaign, pending, journal):
+        campaign.quarantined.append(QuarantinedPoint(
+            point=pending.point, location=pending.location,
+            outcomes=tuple(pending.observed), rounds=pending.round + 1))
         if journal is not None:
             journal.append_quarantine(pending.point, pending.location,
                                       pending.observed,
@@ -1379,7 +1398,7 @@ class CampaignRunner:
         aggregate.  The session itself stays in the cache for reuse by
         a later campaign (another fault model or encoding)."""
         if self._session is not None:
-            self._perf.absorb_dict(self._session.take_perf_delta())
+            self.perf.absorb_dict(self._session.take_perf_delta())
             # the next acquirer (a later campaign or unit) must find
             # the site's state, which pruning seals against
             self._session.release()
@@ -1441,7 +1460,7 @@ class CampaignRunner:
         return self._early
 
     def _execute_inner(self, point, location, early_exits=True):
-        golden = self._golden
+        golden = self.golden
         if point.instruction_address not in golden.coverage:
             return InjectionResult(point=point, location=location,
                                    outcome=NOT_ACTIVATED)
@@ -1584,7 +1603,7 @@ class CampaignRunner:
                 self.session_cache.mark_unreachable(key, session.arrival)
                 self.registry.counter("runtime.sessions_unreachable",
                                       volatile=True).inc()
-                self._perf.absorb_dict(session.take_perf_delta())
+                self.perf.absorb_dict(session.take_perf_delta())
                 return None
             self.session_cache.store(key, session)
         # Put the machine at the site before anyone reads its CPU

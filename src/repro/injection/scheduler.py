@@ -32,8 +32,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .runner import _point_key
-
 #: default whole instructions per work unit.  Small enough that a
 #: campaign of a few dozen sites spreads across any fleet, large
 #: enough that the per-unit overhead (journal load, unit messages)
@@ -66,7 +64,7 @@ class WorkUnit:
 
     @property
     def keys(self):
-        return tuple(_point_key(point) for point in self.points)
+        return tuple(point.key for point in self.points)
 
     def __len__(self):
         return len(self.points)
@@ -114,6 +112,8 @@ class CampaignScheduler:
             scheduler.record(key, record)    # per completed point
             scheduler.complete(unit)         # or requeue(unit)
 
+    Records are whatever the owner keeps (result objects in
+    :class:`~repro.injection.runner.CampaignOwner`).
     ``record``/``record_quarantine`` accept any completion source --
     a worker payload, a salvaged journal, an inline run -- and ignore
     keys outside the enumeration (stale journal entries) as well as
@@ -128,7 +128,7 @@ class CampaignScheduler:
     def __init__(self, points, unit_instructions=UNIT_INSTRUCTIONS):
         self.points = list(points)
         self.unit_instructions = unit_instructions
-        self.order = {_point_key(point): index
+        self.order = {point.key: index
                       for index, point in enumerate(self.points)}
         self.results = {}
         self.quarantined = {}
@@ -153,14 +153,20 @@ class CampaignScheduler:
         for key, record in (quarantined or {}).items():
             if key in self.order:
                 self.quarantined[key] = record
+                self.results.pop(key, None)   # stays quarantined
                 self.resumed.add(key)
 
     # -- unit queue ----------------------------------------------------
 
+    @property
+    def remaining(self):
+        """The points without a resumed record, in enumeration
+        order: what is left to run."""
+        return [point for point in self.points
+                if point.key not in self.resumed]
+
     def _build(self):
-        remaining = [point for point in self.points
-                     if _point_key(point) not in self.resumed]
-        for unit in build_units(remaining, self.unit_instructions):
+        for unit in build_units(self.remaining, self.unit_instructions):
             self._units[unit.unit_id] = _UnitState(unit)
             self._queue.append(unit.unit_id)
         self._next_index = len(self._units)
@@ -218,8 +224,8 @@ class CampaignScheduler:
         state.done = True
         state.taken = False
         leftover = [point for point in unit.points
-                    if _point_key(point) not in self.results
-                    and _point_key(point) not in self.quarantined]
+                    if point.key not in self.results
+                    and point.key not in self.quarantined]
         if not leftover:
             return None
         replacement = WorkUnit(

@@ -81,8 +81,9 @@ class ProgressReporter:
     """Event-bus subscriber logging ``done / total`` lines.
 
     ``bus.subscribe(ProgressReporter())`` folds each campaign's
-    ``campaign-started`` (total, plus points resumed from a journal),
-    ``outcomes`` deltas and ``campaign-finished`` into an INFO line
+    ``campaign-started`` (the total), ``outcomes`` deltas (the owner
+    reports the results resumed from a journal as one) and
+    ``campaign-finished`` into an INFO line
     every *step* experiments and one at completion, through the
     ``repro.campaign`` logger so ``--quiet`` can silence it.
     """
@@ -96,8 +97,7 @@ class ProgressReporter:
     def __call__(self, event):
         kind, campaign = event["type"], event["campaign"]
         if kind == "campaign-started":
-            self._campaigns[campaign] = [event.get("resumed", 0),
-                                         event["points"], 0]
+            self._campaigns[campaign] = [0, event["points"], 0]
             return
         state = self._campaigns.get(campaign)
         if state is None:

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import time
 
-#: canonical outcome display order (Table 1 column order).
-OUTCOME_ORDER = ("NA", "NM", "FSV", "SD", "BRK", "HANG", "HF")
+from ..injection.outcomes import OUTCOME_ORDER
 
 
 class CampaignView:

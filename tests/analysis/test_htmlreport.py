@@ -8,6 +8,23 @@ import pytest
 
 from repro.analysis.htmlreport import (build_html_report,
                                        write_html_report)
+from repro.analysis.report import build_pruning_report
+from repro.analysis.serialize import result_to_dict
+from repro.injection import InjectionPoint, InjectionResult, run_campaign
+
+
+def _result_line(index, outcome, latency, class_id=None,
+                 representative=None):
+    """One journal result line, as the runner writes it."""
+    point = InjectionPoint(instruction_address=0x8048000, byte_offset=1,
+                           bit=index, instruction_length=2,
+                           mnemonic="jz", opcode=0x74,
+                           kind="cond_branch")
+    result = InjectionResult(point=point, location="2BC",
+                             outcome=outcome, activated=outcome != "NA",
+                             crash_latency=latency, class_id=class_id,
+                             representative=representative)
+    return {"type": "result", "key": point.key, **result_to_dict(result)}
 
 
 @pytest.fixture
@@ -18,11 +35,12 @@ def journal(tmp_path):
     outcomes = (("NA", None), ("NA", None), ("SD", 12), ("SD", 900),
                 ("FSV", None), ("BRK", None))
     for index, (outcome, latency) in enumerate(outcomes):
-        lines.append({"type": "result", "key": "k%d" % index,
-                      "outcome": outcome, "location": "2BC",
-                      "crash_latency": latency,
-                      "class_id": ("c0" if index < 2 else None),
-                      "representative": index == 0})
+        # the first two records form one class: the representative's
+        # key is stamped on both, as the runner's fan-out does
+        classed = ({"class_id": "dead:8048000",
+                    "representative": "8048000:1:0"}
+                   if index < 2 else {})
+        lines.append(_result_line(index, outcome, latency, **classed))
     lines.append({"type": "unit", "unit": "u0", "status": "started",
                   "records": 0, "total": 6, "ts": 1.0})
     lines.append({"type": "unit", "unit": "u0", "status": "done",
@@ -30,6 +48,16 @@ def journal(tmp_path):
     path.write_text("".join(json.dumps(line) + "\n"
                             for line in lines))
     return str(path)
+
+
+def _pruning_rows(html):
+    """The counts of the pruning table, by row label."""
+    rows = {}
+    for label in ("in multi-member classes", "executed representatives",
+                  "synthesized members"):
+        cell = html.split("<td class='label'>%s</td><td>" % label)[1]
+        rows[label] = int(cell.split("<")[0])
+    return rows
 
 
 class TestBuild:
@@ -57,8 +85,29 @@ class TestBuild:
 
     def test_pruning_stats(self, journal):
         html = build_html_report(journal)
-        assert "executed representatives" in html
-        assert "synthesized members" in html
+        assert _pruning_rows(html) == {"in multi-member classes": 2,
+                                       "executed representatives": 1,
+                                       "synthesized members": 1}
+
+    def test_pruning_stats_of_a_real_pruned_journal(self, ftp_daemon,
+                                                    tmp_path):
+        """Fan-out stamps the representative's key on every member of
+        a class, so only the record whose own key it is was run."""
+        from repro.apps.ftpd import client1
+        path = tmp_path / "pruned.jsonl"
+        campaign = run_campaign(ftp_daemon, "Client1", client1,
+                                max_points=200, prune=True,
+                                journal=str(path))
+        report = build_pruning_report(campaign)
+        assert report["fanned_out"] > 0
+        rows = _pruning_rows(build_html_report(str(path)))
+        classed = rows["in multi-member classes"]
+        assert rows["synthesized members"] == report["fanned_out"]
+        assert rows["executed representatives"] \
+            == classed - report["fanned_out"]
+        assert rows["executed representatives"] == len(
+            {result.class_id for result in campaign.results
+             if result.class_id is not None})
 
     def test_event_stream_adds_timeline(self, journal):
         events = [{"seq": 0, "type": "golden", "campaign": "c0",

@@ -193,6 +193,43 @@ class TestTelemetry:
         assert events[-1]["counts"] == campaign.counts()
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_event_stream_folds_to_the_final_tally(
+            self, ftp_daemon, tmp_path, workers):
+        """The results a resume starts from arrive as one ``outcomes``
+        delta, so ``repro top``'s fold of an ``--events`` file reaches
+        the final tally before ``campaign-finished`` says it."""
+        from repro.obs import EventBus, EventLog, fold_events
+        from repro.obs.events import load_event_stream
+        journal = tmp_path / "run.jsonl"
+        run_campaign(ftp_daemon, "Client1", client1,
+                     max_points=SLICE // 2, journal=journal,
+                     workers=workers)
+        bus = EventBus()
+        log = EventLog(tmp_path / "events.jsonl")
+        bus.subscribe(log)
+        try:
+            campaign = run_campaign(ftp_daemon, "Client1", client1,
+                                    max_points=SLICE, journal=journal,
+                                    resume=True, workers=workers,
+                                    telemetry=bus, telemetry_campaign="t0")
+        finally:
+            log.close()
+        counters = campaign.metrics["volatile"]["counters"]
+        assert counters["runtime.resumed"] == SLICE // 2
+        events = load_event_stream(tmp_path / "events.jsonl")
+        assert events[-1]["type"] == "campaign-finished"
+        tally = {outcome: count for outcome, count
+                 in campaign.counts(refined=True).items() if count}
+        running = fold_events(events[:-1])["t0"]
+        assert running.outcomes == tally
+        assert running.completed == SLICE
+        final = fold_events(events)["t0"]
+        assert final.finished
+        assert {outcome: count for outcome, count
+                in final.outcomes.items() if count} == tally
+
+
 class TestSampledCampaign:
     def test_forensics_leaves_the_profile_unchanged(self, ftp_daemon,
                                                      tmp_path):

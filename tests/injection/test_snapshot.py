@@ -33,9 +33,11 @@ def _covered_points(daemon, spec, model, cap=MAX_POINTS):
 
 
 def _run(daemon, spec, model, points, **kwargs):
-    runner = CampaignRunner(daemon, "Client1",
-                            spec.client_factory("Client1"),
-                            fault_model=model, points=points, **kwargs)
+    factory = spec.client_factory("Client1")
+    runner = CampaignRunner(daemon, "Client1", factory,
+                            fault_model=model, points=points,
+                            golden=record_golden(daemon, factory),
+                            **kwargs)
     return runner.run()
 
 

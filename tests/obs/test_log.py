@@ -80,12 +80,15 @@ class TestWarnOnce:
 
 def _campaign_events(points, batches, quarantined=0, resumed=None):
     """A campaign's progress-relevant events: started, one
-    ``outcomes`` delta per batch size, finished."""
+    ``outcomes`` delta for the resumed results (as the campaign's
+    owner emits it), one per batch size, finished."""
     started = {"type": "campaign-started", "campaign": "c",
                "points": points}
+    events = [started]
     if resumed is not None:
         started["resumed"] = resumed
-    events = [started]
+        events.append({"type": "outcomes", "campaign": "c",
+                       "delta": {"NA": resumed}})
     for size in batches:
         events.append({"type": "outcomes", "campaign": "c",
                        "delta": {"NA": size}})
@@ -108,10 +111,19 @@ class TestProgressReporter:
         assert "600 / 600" in lines[2]
         assert len(lines) == 3
 
+    def test_resumed_results_count_once(self):
+        stream = io.StringIO()
+        configure_logging(0, stream=stream)
+        progress = ProgressReporter(step=1)
+        for event in _campaign_events(10, [3, 5], resumed=2):
+            progress(event)
+        assert stream.getvalue().splitlines() == [
+            "  ... 2 / 10 experiments", "  ... 5 / 10 experiments",
+            "  ... 10 / 10 experiments"]
+
     def test_finish_completes_quarantined_and_resumed_runs(self):
-        # quarantined points never appear in an outcomes delta, and a
-        # fleet resume reports preloaded points on campaign-started:
-        # the final line still reads N / N
+        # quarantined points never appear in an outcomes delta: the
+        # final line still reads N / N
         stream = io.StringIO()
         configure_logging(0, stream=stream)
         progress = ProgressReporter(step=1000)

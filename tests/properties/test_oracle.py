@@ -418,6 +418,10 @@ TELEMETRY = frozenset(("events", "profile", "metrics"))
 @example(config=Config(window=96, workers=3, disturbance="truncate",
                        resume_workers=2))
 @example(config=Config(window=40, workers=2, journal=True))
+# a serial pruned campaign resumed with its last record cut: classes
+# form over the missing points only, as on the fleet
+@example(config=Config(window=96, prune=True, disturbance="truncate",
+                       observers=frozenset(("events", "metrics"))))
 # a cell where a guarded representative re-fetches its corrupted span
 @example(config=Config(daemon="sshd", model="burst2", encoding="new",
                        window=96, prune=True))

@@ -507,8 +507,9 @@ class TestTelemetryFlags:
         lines = capsys.readouterr().err.splitlines()
         assert "  ... 40 / 40 experiments" in lines
 
+    # both engines close the campaign through one merge
     @pytest.mark.parametrize("workers,phases", [
-        ([], {"experiment", "golden-run", "restore"}),
+        ([], {"experiment", "golden-run", "merge", "restore"}),
         (["--workers", "2"], {"experiment", "golden-run", "merge",
                               "restore"}),
     ], ids=["serial", "workers2"])
