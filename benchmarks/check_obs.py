@@ -16,7 +16,10 @@ Validates the trace, event and metrics files a smoke campaign wrote:
     ``seq`` runs 0, 1, 2, ... in file order, ``golden`` and
     ``campaign-started`` are present and ``campaign-finished`` comes
     last (fleet-scoped worker-lifecycle events are checked for
-    contiguity only).
+    contiguity only); each finished stream folds
+    (:func:`repro.obs.top.fold_events`, the one progress reducer) to a
+    finished view whose ``completed`` is ``campaign-started``'s
+    ``points`` and whose tally is ``campaign-finished``'s ``counts``.
 
 ``metrics-equal``
     two metrics-registry dumps agree on the deterministic core
@@ -31,7 +34,8 @@ oracle's job (``tests/properties/test_oracle.py``).
 Usage::
 
     python benchmarks/check_obs.py trace smoke-trace.json
-    python benchmarks/check_obs.py events smoke-events.jsonl
+    PYTHONPATH=src python benchmarks/check_obs.py events \\
+        smoke-events.jsonl
     PYTHONPATH=src python benchmarks/check_obs.py metrics-equal \\
         serial.json sharded.json
 """
@@ -112,6 +116,7 @@ FLEET_EVENT_TYPES = frozenset(("worker-respawn", "worker-backoff",
 
 def check_events(path):
     """Return a list of failure messages for one ``--events`` file."""
+    from repro.obs.top import fold_events
     events = [json.loads(line)
               for line in pathlib.Path(path).read_text().splitlines()
               if line.strip()]
@@ -137,6 +142,21 @@ def check_events(path):
         if types[-1] != "campaign-finished":
             failures.append("%s: last event is %r, not "
                             "campaign-finished" % (label, types[-1]))
+            continue
+        view = fold_events(stream)[campaign]
+        points = [event.get("points") for event in stream
+                  if event.get("type") == "campaign-started"]
+        counts = {outcome: count for outcome, count
+                  in stream[-1].get("counts", {}).items() if count}
+        if not view.finished:
+            failures.append("%s: the fold is not finished" % label)
+        if points and view.completed != points[0]:
+            failures.append("%s: the fold completed %d of %d point(s)"
+                            % (label, view.completed, points[0]))
+        if view.outcomes != counts:
+            failures.append("%s: the fold's tally %r is not "
+                            "campaign-finished's %r"
+                            % (label, view.outcomes, counts))
     return failures
 
 
@@ -175,7 +195,7 @@ def main(argv=None):
     events = commands.add_parser(
         "events", help="validate --events streams: contiguous seq, "
                        "golden and campaign-started present, "
-                       "campaign-finished last")
+                       "campaign-finished last, folds to its tally")
     events.add_argument("paths", nargs="+")
     equal = commands.add_parser(
         "metrics-equal",

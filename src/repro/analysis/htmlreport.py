@@ -41,17 +41,17 @@ pre { background: #f4f4f8; padding: .8em; overflow-x: auto; }
 
 
 def _load_journal(journal):
-    """Meta, campaign and unit markers of a base journal path and its
-    shard files (a salvage load: unreadable lines are skipped)."""
+    """Meta, campaign and progress view (:func:`~repro.obs.top
+    .view_from_journals`) of a base journal path and its shard files
+    (a salvage load: unreadable lines are skipped)."""
     from ..injection.runner import JournalFamily
+    from ..obs.top import view_from_journals
     from .serialize import campaign_from_family
     family = JournalFamily.load(journal, strict=False)
-    if not family.members:
-        raise FileNotFoundError("no journal at %s (or %s.shard*)"
-                                % (journal, journal))
+    view = view_from_journals(journal, family)
     metas = family.metas
     return (metas[0] if metas else None, campaign_from_family(family),
-            family.units)
+            view)
 
 
 def _outcome_section(campaign):
@@ -229,24 +229,23 @@ def _timeline_section(events):
             "</th></tr>%s</table>" % "".join(rows))
 
 
-def _progress_section(units):
-    from ..obs.top import format_eta, unit_progress
-    if not units:
+def _progress_section(view):
+    from ..obs.top import format_eta
+    if not (view.units_done or view.in_flight):
         return ""
-    in_flight, done, total, first_ts, last_ts = unit_progress(units)
     parts = ["<h2>Work units</h2>",
-             "<p>%d completed unit(s)" % done]
-    if in_flight:
+             "<p>%d completed unit(s)" % view.units_done]
+    if view.in_flight:
         parts.append(", %d still in flight (%s)"
-                     % (len(in_flight),
+                     % (len(view.in_flight),
                         html.escape(", ".join(
-                            str(marker.get("unit"))
-                            for marker in in_flight[:6]))))
+                            str(unit)
+                            for unit in list(view.in_flight)[:6]))))
     parts.append(".</p>")
-    if first_ts is not None and last_ts is not None \
-            and last_ts > first_ts:
+    if view.first_ts is not None and view.last_ts is not None \
+            and view.last_ts > view.first_ts:
         parts.append("<p class='muted'>marker window %s.</p>"
-                     % format_eta(last_ts - first_ts))
+                     % format_eta(view.last_ts - view.first_ts))
     return "".join(parts)
 
 
@@ -259,7 +258,7 @@ def build_html_report(journal, events=None, profile=None, module=None,
     (:func:`repro.obs.sampler.load_profile`) and *module* the compiled
     program module used to symbolize hotspots -- all optional.
     """
-    meta, campaign, units = _load_journal(journal)
+    meta, campaign, view = _load_journal(journal)
     if title is None:
         if meta is not None:
             title = "%s %s (%s encoding)" % (meta.get("daemon"),
@@ -284,7 +283,7 @@ def build_html_report(journal, events=None, profile=None, module=None,
         sections.append(_hotspot_section(profile, module))
     if events is not None:
         sections.append(_timeline_section(events))
-    sections.append(_progress_section(units))
+    sections.append(_progress_section(view))
     return ("<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
             "<title>%s</title><style>%s</style></head>\n<body>\n"
             "%s\n</body></html>\n"

@@ -349,7 +349,7 @@ def cmd_serve(args, out):
 
 
 def cmd_status(args, out):
-    from .obs.top import format_eta, unit_progress, view_from_journals
+    from .obs.top import CampaignView, format_eta, view_from_journals
     family = JournalFamily.load(args.journal, strict=False)
     if not family.members:
         raise SystemExit("no journal at %s (or %s.shard*)"
@@ -375,11 +375,11 @@ def cmd_status(args, out):
         out.write("  results: %d   quarantined: %d\n"
                   % (len(member.results), len(member.quarantined)))
         if report.units:
-            in_flight, done, __, __, __ = unit_progress(report.units)
-            line = "  work units: %d completed" % done
+            units = CampaignView.of(report.units)
+            line = "  work units: %d completed" % units.units_done
+            in_flight = list(units.in_flight)
             if in_flight:
-                shown = [str(marker.get("unit"))
-                         for marker in in_flight[:4]]
+                shown = [str(unit) for unit in in_flight[:4]]
                 more = len(in_flight) - len(shown)
                 line += ", %d in flight (%s%s)" % (
                     len(in_flight), ", ".join(shown),

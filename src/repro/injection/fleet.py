@@ -277,14 +277,8 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
         stop_check=lambda: stop["reason"], telemetry=heartbeat,
         chaos=chaos, session_cache=sessions, sampler=sampler)
     goldens[cell] = runner.golden
-    payload = _unit_payload(runner.campaign, unit, worker, tracer,
-                            sampler)
-    if options.journal is not None:
-        CampaignJournal.mark_unit(
-            runner.options.journal, unit.unit_id,
-            len(payload["results"]) + len(payload["quarantined"]),
-            campaign=cid)
-    emit("unit-done", cid, unit.unit_id, payload)
+    emit("unit-done", cid, unit.unit_id,
+         _unit_payload(runner.campaign, unit, worker, tracer, sampler))
 
 
 def _run_unit_runner(daemon, client_name, client_factory, options, unit,
@@ -730,11 +724,11 @@ class WorkerFleet:
             state.on_unit(state, unit, payload)
 
     def _mark_unit(self, state, unit, status, records=0):
-        """Parent-side unit marker in the *base* journal (workers own
-        only their ``.shardK`` files, so the base path has a single
-        appender and carries pure progress metadata: ``repro status``
-        and ``repro top`` read in-flight units and the live ETA from
-        it)."""
+        """A unit's marker in the *base* journal, the only one it gets
+        (workers journal records to their ``.shardK`` files and no
+        markers, so the base path has a single appender and carries
+        pure progress metadata: ``repro status`` and ``repro top`` read
+        in-flight units and the live ETA from it)."""
         if state.options.journal is None:
             return
         try:

@@ -42,11 +42,18 @@ def plain_run(process, budget):
     """Run *process* to completion under *budget*, mapping a kernel
     :class:`ServerHang` onto a ``hang`` exit status."""
     try:
-        status = process.run(budget)
+        return process.run(budget)
     except ServerHang as hang:
-        status = process._status("limit", None)
-        status.kind = "hang"
-        status.fault_detail = str(hang)
+        return hang_status(process, hang)
+
+
+def hang_status(process, hang):
+    """The ``hang`` exit status of a run the kernel stopped with
+    :class:`ServerHang` *hang* (the client waits on a server that
+    reads)."""
+    status = process._status("limit", None)
+    status.kind = "hang"
+    status.fault_detail = str(hang)
     return status
 
 

@@ -75,6 +75,7 @@ from ..x86 import (DecodeOutOfBytesError, InvalidOpcodeError,
                    KIND_COND_BRANCH, KIND_JUMP, decode,
                    disassemble_range)
 from ..x86.flags import condition_met
+from .injector import hang_status
 from .runner import HangProbe, Watchdog
 
 #: class kinds (the ``class_id`` prefix, see module docstring).
@@ -263,10 +264,7 @@ class GuardedWatchdog(Watchdog):
                             elapsed=elapsed)
                         return status
         except ServerHang as hang:
-            status = process._status("limit", None)
-            status.kind = "hang"
-            status.fault_detail = str(hang)
-            return status
+            return hang_status(process, hang)
         if status.kind == "limit":
             status.hang_probe = self._probe(process)
             if not self.watch.isdisjoint(self.probe_seen):

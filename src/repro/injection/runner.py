@@ -64,7 +64,7 @@ from .campaign import CampaignResult, QuarantinedPoint, RunOptions
 from .earlyexit import Converged, EarlyExitAuditError, EarlyExits
 from .faultmodels import get_fault_model
 from .golden import record_golden
-from .injector import BreakpointSession, SessionCache
+from .injector import BreakpointSession, hang_status, SessionCache
 from .outcomes import (classify_completed_run, FAIL_SILENCE_VIOLATION,
                        HANG, HARNESS_FAULT, InjectionResult,
                        NOT_ACTIVATED, NOT_MANIFESTED, SECURITY_BREAKIN)
@@ -262,10 +262,7 @@ class Watchdog:
                             elapsed=elapsed)
                         return status
         except ServerHang as hang:
-            status = process._status("limit", None)
-            status.kind = "hang"
-            status.fault_detail = str(hang)
-            return status
+            return hang_status(process, hang)
         except Converged as converged:
             status = process._status("exit", converged.exit_code)
             status.instret = converged.instret
@@ -748,17 +745,16 @@ def _close_dangling_units(family):
     marker: its run stopped (a checkpoint or a kill), and whichever
     engine resumes it writes its own markers, so without a ``closed``
     marker ``repro status`` would report the unit in flight forever."""
-    from ..obs.top import unit_progress
+    from ..obs.top import CampaignView
     for member in family.members:
         if member.report is None:
             continue
-        dangling = unit_progress(member.report.units)[0]
+        dangling = CampaignView.of(member.report.units).in_flight
         if dangling and member.report.truncated_tail:
             # append after whole lines only
             CampaignJournal(member.path)._truncate_partial_tail()
-        for marker in dangling:
-            CampaignJournal.mark_unit(member.path, marker["unit"], 0,
-                                      campaign=marker.get("campaign"),
+        for unit in dangling:
+            CampaignJournal.mark_unit(member.path, unit, 0,
                                       status="closed")
 
 
@@ -847,11 +843,13 @@ class CampaignOwner:
                                       campaign=label)
         self.root_span = self._root.__enter__()
         self.golden_reused = golden is not None
-        if golden is None:
-            with self.tracer.span("golden-run") as span:
+        with self.tracer.span("golden-run") as span:
+            if golden is None:
                 golden = record_golden(daemon, client_factory,
                                        options.budget)
-                span.set("coverage_eips", len(golden.coverage))
+            else:
+                span.set("reused", True)
+            span.set("coverage_eips", len(golden.coverage))
         self.golden = golden
         ranges = (options.ranges if options.ranges is not None
                   else daemon.auth_ranges())
@@ -947,7 +945,8 @@ class CampaignOwner:
                 record_supervision_metrics(registry, supervision)
             campaign.metrics = registry.as_dict()
         if interrupted is None:
-            self.emit("campaign-finished", counts=campaign.counts(),
+            self.emit("campaign-finished",
+                      counts=campaign.counts(refined=True),
                       quarantined=len(campaign.quarantined))
         self.root_span.set("experiments", len(campaign.results))
         self._root.__exit__(None, None, None)

@@ -80,34 +80,26 @@ def reset_warn_once():
 class ProgressReporter:
     """Event-bus subscriber logging ``done / total`` lines.
 
-    ``bus.subscribe(ProgressReporter())`` folds each campaign's
-    ``campaign-started`` (the total), ``outcomes`` deltas (the owner
-    reports the results resumed from a journal as one) and
-    ``campaign-finished`` into an INFO line
-    every *step* experiments and one at completion, through the
-    ``repro.campaign`` logger so ``--quiet`` can silence it.
+    ``bus.subscribe(ProgressReporter())`` folds each campaign's events
+    into a :class:`~repro.obs.top.CampaignView` and logs an INFO line
+    whenever its ``completed`` count passes a multiple of *step* or
+    reaches its ``points``, through the ``repro.campaign`` logger so
+    ``--quiet`` can silence it.
     """
 
     def __init__(self, step=250, logger=None):
         self.step = step
         self.logger = (logger if logger is not None
                        else get_logger("campaign"))
-        self._campaigns = {}      # campaign -> [done, total, last]
+        self.views = {}           # campaign -> CampaignView
 
     def __call__(self, event):
-        kind, campaign = event["type"], event["campaign"]
-        if kind == "campaign-started":
-            self._campaigns[campaign] = [0, event["points"], 0]
-            return
-        state = self._campaigns.get(campaign)
-        if state is None:
-            return
-        if kind == "outcomes":
-            state[0] += sum(event["delta"].values())
-        elif kind == "campaign-finished":
-            state[0] = (sum(event["counts"].values())
-                        + event["quarantined"])
-        done, total, last = state
-        if done != last and (done - last >= self.step or done == total):
-            state[2] = done
+        from .top import fold_events
+        view = self.views.get(event["campaign"])
+        before = 0 if view is None else view.completed
+        view = fold_events((event,), self.views)[event["campaign"]]
+        done, total = view.completed, view.points
+        if total is not None and done != before and (
+                done // self.step != before // self.step
+                or done == total):
             self.logger.info("  ... %d / %d experiments", done, total)

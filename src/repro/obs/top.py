@@ -1,18 +1,23 @@
 """Live campaign progress views: the model behind ``repro top``.
 
-Two sources feed one renderer:
+:meth:`CampaignView.apply` is the one reducer of campaign progress.
+It folds telemetry events (a service ``subscribe`` stream or a saved
+``--events`` file) and journal records (results, quarantined points
+and the schema-v8 unit markers) alike; everything else only feeds it:
 
-* **event streams** -- :func:`fold_events` reduces a telemetry event
-  sequence (from a service ``subscribe`` stream or a saved
-  ``--events`` file) into per-campaign :class:`CampaignView` state;
-* **journals** -- :func:`view_from_journals` rebuilds the same state
-  offline from a campaign journal and its shard files, using the
-  schema-v8 unit markers for in-flight units and the live ETA.
+* :func:`fold_events` splits an event sequence by campaign;
+* :func:`view_from_journals` feeds a journal family offline;
+* the ``--progress`` log lines, ``repro status`` and ``repro
+  report``'s work-units section read the views it builds.
+
+A finished campaign's ``campaign-finished`` event carries its refined
+tally, which replaces whatever the view folded before, so every view
+of a finished campaign ends at exactly that tally -- also a late
+subscriber's, which missed the earlier events.
 
 :func:`render_top` turns the state into one text frame -- progress
 bar, outcome tallies, per-shard throughput, worker health, ETA --
-used verbatim by ``repro top`` (both socket and journal modes) and,
-in condensed form, by ``repro status``.
+used verbatim by ``repro top`` (both socket and journal modes).
 
 Everything here is read-only over volatile data (timestamps, rates):
 nothing feeds back into the deterministic metrics core.
@@ -24,18 +29,20 @@ import time
 
 from ..injection.outcomes import OUTCOME_ORDER
 
+#: record type -> unit status; a journal ``unit`` marker carries its
+#: own (none for a completion marker).
+_UNIT_STATUS = {"unit-started": "started", "unit-finished": "done",
+                "unit": None}
+
 
 class CampaignView:
     """Mutable per-campaign progress state (one box in the frame)."""
 
-    def __init__(self, campaign):
+    def __init__(self, campaign=None):
         self.campaign = campaign
         self.points = None            # total experiments, when known
-        self.workers = None
-        self.resumed = 0
-        self.golden_reused = None
-        self.completed = 0            # experiments with an outcome
         self.outcomes = {}            # outcome -> count
+        self.quarantined = 0
         self.in_flight = {}           # unit id -> worker (or None)
         self.units_done = 0
         self.per_worker = {}          # worker -> completed units
@@ -44,10 +51,71 @@ class CampaignView:
         self.retired = 0
         self.checkpoint = None        # reason, when checkpointed
         self.finished = False
-        self.quarantined = 0
         self.first_ts = None
         self.last_ts = None
         self.shards = {}              # label -> record count (journal)
+
+    @classmethod
+    def of(cls, records, campaign=None):
+        """A new view with every one of *records* applied in order."""
+        view = cls(campaign)
+        for record in records:
+            view.apply(record)
+        return view
+
+    def apply(self, record):
+        """Fold one record: a telemetry event or a journal ``result``,
+        ``quarantine`` or ``unit`` record."""
+        self._stamp(record.get("ts"))
+        kind = record.get("type")
+        if kind in _UNIT_STATUS:
+            self._unit(record, _UNIT_STATUS[kind] or record.get("status"))
+        elif kind == "outcomes":
+            for outcome, count in (record.get("delta") or {}).items():
+                self.outcomes[outcome] = (self.outcomes.get(outcome, 0)
+                                          + count)
+        elif kind == "result":
+            outcome = record.get("outcome")
+            self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+        elif kind == "quarantine":
+            self.quarantined += 1
+        elif kind == "campaign-started":
+            self.points = record.get("points", self.points)
+        elif kind == "worker-respawn":
+            self.respawns += 1
+        elif kind == "worker-backoff":
+            self.backoffs += 1
+        elif kind == "worker-retired":
+            self.retired += 1
+        elif kind == "checkpoint":
+            self.checkpoint = record.get("reason")
+        elif kind == "campaign-finished":
+            # the final tally replaces the folded one
+            self.finished = True
+            self.outcomes = {outcome: count for outcome, count
+                             in (record.get("counts") or {}).items()
+                             if count}
+            self.quarantined = record.get("quarantined", 0)
+            if self.points is None:
+                self.points = self.completed
+
+    def _unit(self, record, status):
+        """A unit started, completed or (``closed``) ended without
+        completing."""
+        unit = record.get("unit")
+        if record.get("total") is not None:
+            self.points = record["total"]
+        if status == "started":
+            self.in_flight[unit] = record.get("worker")
+            return
+        self.in_flight.pop(unit, None)
+        if status == "closed":
+            return
+        self.units_done += 1
+        if "worker" in record:
+            worker = record["worker"]
+            self.per_worker[worker] = self.per_worker.get(worker, 0) + 1
+        self.quarantined += record.get("quarantined", 0)
 
     # -- derived -------------------------------------------------------
 
@@ -58,6 +126,12 @@ class CampaignView:
             self.first_ts = ts
         if self.last_ts is None or ts > self.last_ts:
             self.last_ts = ts
+
+    @property
+    def completed(self):
+        """Experiments with a record: results plus quarantined
+        points."""
+        return sum(self.outcomes.values()) + self.quarantined
 
     @property
     def rate(self):
@@ -91,86 +165,17 @@ def fold_events(events, views=None):
         view = views.get(cid)
         if view is None:
             view = views[cid] = CampaignView(cid)
-        view._stamp(event.get("ts"))
-        kind = event.get("type")
-        if kind == "campaign-started":
-            view.points = event.get("points", view.points)
-            view.workers = event.get("workers", view.workers)
-            view.resumed = event.get("resumed", view.resumed)
-        elif kind == "golden":
-            view.golden_reused = event.get("reused")
-        elif kind == "unit-started":
-            view.in_flight[event.get("unit")] = event.get("worker")
-        elif kind == "unit-finished":
-            view.in_flight.pop(event.get("unit"), None)
-            view.units_done += 1
-            worker = event.get("worker")
-            view.per_worker[worker] = view.per_worker.get(worker,
-                                                          0) + 1
-            if event.get("total") is not None:
-                view.points = event["total"]
-            if event.get("completed") is not None:
-                view.completed = max(view.completed,
-                                     event["completed"])
-        elif kind == "outcomes":
-            for outcome, count in (event.get("delta") or {}).items():
-                view.outcomes[outcome] = (view.outcomes.get(outcome, 0)
-                                          + count)
-            view.completed = max(view.completed,
-                                 sum(view.outcomes.values()))
-        elif kind == "worker-respawn":
-            view.respawns += 1
-        elif kind == "worker-backoff":
-            view.backoffs += 1
-        elif kind == "worker-retired":
-            view.retired += 1
-        elif kind == "checkpoint":
-            view.checkpoint = event.get("reason")
-        elif kind == "campaign-finished":
-            view.finished = True
-            view.quarantined = event.get("quarantined", 0)
-            counts = event.get("counts") or {}
-            for outcome, count in counts.items():
-                view.outcomes[outcome] = max(
-                    view.outcomes.get(outcome, 0), count)
-            view.completed = max(view.completed,
-                                 sum(view.outcomes.values()))
+        view.apply(event)
     return views
-
-
-def unit_progress(units):
-    """Split schema-v8 unit markers into progress facts.
-
-    Returns ``(in_flight, done, total, first_ts, last_ts)`` where
-    *in_flight* is the ordered list of ``started`` markers with no
-    completion (or ``closed``) marker yet; a ``closed`` marker ends
-    a unit without completing it.
-    """
-    started = {}
-    done = 0
-    total = None
-    first_ts = last_ts = None
-    for marker in units:
-        ts = marker.get("ts")
-        if ts is not None:
-            first_ts = ts if first_ts is None else min(first_ts, ts)
-            last_ts = ts if last_ts is None else max(last_ts, ts)
-        if marker.get("total") is not None:
-            total = marker["total"]
-        unit = marker.get("unit")
-        status = marker.get("status")
-        if status == "started":
-            started.setdefault(unit, marker)
-        else:
-            started.pop(unit, None)
-            done += status != "closed"
-    return list(started.values()), done, total, first_ts, last_ts
 
 
 def view_from_journals(journal, family=None):
     """Rebuild a :class:`CampaignView` offline from a journal base
     path and its ``.shardK`` files, or its already loaded *family*
-    (``repro top <journal>`` and the ``repro status`` progress line).
+    (``repro top <journal>``, ``repro status`` and ``repro
+    report``).  Points count once however many members journal them
+    (a point that moved between workers across resumes); the unit
+    markers are the parent's, in the base journal.
 
     Raises :class:`FileNotFoundError` when neither the base journal
     nor any shard exists.
@@ -183,44 +188,20 @@ def view_from_journals(journal, family=None):
         raise FileNotFoundError("no journal at %s (or %s.shard*)"
                                 % (journal, journal))
     base = str(journal)
-    view = CampaignView(None)
-    # by point key: a point journaled twice (it moved between workers
-    # across resumes) counts once
-    for record in family.results.values():
-        outcome = record.get("outcome")
-        view.outcomes[outcome] = view.outcomes.get(outcome, 0) + 1
-    view.quarantined = len(family.quarantined)
-    base_units = []
-    shard_units = []
+    view = CampaignView.of([*family.results.values(),
+                            *family.quarantined.values(), *family.units])
     for member in family.members:
         if member.error is not None:
             continue
-        path, meta, results = member.path, member.meta, member.results
-        # Fleet runs mark every unit twice: the parent appends
-        # started/done markers to the base journal and the worker
-        # marks its own shard file.  The base markers carry the
-        # campaign-level status/total, so they win when present.
-        (base_units if path == base else shard_units).extend(
-            member.report.units)
-        label = os.path.basename(path)
-        if results or path != base:
-            view.shards[label] = len(results)
-        if meta is not None and view.campaign is None:
-            view.campaign = "%s %s" % (meta.get("daemon"),
-                                       meta.get("client"))
-    units = base_units if base_units else shard_units
-    view.completed = sum(view.outcomes.values())
-    in_flight, done, total, first_ts, last_ts = unit_progress(units)
-    for marker in in_flight:
-        view.in_flight[marker.get("unit")] = None
-    view.units_done = done
-    if total is not None:
-        view.points = total
-    view.first_ts = first_ts
-    view.last_ts = last_ts
-    if (view.points is not None and view.completed >= view.points
-            and not view.in_flight):
-        view.finished = True
+        label = os.path.basename(member.path)
+        if member.results or member.path != base:
+            view.shards[label] = len(member.results)
+        if member.meta is not None and view.campaign is None:
+            view.campaign = "%s %s" % (member.meta.get("daemon"),
+                                       member.meta.get("client"))
+    view.finished = (view.points is not None
+                     and view.completed >= view.points
+                     and not view.in_flight)
     return view
 
 

@@ -18,10 +18,37 @@ from repro.obs.trace import load_trace_file
 SLICE = 60
 
 
+def _check_obs():
+    """``benchmarks/check_obs.py``, the CI observability gate."""
+    import importlib.util
+    import pathlib
+    spec = importlib.util.spec_from_file_location(
+        "check_obs", pathlib.Path(__file__).resolve().parents[2]
+        / "benchmarks" / "check_obs.py")
+    check_obs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_obs)
+    return check_obs
+
+
 @pytest.fixture(scope="module")
 def plain_campaign(ftp_daemon):
     return run_campaign(ftp_daemon, "Client1", client1,
                         max_points=SLICE)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["serial", "fleet"])
+def full_cell(request, ftp_daemon):
+    """The full ftpd Client1 branch-bit cell, which has a HANG record,
+    and its whole event stream (serial and on two workers)."""
+    from repro.obs import EventBus
+    stream = []
+    bus = EventBus()
+    bus.subscribe(stream.append)
+    campaign = run_campaign(ftp_daemon, "Client1", client1,
+                            workers=request.param, telemetry=bus,
+                            telemetry_campaign="t0")
+    assert campaign.counts(refined=True)["HANG"] == 1
+    return campaign, stream
 
 
 class TestMetrics:
@@ -115,16 +142,9 @@ class TestTrace:
         # two campaigns share one fleet when a chaos kill respawns a
         # worker: the fleet-scoped milestone lands in both traces, and
         # both still nest (the finished instant inside the root span)
-        import importlib.util
-        import pathlib
-
         from repro.injection import (ChaosAction, ChaosPolicy,
                                      FleetConfig, WorkerFleet)
-        spec = importlib.util.spec_from_file_location(
-            "check_obs", pathlib.Path(__file__).resolve().parents[2]
-            / "benchmarks" / "check_obs.py")
-        check_obs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(check_obs)
+        check_obs = _check_obs()
         chaos = ChaosPolicy(actions=(
             ChaosAction(kind="kill", shard=0, after=2),))
         fleet = WorkerFleet(FleetConfig(workers=2, backoff_base=0.05,
@@ -154,6 +174,31 @@ class TestTrace:
             assert names.count("worker-respawn") == 1
             assert names[-1] == "campaign-finished"
 
+    def test_warm_fleet_trace_says_where_its_golden_run_came_from(
+            self, ftp_daemon, tmp_path):
+        # the second campaign of a cell reuses the owner's and every
+        # worker's golden run: its trace still holds a golden-run span,
+        # marked reused
+        from repro.injection import (FleetConfig, run_fleet_campaign,
+                                     WorkerFleet)
+        check_obs = _check_obs()
+        fleet = WorkerFleet(FleetConfig(workers=2))
+        paths = [tmp_path / "cold.json", tmp_path / "warm.json"]
+        fleet.start()
+        try:
+            for path in paths:
+                run_fleet_campaign(ftp_daemon, "Client1", client1,
+                                   fleet=fleet, max_points=40,
+                                   trace=str(path))
+        finally:
+            fleet.stop()
+        for path, reused in zip(paths, (False, True)):
+            assert check_obs.check_trace(path) == []
+            goldens = [event for event in load_trace_file(path)
+                       if event["name"] == "golden-run"]
+            assert any(event["args"].get("reused", False) == reused
+                       for event in goldens), path
+
 
 class TestTelemetry:
     def test_serial_event_stream_is_gap_free(self, ftp_daemon,
@@ -168,7 +213,7 @@ class TestTelemetry:
         assert [event["type"] for event in events[:2]] \
             == ["golden", "campaign-started"]
         assert events[-1]["type"] == "campaign-finished"
-        assert events[-1]["counts"] == campaign.counts()
+        assert events[-1]["counts"] == campaign.counts(refined=True)
         delta = {}
         for event in events:
             if event["type"] == "outcomes":
@@ -190,7 +235,7 @@ class TestTelemetry:
         events = bus.events()
         assert check_contiguous(events) == []
         assert events[-1]["type"] == "campaign-finished"
-        assert events[-1]["counts"] == campaign.counts()
+        assert events[-1]["counts"] == campaign.counts(refined=True)
 
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -228,6 +273,49 @@ class TestTelemetry:
         assert final.finished
         assert {outcome: count for outcome, count
                 in final.outcomes.items() if count} == tally
+
+    def test_full_cell_folds_to_its_tally(self, full_cell):
+        from repro.obs import fold_events, ProgressReporter
+        campaign, stream = full_cell
+        tally = {outcome: count for outcome, count
+                 in campaign.counts(refined=True).items() if count}
+        view = fold_events(stream)["t0"]
+        assert view.finished
+        assert view.outcomes == tally
+        assert view.completed == view.points == 1560
+        # --progress reads the same fold
+        lines = []
+
+        class Logger:
+            def info(self, message, *args):
+                lines.append(message % args)
+
+        progress = ProgressReporter(logger=Logger())
+        for event in stream:
+            progress(event)
+        assert lines[-1] == "  ... 1560 / 1560 experiments"
+
+    def test_ring_cut_stream_ends_at_the_tally(self, full_cell):
+        """Back-to-back runs of the cell overflow the bus's 4,096-event
+        ring, cutting the oldest run's head (a late subscriber's view);
+        every run's fold still ends at the exact tally."""
+        from repro.obs import EventBus, fold_events
+        campaign, stream = full_cell
+        ring = EventBus()
+        runs = 0
+        while not ring.dropped:
+            runs += 1
+            for event in stream:
+                ring.emit(event["type"], campaign=runs,
+                          **{key: value for key, value in event.items()
+                             if key not in ("seq", "type", "campaign",
+                                            "ts")})
+        assert ring.events()[0]["seq"] > 0
+        tally = {outcome: count for outcome, count
+                 in campaign.counts(refined=True).items() if count}
+        for label, view in fold_events(ring.events()).items():
+            assert view.outcomes == tally, label
+            assert view.completed == view.points == 1560, label
 
 
 class TestSampledCampaign:

@@ -4,8 +4,7 @@ rendering."""
 from __future__ import annotations
 
 from repro.obs.top import (CampaignView, fold_events, format_eta,
-                           render_top, render_view, unit_progress,
-                           view_from_journals)
+                           render_top, render_view, view_from_journals)
 
 
 def stream(*events):
@@ -71,26 +70,40 @@ class TestFoldEvents:
 
 
 class TestUnitProgress:
+    """Journal ``unit`` markers and unit events fold alike."""
+
+    MARKERS = [
+        {"type": "unit", "unit": "u0", "status": "started", "ts": 1.0,
+         "total": 40},
+        {"type": "unit", "unit": "u0", "status": "done", "ts": 2.0,
+         "total": 40},
+        {"type": "unit", "unit": "u1", "status": "started", "ts": 3.0,
+         "total": 40},
+        {"type": "unit", "unit": "u2", "status": "started", "ts": 4.0},
+        {"type": "unit", "unit": "u2", "status": "closed", "ts": 5.0},
+    ]
+
     def test_started_without_done_is_in_flight(self):
-        in_flight, done, total, first_ts, last_ts = unit_progress([
-            {"unit": "u0", "status": "started", "ts": 1.0,
-             "total": 40},
-            {"unit": "u0", "status": "done", "ts": 2.0, "total": 40},
-            {"unit": "u1", "status": "started", "ts": 3.0,
-             "total": 40},
-        ])
-        assert [marker["unit"] for marker in in_flight] == ["u1"]
-        assert done == 1
-        assert total == 40
-        assert (first_ts, last_ts) == (1.0, 3.0)
+        view = CampaignView.of(self.MARKERS)
+        assert list(view.in_flight) == ["u1"]
+        assert view.units_done == 1
+        assert view.points == 40
+        assert (view.first_ts, view.last_ts) == (1.0, 5.0)
+        # the same facts as telemetry events
+        events = fold_events(stream(
+            ("unit-started", {"unit": "u0", "worker": 0, "total": 40}),
+            ("unit-finished", {"unit": "u0", "worker": 0,
+                               "total": 40}),
+            ("unit-started", {"unit": "u1", "worker": 1})))["c0"]
+        assert list(events.in_flight) == list(view.in_flight)
+        assert (events.units_done, events.points) == (1, 40)
 
     def test_plain_completion_markers_count_as_done(self):
-        in_flight, done, total, __, __ = unit_progress([
-            {"unit": "u0", "records": 12},
-        ])
-        assert in_flight == []
-        assert done == 1
-        assert total is None
+        view = CampaignView.of([{"type": "unit", "unit": "u0",
+                                 "records": 12}])
+        assert view.in_flight == {}
+        assert view.units_done == 1
+        assert view.points is None
 
 
 class TestRender:
@@ -125,8 +138,8 @@ class TestJournalView:
             view_from_journals(str(tmp_path / "absent.jsonl"))
 
     def test_base_markers_beat_shard_markers(self, tmp_path):
-        # fleet layout: parent markers in the base journal, worker
-        # markers (and results) in the shard file
+        # fleet layout: the parent's unit markers in the base journal,
+        # the worker's results in the shard file
         import json
         base = tmp_path / "run.jsonl"
         base.write_text(
@@ -144,9 +157,7 @@ class TestJournalView:
         shard.write_text(
             json.dumps(meta) + "\n"
             + json.dumps(dict(record, key="k0")) + "\n"
-            + json.dumps(dict(record, key="k1", outcome="SD")) + "\n"
-            + json.dumps({"type": "unit", "unit": "u0",
-                          "records": 2}) + "\n")
+            + json.dumps(dict(record, key="k1", outcome="SD")) + "\n")
         view = view_from_journals(str(base))
         assert view.units_done == 1          # not double-counted
         assert view.points == 2

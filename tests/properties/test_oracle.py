@@ -56,7 +56,7 @@ from repro.injection import (available_fault_models,
                              SessionCache)
 from repro.injection.runner import CampaignRunner, JournalFamily
 from repro.injection.scheduler import instruction_groups
-from repro.obs import check_contiguous, EventBus, EventLog
+from repro.obs import check_contiguous, EventBus, EventLog, fold_events
 
 #: test-speed fleet: short backoff and polls, one instruction per work
 #: unit so every worker takes work from the start.
@@ -311,7 +311,9 @@ def check_configuration(daemons, config):
             assert {"golden", "campaign-started"} \
                 <= {event["type"] for event in stream}
             assert stream[-1]["type"] == "campaign-finished"
-            assert stream[-1]["counts"] == expected.counts()
+            assert stream[-1]["counts"] == expected.counts(refined=True)
+            view = fold_events(stream)[TELEMETRY_LABEL]
+            assert view.finished and view.completed == view.points
         if "metrics" in config.observers:
             saved = json.loads((scratch / "metrics.json").read_text())
             assert deterministic_core(saved) \

@@ -410,6 +410,16 @@ class TestStatusCommand:
             expected += (", eta %s at the journaled rate"
                          % format_eta(eta))
         assert line == expected
+        # the work-units line of ``status`` and section of ``report``
+        # read the same view
+        shown = ", ".join(str(unit) for unit in view.in_flight)
+        assert ("  work units: %d completed, 1 in flight (%s)"
+                % (view.units_done, shown)) in text.splitlines()
+        report = str(tmp_path / "report.html")
+        assert run_cli("report", journal, "--out", report)[0] == 0
+        assert ("<p>%d completed unit(s), 1 still in flight (%s).</p>"
+                % (view.units_done, shown)
+                in pathlib.Path(report).read_text())
 
     def test_reports_serial_journal(self, tmp_path):
         journal = str(tmp_path / "run.jsonl")
