@@ -51,7 +51,9 @@ salvaged and requeued after a crash.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -98,6 +100,9 @@ class FleetConfig:
     parent runs it inline.  ``unit_instructions`` sizes work units and
     ``session_capacity`` bounds each worker's warm
     :class:`~repro.injection.injector.SessionCache` (LRU).
+    ``poll_interval`` bounds a wait in which nothing happens: it paces
+    the liveness and backoff checks, not the reaction to work (worker
+    messages and :meth:`WorkerFleet.wake` end a wait at once).
     """
 
     workers: int = 2
@@ -176,11 +181,13 @@ class _IncarnationChaos:
 
 
 def _fleet_worker_main(worker, incarnation, conn, config,
-                       chaos_policy=None):
+                       chaos_policy=None, inherited=()):
     """Long-lived warm worker: serve units until told to stop.
 
     ``conn`` is this incarnation's private duplex pipe (one writer per
-    end, so a worker killed mid-send tears only its own channel).
+    end, so a worker killed mid-send tears only its own channel);
+    ``inherited`` lists the parent's descriptors a forked worker
+    closes first (the fleet's wake pipe).
     Inbound messages: ``("campaign", ctx)`` registers a campaign
     context, ``("unit", cid, unit)`` runs one work unit, ``("stop",)``
     exits.  Every outbound message is tagged
@@ -192,6 +199,8 @@ def _fleet_worker_main(worker, incarnation, conn, config,
     session cache -- the second campaign for a cell skips the golden
     run and re-uses site snapshots.
     """
+    for fd in inherited:
+        os.close(fd)
     stop = {"reason": None}
 
     def emit(kind, *rest):
@@ -277,8 +286,11 @@ def _run_unit(emit, stop, ctx, unit, daemons, goldens, sessions,
         stop_check=lambda: stop["reason"], telemetry=heartbeat,
         chaos=chaos, session_cache=sessions, sampler=sampler)
     goldens[cell] = runner.golden
-    emit("unit-done", cid, unit.unit_id,
-         _unit_payload(runner.campaign, unit, worker, tracer, sampler))
+    from ..analysis.serialize import campaign_to_dict
+    emit("unit-done", cid, unit.unit_id, {
+        **campaign_to_dict(runner.campaign),
+        "trace": tracer.events() if tracer is not None else None,
+        "profile": sampler.as_dict() if sampler is not None else None})
 
 
 def _run_unit_runner(daemon, client_name, client_factory, options, unit,
@@ -312,25 +324,6 @@ def _run_unit_runner(daemon, client_name, client_factory, options, unit,
             else "runtime.golden_reused", volatile=True).inc()
         span.set("experiments", len(runner.run().results))
     return runner, tracer
-
-
-def _unit_payload(campaign, unit, worker, tracer, sampler, **timing):
-    """A finished unit's results as plain dicts for the parent."""
-    from ..analysis.serialize import (quarantined_to_dict,
-                                      result_to_dict)
-    timing = {**(campaign.timing or {}), **timing}
-    timing.update(shard=worker, unit=unit.unit_id,
-                  points=len(unit.points))
-    return {
-        "results": [result_to_dict(result)
-                    for result in campaign.results],
-        "quarantined": [quarantined_to_dict(entry)
-                        for entry in campaign.quarantined],
-        "timing": timing,
-        "metrics": campaign.metrics,
-        "trace": tracer.events() if tracer is not None else None,
-        "profile": sampler.as_dict() if sampler is not None else None,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +411,9 @@ class WorkerFleet:
 
     The fleet outlives campaigns (that is its point); `submit` may be
     called while other campaigns are still running, and idle workers
-    interleave units from every live campaign.  Each worker slot is a
+    interleave units from every live campaign.  `pump` blocks until a
+    worker message or a `wake` (from any thread) arrives, or for at
+    most ``poll_interval``.  Each worker slot is a
     small state machine::
 
         IDLE --unit--> BUSY --unit-done--> IDLE
@@ -464,6 +459,10 @@ class WorkerFleet:
         self._inline_sessions = SessionCache(
             capacity=self.config.session_capacity)
         self._inline_tid = self.config.workers + 1
+        #: the wake pipe's ``(read, write)`` descriptors while started:
+        #: the read end joins every wait, :meth:`wake` writes a byte.
+        self._wake_fds = ()
+        self._wake_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -471,6 +470,9 @@ class WorkerFleet:
         if self._started:
             return
         self._started = True
+        self._wake_fds = os.pipe()
+        for fd in self._wake_fds:
+            os.set_blocking(fd, False)
         for worker in range(self.config.workers):
             slot = WorkerSlot(worker=worker,
                               max_restarts=self.config.max_restarts)
@@ -487,11 +489,12 @@ class WorkerFleet:
                 except (BrokenPipeError, OSError):
                     pass
         deadline = time.monotonic() + 5.0
-        while (any(slot.process is not None
-                   and slot.process.is_alive()
-                   for slot in self.slots.values())
-               and time.monotonic() < deadline):
-            self._pump_messages()
+        while time.monotonic() < deadline:
+            alive = self._sentinels(self.slots.values())
+            if not alive:
+                break
+            self._pump_messages(max(0.0, deadline - time.monotonic()),
+                                alive)
         for slot in self.slots.values():
             if slot.process is not None:
                 if slot.process.is_alive():
@@ -500,7 +503,22 @@ class WorkerFleet:
             if slot.conn is not None:
                 slot.conn.close()
                 slot.conn = None
+        with self._wake_lock:
+            for fd in self._wake_fds:
+                os.close(fd)
+            self._wake_fds = ()
         self._started = False
+
+    def wake(self):
+        """Return a :meth:`pump` blocked in its wait now (or make its
+        next wait return at once).  Thread-safe; call it after handing
+        the pumping thread work, such as a submission or a stop."""
+        with self._wake_lock:
+            if self._wake_fds:
+                try:
+                    os.write(self._wake_fds[1], b"\0")
+                except BlockingIOError:
+                    pass          # pipe full: a wake is already pending
 
     def _context(self):
         methods = multiprocessing.get_all_start_methods()
@@ -512,10 +530,12 @@ class WorkerFleet:
         if slot.conn is not None:
             slot.conn.close()
         parent_conn, child_conn = self.context.Pipe()
+        forked = self.context.get_start_method() == "fork"
         process = self.context.Process(
             target=_fleet_worker_main,
             args=(slot.worker, slot.incarnation, child_conn,
-                  self.config, self.chaos))
+                  self.config, self.chaos),
+            kwargs={"inherited": self._wake_fds if forked else ()})
         process.daemon = True
         process.start()
         child_conn.close()
@@ -612,8 +632,14 @@ class WorkerFleet:
     # -- the supervision loop ------------------------------------------
 
     def pump(self):
-        """One supervision iteration: drain messages, check liveness,
-        respawn, assign units, fall back inline when out of workers."""
+        """One supervision iteration: assign queued units, wait for
+        messages (or a :meth:`wake`) and drain them, check liveness,
+        respawn, fall back inline when out of workers.  Assigning
+        before the wait sends a new campaign's units out at once;
+        ``poll_interval`` bounds the wait, so it paces only the
+        liveness and backoff checks."""
+        if not self._draining:
+            self._assign()
         self._pump_messages()
         now = time.monotonic()
         for slot in list(self.slots.values()):
@@ -622,19 +648,29 @@ class WorkerFleet:
             elif slot.status == BACKOFF and now >= slot.resume_due:
                 self._respawn(slot)
         if not self._draining:
-            self._assign()
             self._inline_fallback()
 
-    def _pump_messages(self):
+    def _pump_messages(self, timeout=None, sentinels=()):
+        """Wait up to *timeout* (default ``poll_interval``) for a worker
+        message, a wake, or one of *sentinels* (processes whose exit
+        ends the wait), then drain every ready channel."""
         by_conn = {slot.conn: slot for slot in self.slots.values()
                    if slot.conn is not None}
-        if not by_conn:
-            time.sleep(self.config.poll_interval)
-            return
-        ready = _mp_connection.wait(list(by_conn),
-                                    timeout=self.config.poll_interval)
-        for conn in ready:
-            self._drain_conn(by_conn[conn], conn)
+        ready = _mp_connection.wait(
+            [*by_conn, *self._wake_fds[:1], *sentinels],
+            timeout=(self.config.poll_interval if timeout is None
+                     else timeout))
+        for waited in ready:
+            if waited in by_conn:
+                self._drain_conn(by_conn[waited], waited)
+            elif waited in self._wake_fds[:1]:
+                os.read(waited, 4096)     # clear the pending wakes
+
+    @staticmethod
+    def _sentinels(slots):
+        """Exit sentinels of the live worker processes of *slots*."""
+        return [slot.process.sentinel for slot in slots
+                if slot.process is not None and slot.process.is_alive()]
 
     def _drain_conn(self, slot, conn):
         while True:
@@ -696,32 +732,39 @@ class WorkerFleet:
         slot.status = IDLE
         if state.owner.sampler is not None:
             state.owner.sampler.absorb_dict(payload.get("profile"))
-        self._complete_unit(state, unit, payload, slot.worker)
+        from ..analysis.serialize import campaign_from_dict
+        self._complete_unit(state, unit, slot.worker,
+                            campaign_from_dict(payload), payload["trace"],
+                            payload)
 
-    def _complete_unit(self, state, unit, payload, worker, **extra):
-        """Record a finished unit's payload (from a worker, or from the
-        parent's inline fallback) and tell every observer."""
-        from ..analysis.serialize import (quarantined_from_dict,
-                                          result_from_dict)
-        results = [result_from_dict(record)
-                   for record in payload["results"]]
-        state.owner.record(results, [quarantined_from_dict(record)
-                                     for record in payload["quarantined"]])
-        state.owner.report(unit.index, payload["timing"],
-                           payload["metrics"], payload["trace"])
+    def _complete_unit(self, state, unit, worker, campaign, trace,
+                       payload=None, **extra):
+        """Record a finished unit -- *campaign* holds its result
+        objects, timing and volatile metrics, *trace* its spans -- and
+        tell every observer.  ``on_unit`` gets the unit as plain dicts:
+        a worker's *payload* as received, serialized here only for the
+        parent's inline fallback."""
+        results, quarantined = campaign.results, campaign.quarantined
+        state.owner.record(results, quarantined)
+        state.owner.report(unit.index, {
+            **(campaign.timing or {}), **extra, "shard": worker,
+            "unit": unit.unit_id, "points": len(unit.points)},
+            campaign.metrics, trace)
         scheduler = state.scheduler
         scheduler.complete(unit)
-        records = len(payload["results"]) + len(payload["quarantined"])
-        self._mark_unit(state, unit, status="done", records=records)
+        self._mark_unit(state, unit, status="done",
+                        records=len(results) + len(quarantined))
         self._emit(state, "unit-finished", unit=unit.unit_id,
-                   worker=worker, results=len(payload["results"]),
-                   quarantined=len(payload["quarantined"]),
+                   worker=worker, results=len(results),
+                   quarantined=len(quarantined),
                    completed=scheduler.completed,
                    total=scheduler.total, **extra)
         if results:
             self._emit(state, "outcomes", delta=outcome_delta(results))
         if state.on_unit is not None:
-            state.on_unit(state, unit, payload)
+            from ..analysis.serialize import campaign_to_dict
+            state.on_unit(state, unit, payload if payload is not None
+                          else campaign_to_dict(campaign))
 
     def _mark_unit(self, state, unit, status, records=0):
         """A unit's marker in the *base* journal, the only one it gets
@@ -954,10 +997,9 @@ class WorkerFleet:
             # inline units run in the parent, feeding the campaign's
             # own sampler directly (no profile payload to fold).
             sampler=owner.sampler)
-        payload = _unit_payload(runner.campaign, unit, self._inline_tid,
-                                tracer, None, inline=True)
-        self._complete_unit(state, unit, payload, self._inline_tid,
-                            inline=True)
+        self._complete_unit(
+            state, unit, self._inline_tid, runner.campaign,
+            tracer.events() if tracer is not None else None, inline=True)
 
     # -- checkpoint drain ----------------------------------------------
 
@@ -977,7 +1019,9 @@ class WorkerFleet:
         deadline = time.monotonic() + self.config.drain_timeout
         while (any(slot.status == BUSY for slot in self.slots.values())
                and time.monotonic() < deadline):
-            self._pump_messages()
+            self._pump_messages(sentinels=self._sentinels(
+                slot for slot in self.slots.values()
+                if slot.status == BUSY))
             for slot in self.slots.values():
                 if slot.status == BUSY and slot.process is not None \
                         and not slot.process.is_alive() \
@@ -987,7 +1031,7 @@ class WorkerFleet:
                     state = self.campaigns.get(cid)
                     if state is not None:
                         self._release_unit(slot, state, salvage=True)
-        self._pump_messages()
+        self._pump_messages(timeout=0)
         for slot in self.slots.values():
             if slot.status != BUSY:
                 continue

@@ -51,7 +51,9 @@ determinism argument, extended over the wire.
 Threading: the asyncio loop owns the socket; a single dispatcher
 thread owns the :class:`~repro.injection.fleet.WorkerFleet` (daemon
 builds, scheduling, supervision) and ships events back with
-``loop.call_soon_threadsafe``.  SIGTERM drains the fleet through the
+``loop.call_soon_threadsafe``; every request and stop handed to it
+calls :meth:`WorkerFleet.wake`, so it never waits out a poll interval
+for them.  SIGTERM drains the fleet through the
 checkpoint protocol -- every in-flight campaign stops at a
 journal-consistent boundary, clients get a ``checkpoint`` event with
 the resume journal, and the process exits 0.
@@ -178,6 +180,7 @@ class CampaignService:
             self._drain_reason = name
             self._stopping.set()
             self._stop_event.set()
+            self.fleet.wake()
 
     def shutdown(self, reason="shutdown"):
         """Programmatic SIGTERM equivalent: drain and exit.  Safe to
@@ -248,8 +251,7 @@ class CampaignService:
             return
         connection["in_flight"] += 1
         events = asyncio.Queue()
-        self._requests.put(("submit", spec, options, events,
-                            connection))
+        self._request("submit", spec, options, events, connection)
         # stream this campaign's events until its terminal event
         task = asyncio.ensure_future(self._stream(connection, events))
         self._streams.add(task)
@@ -263,7 +265,7 @@ class CampaignService:
         ring replay) so sequences arrive contiguous."""
         await self._send(connection, {"event": "subscribed"})
         events = asyncio.Queue()
-        self._requests.put(("subscribe", events))
+        self._request("subscribe", events)
         task = asyncio.ensure_future(
             self._stream_telemetry(connection, events))
         self._streams.add(task)
@@ -306,6 +308,11 @@ class CampaignService:
 
     def _push(self, events, event):
         self._loop.call_soon_threadsafe(events.put_nowait, event)
+
+    def _request(self, *item):
+        """Hand the dispatcher a request and wake its pump."""
+        self._requests.put(item)
+        self.fleet.wake()
 
     # -- dispatcher thread: owns the fleet -----------------------------
 

@@ -1,6 +1,7 @@
 """Warm worker fleet: serial-identical execution, warm cache reuse
 across campaigns, supervision (kill/respawn/salvage, retirement with
-inline fallback, pipe-error accounting) and checkpoint drain.
+inline fallback, pipe-error accounting), checkpoint drain, and waking
+on work instead of waiting out the poll interval.
 
 The acceptance property is the repo's north star: every path through
 the fleet must end in tallies byte-identical to an undisturbed serial
@@ -8,6 +9,10 @@ run of the same campaign.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+import time
 
 import pytest
 
@@ -24,6 +29,12 @@ SLICE = 40
 #: test-speed fleet: short backoff and polls, real semantics.
 FAST = dict(workers=2, backoff_base=0.05, backoff_cap=0.2,
             poll_interval=0.05, dead_grace=0.2)
+
+
+#: a poll interval no wake-on-work path may wait out: each finishes
+#: within ``PROMPT`` seconds, a third of one interval.
+SLOW_POLL = 30.0
+PROMPT = SLOW_POLL / 3
 
 
 def fast_config(**overrides):
@@ -217,3 +228,77 @@ class TestFleetCheckpoint:
         finally:
             fleet.stop()
         assert campaign_differences(campaign, serial_campaign) == []
+
+
+# ----------------------------------------------------------------------
+# Wake on work
+
+class TestWakeOnWork:
+    def test_campaign_on_started_fleet_skips_the_poll_wait(
+            self, ftp_daemon, serial_campaign):
+        fleet = WorkerFleet(fast_config(poll_interval=SLOW_POLL))
+        fleet.start()
+        try:
+            # the first campaign takes the workers' hello messages, so
+            # the second finds every worker pipe silent: its units must
+            # go out before the pump blocks
+            run_fleet_campaign(ftp_daemon, "Client1", client1,
+                               fleet=fleet, max_points=SLICE)
+            started = time.monotonic()
+            campaign = run_fleet_campaign(ftp_daemon, "Client1",
+                                          client1, fleet=fleet,
+                                          max_points=SLICE)
+            elapsed = time.monotonic() - started
+        finally:
+            fleet.stop()
+        assert elapsed < PROMPT
+        assert campaign_differences(campaign, serial_campaign) == []
+
+    def test_wake_from_another_thread_returns_a_blocked_pump(self):
+        fleet = WorkerFleet(fast_config(workers=1,
+                                        poll_interval=SLOW_POLL))
+        fleet.start()
+        timer = threading.Timer(0.2, fleet.wake)
+        try:
+            fleet.pump()                  # the worker's hello
+            started = time.monotonic()
+            timer.start()
+            fleet.pump()                  # nothing to do: blocks
+            elapsed = time.monotonic() - started
+        finally:
+            timer.cancel()
+            fleet.stop()
+        assert 0.15 <= elapsed < PROMPT
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/<pid>/fd")
+class TestWakeDescriptors:
+    def test_start_stop_cycles_leave_descriptor_count_unchanged(self):
+        fleet = WorkerFleet(fast_config())
+        # one cycle first: the last cycle's process sentinels stay
+        # open until the next start() replaces its slots
+        fleet.start()
+        fleet.stop()
+        before = len(os.listdir("/proc/self/fd"))
+        for __ in range(10):
+            fleet.start()
+            fleet.stop()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert fleet._wake_fds == ()
+
+    def test_forked_workers_close_the_wake_pipe(self):
+        fleet = WorkerFleet(fast_config(poll_interval=SLOW_POLL))
+        fleet.start()
+        try:
+            pipe = os.readlink("/proc/self/fd/%d" % fleet._wake_fds[0])
+            for slot in fleet.slots.values():
+                # a worker says hello only after closing what it
+                # inherited
+                assert slot.conn.poll(PROMPT)
+                fds = "/proc/%d/fd" % slot.process.pid
+                held = {os.readlink(os.path.join(fds, name))
+                        for name in os.listdir(fds)}
+                assert pipe not in held
+        finally:
+            fleet.stop()

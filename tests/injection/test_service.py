@@ -32,16 +32,20 @@ SPEC = {"daemon": "ftpd", "client": "Client1",
 #: test-speed fleet for the service under test.
 FAST = dict(workers=2, backoff_base=0.05, backoff_cap=0.2,
             poll_interval=0.05, dead_grace=0.2)
+#: a poll interval no wake-on-work path may wait out: each finishes
+#: within ``PROMPT`` seconds, a third of one interval.
+SLOW_POLL = 30.0
+PROMPT = SLOW_POLL / 3
 
 
 class ServiceHarness:
     """One CampaignService running on a daemon thread."""
 
-    def __init__(self, socket_path, quota=2):
+    def __init__(self, socket_path, quota=2, **config):
         self.socket_path = str(socket_path)
-        self.service = CampaignService(socket_path=self.socket_path,
-                                       config=FleetConfig(**FAST),
-                                       quota=quota)
+        self.service = CampaignService(
+            socket_path=self.socket_path,
+            config=FleetConfig(**{**FAST, **config}), quota=quota)
         self.status = None
         self.thread = threading.Thread(target=self._run, daemon=True)
 
@@ -293,3 +297,51 @@ class TestServiceDrain:
             config=FleetConfig(**FAST), max_points=points,
             journal=journal, resume=True, journal_salvage=True)
         assert campaign_differences(resumed, serial) == []
+
+
+class TestServiceWakeOnWork:
+    """Requests and stops wake the dispatcher: with a poll interval no
+    path may wait out, submissions still stream to ``done`` and a
+    shutdown still drains promptly."""
+
+    def test_submissions_reach_done_without_waiting_out_the_poll(
+            self, tmp_path, serial_campaign):
+        harness = ServiceHarness(tmp_path / "wake.sock",
+                                 poll_interval=SLOW_POLL)
+        harness.start()
+        try:
+            with ServiceClient(harness.socket_path) as client:
+                # the second submission lands on a dispatcher blocked
+                # in its wait, with every worker pipe silent
+                for __ in range(2):
+                    started = time.monotonic()
+                    accepted = client.submit(SPEC, max_points=SLICE)
+                    done, records = client.collect(
+                        accepted["campaign"])
+                    assert time.monotonic() - started < PROMPT
+                    assert campaign_differences(
+                        rebuild(done, records), serial_campaign) == []
+        finally:
+            harness.stop()
+
+    def test_shutdown_drains_without_waiting_out_the_poll(
+            self, tmp_path):
+        harness = ServiceHarness(tmp_path / "wake-drain.sock",
+                                 poll_interval=SLOW_POLL)
+        harness.start()
+        try:
+            with ServiceClient(harness.socket_path) as client:
+                accepted = client.submit(
+                    SPEC, max_points=200,
+                    journal=str(tmp_path / "drain.jsonl"))
+                started = time.monotonic()
+                harness.service.shutdown("test-drain")
+                events = list(client.events(accepted["campaign"]))
+                harness.thread.join(PROMPT)
+                elapsed = time.monotonic() - started
+        finally:
+            harness.thread.join(90)
+        assert elapsed < PROMPT
+        assert not harness.thread.is_alive()
+        assert harness.status == 0
+        assert events[-1]["event"] in ("checkpoint", "done")
