@@ -18,23 +18,43 @@ test first, on what the golden tail from there can still observe:
    (``GoldenRun.dead_regs``: the golden tail overwrites it before
    reading it);
 2. EFLAGS (materialised) and the segment registers, exactly;
-3. memory: every writable page either run may have changed since the
+3. the blocking byte (:attr:`EarlyExits.blocking`, below);
+4. the kernel and client state (:meth:`GoldenState.kernel_matches`,
+   its scalar fields first);
+5. the text-fetch rule: no text byte the experiment corrupted
+   (``Machine.dirty_text``) is fetched or read as data by the golden
+   run after this syscall index (``GoldenRun.last_fetch``);
+6. memory: every writable page either run may have changed since the
    site's snapshot -- the pages the experiment dirtied
    (``region.dirty``) and the pages whose golden digest at this index
    differs from the snapshot's (moved; computed once per site and
-   index) -- must hash to the golden digest, or differ from the
-   golden page only in bytes dead at this index
-   (:class:`~repro.injection.golden.ByteLiveness`); a moved page the
-   experiment did not dirty still holds the snapshot's bytes;
-4. the kernel and client state (:meth:`GoldenState.kernel_matches`);
-5. the text-fetch rule: no text byte the experiment corrupted
-   (``Machine.dirty_text``) is fetched or read as data by the golden
-   run after this syscall index (``GoldenRun.last_fetch``).  Text
-   differs between the runs only there, so from here the experiment
-   executes the golden run's tail: each instruction reads only
-   locations equal in both runs, so it computes the same values and
-   goes to the same place, and every dead location is overwritten
-   before anything reads it.
+   index) -- must equal the golden page byte for byte, or differ
+   from it only in bytes dead at this index
+   (:class:`~repro.injection.golden.ByteLiveness`).  The golden page
+   of an unmoved page is the snapshot's; that of a moved page is the
+   golden run's copy, decompressed.
+
+Text differs between the runs only in ``dirty_text``, so after a
+match the experiment executes the golden run's tail: each instruction
+reads only locations equal in both runs, so it computes the same
+values and goes to the same place, and every dead location is
+overwritten before anything reads it.  All six tests must pass, so
+their order decides only what a check costs, never its answer.
+
+The registers pass for most data-fault checks (12,173 of the 13,521
+of a ``datafault-mixed`` pass), so the memory test is what rejects
+them, and mostly on the same byte as at the syscall before: a flipped
+byte stays live and different until the program overwrites it.  A
+memory rejection records the lowest live byte that differed as
+:attr:`EarlyExits.blocking`, and the next check rejects at once when
+that byte lies on a page the memory test compares (dirty, or moved
+at this index), is live at this index and differs from the golden
+byte there.  That is sound because those three conditions are the
+memory test's own for one byte, tested at this index against this
+index's golden page: when they hold, the full test would reject too.
+A byte that was rewritten, went dead, or lies on a page the test
+skips decides nothing, and the check goes on.  The remembered byte
+only orders the work; every decision is the full check's.
 
 A match raises :class:`Converged`; the watchdog turns it into the
 golden run's own ending (``exit``, the golden exit code, ``instret``
@@ -68,16 +88,38 @@ of early-exited experiments in full and raises
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 from ..emu.memory import PAGE_SHIFT, PAGE_SIZE
 from .golden import page_digest, writable_regions
 
 
-#: golden pages an :class:`EarlyExits` keeps as their live-byte mask
-#: and live bytes (two 4 KiB integers each), least recently used out
-#: first: the golden page at an index is the same whichever site asks.
-_KEPT_PAGES = 64
+#: decompressed golden pages and live-byte masks an
+#: :class:`EarlyExits` keeps, least recently used out first.  A golden
+#: page is keyed by its digest and a mask by the compressed object
+#: :class:`~repro.injection.golden.ByteLiveness` shares between the
+#: indices at which it is the same, so an entry serves every site and
+#: every index that asks for the same bytes.
+_KEPT = 64
+
+
+def _kept(cache, key, make):
+    """``cache[key]``, made by ``make(key)`` on a miss, as the most
+    recently used of at most :data:`_KEPT` entries."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = make(key)
+        if len(cache) >= _KEPT:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+def _expand(packed):
+    """A compressed live-byte mask as its bytes and its integer."""
+    mask = zlib.decompress(packed)
+    return mask, int.from_bytes(mask, "little")
 
 
 class EarlyExitAuditError(RuntimeError):
@@ -133,15 +175,24 @@ class EarlyExits:
         #: ``(registers, byte count)`` that differed, dead, at the
         #: last match.
         self.dead = ((), 0)
+        #: ``(region, page, offset)`` of the lowest live byte that
+        #: differed at the last memory rejection, tested first at the
+        #: next syscall entry; ``None`` after :meth:`arm`.
+        self.blocking = None
+        #: checks made, full memory tests run, and checks the
+        #: blocking byte rejected (:meth:`fold_counts`).
+        self.checks = self.memory_checks = self.quick_rejects = 0
         #: the site snapshot the caches below describe.
         self._snapshot = None
         self._blobs = None        # per writable region, its bytes
         self._digests = None      # per writable region, per page
         self._moved = {}          # syscall index -> moved page sets
-        self._expected = {}       # (index, region, page) -> live bytes
+        self._pages = {}          # digest -> golden page bytes
+        self._masks = {}          # compressed mask -> (bytes, integer)
 
     def arm(self, session, watchdog):
         self.session = session
+        self.blocking = None
         session.process.cpu.syscall_hook = self.at_syscall
         watchdog.early = self
 
@@ -149,6 +200,18 @@ class EarlyExits:
         session.process.cpu.syscall_hook = None
         watchdog.early = None
         self.session = self.search = None
+
+    def fold_counts(self, registry):
+        """Add the check counts to *registry*'s volatile counters
+        (``early_exit.checks``, ``.memory_checks``,
+        ``.quick_rejects``) and start them again from zero."""
+        for name, count in (("checks", self.checks),
+                            ("memory_checks", self.memory_checks),
+                            ("quick_rejects", self.quick_rejects)):
+            if count:
+                registry.counter("early_exit." + name, volatile=True) \
+                    .inc(count)
+        self.checks = self.memory_checks = self.quick_rejects = 0
 
     def cycle_search(self, process):
         """A :class:`CycleSearch` for the armed experiment, quiet
@@ -181,6 +244,7 @@ class EarlyExits:
         """The syscall index whose golden state *cpu* (at the entry
         of ``int 0x80`` *instruction*) equals up to dead registers and
         bytes, or ``None``; a match leaves those in :attr:`dead`."""
+        self.checks += 1
         golden = self.golden
         index = cpu.kernel.syscall_count
         if index >= len(golden.states):
@@ -204,8 +268,11 @@ class EarlyExits:
         if shift and (golden.instret + shift > self.session.budget
                       or golden.last_instret_read > index):
             return None
-        dead_bytes = self._memory_matches(cpu, index, state)
-        if dead_bytes is None:
+        self._site()
+        regions = writable_regions(cpu.memory)
+        if self.blocking is not None \
+                and self._still_blocks(regions, index, state):
+            self.quick_rejects += 1
             return None
         if not state.kernel_matches(cpu.kernel):
             return None
@@ -213,83 +280,91 @@ class EarlyExits:
         for address in self.session.machine.dirty_text:
             if last_fetch.get(address, -1) > index:
                 return None
+        self.memory_checks += 1
+        dead_bytes = self._memory_matches(regions, index, state)
+        if dead_bytes is None:
+            return None
         self.dead = (dead_regs, dead_bytes)
         return index
 
-    def _memory_matches(self, cpu, index, state):
+    def _still_blocks(self, regions, index, state):
+        """Would the full memory test reject on :attr:`blocking`?  It
+        would when the byte lies on a page the test compares (dirty,
+        or moved at *index*), is live at *index* and differs from the
+        golden byte there."""
+        number, page, offset = self.blocking
+        region = regions[number]
+        digest = state.pages[number][page]
+        moved = digest != self._digests[number][page]
+        if not moved and page not in region.dirty:
+            return False
+        if not self._mask(index, number, page)[0][offset]:
+            return False
+        at = (page << PAGE_SHIFT) + offset
+        golden = (self._golden_page(digest)[offset] if moved
+                  else self._blobs[number][at])
+        return region.data[at] != golden
+
+    def _memory_matches(self, regions, index, state):
         """How many dead bytes the writable pages differ from the
-        golden ones in, or ``None`` when a live one differs."""
+        golden ones in, or ``None`` when a live one differs (the
+        lowest such byte is then :attr:`blocking`)."""
         moved = self._moved_pages(index, state)
         differing = []
         for number, (region, pages, digests, blob) in enumerate(zip(
-                writable_regions(cpu.memory), moved, state.pages,
-                self._blobs)):
-            dirty = region.dirty
+                regions, moved, state.pages, self._blobs)):
             data = region.data
-            for page in dirty:
-                if page_digest(data, page) != digests[page]:
-                    value = self._live_match(index, number, page, data)
-                    if value is None:
-                        return None
-                    differing.append((number, page, value))
-            if not pages <= dirty:
-                # the experiment still holds the snapshot's bytes there
-                for page in pages - dirty:
-                    value = self._live_match(index, number, page, blob)
-                    if value is None:
-                        return None
-                    differing.append((number, page, value))
-        dead = 0
-        for number, page, value in differing:
-            golden = self._golden_page(index, number, page)
-            dead += len(golden) - (value ^ int.from_bytes(golden, "little")) \
-                .to_bytes(len(golden), "little").count(0)
-        return dead
+            for page in region.dirty | pages if pages else region.dirty:
+                low = page << PAGE_SHIFT
+                ours = data[low:low + PAGE_SIZE]
+                golden = (self._golden_page(digests[page]) if page in pages
+                          else blob[low:low + PAGE_SIZE])
+                if ours == golden:
+                    continue
+                differ = (int.from_bytes(ours, "little")
+                          ^ int.from_bytes(golden, "little"))
+                live = differ & self._mask(index, number, page)[1]
+                if live:
+                    self.blocking = (number, page,
+                                     ((live & -live).bit_length() - 1) >> 3)
+                    return None
+                differing.append((differ, len(ours)))
+        return sum(width - differ.to_bytes(width, "little").count(0)
+                   for differ, width in differing)
 
-    def _live_match(self, index, number, page, ours):
-        """Page *page* of writable region *number* in *ours* (the
-        region's bytes) as an integer when its live bytes at *index*
-        equal the golden page's, else ``None``."""
-        key = (index, number, page)
-        kept = self._expected
-        expected = kept.pop(key, None)
-        if expected is None:
-            golden = int.from_bytes(self._golden_page(*key), "little")
-            live = self.golden.live_bytes.live(index, number, page)
-            expected = (live, golden & live)
-            if len(kept) >= _KEPT_PAGES:
-                del kept[next(iter(kept))]
-        kept[key] = expected
-        live, masked = expected
-        low = page << PAGE_SHIFT
-        value = int.from_bytes(ours[low:low + PAGE_SIZE], "little")
-        return value if value & live == masked else None
+    def _mask(self, index, number, page):
+        """The live-byte mask of page *page* of writable region
+        *number* at *index*, as its bytes and its integer."""
+        return _kept(self._masks,
+                     self.golden.live_bytes.packed(index, number, page),
+                     _expand)
 
-    def _golden_page(self, index, number, page):
-        """The bytes of the golden page at *index*: a moved page is
-        kept by the golden run, any other equals the snapshot's."""
-        if page in self._moved[index][number]:
-            return self.golden.live_bytes.page(
-                self.golden.states[index].pages[number][page])
-        low = page << PAGE_SHIFT
-        return self._blobs[number][low:low + PAGE_SIZE]
+    def _golden_page(self, digest):
+        """The bytes of the golden page with *digest*, a page the
+        golden run moved."""
+        return _kept(self._pages, digest, self.golden.live_bytes.page)
+
+    def _site(self):
+        """Describe the armed session's snapshot: per writable region
+        its bytes and its page digests."""
+        snapshot = self.session.snapshot
+        if snapshot is self._snapshot:
+            return
+        self._snapshot = snapshot
+        self._moved = {}
+        writable = [(region, view) for region, view
+                    in zip(self.session.process.memory.regions,
+                           snapshot.region_views)
+                    if region.writable]
+        self._blobs = [view for __, view in writable]
+        self._digests = [
+            [page_digest(view, page) for page in range(region.page_count())]
+            for region, view in writable]
 
     def _moved_pages(self, index, state):
         """Per writable region, the pages whose golden digest at
         *index* differs from the site snapshot's."""
-        snapshot = self.session.snapshot
-        if snapshot is not self._snapshot:
-            self._snapshot = snapshot
-            self._moved = {}
-            writable = [(region, view) for region, view
-                        in zip(self.session.process.memory.regions,
-                               snapshot.region_views)
-                        if region.writable]
-            self._blobs = [view for __, view in writable]
-            self._digests = [
-                [page_digest(view, page)
-                 for page in range(region.page_count())]
-                for region, view in writable]
+        self._site()
         moved = self._moved.get(index)
         if moved is None:
             moved = self._moved[index] = tuple(

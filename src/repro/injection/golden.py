@@ -110,12 +110,15 @@ class GoldenState:
         """Does *kernel* (and its channel and client) hold this
         state's kernel fields?  The client is compared directly: two
         runs with one transcript can still differ in it (what
-        ``input_needed`` has queued, for one)."""
+        ``input_needed`` has queued, for one).  The scalar fields go
+        first: they cost a comparison each, and the open-file and
+        client dicts are built only when they agree."""
         channel = kernel.channel
-        return (channel.to_server == self.to_server
-                and channel.transcript == self.transcript
-                and kernel.next_fd == self.next_fd
+        return (kernel.next_fd == self.next_fd
+                and len(channel.transcript) == len(self.transcript)
+                and channel.to_server == self.to_server
                 and kernel.stderr_log == self.stderr_log
+                and channel.transcript == self.transcript
                 and _open_files(kernel) == self.open_files
                 and _client_state(channel.client) == self.client)
 
@@ -148,14 +151,20 @@ class ByteLiveness:
         recorder re-hashed at a syscall."""
         return zlib.decompress(self._pages[digest])
 
-    def live(self, index, region, page):
+    def packed(self, index, region, page):
         """The live bytes of page *page* of writable region *region*
-        at the entry of syscall *index*, as an integer with ``0xFF``
-        at each live byte (little-endian, like ``int.from_bytes``)."""
+        at the entry of syscall *index*, compressed, ``0xFF`` per live
+        byte: one object for all the indices with the same mask."""
         masks = self._masks.get((region, page))
         if masks is None:
             masks = self._masks[region, page] = self._sweep(region, page)
-        return int.from_bytes(zlib.decompress(masks[index]), "little")
+        return masks[index]
+
+    def live(self, index, region, page):
+        """The same mask as an integer (little-endian, like
+        ``int.from_bytes``)."""
+        return int.from_bytes(zlib.decompress(
+            self.packed(index, region, page)), "little")
 
     def _sweep(self, region, page):
         """The page's compressed masks at every syscall index (``0xFF``

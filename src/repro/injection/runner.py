@@ -1503,6 +1503,7 @@ class CampaignRunner:
         finally:
             if early is not None:
                 early.disarm(session, self.watchdog)
+                early.fold_counts(self.registry)
         if exited is not None and exited.kind == "converged":
             # the rest of the run is the golden run's
             outcome, detail = NOT_MANIFESTED, ""

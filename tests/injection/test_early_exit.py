@@ -25,6 +25,7 @@ from repro.injection.earlyexit import (CycleSearch, EarlyExitAuditError,
                                        EarlyExits)
 from repro.injection.golden import writable_regions
 from repro.kernel import Kernel
+from repro.kernel.channels import ScriptedClient
 from repro.kernel.filesystem import FileSystem
 from repro.obs.trace import load_trace_file
 from repro.x86 import assemble
@@ -88,6 +89,41 @@ class TestConvergence:
         early, cpu, instruction, __ = at_syscall
         cpu.kernel.channel.transcript.append(("S", b"extra"))
         assert early.match(cpu, instruction) is None
+
+    @pytest.mark.parametrize("field", ["next_fd", "stderr_log",
+                                       "open_files", "to_server"])
+    def test_every_kernel_field_is_compared(self, at_syscall, field):
+        early, cpu, instruction, index = at_syscall
+        assert early.match(cpu, instruction) == index
+        kernel = cpu.kernel
+        if field == "next_fd":
+            kernel.next_fd += 1
+        elif field == "stderr_log":
+            kernel.stderr_log += b"x"
+        elif field == "open_files":
+            kernel.open_files[kernel.next_fd] = SimpleNamespace(
+                path="/etc/passwd", position=0)
+        else:
+            kernel.channel.to_server += b"x"
+        assert early.match(cpu, instruction) is None
+
+    def test_a_clean_suffix_matches_at_every_syscall(self, at_syscall):
+        """The golden pages the check keeps serve every index: a
+        page the golden run rewrites between two syscalls is compared
+        with its bytes at each."""
+        early, cpu, instruction, index = at_syscall
+        matched = []
+
+        def hook(cpu, instruction):
+            matched.append((early.match(cpu, instruction),
+                            cpu.kernel.syscall_count))
+        cpu.syscall_hook = hook
+        status = early.session.process.run(early.session.budget)
+        assert status.kind == "exit"
+        assert [expected for __, expected in matched] \
+            == list(range(index, len(early.golden.states)))
+        assert all(got == expected for got, expected in matched)
+        assert early.memory_checks == len(matched)
 
     def test_a_page_only_the_golden_run_moved_is_compared(
             self, at_syscall):
@@ -158,6 +194,66 @@ def _flip(region, address):
     offset = address - region.start
     region.data[offset] ^= 1
     region.dirty.add(offset >> PAGE_SHIFT)
+
+
+class TestBlockingByte:
+    """The lowest live byte that differed at a memory rejection is
+    tested first at the next check; it rejects only where the full
+    test would."""
+
+    @staticmethod
+    def _stack_page(early, cpu, index):
+        stack = cpu.memory.region_named("stack")
+        page = (cpu.regs[ESP] - stack.start) >> PAGE_SHIFT
+        number = writable_regions(cpu.memory).index(stack)
+        live = _live_offsets(early, cpu, index, stack, page)
+        return stack, number, page, live
+
+    def test_a_memory_rejection_remembers_the_lowest_live_byte(
+            self, at_syscall):
+        early, cpu, instruction, index = at_syscall
+        stack, number, page, live = self._stack_page(early, cpu, index)
+        low = stack.start + (page << PAGE_SHIFT)
+        _flip(stack, low + live[-1])
+        _flip(stack, low + live[0])
+        assert early.match(cpu, instruction) is None
+        assert early.blocking == (number, page, live[0])
+        assert (early.memory_checks, early.quick_rejects) == (1, 0)
+        assert early.match(cpu, instruction) is None
+        assert (early.memory_checks, early.quick_rejects) == (1, 1)
+        _flip(stack, low + live[0])
+        assert early.match(cpu, instruction) is None
+        assert early.blocking == (number, page, live[-1])
+        assert (early.memory_checks, early.quick_rejects) == (2, 1)
+
+    def test_a_rewritten_blocking_byte_no_longer_blocks(self, at_syscall):
+        early, cpu, instruction, index = at_syscall
+        stack, __, page, live = self._stack_page(early, cpu, index)
+        address = stack.start + (page << PAGE_SHIFT) + live[0]
+        _flip(stack, address)
+        assert early.match(cpu, instruction) is None
+        _flip(stack, address)
+        assert early.match(cpu, instruction) == index
+        assert early.quick_rejects == 0
+
+    def test_a_blocking_byte_dead_here_does_not_block(self, at_syscall):
+        """A byte that was live where it blocked may be dead at a
+        later index: there it only counts as a dead byte."""
+        early, cpu, instruction, index = at_syscall
+        stack, number, page, live = self._stack_page(early, cpu, index)
+        dead = sorted(set(range(PAGE_SIZE)) - set(live))[0]
+        _flip(stack, stack.start + (page << PAGE_SHIFT) + dead)
+        early.blocking = (number, page, dead)
+        assert early.match(cpu, instruction) == index
+        assert early.dead == ((), 1)
+        assert early.quick_rejects == 0
+
+    def test_arm_forgets_the_blocking_byte(self, at_syscall):
+        early = at_syscall[0]
+        early.blocking = (0, 0, 0)
+        early.arm(early.session, Watchdog())
+        early.disarm(early.session, Watchdog())
+        assert early.blocking is None
 
 
 class TestLiveness:
@@ -279,11 +375,8 @@ _start:
 """
 
 
-class _Silent:
+class _Silent(ScriptedClient):
     """A client that never talks."""
-
-    def attach(self, channel):
-        self.channel = channel
 
     def finished(self):
         return True
@@ -342,6 +435,94 @@ class TestAccessLog:
         start = module.symbols["_start"].address
         assert golden.last_fetch[start] == 2
         assert golden.last_fetch[start + 1] == 0
+
+
+#: three bytes of data, so the data region (data and bss) ends three
+#: bytes into a page; the first of them is read after the first
+#: syscall, the other two never.
+PARTIAL = """
+.data
+pad: .byte 0, 0, 0
+.text
+.global _start
+_start:
+    movl $20, %eax
+    int $0x80
+    movl $pad, %ecx
+    addl $0x8000, %ecx
+    movzbl (%ecx), %ebx
+    movl $1, %eax
+    int $0x80
+"""
+
+
+@pytest.fixture(scope="module")
+def partial_program():
+    module = assemble(PARTIAL)
+    daemon = SimpleNamespace(
+        module=module,
+        make_kernel=lambda client: Kernel.for_client(client, FileSystem({})))
+    return daemon, record_golden(daemon, _Silent)
+
+
+class TestPartialPage:
+    """The last page of a data region is partial in every daemon
+    (ftpd 34,932 bytes, pop3d 33,671, sshd 34,430): its bytes are
+    compared like a whole page's."""
+
+    @pytest.fixture
+    def at_first_syscall(self, partial_program):
+        daemon, golden = partial_program
+        session = BreakpointSession(daemon, _Silent,
+                                    daemon.module.symbols["_start"].address)
+        session._restore()
+        instruction = _stop_at_syscall(session.process, session.budget)
+        early = EarlyExits(golden)
+        early.session = session
+        cpu = session.process.cpu
+        data = writable_regions(cpu.memory)[0]
+        last = data.page_count() - 1
+        assert len(data.data) - (last << PAGE_SHIFT) == 3
+        return early, cpu, instruction, data, last
+
+    def test_a_live_byte_is_refused_and_a_dead_one_counted(
+            self, at_first_syscall):
+        early, cpu, instruction, data, last = at_first_syscall
+        low = data.start + (last << PAGE_SHIFT)
+        assert early.golden.live_bytes.live(0, 0, last) == 0xFF
+        assert early.match(cpu, instruction) == 0
+        _flip(data, low + 2)
+        assert early.match(cpu, instruction) == 0
+        assert early.dead == ((), 1)
+        _flip(data, low)
+        assert early.match(cpu, instruction) is None
+        assert early.blocking == (0, last, 0)
+        assert early.match(cpu, instruction) is None
+        assert early.quick_rejects == 1
+
+    def test_a_blocking_byte_on_a_page_the_check_skips_is_ignored(
+            self, at_first_syscall):
+        """The full test trusts ``region.dirty`` and the golden
+        digests: a page neither dirty nor moved is the snapshot's, and
+        the blocking byte is not tested there either."""
+        early, cpu, instruction, data, last = at_first_syscall
+        data.data[last << PAGE_SHIFT] ^= 1      # behind dirty tracking
+        early.blocking = (0, last, 0)
+        assert early.match(cpu, instruction) == 0
+        assert early.quick_rejects == 0
+
+    def test_a_daemons_last_data_page_counts_dead_bytes(self, at_syscall):
+        """No daemon's golden run reads its last data page, so a flip
+        anywhere on it is dead, up to the region's last byte."""
+        early, cpu, instruction, index = at_syscall
+        data = cpu.memory.region_named("data")
+        last = data.page_count() - 1
+        assert len(data.data) - (last << PAGE_SHIFT) == 2164
+        assert not _live_offsets(early, cpu, index, data, last)
+        _flip(data, data.end - 1)
+        _flip(data, data.start + (last << PAGE_SHIFT))
+        assert early.match(cpu, instruction) == index
+        assert early.dead == ((), 2)
 
 
 # ----------------------------------------------------------------------
