@@ -33,10 +33,11 @@ There are three run loops, each taking a ``stop`` set of addresses
 (a debugger breakpoint is a one-address set, plain execution the
 empty set): the plain block loop :meth:`CPU.run`, which never
 touches an observer; :meth:`CPU._run_observed`, the same loop feeding
-whichever of the forensic ring and the sampler is attached; and
-:meth:`CPU._run_reference` over :meth:`CPU.slow_step`, which keeps
-the original decode-and-dispatch semantics, honours ``coverage`` and
-``trace_hook``, and is differentially tested against the other two.
+whichever of the forensic ring, the sampler and the ``coverage``
+trace is attached; and :meth:`CPU._run_reference` over
+:meth:`CPU.slow_step`, which keeps the original decode-and-dispatch
+semantics, honours ``trace_hook``, and is differentially tested
+against the other two.
 Perf counters live on :attr:`CPU.perf`.
 
 Anything a corrupted byte stream can decode into is executable here:
@@ -132,7 +133,13 @@ class CPU:
         #: :meth:`evict_suspect_decodes`).
         self.decode_log = None
         self.cacheable = None     # (start, end) range eligible for caching
-        self.coverage = None      # optional set of executed EIPs
+        #: optional instruction trace: every executed instruction
+        #: start, in order.  The reference loop adds each one
+        #: (``add``); :meth:`_run_observed` extends it by whole
+        #: ``block[3]`` tuples (``extend``), cut after the faulting op
+        #: as the ring is, so it must be a sequence (the golden
+        #: recorder's array).
+        self.coverage = None
         self.trace_hook = None    # optional fn(cpu, instruction) per step
         #: optional forensic EIP ring (:mod:`repro.obs.forensics`).
         #: ``None`` keeps the plain loop untouched (zero overhead); a
@@ -569,8 +576,8 @@ class CPU:
     def slow_step(self):
         """Reference path: decode-and-dispatch one instruction.  Kept
         both as the executable spec the block tiers are differentially
-        tested against and as the path that honours
-        ``coverage``/``trace_hook`` instrumentation.
+        tested against and as the path that honours ``trace_hook``
+        (it adds to ``coverage`` too, as the block loop does).
         """
         eip = self.eip
         if self.coverage is not None:
@@ -596,17 +603,18 @@ class CPU:
         ``("limit", None)`` or ``("stop", None)``.
 
         This is the plain block loop; it never touches an observer.
-        ``coverage``/``trace_hook`` switch to the reference loop
-        (:meth:`_run_reference`), a forensic ring or a sampler to
-        :meth:`_run_observed`.  A whole block runs as one superstep
-        only when it fits the budget and is disjoint from *stop*;
-        otherwise :meth:`step` runs one instruction.  The superstep
-        counters are kept in locals and added to :attr:`perf` when
-        the loop returns or raises.
+        A ``trace_hook`` switches to the reference loop
+        (:meth:`_run_reference`); ``coverage``, a forensic ring or a
+        sampler to :meth:`_run_observed`.  A whole block runs as one
+        superstep only when it fits the budget and is disjoint from
+        *stop*; otherwise :meth:`step` runs one instruction.  The
+        superstep counters are kept in locals and added to
+        :attr:`perf` when the loop returns or raises.
         """
-        if self.coverage is not None or self.trace_hook is not None:
+        if self.trace_hook is not None:
             return self._run_reference(max_instructions, stop)
-        if self.forensic_ring is not None or self.sampler is not None:
+        if (self.forensic_ring is not None or self.sampler is not None
+                or self.coverage is not None):
             return self._run_observed(max_instructions, stop)
         blocks = self.blocks
         entries = retired = 0
@@ -649,15 +657,20 @@ class CPU:
         return ("exit", getattr(self, "exit_code", 0))
 
     def _run_observed(self, max_instructions, stop):
-        """:meth:`run` with a forensic ring, a sampler, or both.
+        """:meth:`run` with any of a forensic ring, a sampler and
+        ``coverage``.
 
         A separate loop so the plain one pays nothing for observers.
-        Both feed off the block's prebuilt ``block[3]`` address tuple:
+        All feed off the block's prebuilt ``block[3]`` address tuple:
 
         * the ring gets one append per superstep (one EIP per step);
           a mid-block fault truncates the last entry to the ops up to
           and including the faulting one, so the ring always ends at
           the instruction the crash report points at;
+        * ``coverage`` is extended by the tuple before the block runs
+          (so a syscall hook in the block sees its ``int``, as on the
+          reference loop) and cut the same way after a fault; a step
+          adds to it in :meth:`slow_step`;
         * the sampler's ``skip`` counts retired instructions down to
           the next sample, usually one comparison and one subtraction
           per superstep.  A faulting instruction did not retire and
@@ -670,6 +683,8 @@ class CPU:
         if sampler is not None:
             samples, period, skip = (sampler.samples, sampler.period,
                                      sampler.skip)
+        coverage = self.coverage
+        extend = coverage.extend if coverage is not None else None
         entries = retired = 0
         try:
             while not self.halted:
@@ -688,12 +703,17 @@ class CPU:
                     count = len(addrs)
                     if ring_append is not None:
                         ring_append(addrs)
+                    if extend is not None:
+                        extend(addrs)
                     try:
                         block[0]()
                     except BaseException:
                         count = addrs.index(self.eip)
                         if ring_append is not None:
                             ring[-1] = addrs[:count + 1]
+                        if extend is not None:
+                            del coverage[len(coverage) - len(addrs)
+                                         + count + 1:]
                         raise
                     finally:
                         if sampler is not None:
@@ -1706,11 +1726,15 @@ _CODE_CACHE = {}
 def _bound_region(memory, name):
     """``(start, last word address, last byte address, data,
     dirty.add)`` of the writable region *name* of *memory*, or bounds
-    no address satisfies when there is none."""
-    for region in memory.regions:
-        if region.name == name and region.writable:
-            return (region.start, region.end - 4, region.end - 1,
-                    region.data, region.dirty.add)
+    no address satisfies when there is none or an
+    :class:`~repro.emu.liveness.AccessLog` is attached: a block made
+    then takes the memory methods for every load and store, so the
+    log sees each one."""
+    if memory.access_log is None:
+        for region in memory.regions:
+            if region.name == name and region.writable:
+                return (region.start, region.end - 4, region.end - 1,
+                        region.data, region.dirty.add)
     return 1, 0, 0, None, None
 
 

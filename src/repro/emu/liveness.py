@@ -130,9 +130,15 @@ class AccessLog:
     and a write has its span negated.
 
     Attaching shadows the memory's read and write methods on that one
-    instance, so no other memory pays for the log; :meth:`detach`
-    takes them off again (they refer to the memory, so until then
-    the memory is only freed by the cycle collector).  An access is
+    instance, so no other memory pays for the log, and sets its
+    ``access_log``, so a CPU block made meanwhile goes through those
+    methods instead of a bound region; :meth:`detach` takes them off
+    again (they refer to the memory, so until then the memory is only
+    freed by the cycle collector).  A block made while the log is
+    attached forwards a push to its pop without the pop's read: that
+    read follows its own write with no syscall between them, so it
+    changes no live mask
+    (:class:`~repro.injection.golden.ByteLiveness`).  An access is
     logged once it succeeded; the per-byte fallbacks of a straddling
     or faulting access log each byte they reached, through the same
     shadowed methods.  ``read_cstring`` logs the NUL it stops at.
@@ -143,6 +149,7 @@ class AccessLog:
         self.starts = array("I")
         self.spans = array("i")
         self.memory = memory
+        memory.access_log = self
         start, span = self.starts.append, self.spans.append
         for name, width in (("read8", 1), ("read16", 2), ("read32", 4),
                             ("write8", -1), ("write16", -2),
@@ -180,7 +187,7 @@ class AccessLog:
 
     def detach(self):
         """Stop logging: the memory's own methods serve it again."""
-        for name in _SHADOWED:
+        for name in _SHADOWED + ("access_log",):
             delattr(self.memory, name)
         self.memory = None
 

@@ -70,6 +70,10 @@ class Region:
 class Memory:
     """Sparse region-based memory map."""
 
+    #: the :class:`~repro.emu.liveness.AccessLog` attached to this
+    #: memory, if any; blocks made meanwhile never bypass its methods.
+    access_log = None
+
     def __init__(self):
         self.regions = []
         self._last = None  # most-recently-hit region (locality cache)

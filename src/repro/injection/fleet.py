@@ -307,14 +307,16 @@ def _run_unit_runner(daemon, client_name, client_factory, options, unit,
     with spans.span("shard", shard=shard, unit=unit.unit_id,
                     **(trace_attrs or {})) as span:
         recorded = golden is None
+        decodes = {}
         if recorded:
             with spans.span("golden-run") as golden_span:
                 golden = record_golden(daemon, client_factory,
-                                       options.budget)
+                                       options.budget, decodes)
                 golden_span.set("coverage_eips", len(golden.coverage))
         runner = CampaignRunner(
             daemon, client_name, client_factory, options,
-            points=unit.points, golden=golden, trace=tracer,
+            points=unit.points, golden=golden, decodes=decodes,
+            trace=tracer,
             journal=(shard_journal_path(options.journal, shard)
                      if options.journal is not None else None), **extra)
         if recorded:

@@ -51,8 +51,9 @@ class GoldenRun:
     coverage: frozenset
     instret: int
     client_state: dict = field(default_factory=dict)
-    #: execution-engine counters of the golden run (the golden run
-    #: records coverage, so it exercises the reference stepwise path).
+    #: execution-engine counters of the golden run (it runs on the
+    #: block tier, with the instruction trace and the access log
+    #: attached).
     perf: dict = field(default_factory=dict)
     #: the machine at each syscall entry, indexed by the kernel's
     #: ``syscall_count`` there (:class:`GoldenState`).
@@ -71,6 +72,20 @@ class GoldenRun:
     #: the same for the bytes of the writable pages
     #: (:class:`ByteLiveness`).
     live_bytes: object = None
+    #: every executed instruction start, once, in the order of its
+    #: first execution (an ``array("I")``): the prefix to a site the
+    #: golden run first reaches after another may start from that
+    #: one's snapshot (:meth:`arrives_after`).
+    arrivals: array = field(default_factory=lambda: array("I"))
+
+    def arrives_after(self, address, earlier):
+        """Whether the golden run executes both *address* and
+        *earlier*, and *address* first after *earlier*."""
+        arrivals = self.arrivals
+        try:
+            return arrivals.index(address) > arrivals.index(earlier)
+        except ValueError:          # one of them never runs
+            return False
 
     @property
     def coverage_bytes(self):
@@ -228,7 +243,7 @@ def _client_state(client):
 
 class _Trace(array):
     """The golden run's ``cpu.coverage``: every executed instruction
-    start, in order (``add`` appends)."""
+    start, in order (``add`` appends; the block loop extends it)."""
 
     add = array.append
 
@@ -332,8 +347,14 @@ class _StateRecorder:
 
 
 def record_golden(daemon, client_factory,
-                  budget=CONNECTION_INSTRUCTION_BUDGET):
-    """Run one clean connection and capture the reference behaviour."""
+                  budget=CONNECTION_INSTRUCTION_BUDGET, decodes=None):
+    """Run one clean connection and capture the reference behaviour.
+
+    The run takes the block tier: the instruction trace is extended a
+    block at a time, and the blocks it makes load and store through
+    the logged memory methods.  A dict *decodes* receives the golden
+    CPU's decodes of the pristine text, for the cell's machine to
+    start from (:class:`~repro.injection.injector.Machine`)."""
     client = client_factory()
     kernel = daemon.make_kernel(client)
     process = Process(daemon.module, kernel)
@@ -343,9 +364,14 @@ def record_golden(daemon, client_factory,
         status = process.run(budget)
     finally:
         recorder.log.detach()
+        # the blocks refer back to the CPU: dropped now, they are
+        # freed at once instead of at the next cycle collection
+        cpu.blocks.clear()
     cpu.syscall_hook = cpu.coverage = None
     if status.kind != "exit":
         raise RuntimeError("golden run did not exit cleanly: %s" % status)
+    if decodes is not None:
+        decodes.update(cpu.decode_cache)
     starts = recorder.fetch_indices()
     last_fetch, last_instret_read, effects = _byte_fetches(
         daemon.module, starts, cpu.decode_cache)
@@ -370,6 +396,7 @@ def record_golden(daemon, client_factory,
         dead_regs=recorder.dead_registers(effects),
         live_bytes=ByteLiveness(recorder.log, recorder.log_marks,
                                 recorder.regions, recorder.pages),
+        arrivals=array("I", dict.fromkeys(recorder.trace)),
     )
 
 

@@ -17,9 +17,11 @@ block caches survive from site to site.  A
 :class:`BreakpointSession` owns no process; it is an immutable
 :class:`~repro.injection.snapshot.MachineSnapshot` (memory, CPU and
 the pristine breakpoint-time kernel) bound to a machine.  Building a
-session resets the machine to its boot image and runs the prefix to
-the site; :meth:`BreakpointSession.acquire` puts the machine back at
-the session's state when another session has used it since.  Restore
+session resets the machine to its boot image, or to the snapshot of
+a site the golden run reaches before this one
+(:meth:`Machine.chain_start`), and runs the prefix to the site;
+:meth:`BreakpointSession.acquire` puts the machine back at the
+session's state when another session has used it since.  Restore
 between bits writes back only pages the previous suffix dirtied and
 clones the kernel through the explicit ``clone()`` protocol instead of
 ``copy.deepcopy``.  The prefix run depends only on the daemon image
@@ -68,16 +70,27 @@ class Machine:
     ``evict_suspect_decodes``, and the perf-counter baseline of
     :meth:`take_perf_delta`.  Every snapshot it is restored from holds
     pristine text, so after a restore the caches are exact.
+
+    *decodes*, the golden CPU's decodes of the pristine text
+    (:func:`~repro.injection.golden.record_golden`), fill the decode
+    cache at construction, so the daemon is not decoded twice.
     """
 
-    def __init__(self, daemon):
+    def __init__(self, daemon, decodes=None):
         #: kept so ``id(daemon)`` (the :class:`SessionCache` key)
         #: cannot be recycled while the machine lives.
         self.daemon = daemon
         self.process = Process(daemon.module)
-        #: the state right after construction; every prefix run
-        #: starts from a full restore of it (:meth:`reboot`).
+        if decodes:
+            self.process.cpu.decode_cache.update(decodes)
+        #: the state right after construction; a prefix run that
+        #: cannot chain starts from a full restore of it
+        #: (:meth:`reboot`).
         self.boot_image = MachineSnapshot.capture(self.process, None)
+        #: ``(golden run, budget, site, snapshot)`` of the last prefix
+        #: that reached its site here; no session, so no reference
+        #: cycle keeps a finished campaign's machine alive.
+        self.last_prefix = None
         #: the session whose snapshot the memory, CPU and installed
         #: kernel derive from; ``None`` at boot and during a prefix.
         self.owner = None
@@ -96,11 +109,36 @@ class Machine:
         self.process.kernel = kernel
         return kernel
 
-    def reboot(self, kernel):
-        """Reset to the boot image with *kernel* installed and no
-        observer or syscall hook attached: the start state of a prefix
-        run, identical to a freshly constructed process's."""
-        self.restore(self.boot_image, full=True)
+    def chain_start(self, golden, budget, address):
+        """The snapshot a prefix to *address* under *budget*, of
+        *golden*'s connection, may start from instead of the boot
+        image, or ``None``.
+
+        That is the snapshot of the last prefix that reached its site
+        here, when it was of the same golden run and budget and the
+        golden run first reaches *address* after that site.  The
+        prefix from boot then passes through the snapshot's state
+        without stopping before it (its own site comes later, and the
+        budget let the last prefix get there), so from there on it
+        runs the same.
+        """
+        if self.last_prefix is None or golden is None:
+            return None
+        last_golden, last_budget, site, snapshot = self.last_prefix
+        if (last_golden is golden and last_budget == budget
+                and golden.arrives_after(address, site)):
+            return snapshot
+        return None
+
+    def reboot(self, kernel, image=None):
+        """Reset to *image* (the boot image by default) with *kernel*
+        installed and no observer or syscall hook attached: the start
+        state of a prefix run.  At boot it is a freshly constructed
+        process's; at a site's snapshot (:meth:`chain_start`) it is
+        the state the prefix from boot passes through there, and
+        *kernel* is a fresh clone of the snapshot's."""
+        self.restore(self.boot_image if image is None else image,
+                     full=True)
         self.owner = None
         cpu = self.process.cpu
         cpu.forensic_ring = None
@@ -141,6 +179,14 @@ class BreakpointSession:
     default is a private one (direct callers), a campaign passes its
     :class:`SessionCache`'s shared machine.
 
+    ``golden`` is the cell's :class:`~repro.injection.golden.GoldenRun`,
+    when there is one: the prefix then starts from the snapshot of the
+    site the machine reached last, when the golden run first reaches
+    this site after that one (:meth:`Machine.chain_start`;
+    :attr:`chained`), and from boot otherwise.  Campaigns visit sites
+    in address order, and the golden run mostly reaches them in that
+    order too.
+
     ``run_fn(process, budget)`` executes the post-activation suffix;
     the default simply runs to completion, the fault-tolerant runner
     substitutes a watchdog-instrumented executor.
@@ -152,11 +198,17 @@ class BreakpointSession:
 
     def __init__(self, daemon, client_factory, breakpoint_address,
                  budget=CONNECTION_INSTRUCTION_BUDGET, run_fn=None,
-                 full_restore=False, machine=None):
+                 full_restore=False, machine=None, golden=None):
         self._bind(daemon, breakpoint_address, budget, run_fn,
                    full_restore, machine)
         machine = self.machine
-        kernel = machine.reboot(daemon.make_kernel(client_factory()))
+        start = machine.chain_start(golden, budget, breakpoint_address)
+        #: whether the prefix started from another site's snapshot.
+        self.chained = start is not None
+        if start is None:
+            kernel = machine.reboot(daemon.make_kernel(client_factory()))
+        else:
+            kernel = machine.reboot(start.make_kernel(), start)
         process = machine.process
         self.arrival = process.run_until(breakpoint_address, budget)
         self.reached = self.arrival.kind == "breakpoint"
@@ -166,6 +218,8 @@ class BreakpointSession:
             # The prefix poked no text, so every insert it logged is
             # clean: start the suffix log empty.
             del process.cpu.decode_log[:]
+            machine.last_prefix = (golden, budget, breakpoint_address,
+                                   self.snapshot)
             self._own()
 
     def _bind(self, daemon, breakpoint_address, budget, run_fn,
@@ -363,7 +417,10 @@ class SessionCache:
     run and the snapshot do not depend on the fault model or the
     instruction encoding, so one cached session serves every model and
     bit targeting that instruction.  Unreachable sites are remembered
-    so each is probed at most once.
+    so each is probed at most once.  A new session's prefix starts
+    from the machine's last site when it can
+    (:meth:`Machine.chain_start`), whether or not that session is
+    still cached: the machine keeps its snapshot.
 
     ``capacity`` bounds resident sessions (LRU eviction) -- snapshots,
     not processes: however many sessions are cached, each daemon has
@@ -391,12 +448,13 @@ class SessionCache:
     def key(daemon, client_name, budget, address):
         return (id(daemon), client_name, budget, address)
 
-    def machine(self, daemon):
+    def machine(self, daemon, decodes=None):
         """The shared :class:`Machine` for *daemon*, built on first
-        use."""
+        use (from *decodes*, when given)."""
         machine = self._machines.get(id(daemon))
         if machine is None:
-            machine = self._machines[id(daemon)] = Machine(daemon)
+            machine = self._machines[id(daemon)] = Machine(daemon,
+                                                           decodes)
         return machine
 
     def drop_machine(self, daemon):

@@ -813,12 +813,14 @@ class CampaignOwner:
     the owner (resume preload here, payload receipt and salvage in the
     fleet): the owner holds result objects only.
 
-    Milestones go on ``bus`` under ``label`` and into the trace.
+    Milestones go on ``bus`` under ``label`` and into the trace; a
+    dict ``decodes`` receives the golden CPU's decodes when the owner
+    records the golden run (:func:`record_golden`).
     """
 
     def __init__(self, daemon, client_name, client_factory, options,
                  golden=None, bus=None, label=None, workers=1,
-                 unit_instructions=UNIT_INSTRUCTIONS):
+                 unit_instructions=UNIT_INSTRUCTIONS, decodes=None):
         from ..analysis.serialize import (quarantined_from_dict,
                                           result_from_dict)
         self.started = time.monotonic()
@@ -846,7 +848,7 @@ class CampaignOwner:
         with self.tracer.span("golden-run") as span:
             if golden is None:
                 golden = record_golden(daemon, client_factory,
-                                       options.budget)
+                                       options.budget, decodes)
             else:
                 span.set("reused", True)
             span.set("coverage_eips", len(golden.coverage))
@@ -995,12 +997,15 @@ def run_serial_campaign(daemon, client_name, client_factory, options):
     if hasattr(options.chaos, "agent"):
         options = replace(options, chaos=options.chaos.agent(0, 0))
     with StopCheck(options) as stop:
+        decodes = {}
         owner = CampaignOwner(daemon, client_name, client_factory,
                               options, bus=options.telemetry,
-                              label=options.telemetry_campaign)
+                              label=options.telemetry_campaign,
+                              decodes=decodes)
         runner = CampaignRunner(
             daemon, client_name, client_factory, options,
             points=owner.scheduler.remaining, golden=owner.golden,
+            decodes=decodes,
             stop_check=stop, trace=owner.tracer, sampler=owner.sampler,
             telemetry=(owner if options.telemetry is not None
                        or owner.tracer.keep_spans else None))
@@ -1052,11 +1057,14 @@ class CampaignRunner:
     :class:`~repro.injection.campaign.CampaignResult` holding the
     records in execution order, the runner's timing and its volatile
     metrics registry; :attr:`campaign` holds what an interrupted run
-    completed.
+    completed.  ``decodes``, the golden CPU's decodes when the golden
+    run was recorded in this process, start the daemon's machine when
+    the session cache has none yet.
     """
 
     def __init__(self, daemon, client_name, client_factory, options=None,
-                 *, points, golden, stop_check=None, **kwargs):
+                 *, points, golden, stop_check=None, decodes=None,
+                 **kwargs):
         self.options = options = RunOptions.resolve(options, **kwargs)
         self.daemon = daemon
         self.client_name = client_name
@@ -1067,6 +1075,7 @@ class CampaignRunner:
                          else Watchdog(options.watchdog))
         self.points = list(points)
         self.golden = golden
+        self._decodes = decodes
         self._early = EarlyExits(golden)
         #: deterministic sampling profiler (:mod:`repro.obs.sampler`).
         self.sampler = as_sampler(options.sampler)
@@ -1581,7 +1590,7 @@ class CampaignRunner:
         if self.session_cache.unreachable_arrival(key) is not None:
             return None
         self._retire_session()
-        machine = self.session_cache.machine(self.daemon)
+        machine = self.session_cache.machine(self.daemon, self._decodes)
         session = self.session_cache.lookup(key)
         if session is not None:
             self.registry.counter("runtime.sessions_reused",
@@ -1595,10 +1604,15 @@ class CampaignRunner:
                                             self.client_factory,
                                             address, self.options.budget,
                                             run_fn=self.watchdog,
-                                            machine=machine)
+                                            machine=machine,
+                                            golden=self.golden)
                 span.set("reached", session.reached)
+                span.set("chained", session.chained)
             self.registry.counter("runtime.sessions",
                                   volatile=True).inc()
+            if session.chained:
+                self.registry.counter("runtime.sessions_chained",
+                                      volatile=True).inc()
             if not session.reached:
                 self.session_cache.mark_unreachable(key, session.arrival)
                 self.registry.counter("runtime.sessions_unreachable",

@@ -341,8 +341,8 @@ class TestSampledCampaign:
         from repro.injection.injector import Machine
 
         class PrivateMachines(SessionCache):
-            def machine(self, daemon):
-                return Machine(daemon)
+            def machine(self, daemon, decodes=None):
+                return Machine(daemon, decodes)
 
         def observed(name, cache):
             path = tmp_path / name

@@ -248,9 +248,9 @@ class TestHarnessFaultIsolation:
                 raise RuntimeError("synthetic mid-run fault")
             return original_run(self, process, budget)
 
-        def counting_machine(self, daemon):
+        def counting_machine(self, daemon, decodes=None):
             machines.append(self)
-            original_machine(self, daemon)
+            original_machine(self, daemon, decodes)
 
         monkeypatch.setattr(Process, "flip_bit", marking_flip)
         monkeypatch.setattr(Watchdog, "run", faulting_run)
@@ -453,8 +453,9 @@ class TestCoverageDisagreement:
         from repro.injection import runner as runner_module
         real_record_golden = runner_module.record_golden
 
-        def forged_golden(daemon, client_factory, budget):
-            golden = real_record_golden(daemon, client_factory, budget)
+        def forged_golden(daemon, client_factory, budget, decodes=None):
+            golden = real_record_golden(daemon, client_factory, budget,
+                                        decodes)
             return dataclasses.replace(
                 golden,
                 coverage=frozenset(golden.coverage
@@ -494,8 +495,9 @@ class TestCoverageDisagreement:
         from repro.injection import runner as runner_module
         real_record_golden = runner_module.record_golden
 
-        def forged_golden(daemon, client_factory, budget):
-            golden = real_record_golden(daemon, client_factory, budget)
+        def forged_golden(daemon, client_factory, budget, decodes=None):
+            golden = real_record_golden(daemon, client_factory, budget,
+                                        decodes)
             return dataclasses.replace(
                 golden,
                 coverage=frozenset(golden.coverage

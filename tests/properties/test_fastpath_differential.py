@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cc import compile_program
 from repro.emu import CPU, Memory, Process
 from repro.emu.cpu import _BLOCK_EXCLUDED
+from repro.emu.liveness import AccessLog
 from repro.kernel import Kernel, ScriptedClient
 from repro.obs import RingBuffer, Sampler
 from repro.obs.forensics import flatten_ring
@@ -45,6 +46,11 @@ class NullClient(ScriptedClient):
 
     def input_needed(self):
         self.close()
+
+
+def _reference_loop(cpu, instruction):
+    """A ``trace_hook`` that does nothing: attached, it routes
+    ``CPU.run`` to the reference loop."""
 
 
 def _machine(blob, data_size=4096):
@@ -119,8 +125,7 @@ def _run_engine(blob, fast, budget=300, stop=frozenset(),
         cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
         _attach(cpu, observers)
     else:
-        # any instrumentation forces the reference stepwise loop
-        cpu.coverage = set()
+        # a trace hook forces the reference stepwise loop
         cpu.trace_hook = lambda cpu, instruction: retired.append(
             instruction.address)
     try:
@@ -149,9 +154,8 @@ def test_random_byte_soup_equivalent(blob, stop, observers):
     _assert_equivalent(blob, stop=stop, observers=observers)
 
 
-@settings(max_examples=80, deadline=None)
-@given(ops=st.lists(st.sampled_from([
-    # common compiler output: movs, stack ops, ALU, branches
+#: common compiler output: movs, stack ops, ALU, branches
+COMPILER_LIKE = st.lists(st.sampled_from([
     b"\x89\xd8",              # mov %ebx, %eax
     b"\xb8\x05\x00\x00\x00",  # mov $5, %eax
     b"\x50", b"\x53", b"\x58", b"\x5b",      # push/pop eax/ebx
@@ -177,7 +181,11 @@ def test_random_byte_soup_equivalent(blob, stop, observers):
     b"\xe8\xf2\xff\xff\xff",  # call -14 (rel32, backward)
     b"\x88\x03", b"\x8a\x23",  # movb %al, (%ebx); movb (%ebx), %ah
     b"\xc9", b"\x99",          # leave; cdq
-]), min_size=1, max_size=24), stop=STOPS, observers=OBSERVERS)
+]), min_size=1, max_size=24)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=COMPILER_LIKE, stop=STOPS, observers=OBSERVERS)
 def test_compiler_like_streams_equivalent(ops, stop, observers):
     """Streams built from the mnemonics with inline templates in
     compiled blocks (and a few without) stay equivalent, including
@@ -239,7 +247,7 @@ def test_compiled_programs_equivalent():
 
         slow = Process(program.module, Kernel())
         retired = []
-        slow.cpu.coverage = set()      # force the reference loop
+        # a trace hook forces the reference loop
         slow.cpu.trace_hook = lambda cpu, instruction: retired.append(
             instruction.address)
         slow_status = slow.run(2_000_000)
@@ -262,6 +270,98 @@ def test_compiled_programs_equivalent():
                 assert bytes(fast_region.data) == bytes(slow_region.data)
             assert _observed(fast.cpu, len(retired)) == _expected(
                 retired, ("exit", 0), fast.cpu.eip, observers)
+
+
+# -- the golden recorder's variant: trace and access log ---------------
+
+
+class _Trace(list):
+    """An instruction trace ``cpu.coverage`` takes (``add`` appends)."""
+
+    add = list.append
+
+
+def _first_accesses(log):
+    """Each byte the log saw -> whether its first access reads it:
+    what the byte's live mask before the run follows from (a read
+    makes it live, a write dead).  A push forwarded to its pop in a
+    compiled block skips the pop's read, which comes after the push's
+    write and so changes nothing here."""
+    first = {}
+    for address, span in zip(log.starts, log.spans):
+        for byte in range(address, address + abs(span)):
+            first.setdefault(byte, span > 0)
+    return first
+
+
+def _logged_run(cpu, memory, fast, run):
+    """*run()* with the instruction trace and an access log attached,
+    on the block tier or the reference loop: its outcome, the trace
+    and the first access to each byte."""
+    if not fast:
+        cpu.trace_hook = _reference_loop
+    cpu.coverage = trace = _Trace()
+    log = AccessLog(memory)
+    try:
+        outcome = run()
+    except Exception as exc:      # non-architectural escape (hangs...)
+        outcome = ("raised", type(exc).__name__)
+    finally:
+        log.detach()
+    return outcome, list(trace), _first_accesses(log)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=COMPILER_LIKE)
+def test_logged_traced_streams_equivalent(ops):
+    """The golden recorder's configuration: the block tier extends the
+    trace a block at a time (cut at a fault) and, with the access log
+    attached, makes blocks that load and store through the logged
+    memory methods; trace, first accesses and state match the
+    reference loop, which adds and logs one instruction at a time."""
+    blob = b"".join(ops)
+    runs = []
+    for fast in (True, False):
+        cpu, memory = _machine(blob)
+        if fast:
+            cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
+        outcome, trace, first = _logged_run(cpu, memory, fast,
+                                            lambda: cpu.run(300))
+        runs.append((_fingerprint(cpu, memory, outcome), trace, first))
+    assert runs[0] == runs[1]
+
+
+def test_logged_traced_tiers_equivalent(monkeypatch):
+    """The same with every block compiled on its first entry, over the
+    streams above, the push/pop forwarding cases and whole compiled
+    programs."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+    test_logged_traced_streams_equivalent()
+    for blob in _PUSH_POP:
+        runs = []
+        for fast in (True, False):
+            cpu, memory = _machine(blob)
+            if fast:
+                cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
+            outcome, trace, first = _logged_run(cpu, memory, fast,
+                                                lambda: cpu.run(300))
+            runs.append((_fingerprint(cpu, memory, outcome), trace,
+                         first))
+        assert runs[0] == runs[1], blob.hex()
+    for source in _C_PROGRAMS:
+        module = compile_program(source).module
+        runs = []
+        compiled = []
+        for fast in (True, False):
+            process = Process(module, Kernel())
+            outcome, trace, first = _logged_run(
+                process.cpu, process.memory, fast,
+                lambda: process.run(2_000_000))
+            runs.append((outcome, process.cpu.regs, trace, first))
+            compiled.append(process.cpu.perf.blocks_compiled)
+        assert runs[0] == runs[1]
+        assert runs[0][0].kind == "exit" and runs[0][3]
+        assert compiled[0] > 0 == compiled[1]
 
 
 # -- the compiled tier -------------------------------------------------
@@ -299,7 +399,7 @@ def _compiled_vs_reference(blob, setup=None, budget=300, data_size=4096):
         if fast:
             cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
         else:
-            cpu.coverage = set()
+            cpu.trace_hook = _reference_loop
         memory.clear_dirty()
         outcome = cpu.run(budget)
         forced = cpu.perf.flags_forced
@@ -402,7 +502,7 @@ def test_reentry_after_regs_rebound(monkeypatch):
         if fast:
             cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
         else:
-            cpu.coverage = set()
+            cpu.trace_hook = _reference_loop
         cpu.run(8)
         snapshot = MachineSnapshot.capture(
             SimpleNamespace(memory=memory, cpu=cpu), None)
@@ -625,7 +725,7 @@ def test_syscall_and_rdtsc_lone_blocks(monkeypatch):
                 if fast:
                     cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
                 else:
-                    cpu.coverage = set()
+                    cpu.trace_hook = _reference_loop
                 outcome = cpu.run(budget)
                 runs.append((_fingerprint(cpu, memory, outcome),
                              list(cpu.kernel.write_events)))

@@ -5,8 +5,10 @@ The reference is the plainest execution the engine has: serial, no
 pruning, every memory region rewritten between experiments
 (``full_restore=True``), no observers, every instruction decoded and
 dispatched one at a time (``CPU.run`` routed to
-:meth:`CPU._run_reference`, so no compiled block runs), and every
-experiment run to its end (no early exit,
+:meth:`CPU._run_reference`, so no compiled block runs, the golden
+run's included), every prefix run from boot on a machine that decodes
+the daemon itself (no chained prefixes, no golden decodes handed
+over), and every experiment run to its end (no early exit,
 :mod:`repro.injection.earlyexit`).  It is cached per (cell, encoding,
 window).
 
@@ -54,6 +56,7 @@ from repro.injection import (available_fault_models,
                              discover_shard_journals, FleetConfig,
                              get_fault_model, run_campaign,
                              SessionCache)
+from repro.injection.injector import Machine
 from repro.injection.runner import CampaignRunner, JournalFamily
 from repro.injection.scheduler import instruction_groups
 from repro.obs import check_contiguous, EventBus, EventLog, fold_events
@@ -150,10 +153,12 @@ def _reference_loop():
 
 def _use_reference_loop(patch):
     """Route ``CPU.run`` to a fresh :func:`_reference_loop` whose
-    countdowns restart wherever the runner starts an experiment, and
-    run every experiment to its end."""
+    countdowns restart wherever the runner starts an experiment, run
+    every prefix from boot on a machine that decodes the daemon
+    itself, and run every experiment to its end."""
     loop = _reference_loop()
     execute = CampaignRunner._execute
+    build_machine = SessionCache.machine
 
     def restarted(runner, *args):
         loop.restart()
@@ -163,6 +168,10 @@ def _use_reference_loop(patch):
     patch.setattr(CampaignRunner, "_execute", restarted)
     patch.setattr(CampaignRunner, "_early_exits",
                   lambda runner, session: None)
+    patch.setattr(Machine, "chain_start", lambda machine, *args: None)
+    patch.setattr(SessionCache, "machine",
+                  lambda cache, daemon, decodes=None:
+                  build_machine(cache, daemon))
 
 
 #: reference campaigns and profiles, cached for the module.
@@ -179,6 +188,8 @@ def reference(daemons, config):
         with pytest.MonkeyPatch.context() as patch:
             _use_reference_loop(patch)
             _REFERENCES[key] = _run(daemons, config, full_restore=True)
+        counters = _REFERENCES[key].metrics["volatile"]["counters"]
+        assert "runtime.sessions_chained" not in counters
     return _REFERENCES[key]
 
 
@@ -302,6 +313,10 @@ def check_configuration(daemons, config):
             assert counters["pruning.audited_classes"] > 0
             assert counters["pruning.audit_runs"] > 0
         check_early_exits(config, counters)
+        if config.window is None and config.workers == 1 \
+                and config.disturbance == "none":
+            # the whole cell, serial: most prefixes chain
+            assert counters.get("runtime.sessions_chained", 0) > 0
         if "events" in config.observers:
             events = [json.loads(line) for line in
                       (scratch / "events.jsonl").read_text().splitlines()]
