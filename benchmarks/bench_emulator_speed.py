@@ -117,9 +117,10 @@ def _observer_overhead(attach, rounds=5):
 def test_forensic_ring_overhead(record_result, record_json):
     """The forensics acceptance gate: the block-granularity ring costs
     under 5% on the fast path when attached, and exactly nothing when
-    not (``run()`` branches to a separate loop, so the plain path is
-    untouched -- asserted structurally in :func:`test_sampler_overhead`;
-    measured here for the attached case)."""
+    not (``run()`` picks the blocks' observed variants at entry, so the
+    plain path is untouched -- asserted structurally in
+    :func:`test_sampler_overhead`; measured here for the attached
+    case)."""
     from repro.obs.forensics import make_forensic_ring
 
     def attach(cpu):
@@ -141,24 +142,23 @@ def test_forensic_ring_overhead(record_result, record_json):
 def test_sampler_overhead(record_result, record_json):
     """The telemetry acceptance gate: the sampling profiler costs
     under 5% on the fast path when attached, and exactly nothing when
-    not.  Like the forensic ring, ``run()`` branches to the separate
-    ``_run_observed`` loop, so the plain superstep loop never consults
-    either observer -- asserted structurally below, then measured for
-    the attached case."""
+    not.  Like the forensic ring and ``coverage``, it is fed by the
+    blocks' observed variants, which ``run()`` picks once at entry, so
+    the superstep loop never consults an observer -- asserted
+    structurally below, then measured for the attached case."""
     import inspect
 
     from repro.emu.cpu import CPU
     from repro.obs.sampler import Sampler
 
-    # detached cost is zero by construction: past the dispatch at the
+    # detached cost is zero by construction: past the choice at the
     # top of run(), the plain loop body never touches an observer
     plain_loop = inspect.getsource(CPU.run).split(
         "while not self.halted", 1)[1]
-    for observer in ("sampler", "forensic_ring"):
+    for observer in ("sampler", "forensic_ring", "coverage"):
         assert observer not in plain_loop, (
             "plain CPU.run loop references the %s -- detached cost "
             "is no longer zero" % observer)
-    assert CPU._run_observed is not CPU.run
 
     def attach(cpu):
         cpu.sampler = Sampler()

@@ -29,15 +29,15 @@ instead of computing SF/ZF/PF/AF/OF/CF, and the flags materialise only
 when something reads ``cpu.eflags`` (a Jcc that does not follow its
 flag writer in the same block, ``pushf``, a snapshot, a test).
 
-There are three run loops, each taking a ``stop`` set of addresses
+There are two run loops, each taking a ``stop`` set of addresses
 (a debugger breakpoint is a one-address set, plain execution the
-empty set): the plain block loop :meth:`CPU.run`, which never
-touches an observer; :meth:`CPU._run_observed`, the same loop feeding
-whichever of the forensic ring, the sampler and the ``coverage``
-trace is attached; and :meth:`CPU._run_reference` over
-:meth:`CPU.slow_step`, which keeps the original decode-and-dispatch
-semantics, honours ``trace_hook``, and is differentially tested
-against the other two.
+empty set): the block loop :meth:`CPU.run`, which never names an
+observer -- with the forensic ring, the sampler or the ``coverage``
+trace attached it calls each block's observed variant instead of the
+block (:meth:`CPU._observed_block`) -- and :meth:`CPU._run_reference`
+over :meth:`CPU.slow_step`, which keeps the original
+decode-and-dispatch semantics, honours ``trace_hook``, and is
+differentially tested against the block loop.
 Perf counters live on :attr:`CPU.perf`.
 
 Anything a corrupted byte stream can decode into is executable here:
@@ -101,6 +101,9 @@ _DIRECT_TRANSFERS = frozenset({"jmp", "call"})
 
 _MASK32 = 0xFFFFFFFF
 
+#: the slot of a block's observed variant (:meth:`CPU._observed_block`)
+_OBSERVED = 5
+
 
 class CPU:
     """One hardware thread executing a user-mode process image."""
@@ -135,26 +138,29 @@ class CPU:
         self.cacheable = None     # (start, end) range eligible for caching
         #: optional instruction trace: every executed instruction
         #: start, in order.  The reference loop adds each one
-        #: (``add``); :meth:`_run_observed` extends it by whole
-        #: ``block[3]`` tuples (``extend``), cut after the faulting op
-        #: as the ring is, so it must be a sequence (the golden
-        #: recorder's array).
+        #: (``add``); a block's observed variant extends it by
+        #: ``block[3]`` (``extend``), cut after the faulting op as the
+        #: ring is, so it must be a sequence (the golden recorder's
+        #: array).
         self.coverage = None
         self.trace_hook = None    # optional fn(cpu, instruction) per step
         #: optional forensic EIP ring (:mod:`repro.obs.forensics`).
-        #: ``None`` keeps the plain loop untouched (zero overhead); a
-        #: ring switches :meth:`run` to :meth:`_run_observed`, which
-        #: appends at basic-block granularity -- whole ``block[3]``
-        #: address tuples -- and single EIPs on the step path.  The
+        #: ``None`` keeps :meth:`run` on the plain callables (zero
+        #: overhead); a ring switches it to the observed ones
+        #: (:meth:`_observed_block`), which append whole ``block[3]``
+        #: tuples, and single EIPs on the step path.  The
         #: ring ends with the *faulting* instruction after a crash (it
         #: did not retire; ``instret`` stays exact).
         self.forensic_ring = None
         #: optional sampling profiler (:mod:`repro.obs.sampler`), on
-        #: the same terms: a sampler switches :meth:`run` to
-        #: :meth:`_run_observed`, which counts down whole supersteps
-        #: and indexes ``block[3]`` for sampled EIPs.  A ring and a
-        #: sampler attached together are both fed.
+        #: the same terms: the observed callables count it down by
+        #: whole supersteps.  Every attached observer is fed.
         self.sampler = None
+        #: ``[forensic_ring, coverage, sampler]`` as :meth:`run` found
+        #: them at entry: what the observed callables feed, unpacked
+        #: from one list per superstep rather than loaded as three
+        #: attributes (the attached observers' overhead gate is 5%).
+        self._observers = [None, None, None]
         #: optional ``fn(cpu, instruction)`` called at every ``int
         #: 0x80`` entry, before the kernel runs, with ``eip`` at the
         #: ``int`` and ``instret`` not yet counting it.  The golden
@@ -423,15 +429,16 @@ class CPU:
         """Build (and cache) the block starting at *address*.
 
         A block is a list ``[run, inner_addresses, ranges, addresses,
-        instructions]``: ``run()`` executes the whole block -- the cold
-        interpreter of :meth:`_cold_block` until the block is compiled,
-        then the generated function that replaces it -- leaving ``eip``
-        at the successor; the set of member addresses after the first
-        (the ones a stop-set check must consult); the ``(start, end)``
-        byte ranges the members occupy (for eviction); the per-op
-        address tuple, in execution order and without repeats (a
-        faulting op raises with ``eip`` at its own address, so its
-        index is the retired count); and the decoded instructions.
+        instructions, observed]``: ``run()`` executes the whole block
+        -- the cold interpreter of :meth:`_cold_block` until the block
+        is compiled, then the generated function that replaces it --
+        leaving ``eip`` at the successor; the set of member addresses
+        after the first (the ones a stop-set check must consult); the
+        ``(start, end)`` byte ranges the members occupy (for
+        eviction); the per-op address tuple, in execution order and
+        without repeats (a faulting op raises with ``eip`` at its own
+        address, so its index is the retired count); the decoded
+        instructions; and :meth:`_observed_block`'s variant of ``run``.
         Returns ``None`` outside the cacheable range, or when the
         first instruction does not decode (the caller's :meth:`step`
         then raises its fault).
@@ -497,12 +504,13 @@ class CPU:
             ranges.append((first, pc))
         addrs = tuple(instruction.address for instruction in instructions)
         block = [None, frozenset(addrs[1:]), tuple(ranges), addrs,
-                 tuple(instructions)]
+                 tuple(instructions), None]
         lone = instructions[0]
         if lone.mnemonic in _BLOCK_EXCLUDED or lone.rep is not None:
             block[0] = self._lone_block(lone)
         else:
             block[0] = self._cold_block(block)
+        block[_OBSERVED] = self._observed_block(block)
         self.blocks[address] = block
         index = self.block_index
         shift = self.BLOCK_BUCKET_SHIFT
@@ -525,6 +533,44 @@ class CPU:
             handler(instruction)
             self.eip = self._next_eip
         return run
+
+    def _observed_block(self, block):
+        """*block*'s observed variant: ``block[0]()``, looked up at call
+        time so the compiled swap carries over, feeding the observers
+        :meth:`run` found attached (``_observers``) from ``block[3]``.
+        The ring gets the tuple as one entry and ``coverage`` is
+        extended by it before the block runs (a syscall hook in the
+        block sees its ``int``, as on the reference loop); a mid-block
+        fault cuts both after the faulting op.  The sampler counts
+        down the retired ops (:meth:`repro.obs.sampler.Sampler.retire`),
+        inline when no sample is due."""
+        addrs = block[3]
+        size = len(addrs)
+        observers = self._observers
+
+        def observed():
+            ring, coverage, sampler = observers
+            if ring is not None:
+                ring.append(addrs)
+            if coverage is not None:
+                coverage.extend(addrs)
+            try:
+                block[0]()
+            except BaseException:
+                count = addrs.index(self.eip)
+                if ring is not None:
+                    ring[-1] = addrs[:count + 1]
+                if coverage is not None:
+                    del coverage[len(coverage) - size + count + 1:]
+                if sampler is not None:
+                    sampler.retire(addrs, count)
+                raise
+            if sampler is not None:
+                if sampler.skip < size:
+                    sampler.retire(addrs, size)
+                else:
+                    sampler.skip -= size
+        return observed
 
     def _cold_block(self, block):
         """The callable of a new *block*: interpret it through the
@@ -602,20 +648,24 @@ class CPU:
         Returns ``("exit", code)``, ``("crash", fault)``,
         ``("limit", None)`` or ``("stop", None)``.
 
-        This is the plain block loop; it never touches an observer.
-        A ``trace_hook`` switches to the reference loop
-        (:meth:`_run_reference`); ``coverage``, a forensic ring or a
-        sampler to :meth:`_run_observed`.  A whole block runs as one
-        superstep only when it fits the budget and is disjoint from
-        *stop*; otherwise :meth:`step` runs one instruction.  The
+        The block loop; a ``trace_hook`` switches to the reference loop
+        (:meth:`_run_reference`).  A whole block runs as one superstep
+        only when it fits the budget and is disjoint from *stop*;
+        otherwise one instruction is stepped.  The loop never touches
+        an observer: with any attached it calls the blocks' observed
+        variants and :meth:`_observed_step`, chosen once here.  The
         superstep counters are kept in locals and added to
         :attr:`perf` when the loop returns or raises.
         """
         if self.trace_hook is not None:
             return self._run_reference(max_instructions, stop)
-        if (self.forensic_ring is not None or self.sampler is not None
-                or self.coverage is not None):
-            return self._run_observed(max_instructions, stop)
+        if (self.forensic_ring is None and self.sampler is None
+                and self.coverage is None):
+            slot, step = 0, self.step
+        else:
+            self._observers[:] = (self.forensic_ring, self.coverage,
+                                  self.sampler)
+            slot, step = _OBSERVED, self._observed_step
         blocks = self.blocks
         entries = retired = 0
         try:
@@ -632,7 +682,7 @@ class CPU:
                 if (block is not None and len(block[3]) <= remaining
                         and (not stop or stop.isdisjoint(block[1]))):
                     try:
-                        block[0]()
+                        block[slot]()
                     except BaseException:
                         # A faulting op raises with eip at its own
                         # address; retire exactly the ones before it.
@@ -646,7 +696,7 @@ class CPU:
                     entries += 1
                     retired += count
                     continue
-                self.step()
+                step()
         except CpuFault as fault:
             return ("crash", fault)
         finally:
@@ -656,99 +706,22 @@ class CPU:
             perf.prepared_hits += retired
         return ("exit", getattr(self, "exit_code", 0))
 
-    def _run_observed(self, max_instructions, stop):
-        """:meth:`run` with any of a forensic ring, a sampler and
-        ``coverage``.
-
-        A separate loop so the plain one pays nothing for observers.
-        All feed off the block's prebuilt ``block[3]`` address tuple:
-
-        * the ring gets one append per superstep (one EIP per step);
-          a mid-block fault truncates the last entry to the ops up to
-          and including the faulting one, so the ring always ends at
-          the instruction the crash report points at;
-        * ``coverage`` is extended by the tuple before the block runs
-          (so a syscall hook in the block sees its ``int``, as on the
-          reference loop) and cut the same way after a fault; a step
-          adds to it in :meth:`slow_step`;
-        * the sampler's ``skip`` counts retired instructions down to
-          the next sample, usually one comparison and one subtraction
-          per superstep.  A faulting instruction did not retire and
-          is never sampled, so the profile stays exact.
-        """
-        blocks = self.blocks
-        ring = self.forensic_ring
-        ring_append = ring.append if ring is not None else None
-        sampler = self.sampler
+    def _observed_step(self):
+        """:meth:`step` feeding the ring (before the op, so it ends
+        at a faulting one) and the sampler (once the op retires);
+        :meth:`slow_step` adds to ``coverage``."""
+        eip = self.eip
+        ring, __, sampler = self._observers
+        if ring is not None:
+            ring.append(eip)
+        self.step()
         if sampler is not None:
-            samples, period, skip = (sampler.samples, sampler.period,
-                                     sampler.skip)
-        coverage = self.coverage
-        extend = coverage.extend if coverage is not None else None
-        entries = retired = 0
-        try:
-            while not self.halted:
-                eip = self.eip
-                if stop and eip in stop:
-                    return ("stop", None)
-                remaining = max_instructions - self.instret
-                if remaining <= 0:
-                    return ("limit", None)
-                block = blocks.get(eip)
-                if block is None:
-                    block = self._block_at(eip)
-                if (block is not None and len(block[3]) <= remaining
-                        and (not stop or stop.isdisjoint(block[1]))):
-                    addrs = block[3]
-                    count = len(addrs)
-                    if ring_append is not None:
-                        ring_append(addrs)
-                    if extend is not None:
-                        extend(addrs)
-                    try:
-                        block[0]()
-                    except BaseException:
-                        count = addrs.index(self.eip)
-                        if ring_append is not None:
-                            ring[-1] = addrs[:count + 1]
-                        if extend is not None:
-                            del coverage[len(coverage) - len(addrs)
-                                         + count + 1:]
-                        raise
-                    finally:
-                        if sampler is not None:
-                            while skip < count:
-                                eip = addrs[skip]
-                                samples[eip] = samples.get(eip, 0) + 1
-                                skip += period
-                            skip -= count
-                        self.instret += count
-                        entries += 1
-                        retired += count
-                    continue
-                if ring_append is not None:
-                    ring_append(eip)
-                self.step()
-                if sampler is not None:
-                    if skip == 0:
-                        samples[eip] = samples.get(eip, 0) + 1
-                        skip = period
-                    skip -= 1
-        except CpuFault as fault:
-            return ("crash", fault)
-        finally:
-            if sampler is not None:
-                sampler.skip = skip
-            perf = self.perf
-            perf.superstep_entries += entries
-            perf.superstep_instructions += retired
-            perf.prepared_hits += retired
-        return ("exit", getattr(self, "exit_code", 0))
+            sampler.retire((eip,), 1)
 
     def _run_reference(self, max_instructions, stop):
         """:meth:`run` through :meth:`slow_step` only: the loop for
         instrumentation that needs a hook between every instruction,
-        and the spec the other two are differentially tested
+        and the spec the block loop is differentially tested
         against."""
         try:
             while not self.halted:

@@ -8,17 +8,16 @@ module attributes *retired guest instructions* to guest code.  A
 profile of a given campaign is deterministic and byte-identical
 across reruns, worker counts and host load.
 
-Zero-overhead-when-off discipline (shared with the forensic ring):
-the plain ``CPU.run`` loop never references the sampler; attaching
-one switches dispatch to ``CPU._run_observed``, the loop that feeds
-the sampler and the forensic ring alike (both at once when both are
-attached).  Its per-superstep sampler cost is a ``None`` test, one
-integer comparison and one subtraction, with sampled EIPs indexed out
-of the prebuilt ``block[3]`` address tuple.  While a sampler is attached, every way
-of running the CPU -- to a breakpoint, over a watch window, or one
-instruction at a time as the pruning guard does -- goes through that
-loop.  Detached cost is exactly zero by construction and the attached
-overhead is regression-gated at <= 5%
+Zero-overhead-when-off discipline (shared with the forensic ring and
+``coverage``): the ``CPU.run`` loop never references the sampler;
+attaching one makes it call each block's observed variant
+(``CPU._observed_block``) and the observed step, which feed every
+attached observer and count the sampler down through
+:meth:`Sampler.retire`.  While a sampler is attached, every way of
+running the CPU -- to a breakpoint, over a watch window, or one
+instruction at a time as the pruning guard does -- goes through those
+callables.  Detached cost is exactly zero by construction and the
+attached overhead is regression-gated at <= 5%
 (``benchmarks/bench_emulator_speed.py::test_sampler_overhead``).
 
 Two attributions are recorded:
@@ -50,10 +49,10 @@ class Sampler:
     """Instruction-count EIP sampler (attach to ``cpu.sampler``).
 
     ``skip`` is the number of instructions still to retire before the
-    next sample: 0 means "sample the very next instruction".  The run
-    loop decrements it by whole supersteps and indexes the block's
-    address tuple for the sampled EIP, so cost is independent of the
-    period.  The counter persists across ``run()`` slices and restarts
+    next sample: 0 means "sample the very next instruction".
+    :meth:`retire` decrements it by whole supersteps and indexes the
+    block's address tuple for the sampled EIP, so cost is independent
+    of the period.  The counter persists across ``run()`` slices and restarts
     (:meth:`restart`) at each experiment, so a profile is the same
     however a fleet cut the campaign into work units.
     """
@@ -74,6 +73,18 @@ class Sampler:
     def restart(self):
         """Sample the ``period``-th instruction from here next."""
         self.skip = self.period - 1
+
+    def retire(self, addrs, count):
+        """Count down the first *count* EIPs of *addrs* (the retired
+        ops of a superstep, or a stepped one), sampling the ones due.
+        A block's observed variant subtracts *count* itself when none
+        is (``skip >= count``)."""
+        skip, samples = self.skip, self.samples
+        while skip < count:
+            eip = addrs[skip]
+            samples[eip] = samples.get(eip, 0) + 1
+            skip += self.period
+        self.skip = skip - count
 
     # -- phase attribution ---------------------------------------------
 

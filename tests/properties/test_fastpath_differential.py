@@ -9,15 +9,17 @@ experiment can observe: registers, EIP, the full EFLAGS word,
 divergence here would silently corrupt campaign tallies, so this test
 is the executable contract for the whole optimisation.
 
-Stop sets and observers are inputs too: every combination of a
-forensic ring and a sampler must leave the run unchanged, the ring
-must hold exactly the retired instructions (plus the faulting one),
-and the sampler exactly every ``SAMPLE_PERIOD``-th retired one.
+Stop sets and observers are inputs too: every subset of a forensic
+ring, a sampler and a ``coverage`` trace must leave the run unchanged,
+the ring and the trace must hold exactly the retired instructions
+(plus the faulting one), and the sampler exactly every
+``SAMPLE_PERIOD``-th retired one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,8 +34,12 @@ from repro.x86.flags import FLAGS_USER_MASK
 
 SAMPLE_PERIOD = 3
 
-OBSERVERS = st.sampled_from([(), ("ring",), ("sampler",),
-                             ("ring", "sampler")])
+#: every subset of the observers the block loop feeds
+OBSERVER_SETS = tuple(
+    subset for size in range(4)
+    for subset in combinations(("ring", "sampler", "coverage"), size))
+
+OBSERVERS = st.sampled_from(OBSERVER_SETS)
 
 #: stop addresses over the blob's span (most are not instruction
 #: starts; the ones that are end the run early)
@@ -84,12 +90,20 @@ def _fingerprint(cpu, memory, outcome):
     }
 
 
+class _Trace(list):
+    """An instruction trace ``cpu.coverage`` takes (``add`` appends)."""
+
+    add = list.append
+
+
 def _attach(cpu, observers):
     """Attach the named observers to the fast engine."""
     if "ring" in observers:
         cpu.forensic_ring = RingBuffer()
     if "sampler" in observers:
         cpu.sampler = Sampler(SAMPLE_PERIOD)
+    if "coverage" in observers:
+        cpu.coverage = _Trace()
 
 
 def _observed(cpu, limit):
@@ -99,16 +113,19 @@ def _observed(cpu, limit):
         seen["ring"] = flatten_ring(cpu.forensic_ring, last_n=limit)
     if cpu.sampler is not None:
         seen["sampler"] = Counter(cpu.sampler.samples)
+    if cpu.coverage is not None:
+        seen["coverage"] = list(cpu.coverage)
     return seen
 
 
 def _expected(retired, outcome, eip, observers):
     """What the observers must see, given the reference loop's retired
-    EIPs: a ring ends at the instruction that raised."""
+    EIPs: a ring and a trace end at the instruction that raised."""
     seen = {}
-    if "ring" in observers:
-        raised = outcome[0] in ("crash", "raised")
-        seen["ring"] = retired + [eip] if raised else retired
+    raised = outcome[0] in ("crash", "raised")
+    for name in ("ring", "coverage"):
+        if name in observers:
+            seen[name] = retired + [eip] if raised else retired
     if "sampler" in observers:
         seen["sampler"] = Counter(
             retired[SAMPLE_PERIOD - 1::SAMPLE_PERIOD])
@@ -241,7 +258,9 @@ _C_PROGRAMS = [
 def test_compiled_programs_equivalent():
     """Full compiled programs exit with identical state down both
     engines (the benchmark's own workload shape), with every observer
-    combination on the fast one."""
+    combination on the fast one.  Observed runs compile each block
+    once, as the plain run does: the observed variant calls the block
+    it compiled, not its first, cold callable."""
     for source in _C_PROGRAMS:
         program = compile_program(source)
 
@@ -252,8 +271,7 @@ def test_compiled_programs_equivalent():
             instruction.address)
         slow_status = slow.run(2_000_000)
 
-        for observers in ((), ("ring",), ("sampler",),
-                          ("ring", "sampler")):
+        for observers in OBSERVER_SETS:
             fast = Process(program.module, Kernel())
             _attach(fast.cpu, observers)
             fast_status = fast.run(2_000_000)
@@ -270,15 +288,13 @@ def test_compiled_programs_equivalent():
                 assert bytes(fast_region.data) == bytes(slow_region.data)
             assert _observed(fast.cpu, len(retired)) == _expected(
                 retired, ("exit", 0), fast.cpu.eip, observers)
+            compiled = fast.cpu.perf.blocks_compiled
+            if not observers:
+                plain_compiled = compiled
+            assert compiled == plain_compiled > 0
 
 
 # -- the golden recorder's variant: trace and access log ---------------
-
-
-class _Trace(list):
-    """An instruction trace ``cpu.coverage`` takes (``add`` appends)."""
-
-    add = list.append
 
 
 def _first_accesses(log):
@@ -596,7 +612,7 @@ def test_stop_in_later_range(monkeypatch):
     there, with every observer, cold and compiled."""
     for threshold in (1, 2):
         monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", threshold)
-        for observers in ((), ("ring",), ("sampler",), ("ring", "sampler")):
+        for observers in OBSERVER_SETS:
             for budget in (2, 12, 40):
                 _assert_equivalent(LOOP2, budget=budget,
                                    stop=frozenset({0x100C}),
