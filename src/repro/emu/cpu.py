@@ -33,11 +33,13 @@ There are two run loops, each taking a ``stop`` set of addresses
 (a debugger breakpoint is a one-address set, plain execution the
 empty set): the block loop :meth:`CPU.run`, which never names an
 observer -- with the forensic ring, the sampler or the ``coverage``
-trace attached it calls each block's observed variant instead of the
-block (:meth:`CPU._observed_block`) -- and :meth:`CPU._run_reference`
-over :meth:`CPU.slow_step`, which keeps the original
-decode-and-dispatch semantics, honours ``trace_hook``, and is
-differentially tested against the block loop.
+trace attached it calls each block's **observed variant** instead of
+the block: a closure feeding the observers around the block
+(:meth:`CPU._observed_block`) until the block compiles, then the
+block's code generated with the attached observers' work inline -- and
+:meth:`CPU._run_reference` over :meth:`CPU.slow_step`, which keeps
+the original decode-and-dispatch semantics, honours ``trace_hook``,
+and is differentially tested against the block loop.
 Perf counters live on :attr:`CPU.perf`.
 
 Anything a corrupted byte stream can decode into is executable here:
@@ -104,6 +106,10 @@ _MASK32 = 0xFFFFFFFF
 #: the slot of a block's observed variant (:meth:`CPU._observed_block`)
 _OBSERVED = 5
 
+#: the observer set (ring, ``coverage``, sampler) whose variants are
+#: never compiled (:meth:`CPU._observed_block`)
+_COVERAGE_ONLY = (False, True, False)
+
 
 class CPU:
     """One hardware thread executing a user-mode process image."""
@@ -146,21 +152,23 @@ class CPU:
         self.trace_hook = None    # optional fn(cpu, instruction) per step
         #: optional forensic EIP ring (:mod:`repro.obs.forensics`).
         #: ``None`` keeps :meth:`run` on the plain callables (zero
-        #: overhead); a ring switches it to the observed ones
-        #: (:meth:`_observed_block`), which append whole ``block[3]``
-        #: tuples, and single EIPs on the step path.  The
-        #: ring ends with the *faulting* instruction after a crash (it
-        #: did not retire; ``instret`` stays exact).
+        #: overhead); a ring switches it to the blocks' observed
+        #: variants (:meth:`_observed_block`), which append whole
+        #: ``block[3]`` tuples, and to :meth:`_observed_step`, which
+        #: appends single EIPs.  The ring ends with the *faulting*
+        #: instruction after a crash (it did not retire; ``instret``
+        #: stays exact).
         self.forensic_ring = None
         #: optional sampling profiler (:mod:`repro.obs.sampler`), on
-        #: the same terms: the observed callables count it down by
+        #: the same terms: the observed variants count it down by
         #: whole supersteps.  Every attached observer is fed.
         self.sampler = None
-        #: ``[forensic_ring, coverage, sampler]`` as :meth:`run` found
-        #: them at entry: what the observed callables feed, unpacked
-        #: from one list per superstep rather than loaded as three
-        #: attributes (the attached observers' overhead gate is 5%).
-        self._observers = [None, None, None]
+        #: which of (ring, ``coverage``, sampler) the observed variants
+        #: are made for, and whether some cached block has none (it
+        #: was built with no observer attached): :meth:`run` remakes
+        #: or adds them when it starts observed
+        self._observed = ()
+        self._unobserved = False
         #: optional ``fn(cpu, instruction)`` called at every ``int
         #: 0x80`` entry, before the kernel runs, with ``eip`` at the
         #: ``int`` and ``instret`` not yet counting it.  The golden
@@ -408,7 +416,9 @@ class CPU:
         bytes cannot accumulate."""
         block = self.blocks.pop(start, None)
         if block is not None and drop_code:
-            _CODE_CACHE.pop(_code_key(block), None)
+            key = _code_key(block)
+            _CODE_CACHE.pop(key, None)
+            _OBSERVED_CODE_CACHE.pop(key, None)
 
     # -- basic blocks ----------------------------------------------------
 
@@ -438,7 +448,9 @@ class CPU:
         eviction); the per-op address tuple, in execution order and
         without repeats (a faulting op raises with ``eip`` at its own
         address, so its index is the retired count); the decoded
-        instructions; and :meth:`_observed_block`'s variant of ``run``.
+        instructions; and the observed variant of ``run``
+        (:meth:`_observed_block`), ``None`` until the block is to run
+        with an observer attached.
         Returns ``None`` outside the cacheable range, or when the
         first instruction does not decode (the caller's :meth:`step`
         then raises its fault).
@@ -510,7 +522,11 @@ class CPU:
             block[0] = self._lone_block(lone)
         else:
             block[0] = self._cold_block(block)
-        block[_OBSERVED] = self._observed_block(block)
+        if (self.forensic_ring is None and self.sampler is None
+                and self.coverage is None):
+            self._unobserved = True
+        else:
+            block[_OBSERVED] = self._observed_block(block)
         self.blocks[address] = block
         index = self.block_index
         shift = self.BLOCK_BUCKET_SHIFT
@@ -535,42 +551,18 @@ class CPU:
         return run
 
     def _observed_block(self, block):
-        """*block*'s observed variant: ``block[0]()``, looked up at call
-        time so the compiled swap carries over, feeding the observers
-        :meth:`run` found attached (``_observers``) from ``block[3]``.
-        The ring gets the tuple as one entry and ``coverage`` is
-        extended by it before the block runs (a syscall hook in the
-        block sees its ``int``, as on the reference loop); a mid-block
-        fault cuts both after the faulting op.  The sampler counts
-        down the retired ops (:meth:`repro.obs.sampler.Sampler.retire`),
-        inline when no sample is due."""
-        addrs = block[3]
-        size = len(addrs)
-        observers = self._observers
-
-        def observed():
-            ring, coverage, sampler = observers
-            if ring is not None:
-                ring.append(addrs)
-            if coverage is not None:
-                coverage.extend(addrs)
-            try:
-                block[0]()
-            except BaseException:
-                count = addrs.index(self.eip)
-                if ring is not None:
-                    ring[-1] = addrs[:count + 1]
-                if coverage is not None:
-                    del coverage[len(coverage) - size + count + 1:]
-                if sampler is not None:
-                    sampler.retire(addrs, count)
-                raise
-            if sampler is not None:
-                if sampler.skip < size:
-                    sampler.retire(addrs, size)
-                else:
-                    sampler.skip -= size
-        return observed
+        """*block*'s variant for the observer set :meth:`run` found
+        (:func:`_observed_factory`) until it compiles, on the
+        :attr:`COMPILE_THRESHOLD`-th entry as ``block[0]`` does.  A
+        one-instruction block never compiles, nor a variant that feeds
+        only ``coverage``: the golden run that traces runs once per
+        cell and leaves the blocks it compiles to the plain runs after
+        it."""
+        first = block[4][0]
+        compiles = not (first.mnemonic in _BLOCK_EXCLUDED
+                        or first.rep is not None
+                        or self._observed == _COVERAGE_ONLY)
+        return _observed_factory(self._observed)(self, block, compiles)
 
     def _cold_block(self, block):
         """The callable of a new *block*: interpret it through the
@@ -593,12 +585,21 @@ class CPU:
             self.eip = self._next_eip
         return run
 
-    def _compile_block(self, block):
-        """The compiled function of *block*, bound to this CPU; the
-        generated code comes from :data:`_CODE_CACHE` when any CPU in
-        the process already compiled these bytes at this address."""
-        self.perf.blocks_compiled += 1
+    def _compile_block(self, block, observed=()):
+        """The compiled function of *block* (of its variant for the
+        *observed* set), bound to this CPU; the generated code comes
+        from :data:`_CODE_CACHE` (:data:`_OBSERVED_CODE_CACHE`) when
+        any CPU in the process already compiled these bytes at this
+        address."""
         key = _code_key(block)
+        if observed:
+            factories = _OBSERVED_CODE_CACHE.setdefault(key, {})
+            factory = factories.get(observed)
+            if factory is None:
+                factory = factories[observed] = _BlockSource(
+                    block[4]).factory(observed)
+            return factory(self, block[4])
+        self.perf.blocks_compiled += 1
         factory = _CODE_CACHE.get(key)
         if factory is None:
             factory = _CODE_CACHE[key] = _compile_factory(block[4])
@@ -653,7 +654,8 @@ class CPU:
         only when it fits the budget and is disjoint from *stop*;
         otherwise one instruction is stepped.  The loop never touches
         an observer: with any attached it calls the blocks' observed
-        variants and :meth:`_observed_step`, chosen once here.  The
+        variants and :meth:`_observed_step`, chosen once here, where
+        the variants are made for the attached set.  The
         superstep counters are kept in locals and added to
         :attr:`perf` when the loop returns or raises.
         """
@@ -663,9 +665,15 @@ class CPU:
                 and self.coverage is None):
             slot, step = 0, self.step
         else:
-            self._observers[:] = (self.forensic_ring, self.coverage,
-                                  self.sampler)
             slot, step = _OBSERVED, self._observed_step
+            observed = (self.forensic_ring is not None,
+                        self.coverage is not None, self.sampler is not None)
+            if observed != self._observed or self._unobserved:
+                remake = observed != self._observed
+                self._observed, self._unobserved = observed, False
+                for block in self.blocks.values():
+                    if remake or block[_OBSERVED] is None:
+                        block[_OBSERVED] = self._observed_block(block)
         blocks = self.blocks
         entries = retired = 0
         try:
@@ -711,12 +719,11 @@ class CPU:
         at a faulting one) and the sampler (once the op retires);
         :meth:`slow_step` adds to ``coverage``."""
         eip = self.eip
-        ring, __, sampler = self._observers
-        if ring is not None:
-            ring.append(eip)
+        if self.forensic_ring is not None:
+            self.forensic_ring.append(eip)
         self.step()
-        if sampler is not None:
-            sampler.retire((eip,), 1)
+        if self.sampler is not None:
+            self.sampler.retire((eip,), 1)
 
     def _run_reference(self, max_instructions, stop):
         """:meth:`run` through :meth:`slow_step` only: the loop for
@@ -1695,6 +1702,10 @@ class CPU:
 #: entry with the block.
 _CODE_CACHE = {}
 
+#: the factories of the observed variants, by the same keys, then by
+#: the observer set (:meth:`CPU.run`)
+_OBSERVED_CODE_CACHE = {}
+
 
 def _bound_region(memory, name):
     """``(start, last word address, last byte address, data,
@@ -1758,11 +1769,63 @@ def _covers(ranges, address):
 
 def _compile_factory(instructions):
     """Generate and compile the factory for a block of *instructions*."""
-    source = _BlockSource(instructions).source()
-    namespace = {}
-    exec(compile(source, "<block 0x%x>" % instructions[0].address,
-                 "exec"), _GENERATED_GLOBALS, namespace)
-    return namespace["make"]
+    return _BlockSource(instructions).factory()
+
+
+#: an observed variant's lines for each of the ring, ``coverage`` and
+#: the sampler: at entry, take it and feed it the block (the ring's
+#: ``append`` is a slot, cheaper loaded as an attribute than called as
+#: a method); on a fault at op ``op``, cut the ring and ``coverage``
+#: after it and count the retired ops down on the sampler; at exit,
+#: count the block down, inline when no sample is due
+_OBSERVED_LINES = (
+    (("append = cpu.forensic_ring.append", "append(addrs)"),
+     ("cpu.forensic_ring[-1] = addrs[:op + 1]",), ()),
+    (("coverage = cpu.coverage", "coverage.extend(addrs)"),
+     ("del coverage[len(coverage) - size + op + 1:]",), ()),
+    (("sampler = cpu.sampler",), ("sampler.retire(addrs, op)",),
+     ("if sampler.skip < size:", "    sampler.retire(addrs, size)",
+      "else:", "    sampler.skip -= size")))
+
+
+def _observed_lines(observed):
+    """The entry, fault and exit lines of the *observed* set."""
+    parts = [part for part, on in zip(_OBSERVED_LINES, observed) if on]
+    return [[line for part in parts for line in part[k]] for k in range(3)]
+
+
+#: the variants' factories before they compile, by observer set
+_OBSERVED_FACTORIES = {}
+
+
+def _observed_factory(observed):
+    """The factory ``make(cpu, block, compiles)`` of the variants that
+    feed the *observed* set until they compile: the set's lines
+    around ``block[0]()``, looked up at call time so the
+    cold-to-compiled swap and evictions carry over."""
+    factory = _OBSERVED_FACTORIES.get(observed)
+    if factory is None:
+        entry, fault, exit_ = _observed_lines(observed)
+        lines = ["def make(cpu, block, compiles):",
+                 "    addrs, entries = block[3], 0",
+                 "    size = len(addrs)",
+                 "    def observed():",
+                 "        nonlocal entries",
+                 "        entries += 1",
+                 "        if compiles and entries >= cpu.COMPILE_THRESHOLD:",
+                 "            block[%d] = compiled = cpu._compile_block("
+                 "block, %r)" % (_OBSERVED, observed),
+                 "            return compiled()"]
+        lines += ["        " + line for line in entry]
+        lines += ["        try:", "            block[0]()",
+                  "        except BaseException:",
+                  "            op = addrs.index(cpu.eip)"]
+        lines += ["            " + line for line in fault + ["raise"]]
+        lines += ["        " + line for line in exit_]
+        namespace = {}
+        exec("\n".join(lines + ["    return observed\n"]), {}, namespace)
+        factory = _OBSERVED_FACTORIES[observed] = namespace["make"]
+    return factory
 
 
 def _r32(operand):
@@ -1798,7 +1861,18 @@ class _BlockSource:
         self.dirty = set()      # registers they write
         self.stacked = []       # values of the pushes still on the stack
 
-    def source(self):
+    def factory(self, observed=()):
+        """The compiled factory of :meth:`source`."""
+        namespace = {}
+        exec(compile(self.source(observed),
+                     "<block 0x%x>" % self.instructions[0].address,
+                     "exec"), _GENERATED_GLOBALS, namespace)
+        return namespace["make"]
+
+    def source(self, observed=()):
+        """The factory's source; with an *observed* set (one flag per
+        entry of :data:`_OBSERVED_LINES`), of the variant feeding
+        those observers, with ``addrs`` the block's ``block[3]``."""
         last = len(self.instructions) - 1
         for k, instruction in enumerate(self.instructions):
             self.k = k
@@ -1813,6 +1887,9 @@ class _BlockSource:
         self.store_flags()
         self.emit(*self.write_back())
         self.close_segment()
+        addrs = tuple(insn.address for insn in self.instructions)
+        at = "addrs" if observed else repr(addrs)
+        entry, fault, exit_ = _observed_lines(observed)
         lines = ["def make(cpu, instructions):",
                  "    memory = cpu.memory",
                  "    read8, read16 = memory.read8, memory.read16",
@@ -1827,13 +1904,17 @@ class _BlockSource:
         lines += ["    " + line for line in self.bindings]
         if self.fault_flags:
             lines.append("    fl = %r" % (self.fault_flags,))
-        lines += ["    def block():", "        regs = cpu.regs"]
+        if observed:
+            lines += ["    addrs = %r" % (addrs,),
+                      "    size = %d" % len(addrs)]
+        lines.append("    def block():")
+        lines += ["        " + line for line in entry]
+        lines.append("        regs = cpu.regs")
         if self.raising:
-            addrs = tuple(insn.address for insn in self.instructions)
             lines += ["        op = 0", "        try:"]
             lines += ["            " + line for line in self.body]
             lines += ["        except BaseException:",
-                      "            cpu.eip = %r[op]" % (addrs,)]
+                      "            cpu.eip = %s[op]" % at]
             lines += ["            " + line for line in self.fault_stores()]
             if self.fault_flags:
                 lines += [
@@ -1844,9 +1925,10 @@ class _BlockSource:
                     "                cpu._lazy = (('logic', fr, 4)"
                     " if f[0] == 'logic'",
                     "                             else (f[0], fa, fb, 4, 0))"]
-            lines += ["            raise"]
+            lines += ["            " + line for line in fault + ["raise"]]
         else:
             lines += ["        " + line for line in self.body]
+        lines += ["        " + line for line in exit_]
         lines.append("    return block")
         return "\n".join(lines) + "\n"
 

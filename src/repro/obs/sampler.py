@@ -12,11 +12,12 @@ Zero-overhead-when-off discipline (shared with the forensic ring and
 ``coverage``): the ``CPU.run`` loop never references the sampler;
 attaching one makes it call each block's observed variant
 (``CPU._observed_block``) and the observed step, which feed every
-attached observer and count the sampler down through
-:meth:`Sampler.retire`.  While a sampler is attached, every way of
-running the CPU -- to a breakpoint, over a watch window, or one
-instruction at a time as the pruning guard does -- goes through those
-callables.  Detached cost is exactly zero by construction and the
+attached observer.  A compiled variant subtracts a superstep's size
+from ``skip`` inline and calls :meth:`Sampler.retire` only when a
+sample is due; the closure before it and the step call it every time.
+While a sampler is attached, every way of running the CPU -- to a
+breakpoint, over a watch window, or one instruction at a time as the
+pruning guard does -- goes through those callables.  Detached cost is exactly zero by construction and the
 attached overhead is regression-gated at <= 5%
 (``benchmarks/bench_emulator_speed.py::test_sampler_overhead``).
 
@@ -77,7 +78,7 @@ class Sampler:
     def retire(self, addrs, count):
         """Count down the first *count* EIPs of *addrs* (the retired
         ops of a superstep, or a stepped one), sampling the ones due.
-        A block's observed variant subtracts *count* itself when none
+        A compiled observed variant subtracts *count* itself when none
         is (``skip >= count``)."""
         skip, samples = self.skip, self.samples
         while skip < count:

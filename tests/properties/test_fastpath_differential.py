@@ -106,6 +106,15 @@ def _attach(cpu, observers):
         cpu.coverage = _Trace()
 
 
+def _compiled_blocks(cpu):
+    """The start addresses of the blocks whose plain callable or
+    observed variant is generated code."""
+    return {address for address, block in cpu.blocks.items()
+            if any(run is not None
+                   and run.__code__.co_filename.startswith("<block")
+                   for run in (block[0], block[5]))}
+
+
 def _observed(cpu, limit):
     """What the attached observers saw."""
     seen = {}
@@ -258,9 +267,10 @@ _C_PROGRAMS = [
 def test_compiled_programs_equivalent():
     """Full compiled programs exit with identical state down both
     engines (the benchmark's own workload shape), with every observer
-    combination on the fast one.  Observed runs compile each block
-    once, as the plain run does: the observed variant calls the block
-    it compiled, not its first, cold callable."""
+    combination on the fast one.  Observed runs take the blocks the
+    plain run compiles to a compiled tier, plain or observed, and
+    compile no more plain blocks: a block's observed variant calls the
+    block it compiled, not its first, cold callable."""
     for source in _C_PROGRAMS:
         program = compile_program(source)
 
@@ -291,7 +301,40 @@ def test_compiled_programs_equivalent():
             compiled = fast.cpu.perf.blocks_compiled
             if not observers:
                 plain_compiled = compiled
-            assert compiled == plain_compiled > 0
+                plain_blocks = _compiled_blocks(fast.cpu)
+            assert compiled <= plain_compiled > 0
+            assert _compiled_blocks(fast.cpu) == plain_blocks
+
+
+def test_observers_attached_mid_run():
+    """Observers attached between runs see exactly what the later runs
+    retire: the blocks a plain run built get observed variants, and
+    the variants made for one set of observers are remade when the
+    set changes."""
+    program = compile_program(_C_PROGRAMS[0])
+    slow = Process(program.module, Kernel())
+    retired = []
+    slow.cpu.trace_hook = lambda cpu, instruction: retired.append(
+        instruction.address)
+    slow.run(2_000_000)
+    every = OBSERVER_SETS[-1]
+    for observers in OBSERVER_SETS[1:]:
+        fast = Process(program.module, Kernel())
+        cpu = fast.cpu
+        for start, end, attached in ((0, 1_000, ()),
+                                     (1_000, 2_000, observers),
+                                     (2_000, 3_000, ()),
+                                     (3_000, 4_000, observers),
+                                     (4_000, len(retired), every)):
+            cpu.forensic_ring = cpu.sampler = cpu.coverage = None
+            if start == 2_000:
+                cpu.invalidate_cache()  # new blocks, built unobserved
+            _attach(cpu, attached)
+            outcome = fast.run(end if end < len(retired) else 2_000_000)
+            assert cpu.instret == end
+            assert _observed(cpu, end - start) == _expected(
+                retired[start:end], ("limit", None), None, attached)
+        assert outcome.kind == "exit"
 
 
 # -- the golden recorder's variant: trace and access log ---------------
@@ -385,8 +428,9 @@ def test_logged_traced_tiers_equivalent(monkeypatch):
 
 def test_compiled_tier_equivalent(monkeypatch):
     """The compiled tier on its own: with the threshold at 1 every
-    block compiles on its first entry, so every generator and program
-    above runs generated code where it would otherwise interpret."""
+    block, and every observed variant but a trace-only one, compiles
+    on its first entry, so every generator and program above runs
+    generated code where it would otherwise interpret."""
     monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
     test_random_byte_soup_equivalent()
     test_compiler_like_streams_equivalent()
