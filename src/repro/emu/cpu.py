@@ -15,7 +15,8 @@ of a direct ``jmp``/``call`` and ends at any other control transfer:
   with registers in locals, inline templates for the common forms
   (register and immediate moves, loads and stores checked against the
   stack or data region bound at compile time, stack ops with a push
-  forwarded to its pop, ALU ops, branches) and a handler call for
+  forwarded to its pop, ALU ops, ``imul``, ``idiv``, ``shl``/``shr``/
+  ``sar`` by an immediate or ``%cl``, branches) and a handler call for
   everything else.  Generated code is cached per process by
   ``(block start, block bytes)``, so every CPU over one image shares
   one code object per block.
@@ -24,10 +25,12 @@ of a direct ``jmp``/``call`` and ends at any other control transfer:
 mid-instruction; each is a one-instruction block of its own, never
 compiled, that the loop retires after its handler returns.
 
-Both tiers keep **lazy EFLAGS**: ALU ops record the last op's operands
-instead of computing SF/ZF/PF/AF/OF/CF, and the flags materialise only
-when something reads ``cpu.eflags`` (a Jcc that does not follow its
-flag writer in the same block, ``pushf``, a snapshot, a test).
+The compiled tier keeps **lazy EFLAGS**: its ALU, shift and ``imul``
+templates record the last op's operands (an ``imul``'s CF/OF over the
+record before it) instead of computing SF/ZF/PF/AF/OF/CF, and the
+flags materialise only when something reads ``cpu.eflags`` (a Jcc
+that does not follow its flag writer in the same block, ``pushf``, a
+snapshot, a test).
 
 There are two run loops, each taking a ``stop`` set of addresses
 (a debugger breakpoint is a one-address set, plain execution the
@@ -102,6 +105,10 @@ _BLOCK_EXCLUDED = frozenset({
 _DIRECT_TRANSFERS = frozenset({"jmp", "call"})
 
 _MASK32 = 0xFFFFFFFF
+
+#: the alu routine of each four-operand lazy-EFLAGS record kind
+_LAZY_ROUTINES = {"add": alu.add, "sub": alu.sub,
+                  "shl": alu.shl, "shr": alu.shr, "sar": alu.sar}
 
 #: the slot of a block's observed variant (:meth:`CPU._observed_block`)
 _OBSERVED = 5
@@ -265,11 +272,16 @@ class CPU:
     # ------------------------------------------------------------------
     # Flag helpers (lazy EFLAGS materialisation)
     #
-    # The fast-path ALU closures do not compute status flags; they
-    # stash ``("add"|"sub"|"logic", operands...)`` in ``_lazy`` and the
-    # flags are computed -- through the same :mod:`repro.emu.alu`
-    # routines the eager path uses -- only when ``eflags`` is read.  A
-    # record overwritten before any read is counted as elided.
+    # Compiled blocks do not compute status flags; they stash a record
+    # in ``_lazy`` and the flags are computed -- through the same
+    # :mod:`repro.emu.alu` routines the eager path uses -- only when
+    # ``eflags`` is read.  A record is ``(kind, a, b, 4, 0)`` for the
+    # kinds of :data:`_LAZY_ROUTINES` (add/sub: the operands; shl, shr,
+    # sar: the value and its nonzero masked count), ``("logic",
+    # result, 4)``, or ``("mul", overflow, prev)``: an imul sets only
+    # CF/OF, so its record wraps the one pending before it (``None``
+    # when there was none; never another mul record).  A record
+    # overwritten before any read is counted as elided.
 
     @property
     def eflags(self):
@@ -287,14 +299,20 @@ class CPU:
     def _materialise_flags(self):
         lazy = self._lazy
         self._lazy = None
-        kind = lazy[0]
-        if kind == "sub":
-            __, flags = alu.sub(lazy[1], lazy[2], lazy[3], lazy[4])
-        elif kind == "add":
-            __, flags = alu.add(lazy[1], lazy[2], lazy[3], lazy[4])
-        else:  # logic
-            __, flags = alu.logic(lazy[1], lazy[2])
-        self._eflags = (self._eflags & ~STATUS_FLAGS) | flags
+        eflags = self._eflags
+        mul = None
+        if lazy[0] == "mul":
+            mul, lazy = lazy, lazy[2]
+        if lazy is not None:
+            if lazy[0] == "logic":
+                __, flags = alu.logic(lazy[1], lazy[2])
+            else:
+                __, flags = _LAZY_ROUTINES[lazy[0]](lazy[1], lazy[2],
+                                                    lazy[3], lazy[4])
+            eflags = (eflags & ~STATUS_FLAGS) | flags
+        if mul is not None:
+            eflags = (eflags | CF | OF) if mul[1] else eflags & ~(CF | OF)
+        self._eflags = eflags
         self.perf.flags_forced += 1
 
     def set_status_flags(self, new_flags, mask=STATUS_FLAGS):
@@ -1016,7 +1034,7 @@ class CPU:
             product = alu.signed(self.read_operand(src), src.size) \
                 * alu.signed(imm.value, 4)
             self.write_reg(dst.index, product & 0xFFFFFFFF, 4)
-            self._set_mul_flags(product, 4)
+            self._set_mul_flags(product, 4, signed=True)
             return
         operand = operands[0]
         size = operand.size
@@ -1030,7 +1048,7 @@ class CPU:
         product = alu.signed(self.read_operand(src), src.size) \
             * alu.signed(self.read_reg(dst.index, dst.size), dst.size)
         self.write_reg(dst.index, product & 0xFFFFFFFF, dst.size)
-        self._set_mul_flags(product, dst.size)
+        self._set_mul_flags(product, dst.size, signed=True)
 
     def _write_product(self, product, size, signed, raw_product=None):
         if size == 1:
@@ -1040,14 +1058,14 @@ class CPU:
             self.write_reg(EAX, product & ((1 << bits) - 1), size)
             self.write_reg(EDX, (product >> bits) & ((1 << bits) - 1), size)
         check = raw_product if raw_product is not None else product
-        self._set_mul_flags(check, size)
+        self._set_mul_flags(check, size, signed)
 
-    def _set_mul_flags(self, product, size):
+    def _set_mul_flags(self, product, size, signed):
         bits = size * 8
         low = product & ((1 << bits) - 1)
-        # CF/OF clear only when the full product fits in the low half
-        # (signed view for imul, unsigned view for mul).
-        overflow = product != alu.signed(low, size) and product != low
+        # CF/OF clear only when the full product fits in the low half:
+        # its signed view for imul, its unsigned view for mul.
+        overflow = product != (alu.signed(low, size) if signed else low)
         if overflow:
             self.eflags |= CF | OF
         else:
@@ -1089,7 +1107,11 @@ class CPU:
                 | self.read_reg(EAX, size)
             dividend = raw - (1 << (bits * 2)) \
                 if raw & (1 << (bits * 2 - 1)) else raw
-        quotient = int(dividend / divisor)  # truncate toward zero
+        # truncate toward zero, exactly (a float quotient is not once
+        # the dividend passes 2**53)
+        quotient = abs(dividend) // abs(divisor)
+        if (dividend < 0) != (divisor < 0):
+            quotient = -quotient
         remainder = dividend - quotient * divisor
         if not (-(1 << (bits - 1)) <= quotient < (1 << (bits - 1))):
             raise DivideErrorFault(self.eip, "quotient overflow")
@@ -1681,15 +1703,17 @@ class CPU:
 #   op's address, so permissions, dirty pages and ``PageFault`` EIPs
 #   stay Memory's whichever region was guessed;
 # * an inline flag writer leaves its operands in ``fa``/``fb``/``fr``
-#   and the lazy record the dispatch path would leave is stored in
-#   ``cpu._lazy`` once: before a handler call, before a Jcc reads
-#   ``cpu.eflags``, at block exit, and on the fault path of an inline
-#   op (from ``fl``, the pending writer per op), with ``flags_elided``
-#   counted as one store per writer would count it.  So ``eflags`` is
-#   exact at every exit and every fault; a Jcc after a
-#   cmp/sub/test/and/or/xor in the same block (with only flag-neutral
-#   inline ops between) decides from that op's operands instead of
-#   materialising the flags;
+#   and its lazy record is stored in ``cpu._lazy`` once: before a
+#   handler call, before a Jcc reads ``cpu.eflags``, at block exit, and
+#   on the fault path of an inline op (from ``fl``, the pending writer
+#   per op), with ``flags_elided`` counted as one store per writer
+#   would count it.  Two writers store at once instead: an ``imul``,
+#   whose ``("mul", overflow, prev)`` record wraps the stored one, and
+#   a shift by ``%cl``, which stores its record only when its masked
+#   count is nonzero.  So ``eflags`` is exact at every exit and every
+#   fault; a Jcc after a cmp/sub/test/and/or/xor in the same block
+#   (with only flag-neutral inline ops between) decides from that op's
+#   operands instead of materialising the flags;
 # * any other instruction or operand shape calls its dispatch handler
 #   with ``eip`` and ``_next_eip`` set as :meth:`CPU.slow_step` sets
 #   them.
@@ -1724,7 +1748,8 @@ def _bound_region(memory, name):
 
 _GENERATED_GLOBALS = {"_u32": _unpack_u32, "_p32": _pack_u32,
                       "_region": _bound_region,
-                      "condition_met": condition_met}
+                      "condition_met": condition_met,
+                      "DivideErrorFault": DivideErrorFault}
 
 #: Jcc conditions decided from the operands of the block's last flag
 #: writer: ``fa - fb`` for sub/cmp, the result ``fr`` for the logic ops
@@ -1747,9 +1772,15 @@ _FUSED_CONDITIONS = {
 }
 
 #: the lazy-EFLAGS record of each flag-writer kind, over the locals
-#: the ALU templates leave their operands and result in
-_LAZY_RECORDS = {"add": '"add", fa, fb, 4, 0', "sub": '"sub", fa, fb, 4, 0',
-                 "logic": '"logic", fr, 4'}
+#: the ALU and shift templates leave their operands and result in
+_LAZY_RECORDS = {"logic": '"logic", fr, 4'}
+for _name in _LAZY_ROUTINES:
+    _LAZY_RECORDS[_name] = '"%s", fa, fb, 4, 0' % _name
+
+#: a shift template's result, from the value ``fa`` and the nonzero
+#: masked count ``fb``
+_SHIFTED = {"shl": "(fa << fb) & 0xFFFFFFFF", "shr": "fa >> fb",
+            "sar": "(((fa ^ 0x80000000) - 0x80000000) >> fb) & 0xFFFFFFFF"}
 
 #: region prefix of the generated locals bound by ``_region``
 _REGION_PREFIX = {"stack": "s", "data": "d"}
@@ -1838,6 +1869,11 @@ def _m32(operand):
 
 def _v32(operand):
     return operand.kind == "imm" or _r32(operand) or _m32(operand)
+
+
+def _signed32(expr):
+    """The signed value of the 32-bit expression *expr*."""
+    return "((%s ^ 0x80000000) - 0x80000000)" % expr
 
 
 class _BlockSource:
@@ -2031,6 +2067,14 @@ class _BlockSource:
             self.load(self.ea(operand), target, self.region(operand))
         else:
             self.emit("%s = %s" % (target, self.expr(operand)))
+
+    def value(self, operand):
+        """A register operand's local, or a memory operand loaded into
+        ``t``."""
+        if operand.kind == "mem":
+            self.read(operand, "t")
+            return "t"
+        return self.r(operand.index)
 
     def load(self, address, target, p):
         """``target = read32(address)`` through region *p*, leaving the
@@ -2282,6 +2326,89 @@ class _BlockSource:
                   % (self.w(EDX), self.r(EAX)))
         return True
 
+    def t_imul2(self, instruction):
+        src, dst = instruction.operands
+        if not _r32(dst) or not (_r32(src) or _m32(src)):
+            return False
+        self.mul(src, _signed32(self.r(dst.index)), dst.index)
+        return True
+
+    def t_imul(self, instruction):
+        if len(instruction.operands) != 3:
+            return False
+        imm, src, dst = instruction.operands
+        if not _r32(dst) or not (_r32(src) or _m32(src)):
+            return False
+        self.mul(src, "%d" % alu.signed(imm.value, 4), dst.index)
+        return True
+
+    def mul(self, src, factor, dst):
+        """``dst = src * factor``, signed, with a ``("mul", overflow,
+        prev)`` record over the one pending before: the handler keeps
+        SZAP from the earlier flag writer.  That record is stored
+        first, before any local it lives in can be reused."""
+        self.store_flags()
+        self.flags = None
+        self.emit("t = %s * %s" % (_signed32(self.value(src)), factor),
+                  "%s = t & 0xFFFFFFFF" % self.w(dst),
+                  "v = cpu._lazy",
+                  "if v is not None and v[0] == 'mul':",
+                  "    v = v[2]",
+                  "    perf.flags_elided += 1",
+                  "cpu._lazy = ('mul', not -0x80000000 <= t <= 0x7FFFFFFF,"
+                  " v)")
+
+    def t_idiv(self, instruction):
+        # EDX:EAX / divisor, truncated toward zero; EFLAGS untouched.
+        # EDX and EAX are written only after both raises.
+        operand = instruction.operands[0]
+        if not (_r32(operand) or _m32(operand)):
+            return False
+        divisor = self.value(operand)
+        self.may_raise()
+        self.emit("if not %s:" % divisor,
+                  "    raise DivideErrorFault(%d, 'divide by zero')"
+                  % self.address,
+                  "t = %s" % _signed32(divisor),
+                  "n = (%s << 32) | %s" % (_signed32(self.r(EDX)),
+                                           self.r(EAX)),
+                  "q = abs(n) // abs(t)",
+                  "if (n < 0) != (t < 0):",
+                  "    q = -q",
+                  "if not -0x80000000 <= q <= 0x7FFFFFFF:",
+                  "    raise DivideErrorFault(%d, 'quotient overflow')"
+                  % self.address,
+                  "%s = (n - q * t) & 0xFFFFFFFF" % self.w(EDX),
+                  "%s = q & 0xFFFFFFFF" % self.w(EAX))
+        return True
+
+    def t_shift(self, instruction):
+        count, target = instruction.operands
+        if not _r32(target):
+            return False
+        name = instruction.mnemonic
+        if count.kind == "imm":
+            if not count.value & 0x1F:
+                return False
+            self.emit("fa = %s" % self.r(target.index),
+                      "fb = %d" % (count.value & 0x1F),
+                      "%s = %s" % (self.w(target.index), _SHIFTED[name]))
+            self.set_lazy(name, None)
+            return True
+        # by %cl: a count whose low five bits are 0 changes neither the
+        # value nor the flags, so the pending record is stored first
+        # and the shift's own record only when it runs
+        self.store_flags()
+        self.flags = None
+        self.emit("fb = %s & 0x1F" % self.r(ECX),
+                  "if fb:",
+                  "    fa = %s" % self.r(target.index),
+                  "    %s = %s" % (self.w(target.index), _SHIFTED[name]),
+                  "    if cpu._lazy is not None:",
+                  "        perf.flags_elided += 1",
+                  "    cpu._lazy = (%s)" % _LAZY_RECORDS[name])
+        return True
+
     def t_nop(self, instruction):
         return True
 
@@ -2326,6 +2453,10 @@ _TEMPLATES = {
     "movzxb": _BlockSource.t_movzx, "movzxw": _BlockSource.t_movzx,
     "movb": _BlockSource.t_movb, "leave": _BlockSource.t_leave,
     "cdq": _BlockSource.t_cdq,
+    "imul2": _BlockSource.t_imul2, "imul": _BlockSource.t_imul,
+    "idiv": _BlockSource.t_idiv,
+    "shl": _BlockSource.t_shift, "shr": _BlockSource.t_shift,
+    "sar": _BlockSource.t_shift,
     "nop": _BlockSource.t_nop, "jmp": _BlockSource.t_jmp,
     "call": _BlockSource.t_call, "ret": _BlockSource.t_ret,
 }

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.x86.flags import CF, SF, ZF
+from repro.x86.flags import CF, OF, SF, ZF
 from repro.x86.registers import EAX, EBP, EBX, ECX, EDX, ESI, ESP
 
 from .harness import DATA_BASE, run_snippet, STACK_TOP
@@ -158,6 +158,41 @@ class TestAluExecution:
     imull %ecx, %eax
 """)
         assert cpu.regs[EAX] == (1103515245 * 1103515245) & 0xFFFFFFFF
+
+    def test_mul_flags_signed_and_unsigned_views(self):
+        # 0x10000 * 0x8000 = 0x80000000: it fits 32 bits unsigned but
+        # not signed, so imul sets CF/OF in every form and mul clears
+        # them; -0x8000 * 0x10000 = -2**31 fits signed
+        for source, eax, edx, overflow in (
+                ("movl $0x8000, %ecx\n    imull %ecx, %eax",
+                 0x80000000, 0, True),
+                ("imull $0x8000, %eax, %eax", 0x80000000, 0, True),
+                ("movl $0x8000, %ecx\n    imull %ecx",
+                 0x80000000, 0, True),
+                ("movl $0x8000, %ecx\n    mull %ecx", 0x80000000, 0, False),
+                ("movl $0x10000, %ecx\n    mull %ecx", 0, 1, True),
+                ("movl $-0x8000, %ecx\n    imull %ecx, %eax",
+                 0x80000000, 0, False),
+                ("movl $-0x8000, %ecx\n    imull %ecx",
+                 0x80000000, 0xFFFFFFFF, False)):
+            cpu = run_snippet("    movl $0, %edx\n    movl $0x10000, %eax\n"
+                              "    " + source)
+            assert (cpu.regs[EAX], cpu.regs[EDX]) == (eax, edx), source
+            assert cpu.eflags & (CF | OF) == (
+                (CF | OF) if overflow else 0), source
+
+    def test_idiv_exact_past_2_53(self):
+        # 350746864906756207 / -1495338284: a float quotient rounds to
+        # -234560212 with remainder -1; truncation gives -234560211
+        # with remainder 1495338283
+        cpu = run_snippet("""
+    movl $0x04de1a6a, %edx
+    movl $0x50d9606f, %eax
+    movl $-1495338284, %ecx
+    idivl %ecx
+""")
+        assert cpu.regs[EAX] == -234560211 & 0xFFFFFFFF
+        assert cpu.regs[EDX] == 1495338283
 
     def test_div(self):
         cpu = run_snippet("""

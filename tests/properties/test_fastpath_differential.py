@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cc import compile_program
 from repro.emu import CPU, Memory, Process
-from repro.emu.cpu import _BLOCK_EXCLUDED
+from repro.emu.cpu import _BLOCK_EXCLUDED, _BlockSource
 from repro.emu.liveness import AccessLog
 from repro.kernel import Kernel, ScriptedClient
 from repro.obs import RingBuffer, Sampler
@@ -197,6 +197,19 @@ COMPILER_LIKE = st.lists(st.sampled_from([
     b"\x89\x03",              # mov %eax, (%ebx)  (text: faults)
     b"\x0f\xb6\xc3",          # movzx %bl, %eax
     b"\x0f\xaf\xc3",          # imul %ebx, %eax
+    b"\x0f\xaf\x03",          # imul (%ebx), %eax
+    b"\x6b\xc3\xf9",          # imul $-7, %ebx, %eax
+    b"\x69\xc3\x00\x00\x04\x00",  # imul $0x40000, %ebx, %eax
+    b"\x6b\x03\x05",          # imul $5, (%ebx), %eax
+    b"\xf7\xf9", b"\xf7\x3b",  # idiv %ecx; idiv (%ebx)
+    b"\xd1\xe0", b"\xd1\xe8", b"\xd1\xf8",  # shl/shr/sar $1, %eax
+    b"\xc1\xe0\x1f", b"\xc1\xe8\x1f", b"\xc1\xf8\x1f",  # ... $31
+    b"\xc1\xe0\x20", b"\xc1\xe8\x20", b"\xc1\xf8\x20",  # ... $32 (no-op)
+    b"\xd3\xe0", b"\xd3\xe8", b"\xd3\xf8",  # ... %cl (%ecx starts 0x2300)
+    b"\xb1\x05", b"\xb1\x20",  # movb $5, %cl; movb $32, %cl
+    b"\x70\x01", b"\x72\x01",  # jo/jb +1
+    b"\x78\x01", b"\x7a\x01",  # js/jp +1
+    b"\x9c",                  # pushf
     b"\x90",                  # nop
     b"\xcd\x80",              # int 0x80
     b"\x0f\x31",              # rdtsc (reads instret)
@@ -544,6 +557,78 @@ def test_flag_writer_jcc_fusion(monkeypatch):
                     (name, condition)
 
 
+#: (op, [(eax, ecx, edx, word at (%esi)), ...]) at the edges of the
+#: imul, idiv and shift templates
+_EDGE_OPS = [
+    (b"\x0f\xaf\xc1",                # imul %ecx, %eax
+     [(0x10000, 0x8000, 0, 0),       # 2**31: overflows signed
+      (0xFFFF8000, 0x10000, 0, 0),   # -2**31: fits
+      (0x7FFFFFFF, 1, 0, 0), (0x80000000, 0xFFFFFFFF, 0, 0),
+      (0xFFFFFFFF, 0xFFFFFFFF, 0, 0), (0x10000, 0x10000, 0, 0)]),
+    (b"\x0f\xaf\x06",                # imul (%esi), %eax
+     [(0x10000, 0, 0, 0x8000), (0xFFFF8000, 0, 0, 0x10000)]),
+    (b"\x69\xc1\x00\x80\x00\x00",    # imul $0x8000, %ecx, %eax
+     [(0, 0x10000, 0, 0), (0, 0xFFFF0000, 0, 0), (0, 0xFFFEFFFF, 0, 0)]),
+    (b"\x6b\xc1\xff",                # imul $-1, %ecx, %eax
+     [(0, 0x80000000, 0, 0), (0, 0x80000001, 0, 0)]),
+    (b"\x0f\xaf\xc1\x0f\xaf\xc1",    # imul %ecx, %eax; twice
+     [(0x10000, 0x8000, 0, 0), (3, 0x40000000, 0, 0)]),
+    (b"\xf7\xf9",                    # idiv %ecx
+     [(5, 0, 0, 0),                  # divide by zero
+      (0x80000000, 0xFFFFFFFF, 0xFFFFFFFF, 0),  # -2**31 / -1
+      (0x80000000, 1, 0xFFFFFFFF, 0),  # -2**31 / 1: fits
+      (0x7FFFFFFF, 1, 0, 0), (0x80000000, 1, 0, 0),
+      (0xFFFFFFF9, 2, 0xFFFFFFFF, 0),  # -7 / 2
+      # |EDX:EAX| > 2**53, where a float quotient is one off
+      (0x50D9606F, 0xA6DEF2D4, 0x04DE1A6A, 0),
+      (0xAF269F91, 0x59210D2C, 0xFB21E595, 0)]),
+    (b"\xf7\x3e",                    # idiv (%esi)
+     [(100, 0, 0, 7), (100, 0, 0, 0), (0x80000000, 0, 0xFFFFFFFF,
+                                       0xFFFFFFFF)]),
+]
+for _op in (b"\xd3\xe0", b"\xd3\xe8", b"\xd3\xf8"):  # shl/shr/sar %cl
+    _EDGE_OPS.append((_op, [(value, count, 0, 0)
+                            for value in (0x80000001, 0x40000000, 1)
+                            for count in (0, 32, 1, 31, 33, 0x120)]))
+for _op in (b"\xd1\xe0", b"\xd1\xe8", b"\xd1\xf8",   # ... $1
+            b"\xc1\xe0\x1f", b"\xc1\xe8\x1f", b"\xc1\xf8\x1f",  # ... $31
+            b"\xc1\xe0\x20"):                          # ... $32
+    _EDGE_OPS.append((_op, [(value, 0, 0, 0)
+                            for value in (0x80000001, 0x40000000, 1)]))
+del _op
+
+#: flag readers after the op, each ending a block: a jl (in the op's
+#: block, fused with the cmp before a flag-neutral op), jo, jb, js,
+#: jp, then pushf
+_EDGE_READERS = (b"\x7c\x01\x90\x70\x01\x90\x72\x01\x90\x78\x01\x90"
+                 b"\x7a\x01\x90\x9c")
+
+
+def test_mul_div_shift_edges(monkeypatch):
+    """The imul, idiv and shift templates at their edges -- products
+    at +-2**31, a zero divisor, -2**31 / -1, dividends past 2**53, %cl
+    counts of 0 and 32 -- with and without a pending flag record before
+    them (a cmp's, which a mul record must wrap and a zero-count shift
+    must keep), then every flag reader: the state, the full EFLAGS
+    word and the pushed flags match the reference, and none of these
+    ops is a handler call but the masked ``shl $32``."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+    for op, cases in _EDGE_OPS:
+        handlers = ["shl"] if op == b"\xc1\xe0\x20" else []
+        for prefix in (b"", b"\x39\xde"):          # cmp %ebx, %esi
+            blob = prefix + op + _EDGE_READERS
+            assert _handler_ops(blob) == handlers, blob.hex()
+            for eax, ecx, edx, word in cases:
+                def setup(cpu, eax=eax, ecx=ecx, edx=edx, word=word):
+                    cpu.regs[0], cpu.regs[1], cpu.regs[2] = eax, ecx, edx
+                    cpu.memory.write32(cpu.regs[6], word)
+
+                (fast, cpu, __), (slow, ___, ____) = \
+                    _compiled_vs_reference(blob, setup)
+                assert fast == slow, (blob.hex(), eax, ecx, edx, word)
+                assert cpu.perf.blocks_compiled >= 1
+
+
 def test_reentry_after_regs_rebound(monkeypatch):
     """A snapshot restore rebinds ``cpu.regs``; a compiled block
     entered afterwards must use the new list, never the one it first
@@ -666,9 +751,57 @@ def test_stop_in_later_range(monkeypatch):
         assert fast["eip"] == 0x100C and fast["instret"] == 2
 
 
+def _handler_ops(blob):
+    """The mnemonics of the ops of *blob* that the compiled block at
+    its start leaves to a ``h<k>(i<k>)`` handler call (the ``hlt``
+    padding after the blob is one too)."""
+    cpu, __ = _machine(blob)
+    cpu.cacheable = (0x1000, 0x1000 + len(blob) + 16)
+    instructions = cpu._block_at(0x1000)[4]
+    source = _BlockSource(instructions).source()
+    return [instruction.mnemonic
+            for k, instruction in enumerate(instructions)
+            if "h%d(i%d)" % (k, k) in source
+            and instruction.address < 0x1000 + len(blob)]
+
+
+#: (stream, the ops in it that stay handler calls)
 _HANDLER_FAULTS = [
-    # imul and idiv (handler calls) between inline writes, then an
+    # bswap and neg (handler calls) between inline writes, then an
     # inline load faults
+    (b"\xb8\x05\x00\x00\x00"         # mov $5, %eax
+     b"\xb9\x03\x00\x00\x00"         # mov $3, %ecx
+     b"\x0f\xc8"                     # bswap %eax
+     b"\x83\xc1\x01"                 # add $1, %ecx
+     b"\x99"                         # cdq
+     b"\xf7\xd9"                     # neg %ecx
+     b"\xbe\x09\x00\x00\x00"         # mov $9, %esi
+     b"\x8b\x1a", ["bswap", "neg"]),  # mov (%edx), %ebx: unmapped
+    # the handler itself faults after inline writes
+    (b"\xbe\x09\x00\x00\x00"         # mov $9, %esi
+     b"\x31\xc9"                     # xor %ecx, %ecx
+     b"\xf7\xf1"                     # div %ecx: divide error
+     b"\x90", ["div"]),
+    # leave commits ESP = EBP before its pop faults
+    (b"\xbd\x00\x50\x00\x00"         # mov $0x5000, %ebp
+     b"\x83\xc0\x01"                 # add $1, %eax
+     b"\xc9"                         # leave: pop from unmapped
+     b"\x90", []),
+    # the last flag writer's lazy record is stored on the fault path
+    (b"\x29\xd8"                     # sub %ebx, %eax: CF, SF
+     b"\x31\xc9"                     # xor %ecx, %ecx: ZF, PF
+     b"\x8b\x1a", []),               # mov (%edx), %ebx: unmapped
+    # movb stores through the bound region, then to unmapped memory
+    (b"\x88\x03"                     # movb %al, (%ebx)
+     b"\x88\x67\x01"                 # movb %ah, 1(%edi)
+     b"\x8a\x23"                     # movb (%ebx), %ah
+     b"\x88\x02"                     # movb %al, (%edx): unmapped
+     b"\x90", []),
+]
+
+#: the same shapes through the imul and idiv templates
+_TEMPLATE_FAULTS = [
+    # imul and idiv between inline writes, then an inline load faults
     b"\xb8\x05\x00\x00\x00"          # mov $5, %eax
     b"\xb9\x03\x00\x00\x00"          # mov $3, %ecx
     b"\x0f\xaf\xc1"                  # imul %ecx, %eax
@@ -677,26 +810,15 @@ _HANDLER_FAULTS = [
     b"\xf7\xf9"                      # idiv %ecx
     b"\xbe\x09\x00\x00\x00"          # mov $9, %esi
     b"\x8b\x1a",                     # mov (%edx), %ebx: unmapped
-    # the handler itself faults after inline writes
+    # the template raises its divide error after inline writes
     b"\xbe\x09\x00\x00\x00"          # mov $9, %esi
     b"\x31\xc9"                      # xor %ecx, %ecx
     b"\xf7\xf9"                      # idiv %ecx: divide error
     b"\x90",
-    # leave commits ESP = EBP before its pop faults
-    b"\xbd\x00\x50\x00\x00"          # mov $0x5000, %ebp
-    b"\x83\xc0\x01"                  # add $1, %eax
-    b"\xc9"                          # leave: pop from unmapped
-    b"\x90",
-    # the last flag writer's lazy record is stored on the fault path
-    b"\x29\xd8"                      # sub %ebx, %eax: CF, SF
-    b"\x31\xc9"                      # xor %ecx, %ecx: ZF, PF
+    # a shift's pending record is stored on the fault path
+    b"\x29\xd8"                      # sub %ebx, %eax
+    b"\xc1\xe0\x03"                  # shl $3, %eax
     b"\x8b\x1a",                     # mov (%edx), %ebx: unmapped
-    # movb stores through the bound region, then to unmapped memory
-    b"\x88\x03"                      # movb %al, (%ebx)
-    b"\x88\x67\x01"                  # movb %ah, 1(%edi)
-    b"\x8a\x23"                      # movb (%ebx), %ah
-    b"\x88\x02"                      # movb %al, (%edx): unmapped
-    b"\x90",
 ]
 
 
@@ -711,7 +833,8 @@ def test_handler_ops_between_inline_writes_then_fault(monkeypatch):
     def setup(cpu):
         cpu.regs[2] = 0x5000                # unmapped
 
-    for blob in _HANDLER_FAULTS:
+    for blob, handlers in _HANDLER_FAULTS:
+        assert _handler_ops(blob) == handlers, blob.hex()
         (fast, cpu, __), (slow, ___, ____) = _compiled_vs_reference(
             blob, setup)
         assert fast == slow, blob.hex()
@@ -720,6 +843,28 @@ def test_handler_ops_between_inline_writes_then_fault(monkeypatch):
     # the movb case: %ah (0x21) stored at 0x2601, then reloaded from
     # the zero byte %al left at 0x2400
     assert fast["memory"][1][0x601] == 0x21 and fast["regs"][0] == 0
+
+
+def test_templates_between_inline_writes_then_fault(monkeypatch):
+    """The same through the imul, idiv and shift templates, which leave
+    nothing to a handler: a later inline fault, the template's own
+    divide error and a pending shift record all match the
+    reference."""
+    monkeypatch.setattr(CPU, "COMPILE_THRESHOLD", 1)
+
+    def setup(cpu):
+        cpu.regs[2] = 0x5000                # unmapped
+
+    for blob in _TEMPLATE_FAULTS:
+        assert _handler_ops(blob) == [], blob.hex()
+        (fast, cpu, __), (slow, ___, ____) = _compiled_vs_reference(
+            blob, setup)
+        assert fast == slow, blob.hex()
+        assert fast["outcome"][0] == "crash"
+        assert cpu.perf.blocks_compiled == 1
+    kind, (fault, detail) = _compiled_vs_reference(
+        _TEMPLATE_FAULTS[1], setup)[0][0]["outcome"]
+    assert fault == "DivideErrorFault" and "divide by zero" in detail
 
 
 def test_page_straddling_stores_through_bound_region(monkeypatch):
@@ -815,6 +960,8 @@ _PUSH_POP = [
     # a call and its ret in one superblock, then a ret from memory
     b"\xe8\x01\x00\x00\x00\x90\xc3",      # call 0x1006; nop; ret
     # a handler between the push and the pop
+    b"\x50\x0f\xc8\x5a",                  # push; bswap %eax; pop
+    # an inline imul between them (the pop is forwarded)
     b"\x50\x0f\xaf\xc1\x5a",              # push; imul %ecx,%eax; pop
     b"\x55\x89\xe5\x50\xc9\x5b",          # push %ebp; mov %esp,%ebp;
                                           # push %eax; leave; pop %ebx
@@ -835,6 +982,8 @@ def test_pushes_forwarded_to_pops(monkeypatch):
             blob, setup)
         assert fast == slow, blob.hex()
         assert cpu.perf.blocks_compiled >= 1
+    assert _handler_ops(_PUSH_POP[6]) == ["bswap"]
+    assert _handler_ops(_PUSH_POP[7]) == []
     assert _compiled_vs_reference(_PUSH_POP[0], setup)[0][0]["regs"][2] \
         == 0x55667788
 
