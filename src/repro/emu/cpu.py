@@ -1031,10 +1031,11 @@ class CPU:
         operands = instruction.operands
         if len(operands) == 3:  # imm, src, dst
             imm, src, dst = operands
-            product = alu.signed(self.read_operand(src), src.size) \
-                * alu.signed(imm.value, 4)
-            self.write_reg(dst.index, product & 0xFFFFFFFF, 4)
-            self._set_mul_flags(product, 4, signed=True)
+            size = dst.size
+            product = alu.signed(self.read_operand(src), size) \
+                * alu.signed(imm.value, size)
+            self.write_reg(dst.index, product & 0xFFFFFFFF, size)
+            self._set_mul_flags(product, size, signed=True)
             return
         operand = operands[0]
         size = operand.size

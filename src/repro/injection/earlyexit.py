@@ -22,8 +22,9 @@ test first, on what the golden tail from there can still observe:
 4. the kernel and client state (:meth:`GoldenState.kernel_matches`,
    its scalar fields first);
 5. the text-fetch rule: no text byte the experiment corrupted
-   (``Machine.dirty_text``) is fetched or read as data by the golden
-   run after this syscall index (``GoldenRun.last_fetch``);
+   (``Machine.dirty_text``) or the armed watchdog watches (below) is
+   fetched or read as data by the golden run after this syscall index
+   (``GoldenRun.last_fetch``);
 6. memory: every writable page either run may have changed since the
    site's snapshot -- the pages the experiment dirtied
    (``region.dirty``) and the pages whose golden digest at this index
@@ -78,18 +79,22 @@ last ``(budget - t) mod p`` instructions itself, so it reaches the
 budget in exactly the full run's state and the watchdog probe, the
 HANG/FSV verdict and forensics are unchanged.
 
-Runs with a sampler attached and guarded pruning representatives are
-never armed (a profile claims every retired instruction, and the
-re-fetch guard must watch the whole suffix); the oracle's reference
-run is not armed either.  ``audit_fraction`` re-runs a seeded sample
-of early-exited experiments in full and raises
-:class:`EarlyExitAuditError` on any difference.
+A guarded pruning representative's guard trips when the run enters
+its watch window.  A converged run executes the golden tail, so the
+watch part of test 5 makes its trip verdict exactly the full run's;
+the cycle search runs only once the guard has tripped.  Runs with a
+sampler attached are never armed (a profile claims every retired
+instruction), nor is the oracle's reference run.  ``audit_fraction``
+re-runs a seeded sample of early-exited experiments in full and
+raises :class:`EarlyExitAuditError` on any difference, in the record
+or in a guard's trip verdict.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 
 from ..emu.memory import PAGE_SHIFT, PAGE_SIZE
 from .golden import page_digest, writable_regions
@@ -162,13 +167,15 @@ class EarlyExits:
     """A campaign's early exits, bound to its cell's golden run.
 
     :meth:`arm` attaches them to one experiment (the syscall hook on
-    the session's CPU and the cycle search on the watchdog);
-    :meth:`disarm` takes them off again.
+    the session's CPU and the cycle search on its watchdog,
+    ``session.run_fn``); :meth:`disarm` takes them off again.
     """
 
     def __init__(self, golden):
         self.golden = golden
         self.session = None
+        #: the armed watchdog's watch window (text-fetch rule).
+        self.watch = frozenset()
         #: the armed experiment's :class:`CycleSearch`, once its
         #: watchdog started one.
         self.search = None
@@ -190,15 +197,16 @@ class EarlyExits:
         self._pages = {}          # digest -> golden page bytes
         self._masks = {}          # compressed mask -> (bytes, integer)
 
-    def arm(self, session, watchdog):
+    def arm(self, session):
         self.session = session
         self.blocking = None
+        self.watch = session.run_fn.watch
         session.process.cpu.syscall_hook = self.at_syscall
-        watchdog.early = self
+        session.run_fn.early = self
 
-    def disarm(self, session, watchdog):
+    def disarm(self, session):
         session.process.cpu.syscall_hook = None
-        watchdog.early = None
+        session.run_fn.early = None
         self.session = self.search = None
 
     def fold_counts(self, registry):
@@ -277,7 +285,7 @@ class EarlyExits:
         if not state.kernel_matches(cpu.kernel):
             return None
         last_fetch = golden.last_fetch
-        for address in self.session.machine.dirty_text:
+        for address in chain(self.session.machine.dirty_text, self.watch):
             if last_fetch.get(address, -1) > index:
                 return None
         self.memory_checks += 1

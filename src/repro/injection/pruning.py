@@ -49,34 +49,35 @@ The runtime guard
 
 The ``succ`` argument has one hole: the suffix must never *re-fetch*
 the corrupted bytes (members differ only there).  Guarded
-representatives therefore run under :class:`GuardedWatchdog`, which
-drives the CPU with :meth:`~repro.emu.process.Process.run_watched`
-over the site's watch window (every address from which a fetch could
-overlap the corrupted span).  If the run enters the window the class
-is *declassified*: it dissolves into its same-``bytes`` subgroups,
-each of which runs its own representative -- the trip costs speed,
-never soundness.  Data reads of text bytes are not watched (the
-in-repo assembler never emits code that reads its own text as data);
-``--audit-fraction`` is the empirical backstop for that documented
-limitation: a seeded, partition-independent sample of classes is
-exhaustively re-run and any member whose outcome diverges from its
-representative hard-fails the campaign with
-:class:`PruningAuditError`.
+representatives therefore run under :class:`GuardedWatchdog`: the one
+slice loop, ``Watchdog.run``, drives the CPU with
+:meth:`~repro.emu.process.Process.run_watched` over the class's watch
+window (every address from which a fetch could overlap the corrupted
+span).  If the run enters the window the class is *declassified*: it
+dissolves into its same-``bytes`` subgroups, each of which runs its
+own representative -- the trip costs speed, never soundness.  Guarded
+runs take early exits like every other run; one may converge on the
+golden run only where the golden tail fetches no watched byte, so a
+converged run's trip verdict is the full run's.  Data reads of text
+bytes are not watched (the in-repo assembler never emits code that
+reads its own text as data); ``--audit-fraction`` is the empirical
+backstop for that documented limitation: a seeded,
+partition-independent sample of classes is exhaustively re-run and
+any member whose outcome diverges from its representative hard-fails
+the campaign with :class:`PruningAuditError`.
 """
 
 from __future__ import annotations
 
-import time
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
-from ..kernel import ServerHang
 from ..x86 import (DecodeOutOfBytesError, InvalidOpcodeError,
                    KIND_COND_BRANCH, KIND_JUMP, decode,
                    disassemble_range)
 from ..x86.flags import condition_met
-from .injector import hang_status
-from .runner import HangProbe, Watchdog
+from .runner import Watchdog
 
 #: class kinds (the ``class_id`` prefix, see module docstring).
 PRUNE_DEAD = "dead"
@@ -158,14 +159,12 @@ def fan_out_result(rep_result, point, location):
 # The re-fetch guard
 
 class GuardedWatchdog(Watchdog):
-    """A :class:`~repro.injection.runner.Watchdog` that drives the
-    suffix with :meth:`~repro.emu.process.Process.run_watched` over
-    the site's watch window.
-
-    The corrupted site itself is inside the window, so the first
-    instruction runs as a one-instruction slice; after that the run
-    proceeds in ordinary watchdog slices until it either finishes or
-    lands on a watched address.
+    """A :class:`~repro.injection.runner.Watchdog` watching the
+    class's window: :meth:`~repro.injection.runner.Watchdog.run`
+    steps the corrupted instruction (inside the window) as a
+    one-instruction slice, then runs watched slices
+    (:meth:`~repro.emu.process.Process.run_watched`) until the run
+    finishes or lands on a watched address.
 
     Landing back on the site itself (``eip == site``) -- a loop
     re-executing the corrupted instruction, by far the most common
@@ -176,10 +175,11 @@ class GuardedWatchdog(Watchdog):
     This extends the seal-time first-step equivalence to every
     dynamic execution of the site.  Any other hit -- or an execution
     where the members disagree -- latches ``tripped``; the run still
-    completes (unguarded), so the representative's own result stays
+    completes (unwatched), so the representative's own result stays
     valid, but the class must be declassified to its same-bytes
     subgroups before fanning out.  A post-budget probe that visits the
-    window latches it too.
+    window latches it too, and an early exit keeps it the full run's
+    (:mod:`.earlyexit`).
     """
 
     def __init__(self, config, watch, tracer=None, site=None,
@@ -215,61 +215,10 @@ class GuardedWatchdog(Watchdog):
                 successor = nxt
             elif nxt != successor:
                 return False
-        return True
+        return successor is not None
 
-    def run(self, process, budget):
-        config = self.config
-        started = time.monotonic()
-        cpu = process.cpu
-        # The corrupted instruction first, then each lock-step re-step,
-        # runs as a one-instruction slice of the CPU's run loop, so an
-        # attached forensic ring or sampler sees it like any other.
-        stepping = cpu.instret < budget
-        try:
-            while True:
-                if cpu.halted:
-                    status = process._status(
-                        "exit", getattr(cpu, "exit_code", 0))
-                    break
-                if stepping:
-                    stepping = False
-                    status = process._status(*cpu.run(cpu.instret + 1))
-                    if status.kind == "crash":
-                        break
-                    continue
-                ceiling = min(cpu.instret + config.slice_instructions,
-                              budget)
-                if self.tripped:
-                    status = process.run(ceiling)
-                else:
-                    status = process.run_watched(self.watch, ceiling)
-                    if status.kind == "watched":
-                        if (cpu.eip == self.site
-                                and cpu.instret < budget
-                                and self.dispositions
-                                and self._members_agree(cpu)):
-                            self.rechecks += 1
-                            stepping = True
-                        else:
-                            self.tripped = True
-                        continue
-                if status.kind != "limit" or ceiling >= budget:
-                    break
-                if config.wall_clock_limit is not None:
-                    elapsed = time.monotonic() - started
-                    if elapsed > config.wall_clock_limit:
-                        status.hang_probe = HangProbe(
-                            tight_loop=True, wall_clock=True,
-                            eip_low=cpu.eip, eip_high=cpu.eip,
-                            elapsed=elapsed)
-                        return status
-        except ServerHang as hang:
-            return hang_status(process, hang)
-        if status.kind == "limit":
-            status.hang_probe = self._probe(process)
-            if not self.watch.isdisjoint(self.probe_seen):
-                self.tripped = True
-        return status
+    # Watchdog.run, in this class's own namespace for the layer clock
+    run = Watchdog.run
 
 
 # ----------------------------------------------------------------------
@@ -586,11 +535,12 @@ def classify_text_points(model, module, points, encoding, coverage,
     Covered sites are grouped by corrupted image
     (``model.corrupted_bytes``), each group is classified by decoding
     the corrupted stream in place, and the per-site watch window and
-    flags-liveness facts are precomputed.  Branch resolution against
-    the live EFLAGS happens later, in :meth:`SitePlan.seal`.
+    flags-liveness facts are read off one disassembly per range.
+    Branch resolution against the live EFLAGS happens later, in
+    :meth:`SitePlan.seal`.
     """
     sites = _group_by_site(points)
-    boundary_cache = {}
+    sweeps = _sweeps(module, ranges)
     for site in sites:
         if site.address not in coverage:
             site.dead = True
@@ -614,10 +564,8 @@ def classify_text_points(model, module, points, encoding, coverage,
         for group in site.groups:
             group.disposition = _classify_replacement(
                 module, address, group.replacement)
-        site.watch = _site_watch(module, ranges, address,
-                                 boundary_cache)
-        site.flags_dead = _flags_dead_after(module, address + length,
-                                            ranges)
+        site.watch = _site_watch(sweeps, address)
+        site.flags_dead = _flags_dead_after(sweeps, address + length)
     return PruningPlan(model_name=model.name, sites=sites)
 
 
@@ -666,7 +614,29 @@ def _classify_replacement(module, address, image):
     return ("opaque", mnemonic)
 
 
-def _site_watch(module, ranges, address, boundary_cache):
+def _sweeps(module, ranges):
+    """Per range, its linear disassembly (the sweep the point
+    enumeration takes its sites from): ``(start, end, instructions,
+    addresses)``."""
+    sweeps = []
+    for start, end in ranges or ():
+        instructions = disassemble_range(module.text, module.text_base,
+                                         start, end)
+        sweeps.append((start, end, instructions,
+                       [instruction.address for instruction in instructions]))
+    return sweeps
+
+
+def _sweep_at(sweeps, address):
+    """``(instructions, addresses)`` of the first range holding
+    *address*; empty when none does."""
+    for start, end, instructions, addresses in sweeps:
+        if start <= address < end:
+            return instructions, addresses
+    return [], []
+
+
+def _site_watch(sweeps, address):
     """Pre-site fetch addresses that can reach into the site.
 
     A fetch starting in ``[address - 14, address)`` can overlap
@@ -675,45 +645,35 @@ def _site_watch(module, ranges, address, boundary_cache):
     that host an *original* instruction boundary ending at or before
     the site are excluded -- a fetch there decodes untouched bytes and
     provably ends before the span -- so the golden prefix code just
-    before the site does not trip the guard.  Unknown addresses stay
-    watched (conservative).
+    before the site does not trip the guard.  Boundaries are those of
+    the sweep from the start of the site's range; unknown addresses
+    stay watched (conservative).
     """
-    watch = set(range(address - (_MAX_INSN - 1), address))
-    for start, end in ranges or ():
-        if not start <= address < end:
-            continue
-        key = (start, address)
-        boundaries = boundary_cache.get(key)
-        if boundaries is None:
-            boundaries = set()
-            for instruction in disassemble_range(
-                    module.text, module.text_base, start, address):
-                if (instruction.mnemonic != "(bad)"
-                        and instruction.address + len(instruction.raw)
-                        <= address):
-                    boundaries.add(instruction.address)
-            boundary_cache[key] = boundaries
-        watch.difference_update(boundaries)
-        break
+    low = address - (_MAX_INSN - 1)
+    watch = set(range(low, address))
+    instructions, addresses = _sweep_at(sweeps, address)
+    for instruction in instructions[bisect_left(addresses, low):
+                                    bisect_left(addresses, address)]:
+        if (instruction.mnemonic != "(bad)"
+                and instruction.address + len(instruction.raw) <= address):
+            watch.discard(instruction.address)
     return frozenset(watch)
 
 
-def _flags_dead_after(module, address, ranges):
+def _flags_dead_after(sweeps, address):
     """Bounded forward scan: are the arithmetic flags provably
     overwritten before any instruction can read them, starting at
     *address*?  Stops (conservatively ``False``) at any control
-    transfer, partial flag writer, unknown mnemonic, or range end.
+    transfer, partial flag writer, unknown mnemonic, or range end,
+    and answers ``False`` when *address* is no instruction boundary
+    of its range's sweep.
     """
-    end = None
-    for start, stop in ranges or ():
-        if start <= address < stop:
-            end = stop
-            break
-    if end is None:
+    instructions, addresses = _sweep_at(sweeps, address)
+    position = bisect_left(addresses, address)
+    if addresses[position:position + 1] != [address]:
         return False
-    instructions = disassemble_range(module.text, module.text_base,
-                                     address, end)
-    for instruction in instructions[:_FLAGS_SCAN_LIMIT]:
+    for instruction in instructions[position:
+                                    position + _FLAGS_SCAN_LIMIT]:
         mnemonic = instruction.mnemonic
         if instruction.condition is not None:
             return False               # jcc/setcc/cmovcc read flags

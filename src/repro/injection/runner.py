@@ -221,7 +221,14 @@ class Watchdog:
     With :attr:`early` armed (:mod:`repro.injection.earlyexit`) the
     slices go through a cycle search, and a run that converges on the
     golden run ends there; either way ``status.early_exit`` says how,
-    and the status is the full run's."""
+    and the status is the full run's.
+
+    A non-empty :attr:`watch` (the pruning guard,
+    :class:`~repro.injection.pruning.GuardedWatchdog`) steps the
+    corrupted instruction first, then runs watched slices until the
+    guard trips; the cycle search runs only on unwatched slices."""
+
+    watch = frozenset()
 
     def __init__(self, config=None, tracer=None):
         self.config = config if config is not None else WatchdogConfig()
@@ -229,8 +236,8 @@ class Watchdog:
         #: the metrics registry can report them.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.probes = 0
-        #: EIPs the most recent probe visited; the pruning guard
-        #: inspects this to notice a watch-window hit past the budget.
+        #: EIPs the most recent probe visited; a guarded run trips
+        #: when they meet :attr:`watch`.
         self.probe_seen = frozenset()
         #: the armed :class:`~repro.injection.earlyexit.EarlyExits`
         #: of the current experiment, or ``None``.
@@ -244,13 +251,32 @@ class Watchdog:
         cpu = process.cpu
         search = (self.early.cycle_search(process)
                   if self.early is not None else None)
+        watch = self.watch
+        stepping = bool(watch) and cpu.instret < budget
         started = time.monotonic()
         try:
             while True:
                 ceiling = min(cpu.instret + config.slice_instructions,
                               budget)
-                status = (process.run(ceiling) if search is None
-                          else search.run(ceiling, budget))
+                if stepping:
+                    # the corrupted instruction, or a lock-step re-step
+                    # of it, as a one-instruction slice
+                    stepping = False
+                    status = process.run(cpu.instret + 1)
+                elif not watch:
+                    status = (process.run(ceiling) if search is None
+                              else search.run(ceiling, budget))
+                else:
+                    status = process.run_watched(watch, ceiling)
+                    if status.kind == "watched":
+                        stepping = (cpu.eip == self.site
+                                    and cpu.instret < budget
+                                    and self._members_agree(cpu))
+                        if stepping:
+                            self.rechecks += 1
+                        else:
+                            self.tripped, watch = True, None
+                        continue
                 if status.kind != "limit" or cpu.instret >= budget:
                     break
                 if config.wall_clock_limit is not None:
@@ -270,6 +296,8 @@ class Watchdog:
             return status
         if status.kind == "limit":
             status.hang_probe = self._probe(process)
+            if not self.watch.isdisjoint(self.probe_seen):
+                self.tripped = True
         if search is not None and search.found is not None:
             status.early_exit = search.found
         return status
@@ -1461,9 +1489,8 @@ class CampaignRunner:
     def _early_exits(self, session):
         """The :class:`~repro.injection.earlyexit.EarlyExits` this
         experiment may take, or ``None``: a profile claims every
-        retired instruction, and a pruning guard must watch the whole
-        suffix."""
-        if self.sampler is not None or self._active_guard is not None:
+        retired instruction."""
+        if self.sampler is not None:
             return None
         return self._early
 
@@ -1484,15 +1511,12 @@ class CampaignRunner:
         ring = session.process.cpu.forensic_ring
         if ring is not None:
             ring.clear()
-        # A guarded representative run (pruning) swaps in the re-fetch
-        # watchdog for exactly this experiment; every other path runs
-        # under the campaign watchdog.
-        session.run_fn = (self._active_guard
-                          if self._active_guard is not None
-                          else self.watchdog)
+        # a guarded representative run (pruning) swaps in the re-fetch
+        # watchdog for exactly this experiment
+        session.run_fn = self._active_guard or self.watchdog
         early = self._early_exits(session) if early_exits else None
         if early is not None:
-            early.arm(session, self.watchdog)
+            early.arm(session)
         try:
             with self.tracer.span("injection", cat="experiment") as span:
                 status, kernel, client = self.model.apply(
@@ -1511,7 +1535,7 @@ class CampaignRunner:
                         span.set("cycle_period", exited.period)
         finally:
             if early is not None:
-                early.disarm(session, self.watchdog)
+                early.disarm(session)
                 early.fold_counts(self.registry)
         if exited is not None and exited.kind == "converged":
             # the rest of the run is the golden run's
@@ -1565,12 +1589,15 @@ class CampaignRunner:
         if not class_is_audited(key, self.options.audit_fraction,
                                 self.options.audit_seed):
             return
+        # a guarded run's trip verdict is part of what it decides
+        expected = (result_signature(result), result.forensics,
+                    getattr(self._active_guard, "tripped", False))
         full = self._execute_inner(result.point, result.location,
                                    early_exits=False)
         self._extra_runs += 1
         counter("early_exit.audited", volatile=True).inc()
-        expected = (result_signature(result), result.forensics)
-        got = (result_signature(full), full.forensics)
+        got = (result_signature(full), full.forensics,
+               getattr(self._active_guard, "tripped", False))
         if got != expected:
             raise EarlyExitAuditError(
                 "point %s: %s exit diverged from the full run\n"

@@ -181,6 +181,22 @@ class TestAluExecution:
             assert cpu.eflags & (CF | OF) == (
                 (CF | OF) if overflow else 0), source
 
+    def test_three_operand_imul_at_operand_size_16(self):
+        # imul $-1, %cx, %ax with an imm16 and with a sign-extended
+        # imm8: AX = 3 * -1, bits 16-31 of EAX kept, the product fits
+        # 16 bits signed
+        for encoding in (".byte 0x66, 0x69, 0xc1, 0xff, 0xff",
+                         ".byte 0x66, 0x6b, 0xc1, 0xff"):
+            cpu = run_snippet("    movl $0x12345678, %eax\n"
+                              "    movl $3, %ecx\n    " + encoding)
+            assert cpu.regs[EAX] == 0x1234FFFD, encoding
+            assert cpu.eflags & (CF | OF) == 0, encoding
+        # 0x4000 * 2 = 0x8000 overflows 16 bits signed
+        cpu = run_snippet("    movl $0x4000, %ecx\n"
+                          "    .byte 0x66, 0x6b, 0xc1, 0x02")
+        assert cpu.regs[EAX] & 0xFFFF == 0x8000
+        assert cpu.eflags & (CF | OF) == CF | OF
+
     def test_idiv_exact_past_2_53(self):
         # 350746864906756207 / -1495338284: a float quotient rounds to
         # -234560212 with remainder -1; truncation gives -234560211

@@ -251,8 +251,9 @@ class TestBlockingByte:
     def test_arm_forgets_the_blocking_byte(self, at_syscall):
         early = at_syscall[0]
         early.blocking = (0, 0, 0)
-        early.arm(early.session, Watchdog())
-        early.disarm(early.session, Watchdog())
+        early.session.run_fn = Watchdog()
+        early.arm(early.session)
+        early.disarm(early.session)
         assert early.blocking is None
 
 
@@ -535,7 +536,7 @@ def _hang_run(ftp_daemon, golden, budget, armed):
     session = BreakpointSession(ftp_daemon, client1, HANG_SITE,
                                 budget=budget, run_fn=watchdog)
     if armed:
-        EarlyExits(golden).arm(session, watchdog)
+        EarlyExits(golden).arm(session)
     status, __, __ = session.run_with_flip(HANG_SITE + 1, 7)
     cpu = session.process.cpu
     state = (cpu.eip, list(cpu.regs), cpu.eflags, cpu.instret,

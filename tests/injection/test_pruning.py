@@ -8,13 +8,15 @@ import pytest
 
 from repro.apps.ftpd import client1
 from repro.emu import Process
-from repro.injection import (enumerate_points, get_fault_model,
-                             record_golden, run_campaign)
+from repro.injection import (BreakpointSession, enumerate_points,
+                             get_fault_model, record_golden, run_campaign)
+from repro.injection.earlyexit import EarlyExitAuditError, EarlyExits
 from repro.injection.pruning import (_classify_replacement,
+                                     _flags_dead_after, _sweeps,
                                      GuardedWatchdog, PRUNE_DEAD,
                                      PRUNE_SOLO)
 from repro.injection.runner import Watchdog, WatchdogConfig
-from repro.kernel import Kernel
+from repro.kernel import Kernel, ScriptedClient
 from repro.obs.forensics import flatten_ring, make_forensic_ring
 from repro.x86 import assemble
 
@@ -97,6 +99,33 @@ class TestPartition:
                 daemon.module, site, bytes([opcode, 0x05]))
             assert disposition[0] != "branch", \
                 "opcode %#x classified as a branch" % opcode
+
+
+#: ``after`` starts a sweep boundary; its imm32 holds ``nop; cmp
+#: %eax, %eax``, which a decode from inside it would read.
+FLAGS_SCAN = """
+.text
+.global _start
+_start:
+    cmpl $1, %eax
+after:
+    movl $0x90c03990, %ecx
+    xorl %edx, %edx
+    ret
+"""
+
+
+def test_flags_dead_only_from_a_sweep_boundary():
+    module = assemble(FLAGS_SCAN)
+    after = module.address_of("after")
+    end = module.text_base + len(module.text)
+    sweeps = _sweeps(module, [(module.text_base, end)])
+    assert _flags_dead_after(sweeps, after)
+    assert _flags_dead_after(_sweeps(module, [(after + 1, end)]),
+                             after + 1)
+    # no instruction of the range's sweep starts there: conservative
+    assert not _flags_dead_after(sweeps, after + 1)
+    assert not _flags_dead_after(sweeps, end)       # in no range
 
 
 class TestCampaignEquivalence:
@@ -194,3 +223,141 @@ class TestGuardedWatchdog:
         assert not guard.tripped
         # the stepped corrupted instruction is in the ring too
         assert guarded == plain
+
+
+# ----------------------------------------------------------------------
+# Guarded representatives take early exits
+
+#: The site is the first byte of its range, so no instruction boundary
+#: before it is known and the ``jmp`` at ``back`` is watched.  ZF is
+#: clear, so every displacement flip of the ``je`` falls through: one
+#: guarded class.  A corrupted run rejoins the golden run at the
+#: ``getpid`` (syscall 0); the golden tail then runs ``{after}``.
+GUARDED_TAIL = """
+.text
+.global _start
+_start:
+    movl $1, %eax
+    cmpl $2, %eax
+    jmp site
+back:
+    jmp done
+site:
+    je far
+    movl $20, %eax
+    int $0x80
+    {after}
+done:
+    movl $0, %ebx
+    movl $1, %eax
+    int $0x80
+far:
+    movl $3, %ebx
+    movl $1, %eax
+    int $0x80
+"""
+
+TAIL_BUDGET = 5_000
+
+
+class NullClient(ScriptedClient):
+    def receive(self, data):
+        pass
+
+    def broke_in(self):
+        return False
+
+
+class TailDaemon:
+    """A daemon whose one injection range starts at its site."""
+
+    def __init__(self, after):
+        self.module = assemble(GUARDED_TAIL.format(after=after))
+        self.site = self.module.address_of("site")
+
+    def auth_ranges(self):
+        return [(self.site, self.site + 2)]
+
+    def make_kernel(self, client):
+        return Kernel.for_client(client)
+
+
+def _fall_through_representative(after, armed):
+    """Run the representative of the class whose ``je`` falls through
+    under its guard, with early exits armed or in full: ``(status,
+    guard)``."""
+    daemon = TailDaemon(after)
+    golden = record_golden(daemon, NullClient, budget=TAIL_BUDGET)
+    model = get_fault_model("branch-bit")
+    ranges = daemon.auth_ranges()
+    site, = model.classify_points(
+        daemon.module, enumerate_points(daemon.module, ranges), "old",
+        golden.coverage, ranges).sites
+    session = BreakpointSession(daemon, NullClient, daemon.site,
+                                budget=TAIL_BUDGET, golden=golden)
+    site.seal(session.process.cpu)
+    cls, = [cls for cls in site.classes if cls.class_id
+            == "succ:%x:%x" % (daemon.site, daemon.site + 2)]
+    assert cls.needs_guard and daemon.module.address_of("back") in cls.watch
+    guard = session.run_fn = GuardedWatchdog(
+        WatchdogConfig(), cls.watch, site=cls.site,
+        dispositions=cls.dispositions)
+    if armed:
+        EarlyExits(golden).arm(session)
+    status, __, __ = model.apply(session, cls.representative, "old",
+                                 daemon.module)
+    return status, guard
+
+
+def _ending(status):
+    return status.kind, status.exit_code, status.instret
+
+
+class TestGuardedEarlyExits:
+    def test_no_convergence_before_the_watched_jmp(self):
+        full, full_guard = _fall_through_representative("jmp back",
+                                                        armed=False)
+        early, guard = _fall_through_representative("jmp back",
+                                                    armed=True)
+        assert full_guard.tripped and guard.tripped
+        # the golden tail enters ``back`` after syscall 0, so the run
+        # rejoins it only at the exit (syscall 1), past the trip
+        assert early.early_exit.index == 1
+        assert _ending(early) == _ending(full)
+
+    def test_a_guarded_run_converges_untripped(self):
+        full, full_guard = _fall_through_representative("jmp done",
+                                                        armed=False)
+        early, guard = _fall_through_representative("jmp done",
+                                                    armed=True)
+        assert not full_guard.tripped and not guard.tripped
+        assert early.early_exit.kind == "converged"
+        assert early.early_exit.index == 0
+        assert _ending(early) == _ending(full)
+
+    @pytest.mark.parametrize("after, trips", [("jmp back", 1),
+                                              ("jmp done", 0)])
+    def test_audited_campaigns_pass(self, after, trips):
+        campaign = run_campaign(TailDaemon(after), "Null", NullClient,
+                                budget=TAIL_BUDGET, prune=True,
+                                audit_fraction=1.0)
+        counters = campaign.metrics["volatile"]["counters"]
+        assert counters.get("pruning.guard_trips", 0) == trips
+        assert counters["early_exit.audited"] > 0
+
+    def test_the_audit_needs_the_watch_in_the_fetch_rule(self,
+                                                          monkeypatch):
+        arm = EarlyExits.arm
+
+        def arm_without_watch(early, session):
+            arm(early, session)
+            early.watch = frozenset()
+
+        monkeypatch.setattr(EarlyExits, "arm", arm_without_watch)
+        early, guard = _fall_through_representative("jmp back",
+                                                    armed=True)
+        assert early.early_exit.index == 0 and not guard.tripped
+        with pytest.raises(EarlyExitAuditError):
+            run_campaign(TailDaemon("jmp back"), "Null", NullClient,
+                         budget=TAIL_BUDGET, prune=True,
+                         audit_fraction=1.0)
